@@ -99,39 +99,13 @@ fn bench_sim_throughput(c: &mut Criterion) {
             b.iter(|| run_to_bkpt(machine_with(config.clone(), src)))
         });
     }
-    // Ablation: the same ALU spin with the predecode cache disabled
-    // (every step pays the fetch-bytes + table-decode cost again).
+    // The engine-vs-reference case: the same ALU spin on the uncached
+    // per-step interpreter (every step pays the fetch-bytes +
+    // table-decode cost again, and no block is ever dispatched).
     g.bench_function("alu_t2_m3_no_predecode", |b| {
         b.iter(|| {
             let mut m = machine_with(MachineConfig::m3_like(), ALU_SRC);
             m.set_predecode_enabled(false);
-            run_to_bkpt(m)
-        })
-    });
-    // Ablation: direct-mapped predecode layout (the default is 2-way
-    // set-associative; this isolates the associativity cost/benefit).
-    g.bench_function("alu_t2_m3_predecode_direct", |b| {
-        b.iter(|| {
-            let mut m = machine_with(MachineConfig::m3_like(), ALU_SRC);
-            m.set_predecode_two_way(false);
-            run_to_bkpt(m)
-        })
-    });
-    // Ablation: block engine off (per-instruction stepping through the
-    // predecode cache — isolates the block dispatch + chaining win).
-    g.bench_function("alu_t2_m3_blocks_off", |b| {
-        b.iter(|| {
-            let mut m = machine_with(MachineConfig::m3_like(), ALU_SRC);
-            m.set_block_cache_enabled(false);
-            run_to_bkpt(m)
-        })
-    });
-    // Ablation: threaded tier off (tier-2 entry-at-a-time block
-    // dispatch — isolates the superinstruction/fetch-batching win).
-    g.bench_function("alu_t2_m3_threaded_off", |b| {
-        b.iter(|| {
-            let mut m = machine_with(MachineConfig::m3_like(), ALU_SRC);
-            m.set_threaded_enabled(false);
             run_to_bkpt(m)
         })
     });
@@ -161,40 +135,13 @@ fn bench_sim_throughput(c: &mut Criterion) {
         mips
     };
     let mut metrics: Vec<(String, f64)> = Vec::new();
+    let mut on_mips = 0.0;
     for (name, config, src) in &cases {
         let mips = timed(name, &|| machine_with(config.clone(), src));
+        if *name == "alu_t2_m3" {
+            on_mips = mips;
+        }
         metrics.push((format!("{name}_mips"), mips));
-    }
-    // The tier ladder headline: the ALU probe with all tiers on
-    // (threaded), tier-3 off (tier-2 blocks), and blocks off entirely.
-    let on_mips =
-        timed("alu_t2_m3_blocks_on", &|| machine_with(MachineConfig::m3_like(), ALU_SRC));
-    let t2_mips = timed("alu_t2_m3_threaded_off", &|| {
-        let mut m = machine_with(MachineConfig::m3_like(), ALU_SRC);
-        m.set_threaded_enabled(false);
-        m
-    });
-    let off_mips = timed("alu_t2_m3_blocks_off", &|| {
-        let mut m = machine_with(MachineConfig::m3_like(), ALU_SRC);
-        m.set_block_cache_enabled(false);
-        m
-    });
-    metrics.push(("alu_t2_m3_blocks_on_mips".into(), on_mips));
-    metrics.push(("alu_t2_m3_threaded_off_mips".into(), t2_mips));
-    metrics.push(("alu_t2_m3_blocks_off_mips".into(), off_mips));
-    if off_mips > 0.0 {
-        println!(
-            "  block engine speedup on the ALU probe: {:.2}x",
-            t2_mips / off_mips
-        );
-        metrics.push(("block_engine_speedup".into(), t2_mips / off_mips));
-    }
-    if t2_mips > 0.0 {
-        println!(
-            "  threaded tier speedup on the ALU probe: {:.2}x (over tier-2 blocks)",
-            on_mips / t2_mips
-        );
-        metrics.push(("threaded_tier_speedup".into(), on_mips / t2_mips));
     }
     // Tracing-overhead gate: every machine now carries an obs tracer,
     // and every recording site is guarded so that with an empty

@@ -1,5 +1,5 @@
-//! CI regression gate: diffs the freshly generated `BENCH_9.json`
-//! against the committed `BENCH_8.json` baseline and fails on a >20%
+//! CI regression gate: diffs the freshly generated `BENCH_10.json`
+//! against the committed `BENCH_9.json` baseline and fails on a >20%
 //! regression of any shared performance key.
 //!
 //! ```text

@@ -1,14 +1,13 @@
-//! Tier-promotion profiler: where does the simulator actually spend
-//! its time, block by block and tier by tier?
+//! Tier profiler: where does the simulator actually spend its time,
+//! block by block and tier by tier?
 //!
 //! Runs the AutoIndy-6 suite on the M3-class (T2) preset and prints,
-//! per kernel: the tier occupancy (what fraction of retired guest
-//! instructions ran under the threaded tier 3, the tier-2 block
-//! engine, and the tier-1 predecode fallback), the fusion and
-//! fetch-plan mix of the threaded code, and the hottest resident
-//! blocks with the run's host time attributed per block. The suite
-//! aggregate is recorded under `profile` in the bench summary
-//! (BENCH_10.json).
+//! per kernel: the occupancy of the two tiers (what fraction of retired
+//! guest instructions ran as threaded blocks, t3, and on the per-step
+//! path, t1), the fusion and fetch-plan mix of the threaded code, and
+//! the hottest resident blocks with the run's host time attributed per
+//! block. The suite aggregate is recorded under `profile` in the bench
+//! summary (BENCH_10.json).
 //!
 //! ```text
 //! cargo run --release -p alia-bench --bin profile
@@ -47,21 +46,18 @@ fn main() {
         total_nanos += run.host_nanos;
 
         let t3 = p.threaded_instrs;
-        let t2 = p.block_instrs;
-        let t1 = run.instructions.saturating_sub(t3 + t2);
+        let t1 = run.instructions.saturating_sub(t3);
         println!(
-            "\n{:<8} {:>9} instrs  {:>7.1} host MIPS   tier occupancy: \
-             t3 {:.1}%  t2 {:.1}%  t1 {:.1}%",
+            "\n{:<8} {:>9} instrs  {:>7.1} host MIPS   tier occupancy: t3 {:.1}%  t1 {:.1}%",
             kernel.name,
             run.instructions,
             if run.host_nanos == 0 { 0.0 } else { run.instructions as f64 * 1e3 / run.host_nanos as f64 },
             pct(t3, run.instructions),
-            pct(t2, run.instructions),
             pct(t1, run.instructions),
         );
         let plans = p.plans_free + p.plans_refill + p.plans_slow;
         println!(
-            "         {} promoted, {} fused pairs ({:.2} per promoted block), \
+            "         {} installed, {} fused pairs ({:.2} per block), \
              fetch plans: {:.1}% Free / {:.1}% Refill / {:.1}% Slow",
             p.blocks_promoted,
             p.fused_pairs,
@@ -72,12 +68,11 @@ fn main() {
         );
         for b in blocks.iter().take(TOP_BLOCKS) {
             println!(
-                "         {:#010x} {:>3} insts  {:>8} dispatches  {}  {:>2} fused  \
+                "         {:#010x} {:>3} insts  {:>8} dispatches  {:>2} fused  \
                  ~{:>5.1}% of host time ({} µs)",
                 b.start,
                 b.insts,
                 b.dispatches,
-                if b.tier3 { "t3" } else { "t2" },
                 b.fused,
                 pct(b.host_nanos, run.host_nanos),
                 b.host_nanos / 1_000,
@@ -87,20 +82,18 @@ fn main() {
 
     let plans = agg.plans_free + agg.plans_refill + agg.plans_slow;
     let t3_pct = pct(agg.threaded_instrs, total_instrs);
-    let t2_pct = pct(agg.block_instrs, total_instrs);
-    let t1_pct = (100.0 - t3_pct - t2_pct).max(0.0);
+    let t1_pct = (100.0 - t3_pct).max(0.0);
     let host_mips =
         if total_nanos == 0 { 0.0 } else { total_instrs as f64 * 1e3 / total_nanos as f64 };
     println!(
-        "\nsuite aggregate: t3 {t3_pct:.1}% / t2 {t2_pct:.1}% / t1 {t1_pct:.1}% occupancy, \
-         {} fused pairs over {} promoted blocks, {host_mips:.1} host MIPS",
+        "\nsuite aggregate: t3 {t3_pct:.1}% / t1 {t1_pct:.1}% occupancy, \
+         {} fused pairs over {} installed blocks, {host_mips:.1} host MIPS",
         agg.fused_pairs, agg.blocks_promoted,
     );
     alia_bench::record_bench_json(
         "profile",
         &[
             ("tier3_occupancy_pct", t3_pct),
-            ("tier2_occupancy_pct", t2_pct),
             ("tier1_occupancy_pct", t1_pct),
             ("plans_free_pct", pct(agg.plans_free, plans)),
             ("plans_refill_pct", pct(agg.plans_refill, plans)),

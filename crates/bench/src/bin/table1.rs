@@ -20,23 +20,21 @@ fn main() {
             let p = &k.predecode;
             println!(
                 "  {:<6} {:<8} {:>9} cycles {:>6} bytes  {:>7.1} host MIPS  \
-                 blocks {}/{} hits, {} chained, {} splits (l1 {}/{})  \
-                 t3 {} promoted ({} fused), {} threaded, {} demoted",
+                 blocks {}/{} hits ({} fused), {} chained, {} splits, {} demoted  \
+                 (l1 {}/{})",
                 r.mode,
                 k.kernel,
                 k.cycles,
                 k.code_size,
                 k.host_mips(),
-                p.blocks_built,
+                p.blocks_promoted,
                 p.block_hits,
+                p.fused_pairs,
                 p.chain_follows,
                 p.budget_splits,
+                p.demotions,
                 p.hits,
                 p.misses,
-                p.blocks_promoted,
-                p.fused_pairs,
-                p.threaded_dispatches,
-                p.demotions,
             );
         }
     }
@@ -49,17 +47,19 @@ fn main() {
         agg.merge(&k.predecode);
     }
     println!(
-        "block engine over the suite: {} blocks built, {} dispatched ({} via chain links), {} budget splits",
-        agg.blocks_built, agg.block_hits, agg.chain_follows, agg.budget_splits
-    );
-    println!(
-        "threaded tier over the suite: {} blocks promoted ({} pairs fused), {} threaded dispatches, {} demotions",
-        agg.blocks_promoted, agg.fused_pairs, agg.threaded_dispatches, agg.demotions
+        "block engine over the suite: {} blocks installed ({} pairs fused), {} dispatched \
+         ({} via chain links), {} budget splits, {} demotions",
+        agg.blocks_promoted,
+        agg.fused_pairs,
+        agg.block_hits,
+        agg.chain_follows,
+        agg.budget_splits,
+        agg.demotions
     );
     let plans = agg.plans_free + agg.plans_refill + agg.plans_slow;
     let pct = |n: u64| if plans == 0 { 0.0 } else { 100.0 * n as f64 / plans as f64 };
     println!(
-        "tier-3 fetch-plan mix over the suite: {} Free ({:.1}%), {} Refill ({:.1}%), {} Slow ({:.1}%)",
+        "threaded fetch-plan mix over the suite: {} Free ({:.1}%), {} Refill ({:.1}%), {} Slow ({:.1}%)",
         agg.plans_free,
         pct(agg.plans_free),
         agg.plans_refill,

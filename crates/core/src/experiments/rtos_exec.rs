@@ -180,8 +180,8 @@ fn rtos_stream(id_offset: u32, cpb: u64, jitter_cycles: u64, period_cycles: u64)
 }
 
 /// Runs the executed-RTOS gateway topology with explicit scheduler
-/// knobs — determinism tests sweep quantum sizes, node orderings,
-/// idle-stretch and worker threads and assert bit-identical results.
+/// knobs — determinism tests sweep quantum sizes, node orderings and
+/// idle-stretch and assert bit-identical results.
 ///
 /// # Errors
 ///

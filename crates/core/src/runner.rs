@@ -261,11 +261,9 @@ pub struct BlockProfileRow {
     pub start: u32,
     /// Decoded instructions in the block.
     pub insts: u32,
-    /// Times the block was dispatched (tier-2 entries plus tier-3
-    /// runs, threaded re-loops included).
+    /// Passes through the block's threaded code (entries, chained
+    /// entries and self-loop rounds).
     pub dispatches: u64,
-    /// Whether the block is resident in the threaded tier (tier 3).
-    pub tier3: bool,
     /// Superinstruction pairs fused into its threaded body.
     pub fused: u32,
     /// Estimated instructions retired inside the block
@@ -282,7 +280,8 @@ pub struct BlockProfileRow {
 /// resident in the block cache when the run halted, hottest (most
 /// dispatched) first, with the run's host time attributed per block in
 /// proportion to the instructions each is estimated to have retired.
-/// Blocks evicted mid-run are absent — their heat died with them.
+/// Blocks evicted or invalidated mid-run are absent, and so are their
+/// dispatch counts.
 ///
 /// # Errors
 ///
@@ -298,10 +297,10 @@ pub fn profile_kernel(
     let (run, m) = run_kernel_inner(cache, kernel, config, opts, seed, elems)?;
     let raw = m.block_profile();
     let total_est: u64 =
-        raw.iter().map(|&(_, insts, disp, _, _)| disp * u64::from(insts)).sum();
+        raw.iter().map(|&(_, insts, disp, _)| disp * u64::from(insts)).sum();
     let rows = raw
         .into_iter()
-        .map(|(start, insts, dispatches, tier3, fused)| {
+        .map(|(start, insts, dispatches, fused)| {
             let est = dispatches * u64::from(insts);
             let host_nanos = if total_est == 0 {
                 0
@@ -312,7 +311,6 @@ pub fn profile_kernel(
                 start,
                 insts,
                 dispatches,
-                tier3,
                 fused,
                 est_instructions: est,
                 host_nanos,

@@ -17,9 +17,7 @@ use crate::trace::{category, EventKind, TraceSet};
 /// Writes one event's kind-specific `args` object.
 fn args(kind: &EventKind) -> String {
     match *kind {
-        EventKind::Promote { pc } | EventKind::Demote { pc } | EventKind::BudgetSplit { pc } => {
-            format!("{{\"pc\":{pc}}}")
-        }
+        EventKind::Demote { pc } | EventKind::BudgetSplit { pc } => format!("{{\"pc\":{pc}}}"),
         EventKind::BlockFill { pc, len } => format!("{{\"pc\":{pc},\"len\":{len}}}"),
         EventKind::IrqPend { irq } => format!("{{\"irq\":{irq}}}"),
         EventKind::IrqTake { irq, tail_chained } => {
@@ -187,7 +185,6 @@ mod tests {
         set.push_stream(
             "node \"zero\"",
             vec![
-                TraceEvent { cycle: 10, kind: EventKind::Promote { pc: 0x40 } },
                 TraceEvent { cycle: 11, kind: EventKind::BlockFill { pc: 0x40, len: 7 } },
                 TraceEvent { cycle: 20, kind: EventKind::IrqPend { irq: 2 } },
                 TraceEvent { cycle: 25, kind: EventKind::IrqTake { irq: 2, tail_chained: true } },

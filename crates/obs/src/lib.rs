@@ -12,8 +12,8 @@
 //! streams into a [`TraceSet`] whose ordering is deterministic by
 //! construction (streams are keyed by topology position, never by
 //! host-thread interleaving), which is what makes the FNV stream hash
-//! a differential-testing oracle across thread counts and quantum
-//! sizes.
+//! a differential-testing oracle across quantum sizes and node
+//! orderings.
 //!
 //! ```
 //! use alia_obs::{Tracer, EventKind, category, TraceSet};

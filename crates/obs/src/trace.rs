@@ -7,25 +7,25 @@
 //! with its own guest-cycle clock. Collectors assemble streams in
 //! topology order (node index, then wire index, then the scheduler
 //! stream). Because each producer's execution is bit-identical across
-//! host-thread counts and quantum sizes (the simulator's standing
+//! quantum sizes and node orderings (the simulator's standing
 //! determinism contract), the assembled [`TraceSet`] — and therefore
 //! [`TraceSet::fnv_hash`] — is too, for every *architectural*
 //! category. Two groups are artifacts of how the simulation is driven
 //! rather than what the guest does, and legitimately differ across the
 //! sweep: [`category::SCHED`] (quantum boundaries, idle stretches) and
 //! the engine-internal [`category::TIER`]/[`category::BLOCK`] pair
-//! (block recording and tier promotion react to where `run_until`
-//! budget boundaries fall, so a different quantum yields different
-//! splits and fills while retiring the exact same instructions). Hash
+//! (block recording and invalidation react to where `run_until` budget
+//! boundaries fall, so a different quantum yields different splits and
+//! fills while retiring the exact same instructions). Hash
 //! with [`category::SEMANTIC`] when comparing configurations.
 
 /// Event categories. Each is one bit of the tracer's recording mask;
 /// a [`Tracer`] only stores events whose category bit is set, so the
 /// disabled path is a single test-and-branch.
 pub mod category {
-    /// Tier transitions: promote / demote / budget-split.
+    /// Block-engine transitions: demote / budget-split.
     pub const TIER: u32 = 1 << 0;
-    /// Block-cache fills (tier-2 block recording completions).
+    /// Block-cache fills (recorded blocks lowered and installed).
     pub const BLOCK: u32 = 1 << 1;
     /// Interrupt pend / take.
     pub const IRQ: u32 = 1 << 2;
@@ -47,13 +47,13 @@ pub mod category {
     pub const ALL: u32 = TIER | BLOCK | IRQ | WFI | WIRE | ERROR | DMA | SCHED | RTOS;
     /// Execution-engine internals whose event streams depend on how
     /// the simulation is driven, not on what the guest does: scheduler
-    /// quantum boundaries, and the tier engine's block fills / budget
-    /// splits (block recording reacts to where `run_until` budget
-    /// boundaries fall).
+    /// quantum boundaries, and the block engine's fills / demotions /
+    /// budget splits (block recording reacts to where `run_until`
+    /// budget boundaries fall).
     pub const ENGINE: u32 = SCHED | TIER | BLOCK;
     /// All categories whose event streams are invariant across
     /// scheduler configurations (quantum size, node order, idle
-    /// stretch, thread count): everything except [`ENGINE`].
+    /// stretch): everything except [`ENGINE`].
     pub const SEMANTIC: u32 = ALL & !ENGINE;
 
     /// Human-readable name of a single category bit (lowest set bit of
@@ -121,12 +121,7 @@ pub enum RtosEventKind {
 /// identity; the event carries the cycle stamp and the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A hot block was lowered to threaded code (tier 2 → tier 3).
-    Promote {
-        /// Block start PC.
-        pc: u32,
-    },
-    /// A threaded block was dropped back to tier 2 (invalidation).
+    /// Installed blocks were dropped (invalidation or eviction).
     Demote {
         /// PC whose lookup/insert observed the demotion.
         pc: u32,
@@ -223,9 +218,7 @@ impl EventKind {
     #[must_use]
     pub fn category(&self) -> u32 {
         match self {
-            EventKind::Promote { .. } | EventKind::Demote { .. } | EventKind::BudgetSplit { .. } => {
-                category::TIER
-            }
+            EventKind::Demote { .. } | EventKind::BudgetSplit { .. } => category::TIER,
             EventKind::BlockFill { .. } => category::BLOCK,
             EventKind::IrqPend { .. } | EventKind::IrqTake { .. } => category::IRQ,
             EventKind::WfiPark | EventKind::WfiResume => category::WFI,
@@ -247,7 +240,6 @@ impl EventKind {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            EventKind::Promote { .. } => "Promote",
             EventKind::Demote { .. } => "Demote",
             EventKind::BudgetSplit { .. } => "BudgetSplit",
             EventKind::BlockFill { .. } => "BlockFill",
@@ -283,10 +275,6 @@ impl EventKind {
     /// event streams hash equal iff they are bit-identical.
     fn hash_into(&self, h: &mut Fnv) {
         match *self {
-            EventKind::Promote { pc } => {
-                h.byte(1);
-                h.u64(u64::from(pc));
-            }
             EventKind::Demote { pc } => {
                 h.byte(2);
                 h.u64(u64::from(pc));
@@ -536,8 +524,8 @@ impl TraceSet {
 
     /// FNV-1a hash of every event whose category is in `mask`, folded
     /// in stream order with the stream labels. Hashing with
-    /// [`category::SEMANTIC`] is bit-identical across thread counts,
-    /// quantum sizes and node orderings; [`category::ALL`] addition-
+    /// [`category::SEMANTIC`] is bit-identical across quantum sizes,
+    /// node orderings and idle-stretch; [`category::ALL`] addition-
     /// ally pins the scheduler stream (identical only within one
     /// scheduler configuration).
     #[must_use]
@@ -626,7 +614,7 @@ mod tests {
     #[test]
     fn category_mapping_is_total() {
         let evs = [
-            EventKind::Promote { pc: 0 },
+            EventKind::Demote { pc: 0 },
             EventKind::BlockFill { pc: 0, len: 1 },
             EventKind::IrqPend { irq: 0 },
             EventKind::WfiPark,

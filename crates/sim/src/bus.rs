@@ -155,11 +155,10 @@ impl Clone for Box<dyn Device> {
 /// A memory-mapped bus device. See the module docs for the contract
 /// (timing, ticking, IRQ signaling, revision counters).
 ///
-/// `Send + Sync` are supertraits so a whole [`crate::Machine`] —
-/// devices included — can migrate to a worker thread (the parallel
-/// quantum scheduler, [`crate::SystemConfig::threads`]) and a prepared
-/// [`crate::System`] snapshot can be *shared by reference* across
-/// campaign workers that each [`crate::System::fork`] it. Mutation
+/// `Send + Sync` are supertraits so a prepared [`crate::System`]
+/// snapshot — devices included — can be *shared by reference* across
+/// campaign workers that each [`crate::System::fork`] it and run the
+/// fork on their own thread. Mutation
 /// always happens through `&mut` (one worker owns one fork); shared
 /// state such as [`crate::SharedCanBus`] sits behind `Arc<Mutex<..>>`.
 pub trait Device: fmt::Debug + DeviceClone + Send + Sync {

@@ -217,12 +217,12 @@ impl Device for Timer {
 /// [`SharedCanBus::fork_detached`] and rebinds the forked machines'
 /// controllers so a forked system is fully independent of the original.
 ///
-/// The wire state sits behind a `Mutex` so nodes advanced on worker
-/// threads ([`crate::SystemConfig::threads`]) can enqueue concurrently;
-/// determinism is unaffected because arbitration orders the pending
-/// queue by `(id, enqueue time, node, per-node sequence)` — a total
-/// order independent of host insertion order — and the wire itself is
-/// only advanced in the scheduler's sequential boundary phase.
+/// The wire state sits behind a `Mutex` so a prepared [`crate::System`]
+/// can be shared by reference across campaign worker threads (each
+/// forks it onto detached wires). Arbitration orders the pending queue
+/// by `(id, enqueue time, node, per-node sequence)` — a total order
+/// independent of host insertion order — and the wire itself is only
+/// advanced in the scheduler's boundary phase.
 #[derive(Debug, Clone)]
 pub struct SharedCanBus {
     inner: Arc<Mutex<CanBus>>,

@@ -49,16 +49,24 @@
 //! The interpreter is built to run "as fast as the hardware allows"
 //! without changing a single reported cycle:
 //!
-//! * **Predecode cache** ([`predecode`]): a generation-stamped,
-//!   direct-mapped cache from instruction address to decoded
+//! * **Predecode cache** ([`predecode`]): a generation-stamped, 2-way
+//!   set-associative cache from instruction address to decoded
 //!   instruction. Steady-state execution never re-reads instruction
 //!   bytes or re-runs the table decoder; only the *timing* side of each
-//!   fetch (flash streaming, I-cache, TCM repair, MPU) is replayed, so
-//!   cycle counts, `FlashPatch::hits` and `StopReason`s are bit-identical
-//!   with the cache on or off ([`Machine::set_predecode_enabled`]). The
+//!   fetch (flash streaming, I-cache, TCM repair, MPU) is replayed. The
 //!   cache invalidates on flash loads, flash-patch programming,
 //!   host-side RAM mutation and self-modifying stores (tracked by an
 //!   address watermark on the store path).
+//! * **Threaded blocks**: straight-line runs the per-step path records
+//!   are lowered to threaded code (pre-resolved handlers, fused
+//!   instruction pairs, planned fetch timing) when installed, and
+//!   [`Machine::run`] dispatches them whole and chains their exits. IT
+//!   blocks lower too: covered instructions keep the per-step issue
+//!   sequence, and a block only runs with an empty IT queue. The
+//!   per-step interpreter remains the fill path and, uncached, the
+//!   reference: cycle counts, `FlashPatch::hits` and `StopReason`s are
+//!   bit-identical with the engine on or off
+//!   ([`Machine::set_predecode_enabled`], the one host-only switch).
 //! * **Zero-allocation hot loop**: `Machine::step` performs no heap
 //!   allocation on any path — decode reads a fixed 4-byte window
 //!   (`alia_isa::decode_window`), LDM staging uses a fixed register

@@ -21,7 +21,7 @@ use crate::mem::{
 use std::sync::Arc;
 
 use crate::predecode::{BlockCache, Entry, Predecode, PredecodeStats, MAX_BLOCK_LEN};
-use crate::threaded::{self, BlockExit};
+use crate::threaded::{self, BlockExit, ThreadedBlock};
 use crate::{Cache, CacheConfig, CoreTiming, FlashPatch, IrqController, IrqStyle, Lookup, Mpu,
     MpuKind};
 
@@ -129,30 +129,13 @@ pub struct MachineConfig {
     /// Base address of the vector table (one word per line for the
     /// hardware scheme; a single vector for the software scheme).
     pub vector_base: u32,
-    /// Whether the host-side predecoded-instruction cache is enabled
-    /// (a pure host optimization; cycle counts are identical either way —
-    /// see [`crate::predecode`]).
+    /// Whether the host-side execution engine is enabled: the
+    /// predecoded-instruction cache ([`crate::predecode`]) plus the
+    /// block engine on top of it, which [`Machine::run`] uses to
+    /// dispatch recorded straight-line runs as threaded code. A pure
+    /// host optimization: `false` selects the uncached per-step
+    /// interpreter, and results are bit-identical either way.
     pub predecode: bool,
-    /// Whether the predecode cache is 2-way set-associative (the
-    /// default; avoids main-loop/handler slot aliasing in
-    /// interrupt-dense workloads). `false` selects the direct-mapped
-    /// layout for the bench ablation. Host-only; cycle counts are
-    /// identical either way.
-    pub predecode_two_way: bool,
-    /// Whether the basic-block engine is enabled: decoded straight-line
-    /// runs are cached whole and dispatched block-at-a-time by
-    /// [`Machine::run`], with the per-step dispatch tax (IRQ drain,
-    /// stamp check, cache probe) hoisted to block boundaries and block
-    /// exits chained. Host-only; results are bit-identical either way
-    /// (`false` selects the per-step path for the bench ablation).
-    pub block_cache: bool,
-    /// Whether the tier-3 threaded-code engine is enabled: hot blocks
-    /// are lowered to pre-resolved handler/operand lists with
-    /// superinstruction fusion and batched fetch-timing replay (see
-    /// `crates/sim/src/threaded.rs`). Requires the block cache;
-    /// host-only, results bit-identical either way (`false` selects
-    /// the tier-2 path for the bench ablation).
-    pub threaded: bool,
     /// Bus devices to attach beyond the always-present instrumentation
     /// MMIO block (index 0).
     pub devices: Vec<DeviceSpec>,
@@ -177,9 +160,6 @@ impl MachineConfig {
             bitband: false,
             vector_base: 0,
             predecode: true,
-            predecode_two_way: true,
-            block_cache: true,
-            threaded: true,
             devices: Vec::new(),
         }
     }
@@ -201,9 +181,6 @@ impl MachineConfig {
             bitband: true,
             vector_base: 0,
             predecode: true,
-            predecode_two_way: true,
-            block_cache: true,
-            threaded: true,
             devices: Vec::new(),
         }
     }
@@ -225,9 +202,6 @@ impl MachineConfig {
             bitband: false,
             vector_base: 0,
             predecode: true,
-            predecode_two_way: true,
-            block_cache: true,
-            threaded: true,
             devices: Vec::new(),
         }
     }
@@ -253,12 +227,13 @@ struct BlockRec {
     entries: Vec<Entry>,
 }
 
-/// Whether `instr` ends a basic block: control transfers (including
-/// anything that *could* write the PC) and IT headers. The classifier
-/// is a recording heuristic, not a safety boundary — the block executor
-/// independently verifies after every instruction that the PC advanced
-/// to the next entry, so a misclassified transfer exits the block
-/// rather than corrupting it.
+/// Whether `instr` ends a basic block: control transfers, including
+/// anything that *could* write the PC. IT headers join blocks (the
+/// lowering keeps the entries they cover on the generic handler). The
+/// classifier is a recording heuristic, not a safety boundary — the
+/// block executor independently checks after every instruction whether
+/// the PC left the straight line, so a misclassified transfer exits the
+/// block rather than corrupting it.
 fn ends_block(instr: &Instr) -> bool {
     match instr {
         Instr::B { .. }
@@ -266,8 +241,7 @@ fn ends_block(instr: &Instr) -> bool {
         | Instr::Bx { .. }
         | Instr::Cbz { .. }
         | Instr::Tbb { .. }
-        | Instr::Tbh { .. }
-        | Instr::It { .. } => true,
+        | Instr::Tbh { .. } => true,
         Instr::Dp { rd, .. } | Instr::Mov { rd, .. } => *rd == Reg::PC,
         Instr::Ldr { rt, .. } | Instr::LdrLit { rt, .. } => *rt == Reg::PC,
         Instr::Ldm { regs, .. } | Instr::Pop { regs, .. } => regs.contains(Reg::PC),
@@ -342,8 +316,8 @@ pub struct Machine {
     icache_recoveries: u64,
     dcache_recoveries: u64,
     predecode: Predecode,
-    /// The basic-block cache: decoded straight-line runs dispatched
-    /// whole by the block engine ([`Machine::run`]'s fast path).
+    /// The basic-block cache: recorded straight-line runs, lowered to
+    /// threaded code and dispatched whole by [`Machine::run`].
     blocks: BlockCache,
     /// Block under construction: per-step execution records the entries
     /// it retires until the run ends at a control transfer (see
@@ -433,8 +407,8 @@ impl Machine {
             svc_count: 0,
             icache_recoveries: 0,
             dcache_recoveries: 0,
-            predecode: Predecode::new(config.predecode, config.predecode_two_way),
-            blocks: BlockCache::new(config.block_cache),
+            predecode: Predecode::new(config.predecode),
+            blocks: BlockCache::new(),
             block_rec: None,
             rec_spare: Vec::new(),
             code_write_gen: 0,
@@ -552,87 +526,49 @@ impl Machine {
         self.dcache_recoveries
     }
 
-    /// Enables or disables the host-side predecode cache at runtime.
-    /// Disabling drops all cached entries; cycle results are identical
-    /// either way (the cache is a pure host optimization).
+    /// Enables or disables the host-side execution engine (predecode
+    /// cache and block engine) at runtime. Disabling drops every cached
+    /// entry and block and falls back to the uncached per-step
+    /// interpreter; results are bit-identical either way.
     pub fn set_predecode_enabled(&mut self, enabled: bool) {
         self.predecode.set_enabled(enabled);
+        self.blocks.clear();
+        self.discard_record();
     }
 
-    /// Whether the predecode cache is currently enabled.
+    /// Whether the execution engine is currently enabled.
     #[must_use]
     pub fn predecode_enabled(&self) -> bool {
         self.predecode.enabled()
     }
 
-    /// Selects the predecode cache's associativity at runtime: 2-way
-    /// set-associative (`true`, the default) or direct-mapped (`false`,
-    /// the bench ablation). Switching drops all cached entries; cycle
-    /// results are identical either way.
-    pub fn set_predecode_two_way(&mut self, two_way: bool) {
-        self.predecode.set_two_way(two_way);
-    }
-
-    /// Enables or disables the basic-block engine at runtime. Disabling
-    /// drops all cached blocks and falls back to per-step execution;
-    /// results are bit-identical either way (the block engine is a pure
-    /// host optimization — the bench ablation's knob).
-    pub fn set_block_cache_enabled(&mut self, enabled: bool) {
-        self.blocks.set_enabled(enabled);
-        self.block_rec = None;
-    }
-
-    /// Whether the basic-block engine is currently enabled.
+    /// Predecode cache hit/miss/invalidation counters, plus the block
+    /// engine's (installs, dispatches, chain follows, budget splits,
+    /// fused pairs, fetch-plan mix, demotions).
     #[must_use]
-    pub fn block_cache_enabled(&self) -> bool {
-        self.blocks.enabled()
-    }
-
-    /// Enables or disables the tier-3 threaded-code engine at runtime.
-    /// Disabling demotes every promoted block back to tier-2 dispatch;
-    /// results are bit-identical either way (the threaded tier is a
-    /// pure host optimization — the bench ablation's knob).
-    pub fn set_threaded_enabled(&mut self, enabled: bool) {
-        if self.config.threaded != enabled {
-            self.config.threaded = enabled;
-            self.blocks.drop_threaded();
+    pub fn predecode_stats(&self) -> PredecodeStats {
+        let b = &self.blocks.stats;
+        PredecodeStats {
+            block_hits: b.hits,
+            chain_follows: b.chain_follows,
+            budget_splits: b.budget_splits,
+            blocks_promoted: b.promoted,
+            fused_pairs: b.fused_pairs,
+            demotions: b.demotions,
+            threaded_instrs: b.threaded_instrs,
+            block_instrs: 0,
+            plans_free: b.plans_free,
+            plans_refill: b.plans_refill,
+            plans_slow: b.plans_slow,
+            ..self.predecode.stats()
         }
     }
 
-    /// Whether the tier-3 threaded-code engine is currently enabled.
-    #[must_use]
-    pub fn threaded_enabled(&self) -> bool {
-        self.config.threaded
-    }
-
-    /// Predecode cache hit/miss/invalidation counters, including the
-    /// block-level counters (blocks built/dispatched, chain follows,
-    /// budget splits) and the tier-3 counters (promotions, fused
-    /// pairs, threaded dispatches, demotions).
-    #[must_use]
-    pub fn predecode_stats(&self) -> PredecodeStats {
-        let mut stats = self.predecode.stats();
-        stats.blocks_built = self.blocks.stats.built;
-        stats.block_hits = self.blocks.stats.hits;
-        stats.chain_follows = self.blocks.stats.chain_follows;
-        stats.budget_splits = self.blocks.stats.budget_splits;
-        stats.blocks_promoted = self.blocks.stats.promoted;
-        stats.fused_pairs = self.blocks.stats.fused_pairs;
-        stats.threaded_dispatches = self.blocks.stats.threaded_dispatches;
-        stats.demotions = self.blocks.stats.demotions;
-        stats.threaded_instrs = self.blocks.stats.threaded_instrs;
-        stats.block_instrs = self.blocks.stats.block_instrs;
-        stats.plans_free = self.blocks.stats.plans_free;
-        stats.plans_refill = self.blocks.stats.plans_refill;
-        stats.plans_slow = self.blocks.stats.plans_slow;
-        stats
-    }
-
     /// Per-block execution profile: one entry per occupied block-cache
-    /// slot as `(start pc, instruction count, dispatches, promoted to
-    /// tier 3, fused pairs)`, sorted by dispatch count descending.
+    /// slot as `(start pc, instruction count, dispatches, fused pairs)`,
+    /// sorted by dispatch count descending.
     #[must_use]
-    pub fn block_profile(&self) -> Vec<(u32, u32, u64, bool, u32)> {
+    pub fn block_profile(&self) -> Vec<(u32, u32, u64, u32)> {
         let mut v = self.blocks.profile();
         v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         v
@@ -651,16 +587,13 @@ impl Machine {
         reg.counter(&format!("{prefix}predecode.hits"), s.hits);
         reg.counter(&format!("{prefix}predecode.misses"), s.misses);
         reg.counter(&format!("{prefix}predecode.invalidations"), s.invalidations);
-        reg.counter(&format!("{prefix}blocks.built"), s.blocks_built);
         reg.counter(&format!("{prefix}blocks.hits"), s.block_hits);
         reg.counter(&format!("{prefix}blocks.chain_follows"), s.chain_follows);
         reg.counter(&format!("{prefix}blocks.budget_splits"), s.budget_splits);
         reg.counter(&format!("{prefix}blocks.promoted"), s.blocks_promoted);
         reg.counter(&format!("{prefix}blocks.fused_pairs"), s.fused_pairs);
-        reg.counter(&format!("{prefix}blocks.threaded_dispatches"), s.threaded_dispatches);
         reg.counter(&format!("{prefix}blocks.demotions"), s.demotions);
         reg.counter(&format!("{prefix}tier.threaded_instrs"), s.threaded_instrs);
-        reg.counter(&format!("{prefix}tier.block_instrs"), s.block_instrs);
         reg.counter(&format!("{prefix}plans.free"), s.plans_free);
         reg.counter(&format!("{prefix}plans.refill"), s.plans_refill);
         reg.counter(&format!("{prefix}plans.slow"), s.plans_slow);
@@ -1059,52 +992,51 @@ impl Machine {
     /// [`Machine::step`]. Results are bit-identical to stepping — see
     /// [`Machine::exec_blocks`] for the boundary contract.
     fn advance(&mut self, cycle_limit: u64) -> Option<StopReason> {
-        if self.blocks.enabled() && self.predecode.enabled() && !self.wfi_parked {
-            // Block-boundary IRQ sampling: drain once at block entry.
-            // Inside a block the executor only bounds-checks — nothing
-            // can become pending before one of its split conditions
-            // trips (see exec_blocks). A fall-through to the per-step
-            // path reuses this drain instead of repeating it.
-            self.drain_due_irqs(self.cycles);
-            if !self.irq.any_pending() {
-                let pc = self.cpu.pc;
-                let stamp = self.code_stamp();
-                // Demotions happen inside the cache (stamp-change
-                // clears, slot overwrites); surface them as events by
-                // watching the counter across the lookup. One mask
-                // test when tracing is off.
-                let demote_base = self
-                    .tracer
-                    .wants(alia_obs::category::TIER)
-                    .then_some(self.blocks.stats.demotions);
-                let looked_up = self.blocks.lookup(pc, stamp);
-                if let Some(base) = demote_base {
-                    if self.blocks.stats.demotions > base {
-                        self.tracer.record(self.cycles, alia_obs::EventKind::Demote { pc });
-                    }
-                }
-                if let Some(slot) = looked_up {
-                    return self.exec_blocks(slot, stamp, cycle_limit);
-                }
-                self.ensure_record(pc, stamp);
-            }
-            // Interrupt entry (or a masked pending line) and block
-            // recording are the per-step path's business.
-            return self.step_predrained();
+        if !self.predecode.enabled() || self.wfi_parked {
+            return self.step();
         }
-        self.step()
+        // Block-boundary IRQ sampling: drain once at block entry. Inside
+        // a block the executor only bounds-checks — nothing can become
+        // pending before one of its split conditions trips (see
+        // exec_blocks). A fall-through to the per-step path reuses this
+        // drain instead of repeating it.
+        self.drain_due_irqs(self.cycles);
+        if !self.irq.any_pending() {
+            let pc = self.cpu.pc;
+            let stamp = self.code_stamp();
+            // Demotions happen inside the cache (stamp-change clears);
+            // surface them as events by watching the counter across the
+            // lookup. One mask test when tracing is off.
+            let demote_base = self
+                .tracer
+                .wants(alia_obs::category::TIER)
+                .then_some(self.blocks.stats.demotions);
+            let looked_up = self.blocks.lookup(pc, stamp);
+            if let Some(base) = demote_base {
+                if self.blocks.stats.demotions > base {
+                    self.tracer.record(self.cycles, alia_obs::EventKind::Demote { pc });
+                }
+            }
+            if let Some((slot, code)) = looked_up {
+                return self.exec_blocks(slot, code, stamp, cycle_limit);
+            }
+            self.ensure_record(pc, stamp);
+        }
+        // Interrupt entry (or a masked pending line) and block
+        // recording are the per-step path's business.
+        self.step_predrained()
     }
 
-    /// The block engine: executes the cached block in `slot`, then
-    /// chains through successors, until a stop, an exit with no cached
-    /// successor, or a split back to the per-step path.
+    /// The block engine: executes the cached block `code` (in `slot`),
+    /// then chains through successors, until a stop, an exit with no
+    /// cached successor, or a split back to the per-step path.
     ///
     /// # Why this is bit-identical to stepping
     ///
-    /// Per instruction it runs exactly the per-step predecode-hit
-    /// sequence (fetch-timing replay, live predication, `exec`), and
-    /// after every instruction it re-checks everything the per-step
-    /// dispatch could have reacted to at that boundary:
+    /// Every op replays the per-step fetch timing and flash-patch
+    /// accounting, and after every impure op the dispatcher re-checks
+    /// everything the per-step dispatch could have reacted to at that
+    /// boundary (pure ops provably cannot change any of it):
     ///
     /// * a pending interrupt (uncovered by `cpsie`, raised mid-`ldm`,
     ///   left by an exception return) — split; the slow path owns
@@ -1114,7 +1046,7 @@ impl Machine {
     ///   same boundary stepping would;
     /// * a guest-reachable generation-stamp change (a store inside a
     ///   cache watermark, a device revision bump) — split before the
-    ///   next, possibly stale, entry could issue;
+    ///   next, possibly stale, op could issue;
     /// * the cycle budget: a due scheduled interrupt, a due device
     ///   event ([`crate::Bus::next_event`], read live because a guest
     ///   store can re-arm a timer mid-block), or the `run_until` bound
@@ -1123,10 +1055,13 @@ impl Machine {
     ///
     /// Chained dispatch (block exit straight into the successor block)
     /// is gated on the same checks, so a chain hop is exactly a block
-    /// entry whose drain would have been a no-op.
+    /// entry whose drain would have been a no-op. Every dispatch also
+    /// passes the IT/exit-code gate in `threaded::dispatch`; when it
+    /// is closed the per-step path takes the next instruction.
     fn exec_blocks(
         &mut self,
         mut slot: usize,
+        mut code: Arc<ThreadedBlock>,
         stamp: u64,
         cycle_limit: u64,
     ) -> Option<StopReason> {
@@ -1138,41 +1073,25 @@ impl Machine {
         let cwg = self.code_write_gen;
         let revs = self.bus.device_revisions();
         loop {
-            self.blocks.stats.hits += 1;
-            // Tier selection: the threaded lowering when the block is
-            // hot (promoting it on the dispatch that crosses the heat
-            // threshold), tier-2 entry-at-a-time otherwise.
-            let exit = if let Some(tb) = self.tier3_for(slot) {
-                let instret0 = self.instret;
-                let (exit, loops) =
-                    threaded::dispatch(self, &tb, cycle_limit, sched_due, cwg, revs);
-                // Self-loop iterations inside the dispatch stand for
-                // dispatch-follow-redispatch rounds of this chain loop:
-                // charge the stats those rounds would have charged.
-                let stats = &mut self.blocks.stats;
-                stats.threaded_dispatches += 1 + loops;
-                stats.hits += loops;
-                stats.chain_follows += loops;
-                stats.threaded_instrs += self.instret - instret0;
-                self.blocks.note_dispatch(slot, 1 + loops);
-                exit
-            } else {
-                let instret0 = self.instret;
-                let exit = self.exec_block_entries(slot, cycle_limit, sched_due, cwg, revs);
-                self.blocks.stats.block_instrs += self.instret - instret0;
-                self.blocks.note_dispatch(slot, 1);
-                exit
-            };
+            let instret0 = self.instret;
+            let (exit, rounds) =
+                threaded::dispatch(self, &code, cycle_limit, sched_due, cwg, revs);
+            // Self-loop rounds inside the dispatch stand for
+            // dispatch-follow-redispatch passes of this chain loop:
+            // charge the stats those passes would have charged.
+            let stats = &mut self.blocks.stats;
+            stats.hits += rounds;
+            stats.chain_follows += rounds.saturating_sub(1);
+            stats.threaded_instrs += self.instret - instret0;
+            self.blocks.note_dispatch(slot, rounds);
             match exit {
+                BlockExit::Gate => return self.step_predrained(),
                 BlockExit::Stop(stop) => return Some(stop),
                 BlockExit::Split => return None,
                 BlockExit::SplitBudget => {
                     self.blocks.stats.budget_splits += 1;
-                    if self.tracer.wants(alia_obs::category::TIER) {
-                        let pc = self.blocks.block_start(slot);
-                        self.tracer
-                            .record(self.cycles, alia_obs::EventKind::BudgetSplit { pc });
-                    }
+                    self.tracer
+                        .record(self.cycles, alia_obs::EventKind::BudgetSplit { pc: code.start });
                     return None;
                 }
                 BlockExit::Chain => {}
@@ -1182,10 +1101,10 @@ impl Machine {
             let target = self.cpu.pc;
             if let Some(next) = self.blocks.follow(slot, target) {
                 self.blocks.stats.chain_follows += 1;
-                slot = next;
+                (slot, code) = next;
             } else if let Some(next) = self.blocks.probe(target) {
-                self.blocks.link(slot, target, next);
-                slot = next;
+                self.blocks.link(slot, target, next.0);
+                (slot, code) = next;
             } else {
                 self.ensure_record(target, stamp);
                 return None;
@@ -1193,87 +1112,15 @@ impl Machine {
         }
     }
 
-    /// The tier-2 block body: the per-step predecode-hit sequence for
-    /// every entry, with the full safety/budget boundary checks after
-    /// each instruction (see [`Machine::exec_blocks`]'s contract).
-    fn exec_block_entries(
-        &mut self,
-        slot: usize,
-        cycle_limit: u64,
-        sched_due: u64,
-        cwg: u64,
-        revs: u64,
-    ) -> BlockExit {
-        let insts = self.blocks.insts(slot);
-        let mut pc = self.cpu.pc;
-        for e in insts.iter() {
-            // The per-step predecode-hit path, verbatim: timing
-            // replay plus the shared issue sequence.
-            let fetch_cycles = match self.replay_fetch(pc, e) {
-                Ok(c) => c,
-                Err(stop) => return BlockExit::Stop(stop),
-            };
-            let next_pc = pc.wrapping_add(e.size);
-            if let Some(stop) = self.issue(e, pc, fetch_cycles) {
-                return BlockExit::Stop(stop);
-            }
-            // Safety splits (see the method docs).
-            if !self.threaded_safety_ok(cwg, revs) {
-                return BlockExit::Split;
-            }
-            // Budget splits.
-            if self.cycles >= cycle_limit
-                || self.cycles >= sched_due
-                || self.cycles >= self.bus.next_event()
-            {
-                return BlockExit::SplitBudget;
-            }
-            if self.cpu.pc != next_pc {
-                break; // control transfer: chain in the caller
-            }
-            pc = next_pc;
-        }
-        BlockExit::Chain
-    }
-
-    /// The block engine's per-instruction safety conditions, shared
-    /// verbatim by tier 2 (after every instruction) and tier 3 (after
-    /// impure ops — pure ops provably cannot change any input of this
-    /// check). `false` means split back to the per-step path.
+    /// The block engine's safety conditions, checked by the dispatcher
+    /// after every impure op (pure ops provably cannot change any input
+    /// of this check). `false` means split back to the per-step path.
     pub(crate) fn threaded_safety_ok(&self, cwg: u64, revs: u64) -> bool {
         !(self.irq.any_pending()
             || !self.bus.signals.irq_requests.is_empty()
             || !self.bus.signals.timed_irqs.is_empty()
             || self.code_write_gen != cwg
             || self.bus.device_revisions() != revs)
-    }
-
-    /// The threaded lowering for `slot` if the tier applies right now:
-    /// tier 3 enabled, no outstanding IT predication (handlers skip the
-    /// per-instruction IT-queue pop), and no latched exit code (impure
-    /// handlers re-check it; pure ones cannot set it). Promotes the
-    /// block when its heat crosses the threshold.
-    fn tier3_for(&mut self, slot: usize) -> Option<Arc<crate::threaded::ThreadedBlock>> {
-        if !self.config.threaded
-            || !self.cpu.it_queue.is_empty()
-            || self.bus.signals.exit_code.is_some()
-        {
-            return None;
-        }
-        if let Some(tb) = self.blocks.threaded(slot) {
-            return Some(tb);
-        }
-        if self.blocks.heat_up(slot) {
-            let insts = self.blocks.insts(slot);
-            let start = self.blocks.block_start(slot);
-            if let Some(tb) = threaded::build(start, &insts, self) {
-                let tb = Arc::new(tb);
-                self.blocks.install_threaded(slot, Arc::clone(&tb));
-                self.tracer.record(self.cycles, alia_obs::EventKind::Promote { pc: start });
-                return Some(tb);
-            }
-        }
-        None
     }
 
     /// Starts recording a block at `pc` under generation `stamp` —
@@ -1324,20 +1171,17 @@ impl Machine {
         }
     }
 
-    /// Installs the recorded run (if any) into the block cache and
-    /// recycles the staging buffer either way.
+    /// Lowers the recorded run (if any) to threaded code and installs
+    /// it in the block cache; recycles the staging buffer either way.
     fn finish_record(&mut self) {
         let Some(mut rec) = self.block_rec.take() else { return };
-        if !rec.entries.is_empty() {
+        if let Some(code) = threaded::build(rec.start, &rec.entries, self) {
             let end = rec.next_pc.wrapping_sub(1);
             let demote_base = self
                 .tracer
                 .wants(alia_obs::category::TIER)
                 .then_some(self.blocks.stats.demotions);
-            let built_base = self.blocks.stats.built;
-            self.blocks
-                .insert(rec.start, end, rec.stamp, Arc::from(rec.entries.as_slice()));
-            if self.blocks.stats.built > built_base {
+            if self.blocks.insert(rec.start, end, rec.stamp, code) {
                 self.tracer.record(
                     self.cycles,
                     alia_obs::EventKind::BlockFill {
@@ -1346,7 +1190,7 @@ impl Machine {
                     },
                 );
             }
-            // Overwriting a promoted slot demotes its threaded code.
+            // Overwriting an occupied slot demotes its block.
             if let Some(base) = demote_base {
                 if self.blocks.stats.demotions > base {
                     self.tracer
@@ -1409,9 +1253,9 @@ impl Machine {
     /// quiescence: the park point was a scheduler boundary (a schedule
     /// artifact), while the sleep-entry cycle is determined purely by
     /// the guest's execution — so normalized WfiIdle clocks are
-    /// bit-identical across quantum sizes, orderings, idle-stretch and
-    /// thread counts. Must only be used on a terminal park (the node is
-    /// being halted and will never resume).
+    /// bit-identical across quantum sizes, orderings and idle-stretch.
+    /// Must only be used on a terminal park (the node is being halted
+    /// and will never resume).
     pub(crate) fn normalize_parked_clock(&mut self) {
         if self.wfi_parked {
             self.cycles = self.wfi_entry;

@@ -5,20 +5,18 @@
 //! interpreter re-fetched bytes and re-ran the table decoder on every
 //! single step. This module adds the classic interpreter remedy — a
 //! *predecode cache* (translation cache without code generation): a
-//! direct-mapped table from instruction address to the already-decoded
-//! [`Instr`], its size, its condition field and its flash-patch
-//! interaction, consulted by `Machine::step` before falling back to
-//! `alia_isa::decode_window`.
+//! 2-way set-associative table from instruction address to the
+//! already-decoded [`Instr`], its size, its condition field and its
+//! flash-patch interaction, consulted by `Machine::step` before falling
+//! back to `alia_isa::decode_window`.
 //!
-//! On top of it sits a second level, the `BlockCache`: decoded
-//! *basic blocks* — straight-line runs of `Entry`s up to the next
-//! branch, IT header or other control transfer — recorded as a side
-//! effect of per-step execution and replayed whole by the machine's
-//! block engine (`Machine::run`), which hoists the per-step dispatch
-//! tax (IRQ drain, generation-stamp recomputation, cache probe) to
-//! block boundaries and chains block exits so hot loops run
-//! cache-to-cache without re-probing. The instruction-level cache stays
-//! as the fill path: blocks are built from the entries it produced.
+//! On top of it sits the `BlockCache`: straight-line runs of `Entry`s up
+//! to the next control transfer, recorded as a side effect of per-step
+//! execution and lowered to threaded code (`crates/sim/src/threaded.rs`)
+//! when the recording is installed. `Machine::run`
+//! dispatches those blocks whole and chains block exits, so hot loops
+//! run cache-to-cache without re-probing. The instruction-level cache
+//! stays as the fill path: blocks are built from the entries it produced.
 //!
 //! # Semantics preservation
 //!
@@ -53,20 +51,19 @@
 //! A stamp mismatch clears the whole table on the next lookup. This is
 //! deliberately coarse: correct first, cheap second — invalidation events
 //! are rare compared to steps, and a full clear makes the consistency
-//! argument one sentence long.
+//! argument one sentence long. The block cache is guarded the same way,
+//! so its threaded code dies with the entries it was lowered from.
 
 use std::sync::Arc;
 
 use alia_isa::{Cond, Instr};
 
-/// Total entry count (covers 4 KiB of contiguous Thumb code before
-/// aliasing; kernels in this repo are a few hundred bytes). In the
-/// default 2-way layout these are organised as [`SETS`] sets of two
-/// ways; the direct-mapped ablation layout indexes them flat.
-const SLOTS: usize = 2048;
+use crate::threaded::ThreadedBlock;
 
-/// Set count of the 2-way layout (same storage, half the indices).
-const SETS: usize = SLOTS / 2;
+/// Set count: two ways each, 2048 entries in all (4 KiB of contiguous
+/// Thumb code before two addresses share a set; kernels in this repo
+/// are a few hundred bytes).
+const SETS: usize = 1024;
 
 /// Marker for an empty slot (instruction addresses are even, so an odd
 /// tag can never match a real PC).
@@ -126,7 +123,7 @@ impl Entry {
 }
 
 /// Hit/miss/invalidation counters for the predecode cache, plus the
-/// block-level counters of the block cache that sits on top of it.
+/// counters of the block engine that sits on top of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredecodeStats {
     /// Lookups served from the instruction-level cache.
@@ -135,43 +132,36 @@ pub struct PredecodeStats {
     pub misses: u64,
     /// Whole-cache invalidations (generation-stamp changes).
     pub invalidations: u64,
-    /// Basic blocks recorded into the block cache.
-    pub blocks_built: u64,
-    /// Blocks executed from the block cache (entry probes and chain
-    /// follows both count — one per block dispatched).
+    /// Block executions (entry probes, chain follows and self-loop
+    /// rounds all count — one per pass through a block).
     pub block_hits: u64,
     /// Block exits that entered their successor through a verified
-    /// chain link instead of a fresh cache probe.
+    /// chain link (or a self-loop restart) instead of a fresh probe.
     pub chain_follows: u64,
     /// Mid-block splits back to the per-step slow path because the
     /// cycle budget ran out (a due scheduled interrupt, a device event
     /// from `next_event`, or a `run_until` bound).
     pub budget_splits: u64,
-    /// Blocks promoted to the tier-3 threaded-code representation
-    /// (heat-directed; see `crates/sim/src/threaded.rs`).
+    /// Recorded blocks installed in the block cache, each lowered to
+    /// threaded code on install (see `crates/sim/src/threaded.rs`).
     pub blocks_promoted: u64,
-    /// Superinstruction pairs fused across all promoted blocks.
+    /// Superinstruction pairs fused across all installed blocks.
     pub fused_pairs: u64,
-    /// Block executions dispatched through the threaded tier (a subset
-    /// of `block_hits`).
-    pub threaded_dispatches: u64,
-    /// Threaded blocks dropped back to tier-2 (invalidation, eviction,
-    /// or the tier being disabled).
+    /// Installed blocks dropped again (invalidation or eviction).
     pub demotions: u64,
-    /// Instructions retired inside tier-3 threaded dispatches (the
-    /// tier-occupancy numerator; `block_instrs` is the tier-2 share,
-    /// and everything else retired on the per-step path).
+    /// Instructions retired inside block dispatches (the occupancy
+    /// numerator; everything else retired on the per-step path).
     pub threaded_instrs: u64,
-    /// Instructions retired inside tier-2 entry-at-a-time block
-    /// dispatches.
+    /// Always 0: the entry-at-a-time block tier this counted is gone.
+    /// Kept so reports that print a middle tier read an empty one.
     pub block_instrs: u64,
-    /// Statically-free fetch plans across all promoted blocks (tier-3
-    /// fetch-plan mix: the op's fetch is window-resident, zero cycles).
+    /// Statically-free fetch plans across all installed blocks (fetch
+    /// plan mix: the op's fetch is window-resident, zero cycles).
     pub plans_free: u64,
-    /// Single-refill fetch plans across all promoted blocks (one
+    /// Single-refill fetch plans across all installed blocks (one
     /// planned streaming refill replaces the full timing walk).
     pub plans_refill: u64,
-    /// Slow fetch plans across all promoted blocks (unplannable —
+    /// Slow fetch plans across all installed blocks (unplannable —
     /// replay `fetch_timing` in full).
     pub plans_slow: u64,
 }
@@ -185,13 +175,11 @@ impl PredecodeStats {
             hits,
             misses,
             invalidations,
-            blocks_built,
             block_hits,
             chain_follows,
             budget_splits,
             blocks_promoted,
             fused_pairs,
-            threaded_dispatches,
             demotions,
             threaded_instrs,
             block_instrs,
@@ -202,13 +190,11 @@ impl PredecodeStats {
         self.hits += hits;
         self.misses += misses;
         self.invalidations += invalidations;
-        self.blocks_built += blocks_built;
         self.block_hits += block_hits;
         self.chain_follows += chain_follows;
         self.budget_splits += budget_splits;
         self.blocks_promoted += blocks_promoted;
         self.fused_pairs += fused_pairs;
-        self.threaded_dispatches += threaded_dispatches;
         self.demotions += demotions;
         self.threaded_instrs += threaded_instrs;
         self.block_instrs += block_instrs;
@@ -223,11 +209,10 @@ impl PredecodeStats {
 pub struct Predecode {
     /// Entry storage, allocated lazily on the first insert so a machine
     /// that never steps (or runs with the cache disabled) pays nothing
-    /// at construction. Indexed flat (direct-mapped) or as [`SETS`]
-    /// pairs of ways (2-way).
+    /// at construction. Indexed as [`SETS`] pairs of ways.
     entries: Vec<Entry>,
-    /// One MRU bit per set in the 2-way layout (bit set = way 1 was
-    /// used more recently, so way 0 is the eviction victim).
+    /// One MRU bit per set (bit set = way 1 was used more recently, so
+    /// way 0 is the eviction victim).
     mru: Vec<u64>,
     stamp: u64,
     /// Watermark over cached instruction bytes: lowest / highest address
@@ -235,12 +220,11 @@ pub struct Predecode {
     lo: u32,
     hi: u32,
     enabled: bool,
-    two_way: bool,
     stats: PredecodeStats,
 }
 
 impl Predecode {
-    pub(crate) fn new(enabled: bool, two_way: bool) -> Predecode {
+    pub(crate) fn new(enabled: bool) -> Predecode {
         Predecode {
             entries: Vec::new(),
             mru: Vec::new(),
@@ -248,7 +232,6 @@ impl Predecode {
             lo: u32::MAX,
             hi: 0,
             enabled,
-            two_way,
             stats: PredecodeStats::default(),
         }
     }
@@ -264,28 +247,10 @@ impl Predecode {
         self.drop_entries();
     }
 
-    /// Whether the 2-way set-associative layout is active (`false` =
-    /// direct-mapped ablation layout).
-    #[must_use]
-    pub fn two_way(&self) -> bool {
-        self.two_way
-    }
-
-    pub(crate) fn set_two_way(&mut self, two_way: bool) {
-        if self.two_way != two_way {
-            self.two_way = two_way;
-            self.drop_entries();
-        }
-    }
-
     /// Counters since construction (cleared entries keep their counts).
     #[must_use]
     pub fn stats(&self) -> PredecodeStats {
         self.stats
-    }
-
-    fn slot(pc: u32) -> usize {
-        (pc >> 1) as usize & (SLOTS - 1)
     }
 
     fn set(pc: u32) -> usize {
@@ -314,41 +279,25 @@ impl Predecode {
             self.stats.misses += 1;
             return None;
         }
-        if self.two_way {
-            let set = Predecode::set(pc);
-            if let Some(pair) = self.entries.get(set * 2..set * 2 + 2) {
-                let way = if pair[0].tag == pc {
-                    0
-                } else if pair[1].tag == pc {
-                    1
-                } else {
-                    self.stats.misses += 1;
-                    return None;
-                };
-                let e = pair[way];
-                self.mark_mru(set, way);
-                self.stats.hits += 1;
-                return Some(e);
-            }
-            self.stats.misses += 1;
-            return None;
-        }
-        match self.entries.get(Predecode::slot(pc)) {
-            Some(e) if e.tag == pc => {
-                self.stats.hits += 1;
-                Some(*e)
-            }
+        let set = Predecode::set(pc);
+        let way = match self.entries.get(set * 2..set * 2 + 2) {
+            Some(pair) if pair[0].tag == pc => 0,
+            Some(pair) if pair[1].tag == pc => 1,
             _ => {
                 self.stats.misses += 1;
-                None
+                return None;
             }
-        }
+        };
+        let e = self.entries[set * 2 + way];
+        self.mark_mru(set, way);
+        self.stats.hits += 1;
+        Some(e)
     }
 
     /// Records `way` as most-recently-used for `set`. The store is
-    /// skipped when the bit already agrees — in steady-state straight
-    ///-line execution the same way hits repeatedly, so the hot path
-    /// does one load and no store.
+    /// skipped when the bit already agrees — in steady-state
+    /// straight-line execution the same way hits repeatedly, so the hot
+    /// path does one load and no store.
     #[inline]
     fn mark_mru(&mut self, set: usize, way: usize) {
         let word = &mut self.mru[set >> 6];
@@ -376,7 +325,7 @@ impl Predecode {
                     bp_second: false,
                     patch_hits: 0,
                 };
-                SLOTS
+                SETS * 2
             ];
             self.mru = vec![0; SETS.div_ceil(64)];
         }
@@ -384,29 +333,25 @@ impl Predecode {
         let end = pc + entry.size.max(2) - 1;
         self.lo = self.lo.min(pc);
         self.hi = self.hi.max(end);
-        if self.two_way {
-            let set = Predecode::set(pc);
-            let base = set * 2;
-            // Way choice: matching tag, then an empty way, then the LRU
-            // victim.
-            let way = if self.entries[base].tag == pc {
-                0
-            } else if self.entries[base + 1].tag == pc {
-                1
-            } else if self.entries[base].tag == TAG_EMPTY {
-                0
-            } else if self.entries[base + 1].tag == TAG_EMPTY {
-                1
-            } else if self.mru[set >> 6] & 1 << (set & 63) != 0 {
-                0 // way 1 is MRU: evict way 0
-            } else {
-                1
-            };
-            self.entries[base + way] = entry;
-            self.mark_mru(set, way);
+        let set = Predecode::set(pc);
+        let base = set * 2;
+        // Way choice: matching tag, then an empty way, then the LRU
+        // victim.
+        let way = if self.entries[base].tag == pc {
+            0
+        } else if self.entries[base + 1].tag == pc {
+            1
+        } else if self.entries[base].tag == TAG_EMPTY {
+            0
+        } else if self.entries[base + 1].tag == TAG_EMPTY {
+            1
+        } else if self.mru[set >> 6] & 1 << (set & 63) != 0 {
+            0 // way 1 is MRU: evict way 0
         } else {
-            self.entries[Predecode::slot(pc)] = entry;
-        }
+            1
+        };
+        self.entries[base + way] = entry;
+        self.mark_mru(set, way);
     }
 
     /// Whether a write of `len` bytes at `addr` overlaps any cached
@@ -428,8 +373,11 @@ const BLOCK_SLOTS: usize = 512;
 
 /// Longest recorded block, in instructions. Blocks need not end in a
 /// branch: a run that reaches this cap is installed as-is and chains to
-/// its fall-through successor.
+/// its fall-through successor. The lowering tracks IT coverage in one
+/// `u64` bit per instruction, hence the bound.
 pub(crate) const MAX_BLOCK_LEN: usize = 64;
+
+const _: () = assert!(MAX_BLOCK_LEN <= 64);
 
 /// Chain links kept per block: `(exit pc, successor slot)` hints. Two
 /// cover the common conditional-branch shape (taken target and
@@ -442,44 +390,39 @@ const LINK_EMPTY: (u32, u16) = (TAG_EMPTY, u16::MAX);
 /// Block-level counters (merged into [`PredecodeStats`] by the machine).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct BlockStats {
-    pub built: u64,
     pub hits: u64,
     pub chain_follows: u64,
     pub budget_splits: u64,
     pub promoted: u64,
     pub fused_pairs: u64,
-    pub threaded_dispatches: u64,
     pub demotions: u64,
     pub threaded_instrs: u64,
-    pub block_instrs: u64,
     pub plans_free: u64,
     pub plans_refill: u64,
     pub plans_slow: u64,
 }
 
-/// One cached basic block: a straight-line run of predecoded entries.
+/// A cached block handed to the dispatcher: its slot (for chain links
+/// and profile counts) and its threaded code.
+pub(crate) type Resident = (usize, Arc<ThreadedBlock>);
+
+/// One cached basic block, lowered to threaded code.
 #[derive(Debug, Clone)]
 struct Block {
-    /// Start address (`TAG_EMPTY` = empty slot).
+    /// Start address, kept inline so probes never chase the code
+    /// pointer.
     start: u32,
-    /// The decoded run. Shared (`Arc`) so the executor can iterate the
-    /// slice while the machine is mutably borrowed.
-    insts: Arc<[Entry]>,
+    /// The threaded lowering. Shared (`Arc`) so the dispatcher can run
+    /// it while the machine is mutably borrowed, and so snapshots copy
+    /// a pointer, not the code.
+    code: Arc<ThreadedBlock>,
     /// Chain hints: `(exit pc, successor slot)`. A hint is only a
-    /// shortcut — the executor re-verifies the successor's start tag,
-    /// so stale hints (evicted or cleared successors) fail safe.
+    /// shortcut — [`BlockCache::follow`] re-verifies the successor's
+    /// start tag, so stale hints (evicted or cleared successors) fail
+    /// safe.
     links: [(u32, u16); BLOCK_LINKS],
-    /// Tier-2 dispatch count, driving heat-directed promotion: when it
-    /// reaches [`crate::threaded::PROMOTE_HEAT`] the machine lowers the
-    /// block to threaded code. Saturating; reset with the slot.
-    heat: u32,
-    /// The tier-3 lowering, once promoted. Shares the slot's lifetime:
-    /// every path that clears or evicts the slot drops it (demotion),
-    /// so the tier-2 invalidation story covers tier 3 verbatim.
-    threaded: Option<Arc<crate::threaded::ThreadedBlock>>,
-    /// Total dispatches of this slot's current block (tier 2 and
-    /// tier 3; self-loop rounds included) — the profiler's per-block
-    /// heat. Reset with the slot.
+    /// Passes through this block (self-loop rounds included) — the
+    /// profiler's per-block heat.
     dispatches: u64,
 }
 
@@ -489,73 +432,50 @@ struct Block {
 /// store-path self-modifying-code check. See the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockCache {
-    /// Slot storage, allocated lazily on the first insert.
-    blocks: Vec<Block>,
-    /// Shared empty run (cleared slots point here so their old entries
-    /// are freed).
-    empty: Arc<[Entry]>,
+    /// Slot storage (`None` = empty), allocated lazily on the first
+    /// insert.
+    blocks: Vec<Option<Block>>,
     stamp: u64,
     /// Watermark over cached block bytes (inclusive; `lo > hi` = empty).
     /// Kept separately from the instruction cache's watermark because
     /// the two levels clear independently.
     lo: u32,
     hi: u32,
-    enabled: bool,
     pub(crate) stats: BlockStats,
 }
 
 impl BlockCache {
-    pub(crate) fn new(enabled: bool) -> BlockCache {
+    pub(crate) fn new() -> BlockCache {
         BlockCache {
             blocks: Vec::new(),
-            empty: Arc::from(Vec::new().into_boxed_slice()),
             stamp: 0,
             lo: u32::MAX,
             hi: 0,
-            enabled,
             stats: BlockStats::default(),
         }
-    }
-
-    /// Whether block recording and dispatch are enabled.
-    #[must_use]
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        self.drop_blocks();
     }
 
     fn slot(pc: u32) -> usize {
         (pc >> 1) as usize & (BLOCK_SLOTS - 1)
     }
 
-    fn drop_blocks(&mut self) {
+    /// Drops every block, counting each as a demotion.
+    pub(crate) fn clear(&mut self) {
         let mut demoted = 0;
         for b in &mut self.blocks {
-            b.start = TAG_EMPTY;
-            b.insts = Arc::clone(&self.empty);
-            b.links = [LINK_EMPTY; BLOCK_LINKS];
-            b.heat = 0;
-            b.dispatches = 0;
-            demoted += u64::from(b.threaded.take().is_some());
+            demoted += u64::from(b.take().is_some());
         }
         self.stats.demotions += demoted;
         self.lo = u32::MAX;
         self.hi = 0;
     }
 
-    /// Looks up the block starting at `pc` under generation `stamp`,
-    /// returning its slot. A stamp change clears the table first.
+    /// Looks up the block starting at `pc` under generation `stamp`. A
+    /// stamp change clears the table first.
     #[inline]
-    pub(crate) fn lookup(&mut self, pc: u32, stamp: u64) -> Option<usize> {
-        if !self.enabled {
-            return None;
-        }
+    pub(crate) fn lookup(&mut self, pc: u32, stamp: u64) -> Option<Resident> {
         if self.stamp != stamp {
-            self.drop_blocks();
+            self.clear();
             self.stamp = stamp;
             return None;
         }
@@ -565,74 +485,62 @@ impl BlockCache {
     /// Probes for the block starting at `pc` without stamp validation
     /// (the caller has already validated this pass's stamp).
     #[inline]
-    pub(crate) fn probe(&self, pc: u32) -> Option<usize> {
-        let slot = BlockCache::slot(pc);
+    pub(crate) fn probe(&self, pc: u32) -> Option<Resident> {
+        self.resident(BlockCache::slot(pc), pc)
+    }
+
+    /// The block in `slot`, if it starts at `pc`.
+    #[inline]
+    fn resident(&self, slot: usize, pc: u32) -> Option<Resident> {
         match self.blocks.get(slot) {
-            Some(b) if b.start == pc => Some(slot),
+            Some(Some(b)) if b.start == pc => Some((slot, Arc::clone(&b.code))),
             _ => None,
         }
     }
 
-    /// The block's decoded run (cheap `Arc` clone).
-    #[inline]
-    pub(crate) fn insts(&self, slot: usize) -> Arc<[Entry]> {
-        Arc::clone(&self.blocks[slot].insts)
-    }
-
-    /// Installs a block recorded under generation `stamp`, covering the
-    /// byte range `[pc, end]` (inclusive). Returns its slot.
-    pub(crate) fn insert(&mut self, pc: u32, end: u32, stamp: u64, insts: Arc<[Entry]>) {
-        if !self.enabled || self.stamp != stamp || insts.is_empty() {
-            return;
+    /// Installs `code`, lowered from a run recorded under generation
+    /// `stamp` and covering the byte range `[pc, end]` (inclusive).
+    /// Returns whether it was installed (a stale stamp drops it).
+    pub(crate) fn insert(&mut self, pc: u32, end: u32, stamp: u64, code: ThreadedBlock) -> bool {
+        if self.stamp != stamp {
+            return false;
         }
         if self.blocks.is_empty() {
-            self.blocks = vec![
-                Block {
-                    start: TAG_EMPTY,
-                    insts: Arc::clone(&self.empty),
-                    links: [LINK_EMPTY; BLOCK_LINKS],
-                    heat: 0,
-                    threaded: None,
-                    dispatches: 0,
-                };
-                BLOCK_SLOTS
-            ];
+            self.blocks = vec![None; BLOCK_SLOTS];
         }
         self.lo = self.lo.min(pc);
         self.hi = self.hi.max(end);
-        let slot = BlockCache::slot(pc);
-        self.stats.demotions += u64::from(self.blocks[slot].threaded.is_some());
-        self.blocks[slot] = Block {
+        let stats = &mut self.stats;
+        stats.promoted += 1;
+        stats.fused_pairs += u64::from(code.fused);
+        stats.plans_free += u64::from(code.plans_free);
+        stats.plans_refill += u64::from(code.plans_refill);
+        stats.plans_slow += u64::from(code.plans_slow);
+        let slot = &mut self.blocks[BlockCache::slot(pc)];
+        stats.demotions += u64::from(slot.is_some());
+        *slot = Some(Block {
             start: pc,
-            insts,
+            code: Arc::new(code),
             links: [LINK_EMPTY; BLOCK_LINKS],
-            heat: 0,
-            threaded: None,
             dispatches: 0,
-        };
-        self.stats.built += 1;
+        });
+        true
     }
 
     /// Follows `slot`'s chain hint for an exit at `pc`, verifying that
     /// the hinted successor still starts there.
     #[inline]
-    pub(crate) fn follow(&self, slot: usize, pc: u32) -> Option<usize> {
-        for &(exit, succ) in &self.blocks[slot].links {
-            if exit == pc {
-                let s = succ as usize;
-                if self.blocks.get(s).is_some_and(|b| b.start == pc) {
-                    return Some(s);
-                }
-                return None;
-            }
-        }
-        None
+    pub(crate) fn follow(&self, slot: usize, pc: u32) -> Option<Resident> {
+        let b = self.blocks[slot].as_ref()?;
+        let &(_, succ) = b.links.iter().find(|&&(exit, _)| exit == pc)?;
+        self.resident(succ as usize, pc)
     }
 
     /// Records the chain hint `exit pc -> successor slot` on `slot`,
     /// evicting the older hint when both are taken.
     pub(crate) fn link(&mut self, slot: usize, pc: u32, succ: usize) {
-        let links = &mut self.blocks[slot].links;
+        let Some(b) = &mut self.blocks[slot] else { return };
+        let links = &mut b.links;
         let pos = links
             .iter()
             .position(|&(exit, _)| exit == pc || exit == TAG_EMPTY)
@@ -651,80 +559,23 @@ impl BlockCache {
         addr <= self.hi && addr.saturating_add(len.max(1) - 1) >= self.lo
     }
 
-    // -----------------------------------------------------------------
-    // Tier-3 promotion
-    // -----------------------------------------------------------------
-
-    /// The block's threaded lowering, if promoted (cheap `Arc` clone).
-    #[inline]
-    pub(crate) fn threaded(&self, slot: usize) -> Option<Arc<crate::threaded::ThreadedBlock>> {
-        self.blocks[slot].threaded.clone()
-    }
-
-    /// Bumps the slot's dispatch heat, returning `true` exactly once:
-    /// on the dispatch that reaches the promotion threshold.
-    #[inline]
-    pub(crate) fn heat_up(&mut self, slot: usize) -> bool {
-        let b = &mut self.blocks[slot];
-        b.heat = b.heat.saturating_add(1);
-        b.heat == crate::threaded::PROMOTE_HEAT
-    }
-
-    /// The block's start address (valid for occupied slots).
-    #[inline]
-    pub(crate) fn block_start(&self, slot: usize) -> u32 {
-        self.blocks[slot].start
-    }
-
-    /// Installs a threaded lowering on `slot`, counting the promotion
-    /// and its fused pairs.
-    pub(crate) fn install_threaded(
-        &mut self,
-        slot: usize,
-        tb: Arc<crate::threaded::ThreadedBlock>,
-    ) {
-        self.stats.promoted += 1;
-        self.stats.fused_pairs += u64::from(tb.fused);
-        self.stats.plans_free += u64::from(tb.plans_free);
-        self.stats.plans_refill += u64::from(tb.plans_refill);
-        self.stats.plans_slow += u64::from(tb.plans_slow);
-        self.blocks[slot].threaded = Some(tb);
-    }
-
-    /// Charges `n` dispatches to the slot's per-block profile counter.
+    /// Charges `n` passes to the slot's per-block profile counter.
     #[inline]
     pub(crate) fn note_dispatch(&mut self, slot: usize, n: u64) {
-        self.blocks[slot].dispatches += n;
+        if let Some(b) = &mut self.blocks[slot] {
+            b.dispatches += n;
+        }
     }
 
     /// Per-block profile of every occupied slot:
-    /// `(start, instruction count, dispatches, promoted, fused pairs)`.
-    /// Unsorted — callers rank by whatever axis they report.
-    pub(crate) fn profile(&self) -> Vec<(u32, u32, u64, bool, u32)> {
+    /// `(start, instruction count, dispatches, fused pairs)`. Unsorted —
+    /// callers rank by whatever axis they report.
+    pub(crate) fn profile(&self) -> Vec<(u32, u32, u64, u32)> {
         self.blocks
             .iter()
-            .filter(|b| b.start != TAG_EMPTY)
-            .map(|b| {
-                (
-                    b.start,
-                    b.insts.len() as u32,
-                    b.dispatches,
-                    b.threaded.is_some(),
-                    b.threaded.as_ref().map_or(0, |t| t.fused),
-                )
-            })
+            .flatten()
+            .map(|b| (b.start, b.code.instrs(), b.dispatches, b.code.fused))
             .collect()
-    }
-
-    /// Drops every threaded lowering (and its heat) while keeping the
-    /// tier-2 blocks — the tier-3 disable path.
-    pub(crate) fn drop_threaded(&mut self) {
-        let mut demoted = 0;
-        for b in &mut self.blocks {
-            b.heat = 0;
-            demoted += u64::from(b.threaded.take().is_some());
-        }
-        self.stats.demotions += demoted;
     }
 }
 
@@ -738,7 +589,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         assert!(p.lookup(0x100, 5).is_none()); // first lookup sets stamp
         p.insert(0x100, 5, entry(0x100, 2));
         assert!(p.lookup(0x100, 5).is_some());
@@ -748,7 +599,7 @@ mod tests {
 
     #[test]
     fn stamp_change_clears() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         p.insert(0x100, 1, entry(0x100, 2));
         assert!(p.lookup(0x100, 2).is_none(), "new stamp invalidates");
@@ -758,7 +609,7 @@ mod tests {
 
     #[test]
     fn stale_insert_is_dropped() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         p.insert(0x100, 2, entry(0x100, 2)); // filled under a newer stamp
         assert!(p.lookup(0x100, 1).is_none());
@@ -766,7 +617,7 @@ mod tests {
 
     #[test]
     fn disabled_never_hits() {
-        let mut p = Predecode::new(false, true);
+        let mut p = Predecode::new(false);
         p.insert(0x100, 0, entry(0x100, 2));
         assert!(p.lookup(0x100, 0).is_none());
         assert_eq!(p.stats().hits, 0);
@@ -774,7 +625,7 @@ mod tests {
 
     #[test]
     fn watermark_covers_cached_range_only() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         assert!(!p.covers(0x100, 4), "empty cache covers nothing");
         p.insert(0x100, 1, entry(0x100, 4));
@@ -788,22 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_mapped_aliasing_slots_overwrite() {
-        let mut p = Predecode::new(true, false);
-        p.lookup(0x100, 1);
-        p.insert(0x100, 1, entry(0x100, 2));
-        // Same slot: 0x100 and 0x100 + 2*SLOTS alias.
-        let alias = 0x100 + 2 * SLOTS as u32;
-        p.insert(alias, 1, entry(alias, 2));
-        assert!(p.lookup(0x100, 1).is_none());
-        assert!(p.lookup(alias, 1).is_some());
-    }
-
-    #[test]
     fn two_way_holds_a_pair_of_aliases() {
-        // In the 2-way layout two addresses mapping to the same set
-        // coexist — the main-loop/handler aliasing case.
-        let mut p = Predecode::new(true, true);
+        // Two addresses mapping to the same set coexist — the
+        // main-loop/handler aliasing case.
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         let alias = 0x100 + 2 * SETS as u32;
         p.insert(0x100, 1, entry(0x100, 2));
@@ -814,7 +653,7 @@ mod tests {
 
     #[test]
     fn two_way_evicts_the_lru_way() {
-        let mut p = Predecode::new(true, true);
+        let mut p = Predecode::new(true);
         p.lookup(0x100, 1);
         let a = 0x100;
         let b = a + 2 * SETS as u32;
@@ -829,55 +668,55 @@ mod tests {
         assert!(p.lookup(c, 1).is_some());
     }
 
-    #[test]
-    fn switching_associativity_drops_entries() {
-        let mut p = Predecode::new(true, true);
-        p.lookup(0x100, 1);
-        p.insert(0x100, 1, entry(0x100, 2));
-        p.set_two_way(false);
-        assert!(p.lookup(0x100, 1).is_none(), "layout change invalidates");
-        p.insert(0x100, 1, entry(0x100, 2));
-        assert!(p.lookup(0x100, 1).is_some());
+    /// A cache primed at generation `stamp` (the first lookup adopts it).
+    fn block_cache(stamp: u64) -> BlockCache {
+        let mut b = BlockCache::new();
+        assert!(b.lookup(0x100, stamp).is_none());
+        b
     }
 
-    fn run(pcs: &[(u32, u32)]) -> Arc<[Entry]> {
-        pcs.iter().map(|&(pc, size)| entry(pc, size)).collect::<Vec<_>>().into()
+    /// Lowers a run of NOPs at `(pc, size)` pairs and installs it,
+    /// returning whether it landed.
+    fn install(b: &mut BlockCache, stamp: u64, pcs: &[(u32, u32)]) -> bool {
+        let m = crate::Machine::m3_like();
+        let run: Vec<Entry> = pcs.iter().map(|&(pc, size)| entry(pc, size)).collect();
+        let start = pcs.first().map_or(0x100, |p| p.0);
+        let end = pcs.last().map_or(start, |&(pc, size)| pc + size - 1);
+        crate::threaded::build(start, &run, &m).is_some_and(|code| b.insert(start, end, stamp, code))
     }
 
     #[test]
     fn block_miss_insert_hit() {
-        let mut b = BlockCache::new(true);
-        assert!(b.lookup(0x100, 5).is_none());
-        b.insert(0x100, 0x105, 5, run(&[(0x100, 2), (0x102, 4)]));
-        let slot = b.lookup(0x100, 5).expect("block cached");
-        assert_eq!(b.insts(slot).len(), 2);
-        assert_eq!(b.stats.built, 1);
+        let mut b = block_cache(5);
+        assert!(install(&mut b, 5, &[(0x100, 2), (0x102, 4)]));
+        let (_, code) = b.lookup(0x100, 5).expect("block cached");
+        assert_eq!(code.instrs(), 2);
+        assert_eq!(b.stats.promoted, 1);
     }
 
     #[test]
     fn block_stamp_change_clears() {
-        let mut b = BlockCache::new(true);
-        b.lookup(0x100, 1);
-        b.insert(0x100, 0x101, 1, run(&[(0x100, 2)]));
+        let mut b = block_cache(1);
+        install(&mut b, 1, &[(0x100, 2)]);
         assert!(b.lookup(0x100, 2).is_none(), "new stamp invalidates");
         assert!(b.lookup(0x100, 2).is_none(), "block really gone");
         assert!(!b.covers(0x100, 2), "watermark cleared with the blocks");
+        assert_eq!(b.stats.demotions, 1, "the dropped block counts as demoted");
+        assert!(!install(&mut b, 1, &[(0x100, 2)]), "recording under the old stamp refused");
     }
 
     #[test]
     fn block_empty_runs_are_rejected() {
-        let mut b = BlockCache::new(true);
-        b.lookup(0x100, 1);
-        b.insert(0x100, 0x100, 1, run(&[]));
-        assert!(b.lookup(0x100, 1).is_none(), "empty blocks would never advance");
+        let mut b = block_cache(1);
+        assert!(!install(&mut b, 1, &[]), "empty blocks would never advance");
+        assert!(b.lookup(0x100, 1).is_none());
     }
 
     #[test]
     fn block_watermark_covers_cached_ranges() {
-        let mut b = BlockCache::new(true);
-        b.lookup(0x100, 1);
+        let mut b = block_cache(1);
         assert!(!b.covers(0x100, 4));
-        b.insert(0x100, 0x107, 1, run(&[(0x100, 4), (0x104, 4)]));
+        install(&mut b, 1, &[(0x100, 4), (0x104, 4)]);
         assert!(b.covers(0x106, 1));
         assert!(b.covers(0xFE, 8), "straddling write detected");
         assert!(!b.covers(0x108, 4));
@@ -885,45 +724,36 @@ mod tests {
 
     #[test]
     fn block_chain_links_verify_their_successor() {
-        let mut b = BlockCache::new(true);
-        b.lookup(0x100, 1);
-        b.insert(0x100, 0x103, 1, run(&[(0x100, 4)]));
-        b.insert(0x200, 0x203, 1, run(&[(0x200, 4)]));
-        let a = b.probe(0x100).unwrap();
-        let c = b.probe(0x200).unwrap();
+        let mut b = block_cache(1);
+        install(&mut b, 1, &[(0x100, 4)]);
+        install(&mut b, 1, &[(0x200, 4)]);
+        let a = b.probe(0x100).unwrap().0;
+        let c = b.probe(0x200).unwrap().0;
         assert!(b.follow(a, 0x200).is_none(), "no hint yet");
         b.link(a, 0x200, c);
-        assert_eq!(b.follow(a, 0x200), Some(c));
+        assert_eq!(b.follow(a, 0x200).map(|r| r.0), Some(c));
         // Evict the successor's slot with an aliasing block: the stale
         // hint must fail the start-tag verify instead of dispatching it.
         let alias = 0x200 + 2 * BLOCK_SLOTS as u32;
-        b.insert(alias, alias + 3, 1, run(&[(alias, 4)]));
+        install(&mut b, 1, &[(alias, 4)]);
         assert!(b.follow(a, 0x200).is_none(), "stale link fails safe");
     }
 
     #[test]
     fn block_links_keep_the_two_hottest_exits() {
-        let mut b = BlockCache::new(true);
-        b.lookup(0x100, 1);
-        b.insert(0x100, 0x103, 1, run(&[(0x100, 4)]));
-        b.insert(0x200, 0x203, 1, run(&[(0x200, 4)]));
-        b.insert(0x300, 0x303, 1, run(&[(0x300, 4)]));
-        b.insert(0x400, 0x403, 1, run(&[(0x400, 4)]));
-        let a = b.probe(0x100).unwrap();
-        b.link(a, 0x200, b.probe(0x200).unwrap());
-        b.link(a, 0x300, b.probe(0x300).unwrap());
+        let mut b = block_cache(1);
+        for pc in [0x100, 0x200, 0x300, 0x400] {
+            install(&mut b, 1, &[(pc, 4)]);
+        }
+        let slot = |b: &BlockCache, pc| b.probe(pc).unwrap().0;
+        let a = slot(&b, 0x100);
+        b.link(a, 0x200, slot(&b, 0x200));
+        b.link(a, 0x300, slot(&b, 0x300));
         assert!(b.follow(a, 0x200).is_some());
         assert!(b.follow(a, 0x300).is_some());
-        b.link(a, 0x400, b.probe(0x400).unwrap());
+        b.link(a, 0x400, slot(&b, 0x400));
         assert!(b.follow(a, 0x400).is_some(), "newest hint kept");
         assert!(b.follow(a, 0x300).is_some(), "previous front demoted, kept");
         assert!(b.follow(a, 0x200).is_none(), "oldest hint evicted");
-    }
-
-    #[test]
-    fn disabled_block_cache_never_hits() {
-        let mut b = BlockCache::new(false);
-        b.insert(0x100, 0x101, 0, run(&[(0x100, 2)]));
-        assert!(b.lookup(0x100, 0).is_none());
     }
 }

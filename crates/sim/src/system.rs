@@ -131,8 +131,8 @@ impl Node {
     /// reports the architectural sleep-entry cycle of its final WFI
     /// sleep — the scheduler normalizes the parked clock when it
     /// declares quiescence, so *every* node's clock (parked-idle ones
-    /// included) is bit-identical across quantum sizes, node orderings,
-    /// idle-stretch and thread counts.
+    /// included) is bit-identical across quantum sizes, node orderings
+    /// and idle-stretch.
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.machine.cycles()
@@ -172,19 +172,11 @@ pub struct SystemConfig {
     /// execute — let alone transmit — inside the stretch). `false`
     /// keeps conservative quanta for determinism comparisons.
     pub idle_stretch: bool,
-    /// Worker threads for the node-advance phase of each quantum
-    /// (clamped to at least 1; 1 = the sequential scheduler). Inside a
-    /// quantum nodes only *read* frozen wire state and *append* to
-    /// pending queues whose arbitration order is a total order over
-    /// `(id, enqueue time, node, per-node seq)` — independent of host
-    /// interleaving — so results are bit-identical at any thread count;
-    /// the thread-sweep tests prove it, faults included.
-    pub threads: usize,
 }
 
 impl Default for SystemConfig {
     fn default() -> SystemConfig {
-        SystemConfig { quantum: None, rotate_order: false, idle_stretch: true, threads: 1 }
+        SystemConfig { quantum: None, rotate_order: false, idle_stretch: true }
     }
 }
 
@@ -210,9 +202,9 @@ pub struct SystemRunResult {
     pub quanta: u64,
 }
 
-// The parallel quantum scheduler migrates whole nodes to scoped worker
-// threads; this must keep compiling if anyone adds non-Send state to
-// the machine stack.
+// Campaign workers fork a shared `&System` and run the fork on their
+// own thread; this must keep compiling if anyone adds non-Send state
+// to the machine stack.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Node>();
@@ -429,8 +421,8 @@ impl System {
 
     /// Replaces the scheduler configuration. Any configuration yields
     /// bit-identical results (that is the scheduling contract), so a
-    /// forked system may freely change quantum, ordering, idle-stretch
-    /// or thread count between runs.
+    /// forked system may freely change quantum, ordering or
+    /// idle-stretch between runs.
     pub fn set_config(&mut self, config: SystemConfig) {
         self.config = config;
     }
@@ -679,41 +671,19 @@ impl System {
             let boundary = boundary;
             // 1. Every live node runs to the boundary. The service
             // order is immaterial (nodes only interact through the
-            // wires, which are parked until step 2); `rotate_order`
-            // exists to prove that, and the same argument is what lets
-            // the worker pool run nodes concurrently: within a quantum
-            // a node only appends to pending wire queues (arbitrated by
-            // a host-order-independent total order at step 2) and reads
+            // wires, which are parked until step 2: within a quantum a
+            // node only appends to pending wire queues, arbitrated by a
+            // host-order-independent total order at step 2, and reads
             // delivery/state log prefixes frozen since the last
-            // boundary.
+            // boundary); `rotate_order` exists to prove that.
             let n = self.nodes.len();
-            let workers = self.config.threads.max(1).min(n.max(1));
-            if workers > 1 {
-                let chunk = n.div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let mut chunks = self.nodes.chunks_mut(chunk);
-                    let first = chunks.next();
-                    for rest in chunks {
-                        scope.spawn(move || {
-                            for node in rest {
-                                node.run_until(boundary);
-                            }
-                        });
-                    }
-                    // The scheduler thread takes the first chunk itself.
-                    for node in first.into_iter().flatten() {
-                        node.run_until(boundary);
-                    }
-                });
+            let offset = if self.config.rotate_order && n > 0 {
+                (self.quanta as usize) % n
             } else {
-                let offset = if self.config.rotate_order && n > 0 {
-                    (self.quanta as usize) % n
-                } else {
-                    0
-                };
-                for i in 0..n {
-                    self.nodes[(i + offset) % n].run_until(boundary);
-                }
+                0
+            };
+            for i in 0..n {
+                self.nodes[(i + offset) % n].run_until(boundary);
             }
             // 2. Every wire arbitrates everything enqueued this quantum.
             // 3. Wire clients (controllers, gateways) re-arm at their
@@ -959,7 +929,10 @@ mod tests {
             assert_eq!(snap.counter(&format!("node.{node}.instructions")), Some(m.instructions()));
             let s = m.predecode_stats();
             assert_eq!(snap.counter(&format!("node.{node}.predecode.hits")), Some(s.hits));
-            assert_eq!(snap.counter(&format!("node.{node}.blocks.built")), Some(s.blocks_built));
+            assert_eq!(
+                snap.counter(&format!("node.{node}.blocks.promoted")),
+                Some(s.blocks_promoted)
+            );
             assert_eq!(
                 snap.counter(&format!("node.{node}.irq.taken")),
                 Some(m.latencies().len() as u64)
@@ -1373,39 +1346,38 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_are_bit_identical() {
-        // The parallel node-advance phase must not move a single bit:
-        // clocks, registers, IRQ stamps and the wire log at 2/4/8
-        // worker threads all equal the sequential scheduler's.
+    fn rotated_service_order_is_bit_identical() {
+        // The node service order inside a quantum must not move a
+        // single bit: clocks, registers, IRQ stamps and the wire log
+        // with the order rotated every quantum all equal the fixed
+        // order's, at the lookahead quantum and at a small one.
         let frames = 6u32;
         let mut base = sleepy_exchange(SystemConfig::default(), frames);
         let rb = base.run(10_000_000);
         assert_eq!(rb.reason, SystemStop::AllHalted);
-        for threads in [2, 4, 8] {
-            let mut par = sleepy_exchange(
-                SystemConfig { threads, ..SystemConfig::default() },
-                frames,
-            );
-            let rp = par.run(10_000_000);
-            assert_eq!(rp.reason, rb.reason, "threads={threads}");
+        for quantum in [None, Some(37)] {
+            let config = SystemConfig { quantum, rotate_order: true, ..SystemConfig::default() };
+            let mut rot = sleepy_exchange(config, frames);
+            let rr = rot.run(10_000_000);
+            assert_eq!(rr.reason, rb.reason, "q={quantum:?}");
             for i in 0..2 {
-                assert_eq!(par.node(i).halted(), base.node(i).halted(), "t={threads} node {i}");
-                assert_eq!(par.node(i).cycles(), base.node(i).cycles(), "t={threads} node {i}");
+                assert_eq!(rot.node(i).halted(), base.node(i).halted(), "q={quantum:?} node {i}");
+                assert_eq!(rot.node(i).cycles(), base.node(i).cycles(), "q={quantum:?} node {i}");
                 assert_eq!(
-                    par.node(i).machine().cpu.regs,
+                    rot.node(i).machine().cpu.regs,
                     base.node(i).machine().cpu.regs,
-                    "t={threads} node {i} registers"
+                    "q={quantum:?} node {i} registers"
                 );
                 assert_eq!(
-                    par.node(i).machine().latencies(),
+                    rot.node(i).machine().latencies(),
                     base.node(i).machine().latencies(),
-                    "t={threads} node {i} IRQ stamps"
+                    "q={quantum:?} node {i} IRQ stamps"
                 );
             }
             assert_eq!(
-                par.wire().unwrap().delivery_log(),
+                rot.wire().unwrap().delivery_log(),
                 base.wire().unwrap().delivery_log(),
-                "threads={threads}"
+                "q={quantum:?}"
             );
         }
     }

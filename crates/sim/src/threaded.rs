@@ -1,16 +1,14 @@
-//! Tier-3 threaded-code engine: the block cache's hot-block lowering.
+//! The block engine's threaded code: every recorded block is lowered
+//! here when `Machine::finish_record` installs it.
 //!
-//! The tier-2 block engine ([`crate::predecode::BlockCache`]) replays
-//! cached straight-line runs entry-at-a-time through the generic
-//! executor: per instruction it re-runs the fetch-timing walk, the
-//! predication lookup and the full `Instr` match. This module lowers
-//! *hot* blocks one step further, to classic threaded code: each
-//! [`Op`] is a pre-resolved handler function pointer plus decoded
+//! Each [`Op`] is a pre-resolved handler function pointer plus decoded
 //! operands (registers, immediates, access lengths, a memory-class
 //! fetch plan), dispatched by a tight loop with no re-decode and no
-//! generic match.
+//! generic match. The per-step interpreter is the only other execution
+//! path: it fills blocks, takes interrupts, runs `wfi`/`bkpt` and
+//! resumes after splits.
 //!
-//! Three mechanisms carry the speedup:
+//! Three mechanisms carry the speed:
 //!
 //! * **Handler specialization** — the dominant single instructions
 //!   (ALU reg/imm, `mov`, `cmp`, direct branches, `cbz`,
@@ -20,11 +18,11 @@
 //!   lowering never has to be complete to be correct.
 //! * **Superinstruction fusion** — the dominant dynamic pairs
 //!   (`cmp`+branch, `alu`+`cmp`, `alu`+branch loop backedges,
-//!   `ldr`+`alu`) are fused into single handlers at promotion time,
-//!   halving dispatch count on loop-shaped code. A fused handler
-//!   re-checks the tier-2 split conditions *between* its two halves,
-//!   so interrupts and `run_until` bounds land on exactly the same
-//!   instruction boundary the unfused path puts them on.
+//!   `ldr`+`alu`) are fused into single handlers, halving dispatch
+//!   count on loop-shaped code. A fused handler re-checks the split
+//!   conditions *between* its two halves, so interrupts and
+//!   `run_until` bounds land on exactly the instruction boundary the
+//!   per-step path puts them on.
 //! * **Batched fetch-timing replay** — for straight-line code in
 //!   uncached, MPU-less flash the streaming-buffer walk of
 //!   `Machine::fetch_timing` is precomputed per fetch into a
@@ -34,38 +32,43 @@
 //!   cycles, flash stats and stream state exact), and anything the
 //!   builder cannot prove falls back to the full `fetch_timing` call.
 //!
+//! # IT blocks
+//!
+//! An `it` header joins its block like any other instruction. The
+//! entries it covers are lowered onto the generic handler and never
+//! fused: `Machine::issue` pops the IT queue for them exactly as the
+//! per-step path does. The specialized handlers ignore the queue, which
+//! is sound because of the one **dispatch gate** in [`dispatch`]: a
+//! block runs — entered, chained or self-looping — only with an empty
+//! IT queue and no latched exit code, so the queue can only fill inside
+//! a dispatch by running one of the block's own `it` ops. Otherwise the
+//! per-step path takes the next instruction.
+//!
 //! # Bit-identity contract
 //!
 //! The lowering is host-only: cycles, checksums, IRQ pend/entry
 //! stamps, flash/patch statistics and stop reasons are bit-identical
-//! with the tier on or off. The argument mirrors tier-2's (see
-//! `Machine::exec_blocks`), plus one hoisting step: after a *pure*
-//! op — one that cannot pend an interrupt, raise a device signal,
-//! move a revision counter, touch `next_event` or set the exit code —
-//! the tier-2 safety re-checks are vacuous, so only the cycle budget
-//! is compared (against a bound recomputed after every impure op).
-//! Purity is classified conservatively at build time; anything that
-//! touches memory, a device, or might exception-return is impure and
-//! gets the full tier-2 check sequence after it executes.
+//! with the block engine on or off (`predecode` off is the uncached
+//! per-step reference). After every *impure* op — one that can pend an
+//! interrupt, raise a device signal, move a revision counter, touch
+//! `next_event` or set the exit code — the dispatch loop re-checks
+//! everything the per-step dispatch could react to at that boundary
+//! (see `Machine::exec_blocks`). After a *pure* op those re-checks are
+//! vacuous, so only the cycle budget is compared (against a bound
+//! recomputed after every impure op). Purity is classified
+//! conservatively at build time; anything that touches memory, a
+//! device, or might exception-return is impure.
 //!
-//! Promotion is heat-directed: `Machine::exec_blocks` counts per-slot
-//! dispatches and promotes a block after [`PROMOTE_HEAT`] tier-2
-//! executions, so cold blocks never pay the build. Invalidation is
-//! tier-2's, unchanged: threaded blocks live inside `BlockCache`
-//! slots and die with them (generation stamps, watermark stores,
-//! device revisions, disable), counted as demotions.
+//! Invalidation is the block cache's: threaded code lives in
+//! `BlockCache` slots and dies with them (generation stamps, watermark
+//! stores, device revisions), counted as demotions.
 
 use alia_isa::{Cond, DpOp, Index, Instr, IsaMode, Offset, Operand2, Reg};
 
 use crate::cpu::{add_with_carry, EXC_RETURN_HW, EXC_RETURN_SW};
 use crate::machine::{Machine, StopReason};
 use crate::mem::{Access, FLASH_BASE};
-use crate::predecode::Entry;
-
-/// Tier-2 dispatches of a block before it is promoted to threaded
-/// code. Low enough that benchmark loops promote almost immediately,
-/// high enough that straight-line startup code never pays the build.
-pub(crate) const PROMOTE_HEAT: u32 = 8;
+use crate::predecode::{Entry, MAX_BLOCK_LEN};
 
 /// A handler: executes one [`Op`] (one instruction or one fused pair)
 /// against the machine and reports how the dispatch loop should
@@ -80,8 +83,8 @@ pub(crate) enum Ctl {
     /// Control transfer (or conditional fall-through past a terminal
     /// branch): leave the block and chain at the current PC.
     Exit,
-    /// A tier-2 safety condition tripped mid-op (fused pairs check
-    /// between halves): split to the per-step path, no budget stat.
+    /// A safety condition tripped mid-op (fused pairs check between
+    /// halves): split to the per-step path, no budget stat.
     Split,
     /// The cycle budget tripped mid-op: split, counting a budget split.
     SplitBudget,
@@ -89,12 +92,17 @@ pub(crate) enum Ctl {
     Stop(StopReason),
 }
 
-/// How a threaded (or tier-2) block execution ended, as seen by the
-/// chain loop in `Machine::exec_blocks`.
+/// How a block dispatch ended, as seen by the chain loop in
+/// `Machine::exec_blocks`.
 #[derive(Debug)]
 pub(crate) enum BlockExit {
     /// Block completed; chain at the current PC.
     Chain,
+    /// The dispatch gate was closed at a block boundary (outstanding IT
+    /// predication or a latched exit code): the per-step path takes the
+    /// next instruction without a fresh IRQ drain, which would be a
+    /// no-op there.
+    Gate,
     /// Safety split back to the per-step path.
     Split,
     /// Budget split back to the per-step path (counted by the caller).
@@ -206,7 +214,7 @@ pub(crate) struct Op {
     /// pend an interrupt, raise a device signal, move a revision,
     /// change `next_event`, or set the exit code. Pure ops get a
     /// single budget compare after execution instead of the full
-    /// tier-2 check sequence.
+    /// boundary check sequence.
     pub(crate) pure: bool,
     /// Total byte size (both halves when fused).
     pub(crate) size: u32,
@@ -236,11 +244,11 @@ pub(crate) struct Op {
     pub(crate) patch2: u8,
 }
 
-/// A promoted block: the threaded lowering of one `BlockCache` slot.
+/// The threaded lowering of one recorded block (one `BlockCache` slot).
 #[derive(Debug)]
 pub(crate) struct ThreadedBlock {
-    /// The ops, in program order.
-    pub(crate) ops: Box<[Op]>,
+    /// The ops, in program order (never empty).
+    pub(crate) ops: Vec<Op>,
     /// The block's start PC — the self-loop fast path in [`dispatch`]
     /// compares the exit PC against it.
     pub(crate) start: u32,
@@ -265,26 +273,32 @@ pub(crate) struct ThreadedBlock {
     pub(crate) plans_slow: u32,
 }
 
+impl ThreadedBlock {
+    /// Instructions the block covers (a fused op covers two).
+    pub(crate) fn instrs(&self) -> u32 {
+        self.ops.len() as u32 + self.fused
+    }
+}
+
 // ---------------------------------------------------------------------
 // Dispatch loop
 // ---------------------------------------------------------------------
 
-/// Executes one threaded block. The caller (`Machine::exec_blocks`)
-/// owns chaining, stats and the per-chain snapshots; the loop owns the
-/// per-op boundary checks (see the module docs for why pure ops only
-/// compare the budget).
+/// Executes one block. The caller (`Machine::exec_blocks`) owns
+/// chaining, stats and the per-chain snapshots; the loop owns the
+/// dispatch gate and the per-op boundary checks (see the module docs
+/// for why pure ops only compare the budget).
 ///
-/// Returns the exit plus the number of *self-loop* iterations taken:
-/// when the terminal op is pure and branches back to the block's own
-/// start, the loop restarts internally instead of returning `Chain` —
-/// skipping the per-dispatch chain machinery (slot probe, tier gates,
-/// context rebuild) the caller would redo only to land back here. The
-/// restart is gated on exactly the conditions the caller's re-entry
-/// path (`Machine::tier3_for`) would check: empty IT queue and no
-/// latched exit code — and the retained `ctx.bound` equals the rebuild
-/// (pure ops cannot move `Bus::next_event`, and the limits are
-/// chain-constant). The caller charges one hit / threaded dispatch /
-/// chain follow per iteration, matching the unrolled accounting.
+/// Returns the exit plus the number of *rounds* run: when the terminal
+/// op is pure and branches back to the block's own start, the loop
+/// restarts internally instead of returning `Chain` — skipping the
+/// per-dispatch chain machinery (slot probe, context rebuild) the
+/// caller would redo only to land back here. The retained `ctx.bound`
+/// equals the rebuild (pure ops cannot move `Bus::next_event`, and the
+/// limits are chain-constant). Every round, the first included, starts
+/// at the dispatch gate, so a closed gate returns [`BlockExit::Gate`]
+/// after zero rounds on entry. The caller charges one hit per round and
+/// one chain follow per restart, matching the unrolled accounting.
 pub(crate) fn dispatch(
     m: &mut Machine,
     tb: &ThreadedBlock,
@@ -303,62 +317,61 @@ pub(crate) fn dispatch(
         flen: tb.flen,
     };
     let last = tb.ops.len() - 1;
-    let mut loops = 0u64;
-    let mut looped = false;
-    'restart: loop {
+    let mut rounds = 0u64;
+    'round: loop {
+        // The dispatch gate. Specialized handlers skip the IT-queue pop
+        // and pure ones never look at the exit code, so both must be
+        // clear before any op runs.
+        if !m.cpu.it_queue.is_empty() || m.bus.signals.exit_code.is_some() {
+            return (BlockExit::Gate, rounds);
+        }
+        rounds += 1;
         for (idx, block_op) in tb.ops.iter().enumerate() {
-            // Self-loop iterations enter with a statically known
-            // streaming window: swap in the steady-state first op.
-            let op = if looped && idx == 0 { &tb.loop_head } else { block_op };
+            // Self-loop rounds enter with a statically known streaming
+            // window: swap in the steady-state first op.
+            let op = if rounds > 1 && idx == 0 { &tb.loop_head } else { block_op };
             match (op.run)(m, op, &mut ctx) {
                 Ctl::Next => {
                     if op.pure {
                         if m.cycles >= ctx.bound {
-                            return (BlockExit::SplitBudget, loops);
+                            return (BlockExit::SplitBudget, rounds);
                         }
                     } else {
                         if !m.threaded_safety_ok(cwg, revs) {
-                            return (BlockExit::Split, loops);
+                            return (BlockExit::Split, rounds);
                         }
                         ctx.bound = cycle_limit.min(sched_due).min(m.bus.next_event());
                         if m.cycles >= ctx.bound {
-                            return (BlockExit::SplitBudget, loops);
+                            return (BlockExit::SplitBudget, rounds);
                         }
                     }
                 }
                 Ctl::Exit => {
-                    // Same boundary checks as Next — tier-2 runs them
-                    // before noticing the PC diverged — then chain.
+                    // Same boundary checks as Next, then chain.
                     if op.pure {
                         if m.cycles >= ctx.bound {
-                            return (BlockExit::SplitBudget, loops);
+                            return (BlockExit::SplitBudget, rounds);
                         }
-                        // Self-loop fast path (see the method docs).
-                        if idx == last
-                            && m.cpu.pc == tb.start
-                            && m.cpu.it_queue.is_empty()
-                            && m.bus.signals.exit_code.is_none()
-                        {
-                            loops += 1;
-                            looped = true;
-                            continue 'restart;
+                        // Self-loop fast path (see the function docs).
+                        if idx == last && m.cpu.pc == tb.start {
+                            continue 'round;
                         }
                     } else {
                         if !m.threaded_safety_ok(cwg, revs) {
-                            return (BlockExit::Split, loops);
+                            return (BlockExit::Split, rounds);
                         }
                         if m.cycles >= cycle_limit.min(sched_due).min(m.bus.next_event()) {
-                            return (BlockExit::SplitBudget, loops);
+                            return (BlockExit::SplitBudget, rounds);
                         }
                     }
-                    return (BlockExit::Chain, loops);
+                    return (BlockExit::Chain, rounds);
                 }
-                Ctl::Split => return (BlockExit::Split, loops),
-                Ctl::SplitBudget => return (BlockExit::SplitBudget, loops),
-                Ctl::Stop(r) => return (BlockExit::Stop(r), loops),
+                Ctl::Split => return (BlockExit::Split, rounds),
+                Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds),
+                Ctl::Stop(r) => return (BlockExit::Stop(r), rounds),
             }
         }
-        return (BlockExit::Chain, loops);
+        return (BlockExit::Chain, rounds);
     }
 }
 
@@ -509,9 +522,10 @@ fn branch_half(m: &mut Machine, op: &Op, pc: u32) {
     }
 }
 
-/// The tier-2 boundary check after an impure first half, mid-pair:
-/// exit-code stop, safety split, budget recompute + split — in exactly
-/// the order the per-entry loop applies them between two instructions.
+/// The boundary check after an impure first half, mid-pair: exit-code
+/// stop, safety split, budget recompute + split — in exactly the order
+/// the per-step path reacts between two instructions (`exec`'s
+/// exit-code stop, then the next step's IRQ drain and budget).
 #[inline(always)]
 fn impure_boundary(m: &mut Machine, ctx: &mut ExecCtx) -> Option<Ctl> {
     if let Some(code) = m.bus.signals.exit_code {
@@ -692,7 +706,7 @@ fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Fused immediate-offset `ldr` + ALU (pointer-chase / accumulate).
 /// The first half is impure, so the mid-pair boundary runs the full
-/// tier-2 check sequence before the second half issues.
+/// check sequence before the second half issues.
 fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
@@ -877,7 +891,7 @@ fn classify(e: &Entry, pc: u32) -> Micro {
 /// Whether `instr` is *pure*: it cannot pend an interrupt, raise a
 /// device signal, bump a revision counter or the code-write
 /// generation, change `Bus::next_event`, or set the MMIO exit code.
-/// After a pure op the tier-2 safety re-checks are provably no-ops,
+/// After a pure op the safety re-checks are provably no-ops,
 /// so the dispatch loop compares only the cycle budget. Conservative:
 /// everything that touches memory or might exception-return is impure.
 fn is_pure(instr: &Instr, pc: u32) -> bool {
@@ -1006,14 +1020,20 @@ fn single(micro: Micro) -> (Handler, Half, Cond, u32, bool) {
     }
 }
 
-/// Lowers a recorded block to threaded code. Returns `None` only for
-/// degenerate inputs (empty runs, breakpoint entries) — a promotable
-/// block always lowers, with unspecialized entries on the generic
-/// handler.
+/// Lowers a recorded block to threaded code. Returns `None` only for an
+/// empty run: any other block lowers, with unspecialized entries on the
+/// generic handler. Runs once per installed block, so it makes one
+/// allocation (the op list).
 pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<ThreadedBlock> {
-    if entries.is_empty() || entries.iter().any(|e| e.bp_first || e.bp_second) {
+    let n = entries.len();
+    if n == 0 {
         return None;
     }
+    // The per-step path stops before recording a flash-patch breakpoint
+    // entry, and the recorder caps runs at MAX_BLOCK_LEN (the width of
+    // the IT bitmask below).
+    debug_assert!(n <= MAX_BLOCK_LEN);
+    debug_assert!(!entries.iter().any(|e| e.bp_first || e.bp_second));
     let mode = m.config.mode;
     let flen = mode.min_instr_size();
     let flash_cfg = m.flash.config();
@@ -1031,76 +1051,89 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         && end >= start;
     let mut sim = FetchSim { window, cur: None, plannable };
 
-    let mut pcs = Vec::with_capacity(entries.len());
-    let mut pc = start;
-    for e in entries {
-        pcs.push(pc);
-        pc = pc.wrapping_add(e.size);
+    // Entries an `it` covers, one bit each. A covered `it` reloads the
+    // queue, so its count replaces whatever the outer one had left.
+    let mut covered = 0u64;
+    let mut left = 0u8;
+    for (k, e) in entries.iter().enumerate() {
+        if left > 0 {
+            covered |= 1 << k;
+            left -= 1;
+        }
+        if let Instr::It { count, .. } = e.instr {
+            left = count.clamp(1, 4);
+        }
     }
-    let micros: Vec<Micro> =
-        entries.iter().zip(&pcs).map(|(e, &pc)| classify(e, pc)).collect();
-    let pures: Vec<bool> =
-        entries.iter().zip(&pcs).map(|(e, &pc)| is_pure(&e.instr, pc)).collect();
-    let wide = |i: usize| mode != IsaMode::A32 && entries[i].size == 4;
-
+    // Classifies entry `k` at `pc`: covered entries stay generic, which
+    // also keeps them out of every fusion pattern.
+    let lower = |k: usize, pc: u32| {
+        let e = &entries[k];
+        let micro = if covered >> k & 1 != 0 { Micro::Generic } else { classify(e, pc) };
+        (micro, is_pure(&e.instr, pc))
+    };
     // Plans one instruction's fetch calls (both for wide Thumb).
-    let plan = |sim: &mut FetchSim, k: usize| {
-        let f = sim.call(pcs[k], flen);
-        let fb = if wide(k) {
-            sim.call(pcs[k].wrapping_add(2), 2)
+    let plan = |sim: &mut FetchSim, k: usize, pc: u32| {
+        let f = sim.call(pc, flen);
+        let fb = if mode != IsaMode::A32 && entries[k].size == 4 {
+            sim.call(pc.wrapping_add(2), 2)
         } else {
             FetchPlan::None
         };
         (f, fb)
     };
 
-    let mut ops = Vec::with_capacity(entries.len());
+    let mut ops = Vec::with_capacity(n);
     let mut fused = 0u32;
+    let mut pc = start;
+    let mut cur = lower(0, start);
     let mut i = 0;
-    while i < entries.len() {
-        if i + 1 < entries.len() {
-            if let Some(fu) = fuse(micros[i], micros[i + 1]) {
-                let (f1, f1b) = plan(&mut sim, i);
-                if !pures[i] {
-                    sim.invalidate();
-                }
-                let (f2, f2b) = plan(&mut sim, i + 1);
-                if !pures[i + 1] {
-                    sim.invalidate();
-                }
-                ops.push(Op {
-                    run: fu.run,
-                    entry: entries[i],
-                    pure: pures[i] && pures[i + 1],
-                    size: entries[i].size + entries[i + 1].size,
-                    size1: entries[i].size,
-                    f1,
-                    f1b,
-                    f2,
-                    f2b,
-                    a: fu.a,
-                    b: fu.b,
-                    cond2: fu.cond2,
-                    target: fu.target,
-                    nonzero: false,
-                    patch2: entries[i + 1].patch_hits,
-                });
-                fused += 1;
-                i += 2;
-                continue;
-            }
-        }
-        let (f1, f1b) = plan(&mut sim, i);
-        if !pures[i] {
+    while i < n {
+        let (micro, pure) = cur;
+        let size1 = entries[i].size;
+        let pc2 = pc.wrapping_add(size1);
+        let next = (i + 1 < n).then(|| lower(i + 1, pc2));
+        let (f1, f1b) = plan(&mut sim, i, pc);
+        if !pure {
             sim.invalidate();
         }
-        let (run, a, cond2, target, nonzero) = single(micros[i]);
+        if let Some((fu, pure2)) = next.and_then(|(m2, p2)| Some((fuse(micro, m2)?, p2))) {
+            let (f2, f2b) = plan(&mut sim, i + 1, pc2);
+            if !pure2 {
+                sim.invalidate();
+            }
+            let size2 = entries[i + 1].size;
+            ops.push(Op {
+                run: fu.run,
+                entry: entries[i],
+                pure: pure && pure2,
+                size: size1 + size2,
+                size1,
+                f1,
+                f1b,
+                f2,
+                f2b,
+                a: fu.a,
+                b: fu.b,
+                cond2: fu.cond2,
+                target: fu.target,
+                nonzero: false,
+                patch2: entries[i + 1].patch_hits,
+            });
+            fused += 1;
+            i += 2;
+            pc = pc2.wrapping_add(size2);
+            if i < n {
+                cur = lower(i, pc);
+            }
+            continue;
+        }
+        let (run, a, cond2, target, nonzero) = single(micro);
         ops.push(Op {
             run,
             entry: entries[i],
-            pure: pures[i],
-            size: entries[i].size,
-            size1: entries[i].size,
+            pure,
+            size: size1,
+            size1,
             f1,
             f1b,
             f2: FetchPlan::None,
@@ -1113,6 +1146,10 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
             patch2: 0,
         });
         i += 1;
+        pc = pc2;
+        if let Some(nx) = next {
+            cur = nx;
+        }
     }
 
     // Steady-state entry plans for the self-loop fast path: replan the
@@ -1122,20 +1159,14 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     // loop only uses these after a *pure* terminal exit, which cannot
     // disturb the stream, so the assumed window is exact at runtime.
     let mut loop_head = ops[0].clone();
-    {
-        let mut lsim = FetchSim { window, cur: sim.cur, plannable };
-        let (f1, f1b) = plan(&mut lsim, 0);
-        loop_head.f1 = f1;
-        loop_head.f1b = f1b;
-        // A fused first op carries the second instruction's plans too.
-        if loop_head.size != loop_head.size1 {
-            if !pures[0] {
-                lsim.invalidate();
-            }
-            let (f2, f2b) = plan(&mut lsim, 1);
-            loop_head.f2 = f2;
-            loop_head.f2b = f2b;
+    let mut lsim = FetchSim { window, cur: sim.cur, plannable };
+    (loop_head.f1, loop_head.f1b) = plan(&mut lsim, 0, start);
+    // A fused first op carries the second instruction's plans too.
+    if loop_head.size != loop_head.size1 {
+        if !is_pure(&entries[0].instr, start) {
+            lsim.invalidate();
         }
+        (loop_head.f2, loop_head.f2b) = plan(&mut lsim, 1, start.wrapping_add(loop_head.size1));
     }
     // Fetch-plan mix over the block's ops (every planned call: first
     // and second-halfword fetches of both halves of a fused pair).
@@ -1151,7 +1182,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         }
     }
     Some(ThreadedBlock {
-        ops: ops.into_boxed_slice(),
+        ops,
         start,
         loop_head,
         window,

@@ -7,12 +7,13 @@
 //! IRQs (both schemes), IT blocks, literal pools, flash-patch programming
 //! mid-run, self-modifying SRAM code and randomized ALU programs.
 //!
-//! The second half (`blocks_*`) differentials the *block engine*: the
-//! same machine with blocks enabled vs per-step execution (blocks off),
-//! over branchy control flow, mid-block self-modifying code, flash-patch
-//! toggles landing mid-block via a `run_until` split, and an IRQ storm
-//! paced by a precise-cycle timer device — cycles, registers, stop
-//! reasons and exact IRQ pend/entry stamps all bit-identical.
+//! `Machine::run` drives the block engine on top of the cache, while
+//! the `lockstep` scenarios drive `Machine::step`, which never enters
+//! it. The second half (`blocks_*`) aims at the block engine: branchy
+//! control flow, mid-block self-modifying code, flash-patch toggles
+//! landing mid-block via a `run_until` split, and an IRQ storm paced by
+//! a precise-cycle timer device — cycles, registers, stop reasons and
+//! exact IRQ pend/entry stamps all bit-identical.
 
 use alia_isa::{encode, Assembler, Instr, IsaMode, Operand2, Reg};
 use alia_sim::{Machine, MachineConfig, PatchKind, StopReason, RunResult, SRAM_BASE};
@@ -36,19 +37,15 @@ fn assert_state_eq(on: &Machine, off: &Machine, what: &str) {
     assert_eq!(on.patch.hits, off.patch.hits, "{what}: patch hits diverged");
     assert_eq!(on.flash.stats(), off.flash.stats(), "{what}: flash stats diverged");
     assert_eq!(on.svc_count(), off.svc_count(), "{what}: svc count diverged");
-    assert_eq!(
-        on.latencies().len(),
-        off.latencies().len(),
-        "{what}: IRQ latency observations diverged"
-    );
+    assert_eq!(on.latencies(), off.latencies(), "{what}: IRQ stamps diverged");
 }
 
 /// Runs both machines to completion and asserts identical results.
-fn run_both(mut on: Machine, mut off: Machine, limit: u64, what: &str) -> RunResult {
+fn run_both(on: &mut Machine, off: &mut Machine, limit: u64, what: &str) -> RunResult {
     let a = on.run(limit);
     let b = off.run(limit);
     assert_eq!(a, b, "{what}: RunResult diverged");
-    assert_state_eq(&on, &off, what);
+    assert_state_eq(on, off, what);
     let stats = on.predecode_stats();
     assert!(
         stats.hits > 0 || stats.block_hits > 0 || a.instructions < 2,
@@ -58,6 +55,18 @@ fn run_both(mut on: Machine, mut off: Machine, limit: u64, what: &str) -> RunRes
     assert_eq!(off_stats.hits, 0, "{what}: disabled cache must not hit");
     assert_eq!(off_stats.block_hits, 0, "{what}: disabled cache must not dispatch blocks");
     a
+}
+
+/// [`run_both`] for the `blocks_*` scenarios, which must also have
+/// dispatched at least one block: a predecode hit during recording
+/// alone would leave the block engine unexercised.
+fn run_both_blocks(on: &mut Machine, off: &mut Machine, limit: u64, what: &str) -> RunResult {
+    let r = run_both(on, off, limit, what);
+    assert!(
+        on.predecode_stats().block_hits > 0 || r.instructions < 2,
+        "{what}: block engine never dispatched — the differential exercised nothing"
+    );
+    r
 }
 
 /// A host-side mutation applied to both machines at a given step index.
@@ -118,8 +127,8 @@ fn alu_loop_identical_across_presets() {
          bne loop
          bkpt #0";
     for (name, config) in presets() {
-        let (on, off) = pair(|| machine_with(&config, src));
-        let r = run_both(on, off, 1_000_000, name);
+        let (mut on, mut off) = pair(|| machine_with(&config, src));
+        let r = run_both(&mut on, &mut off, 1_000_000, name);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{name}");
     }
 }
@@ -159,8 +168,8 @@ fn memory_stack_and_literals_identical() {
         let src = template(off);
         let out = Assembler::new(config.mode).assemble(&src).unwrap();
         assert_eq!(out.symbols, probe.symbols, "layout must be offset-independent");
-        let (on, off_m) = pair(|| machine_with(&config, &src));
-        let r = run_both(on, off_m, 1_000_000, name);
+        let (mut on, mut off_m) = pair(|| machine_with(&config, &src));
+        let r = run_both(&mut on, &mut off_m, 1_000_000, name);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{name}");
         let mut check = machine_with(&config, &src);
         check.run(1_000_000);
@@ -184,8 +193,8 @@ fn it_blocks_and_predication_identical() {
         if config.mode != IsaMode::T2 {
             continue;
         }
-        let (on, off) = pair(|| machine_with(&config, src));
-        run_both(on, off, 1_000_000, name);
+        let (mut on, mut off) = pair(|| machine_with(&config, src));
+        run_both(&mut on, &mut off, 1_000_000, name);
     }
 }
 
@@ -201,8 +210,8 @@ fn a32_conditional_execution_identical() {
          bne loop
          bkpt #0";
     let config = MachineConfig::arm7_like(IsaMode::A32);
-    let (on, off) = pair(|| machine_with(&config, src));
-    run_both(on, off, 1_000_000, "a32_cond");
+    let (mut on, mut off) = pair(|| machine_with(&config, src));
+    run_both(&mut on, &mut off, 1_000_000, "a32_cond");
 }
 
 #[test]
@@ -225,8 +234,8 @@ fn interrupts_identical_under_both_schemes() {
             m.schedule_irq(200, 0);
             m
         };
-        let (on, off) = pair(build);
-        let r = run_both(on, off, 1_000_000, name);
+        let (mut on, mut off) = pair(build);
+        let r = run_both(&mut on, &mut off, 1_000_000, name);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{name}");
     }
 }
@@ -534,9 +543,9 @@ fn randomized_alu_programs_identical() {
         }
         src.push_str("sub r7, r7, #1\ncmp r7, #0\nbne loop\nbkpt #0");
         for (name, config) in presets() {
-            let (on, off) = pair(|| machine_with(&config, &src));
+            let (mut on, mut off) = pair(|| machine_with(&config, &src));
             let what = format!("random[{trial}] on {name}");
-            let r = run_both(on, off, 1_000_000, &what);
+            let r = run_both(&mut on, &mut off, 1_000_000, &what);
             assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
         }
     }
@@ -545,36 +554,6 @@ fn randomized_alu_programs_identical() {
 // ---------------------------------------------------------------------
 // Block engine vs per-step execution
 // ---------------------------------------------------------------------
-
-/// Builds the pair: identical machines except the block engine (the
-/// per-instruction predecode cache stays on for both — this isolates
-/// block dispatch + chaining, not predecoding).
-fn pair_blocks(build: impl Fn() -> Machine) -> (Machine, Machine) {
-    let on = build();
-    let mut off = build();
-    off.set_block_cache_enabled(false);
-    (on, off)
-}
-
-/// Runs both machines to completion and asserts bit-identical outcomes,
-/// including the exact per-interrupt pend/entry cycle stamps.
-fn run_both_blocks(mut on: Machine, mut off: Machine, limit: u64, what: &str) -> RunResult {
-    let a = on.run(limit);
-    let b = off.run(limit);
-    assert_eq!(a, b, "{what}: RunResult diverged");
-    assert_state_eq(&on, &off, what);
-    assert_eq!(on.latencies(), off.latencies(), "{what}: IRQ stamps diverged");
-    assert!(
-        on.predecode_stats().block_hits > 0 || a.instructions < 2,
-        "{what}: block engine never dispatched — the differential exercised nothing"
-    );
-    assert_eq!(
-        off.predecode_stats().block_hits,
-        0,
-        "{what}: disabled block engine must not dispatch"
-    );
-    a
-}
 
 #[test]
 fn blocks_branchy_programs_identical_across_presets() {
@@ -600,8 +579,8 @@ fn blocks_branchy_programs_identical_across_presets() {
         if config.mode == alia_isa::IsaMode::T16 {
             continue; // bl/bx helper shape assembles for A32/T2 here
         }
-        let (on, off) = pair_blocks(|| machine_with(&config, src));
-        let r = run_both_blocks(on, off, 1_000_000, name);
+        let (mut on, mut off) = pair(|| machine_with(&config, src));
+        let r = run_both_blocks(&mut on, &mut off, 1_000_000, name);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{name}");
     }
 }
@@ -659,8 +638,8 @@ fn blocks_mid_block_smc_identical() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (on, off) = pair_blocks(build);
-    let r = run_both_blocks(on, off, 1_000_000, "mid_block_smc");
+    let (mut on, mut off) = pair(build);
+    let r = run_both_blocks(&mut on, &mut off, 1_000_000, "mid_block_smc");
     assert_eq!(r.reason, StopReason::Bkpt(0));
     // Alternating +5 / +1, starting with the freshly stored +5.
     let expect = (passes / 2) * 5 + (passes / 2);
@@ -674,8 +653,8 @@ fn blocks_mid_block_smc_identical() {
 fn blocks_flash_patch_toggle_mid_block_identical() {
     // Host toggles a flash-patch remap while execution is split
     // mid-block by a `run_until` bound: resuming must refetch under the
-    // new generation, with cycles identical to per-step execution. The
-    // odd bounds deliberately land inside the loop body's block.
+    // new generation, with cycles identical to the per-step reference.
+    // The odd bounds deliberately land inside the loop body's block.
     let template = |addr: u32| {
         format!(
             "movw r2, #{}
@@ -705,7 +684,7 @@ fn blocks_flash_patch_toggle_mid_block_identical() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (mut on, mut off) = pair_blocks(build);
+    let (mut on, mut off) = pair(build);
     for (i, bound) in [137u64, 421, 703, 997].iter().enumerate() {
         let a = on.run_until(*bound);
         let b = off.run_until(*bound);
@@ -768,24 +747,21 @@ fn blocks_irq_storm_with_precise_timer_identical() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (on, off) = pair_blocks(build);
-    let (mut on2, _) = pair_blocks(build);
-    let r = run_both_blocks(on, off, 10_000_000, "irq_storm");
+    let (mut on, mut off) = pair(build);
+    let r = run_both_blocks(&mut on, &mut off, 10_000_000, "irq_storm");
     assert_eq!(r.reason, StopReason::Bkpt(0));
-    // The storm really interacted with block dispatch: re-run the
-    // blocks-on machine and check budget splits fired.
-    let r2 = on2.run(10_000_000);
-    assert_eq!(r2, r);
+    // The storm really interacted with block dispatch: budget splits
+    // fired on the engine-on machine.
     assert!(
-        on2.predecode_stats().budget_splits > 10,
+        on.predecode_stats().budget_splits > 10,
         "timer events must split blocks at their exact cycles"
     );
 }
 
 #[test]
 fn blocks_randomized_programs_identical() {
-    // The randomized straight-line ALU corpus from the predecode
-    // differential, replayed against the block engine.
+    // A second randomized straight-line ALU corpus, aimed at the block
+    // engine (fewer passes, longer bodies).
     let mut state = 0xFEED_FACE_CAFE_BEEFu64;
     let mut next = move || {
         state ^= state << 13;
@@ -813,9 +789,9 @@ fn blocks_randomized_programs_identical() {
         }
         src.push_str("sub r7, r7, #1\ncmp r7, #0\nbne loop\nbkpt #0");
         for (name, config) in presets() {
-            let (on, off) = pair_blocks(|| machine_with(&config, &src));
+            let (mut on, mut off) = pair(|| machine_with(&config, &src));
             let what = format!("blocks random[{trial}] on {name}");
-            let r = run_both_blocks(on, off, 1_000_000, &what);
+            let r = run_both_blocks(&mut on, &mut off, 1_000_000, &what);
             assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
         }
     }
@@ -832,28 +808,33 @@ fn predecode_stats_report_hits() {
          bkpt #0";
     let config = MachineConfig::m3_like();
 
-    // Blocks off: every retired instruction consults the instruction
-    // cache, and the steady-state loop mostly hits.
+    // Stepping never enters the block engine: every retired
+    // instruction consults the instruction cache, and the steady-state
+    // loop mostly hits.
     let mut m = machine_with(&config, src);
-    m.set_block_cache_enabled(false);
-    let r = m.run(1_000_000);
-    assert_eq!(r.reason, StopReason::Bkpt(0));
+    let stop = loop {
+        if let Some(stop) = m.step() {
+            break stop;
+        }
+    };
+    assert_eq!(stop, StopReason::Bkpt(0));
+    let r = RunResult { reason: stop, cycles: m.cycles(), instructions: m.instructions() };
     let stats = m.predecode_stats();
     assert!(stats.hits > stats.misses, "steady-state loop must mostly hit");
     assert!(
         stats.hits + stats.misses >= r.instructions,
         "every retired instruction consults the cache"
     );
-    assert_eq!(stats.block_hits, 0, "disabled block engine must not dispatch");
+    assert_eq!(stats.block_hits, 0, "stepping must not dispatch blocks");
 
-    // Blocks on: the loop body is recorded once, then dispatched
+    // `run`: the loop body is recorded once, then dispatched
     // block-to-block through its chain link; the instruction cache only
     // serves the recording prefix.
     let mut m = machine_with(&config, src);
     let r2 = m.run(1_000_000);
     assert_eq!(r2, r, "block engine changed the run result");
     let stats = m.predecode_stats();
-    assert!(stats.blocks_built >= 1, "loop body never recorded");
+    assert!(stats.blocks_promoted >= 1, "loop body never recorded");
     assert!(stats.block_hits > 2, "steady-state loop must dispatch blocks");
     assert!(
         stats.chain_follows > 0,

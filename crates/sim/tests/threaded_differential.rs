@@ -1,19 +1,20 @@
-//! Differential tests: the tier-3 threaded-code engine must be
+//! Differential tests: the threaded-code block engine must be
 //! invisible.
 //!
-//! Every scenario runs across the full 2^3 matrix of host-acceleration
-//! tiers — predecode cache × block engine × threaded lowering — and
-//! asserts bit-identical architectural outcomes against the all-off
-//! interpreter: `StopReason`, cycles, instruction counts, registers,
-//! flags, flash streaming statistics, flash-patch accounting and the
-//! exact per-interrupt pend/entry cycle stamps. Scenarios target the
-//! threaded engine's sharp edges specifically: superinstruction fusion
-//! patterns, IRQ storms landing *between* the two halves of fused
-//! pairs, self-modifying code rewriting the inside of a fused pair of
-//! an already-promoted block, `run_until` bounds splitting threaded
-//! blocks mid-flight, flash-patch toggles demoting promoted blocks,
-//! and device-revision stamps moving between a block's recording and
-//! its chained successor dispatch.
+//! Every scenario runs with the execution engine on (the presets'
+//! default) and off (`predecode` disabled: the uncached per-step
+//! interpreter) and asserts bit-identical architectural outcomes:
+//! `StopReason`, cycles, instruction counts, registers, flags, flash
+//! streaming statistics, flash-patch accounting and the exact
+//! per-interrupt pend/entry cycle stamps. Scenarios target the engine's
+//! sharp edges specifically: superinstruction fusion patterns, IRQ
+//! storms landing *between* the two halves of fused pairs, IT blocks
+//! carried through the lowering (covered entries, splits and interrupts
+//! landing mid-IT), self-modifying code rewriting the inside of a fused
+//! pair of an installed block, `run_until` bounds splitting blocks
+//! mid-flight, flash-patch toggles dropping installed blocks, and
+//! device-revision stamps moving between a block's recording and its
+//! chained successor dispatch.
 
 use std::any::Any;
 
@@ -37,35 +38,26 @@ fn assert_state_eq(on: &Machine, off: &Machine, what: &str) {
     assert_eq!(on.latencies(), off.latencies(), "{what}: IRQ stamps diverged");
 }
 
-/// Applies one tier combination (bit 0 = predecode, bit 1 = blocks,
-/// bit 2 = threaded).
-fn set_tiers(m: &mut Machine, mask: u32) {
-    m.set_predecode_enabled(mask & 1 != 0);
-    m.set_block_cache_enabled(mask & 2 != 0);
-    m.set_threaded_enabled(mask & 4 != 0);
+/// The per-step reference: `build()` with the execution engine off.
+fn reference(build: &dyn Fn() -> Machine) -> Machine {
+    let mut m = build();
+    m.set_predecode_enabled(false);
+    m
 }
 
-/// Runs every tier combination to completion against the all-off
-/// baseline, asserting bit-identity for each. Returns the baseline
-/// result and the all-on machine (for stats assertions).
-fn run_matrix(build: &dyn Fn() -> Machine, limit: u64, what: &str) -> (RunResult, Machine) {
-    let mut base = build();
-    set_tiers(&mut base, 0);
+/// Runs the engine-on machine and the per-step reference to completion,
+/// asserting bit-identity. Returns the reference result and the
+/// engine-on machine (for stats assertions).
+fn run_both(build: &dyn Fn() -> Machine, limit: u64, what: &str) -> (RunResult, Machine) {
+    let mut base = reference(build);
     let r0 = base.run(limit);
-    let mut all_on = None;
-    for mask in 1u32..8 {
-        let mut m = build();
-        set_tiers(&mut m, mask);
-        let r = m.run(limit);
-        let tag = format!("{what} [combo {mask:03b}]");
-        assert_eq!(r, r0, "{tag}: RunResult diverged");
-        assert_state_eq(&m, &base, &tag);
-        if mask == 7 {
-            all_on = Some(m);
-        }
-    }
-    let all_on = all_on.unwrap();
-    (r0, all_on)
+    let mut on = build();
+    assert!(on.predecode_enabled(), "{what}: presets enable the engine by default");
+    let r = on.run(limit);
+    assert_eq!(r, r0, "{what}: RunResult diverged");
+    assert_state_eq(&on, &base, what);
+    assert_eq!(base.predecode_stats().block_hits, 0, "{what}: reference dispatched blocks");
+    (r0, on)
 }
 
 fn presets() -> Vec<(&'static str, MachineConfig)> {
@@ -154,11 +146,10 @@ fn matrix_fusion_loops_identical_across_presets() {
             [("alu_cmp", ALU_CMP_SRC), ("cmp_b", CMP_B_SRC), ("alu_b", ALU_B_SRC)]
         {
             let what = format!("{pat} on {name}");
-            let (r, all_on) = run_matrix(&|| machine_with(&config, src), 1_000_000, &what);
+            let (r, on) = run_both(&|| machine_with(&config, src), 1_000_000, &what);
             assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
-            let stats = all_on.predecode_stats();
-            assert!(stats.blocks_promoted > 0, "{what}: hot loop never promoted");
-            assert!(stats.threaded_dispatches > 0, "{what}: threaded engine never ran");
+            let stats = on.predecode_stats();
+            assert!(stats.block_hits > 0, "{what}: block engine never ran");
             assert!(stats.fused_pairs > 0, "{what}: no pair fused");
         }
     }
@@ -172,12 +163,12 @@ fn matrix_ldr_alu_fusion_identical() {
             continue; // movw/movt address materialization is T2-only
         }
         let what = format!("ldr_alu on {name}");
-        let (r, all_on) = run_matrix(&|| machine_with(&config, &src), 1_000_000, &what);
+        let (r, on) = run_both(&|| machine_with(&config, &src), 1_000_000, &what);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
-        let stats = all_on.predecode_stats();
-        assert!(stats.threaded_dispatches > 0, "{what}: threaded engine never ran");
+        let stats = on.predecode_stats();
+        assert!(stats.block_hits > 0, "{what}: block engine never ran");
         assert!(stats.fused_pairs > 0, "{what}: no pair fused");
-        assert_eq!(all_on.cpu.regs[6], 150 * 7, "{what}: load-accumulate checksum");
+        assert_eq!(on.cpu.regs[6], 150 * 7, "{what}: load-accumulate checksum");
     }
 }
 
@@ -200,9 +191,9 @@ fn matrix_generic_fallback_instructions_identical() {
          bne loop
          bkpt #0";
     let config = MachineConfig::m3_like();
-    let (r, all_on) = run_matrix(&|| machine_with(&config, src), 1_000_000, "generic mix");
+    let (r, on) = run_both(&|| machine_with(&config, src), 1_000_000, "generic mix");
     assert_eq!(r.reason, StopReason::Bkpt(0));
-    assert!(all_on.predecode_stats().threaded_dispatches > 0);
+    assert!(on.predecode_stats().block_hits > 0);
 }
 
 // ---------------------------------------------------------------------
@@ -211,7 +202,7 @@ fn matrix_generic_fallback_instructions_identical() {
 
 /// Schedules a dense sweep of precise-cycle interrupts across a
 /// fusion-pattern loop and asserts the pend/entry stamps are identical
-/// with the threaded tier on and off. The prime strides walk the pend
+/// with the engine on and off. The prime strides walk the pend
 /// cycle through every phase of the loop period, so interrupts land
 /// between the two halves of every fused pair.
 fn irq_sweep(src: &str, what: &str) {
@@ -232,14 +223,14 @@ fn irq_sweep(src: &str, what: &str) {
             m
         };
         let what = format!("{what} stride {stride}");
-        let (r, all_on) = run_matrix(&build, 10_000_000, &what);
+        let (r, on) = run_both(&build, 10_000_000, &what);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
-        let stats = all_on.predecode_stats();
-        assert!(stats.threaded_dispatches > 0, "{what}: threaded engine never ran");
+        let stats = on.predecode_stats();
+        assert!(stats.block_hits > 0, "{what}: block engine never ran");
         // Same-line pends coalesce while the handler runs, so fewer
         // observations than schedules is expected — but the sweep must
         // have really stormed the loop.
-        assert!(all_on.latencies().len() >= 16, "{what}: too few interrupts observed");
+        assert!(on.latencies().len() >= 16, "{what}: too few interrupts observed");
     }
 }
 
@@ -264,14 +255,118 @@ fn fused_ldr_alu_irq_storm_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Self-modifying code inside a fused pair of a promoted block
+// IT blocks carried through the lowering
+// ---------------------------------------------------------------------
+
+/// A hot T2 loop full of IT blocks: `ite`, `itt` and `it` headers with
+/// their covered instructions, ending in an IT-covered backedge. `it`
+/// joins blocks, so the whole body is one block whose covered entries
+/// run on the generic handler.
+fn it_loop_src(passes: u32) -> String {
+    format!(
+        "mov r0, #0
+         mov r1, #0
+         mov r2, #0
+         mov r3, #{passes}
+         loop: and r4, r0, #3
+         cmp r4, #1
+         ite eq
+         add r1, r1, #3
+         sub r1, r1, #1
+         cmp r4, #2
+         itt hi
+         add r2, r2, r1
+         eor r1, r1, r2
+         tst r0, #4
+         it ne
+         add r2, r2, #7
+         add r0, r0, #1
+         cmp r0, r3
+         it ne
+         bne loop
+         bkpt #0"
+    )
+}
+
+/// Share of retired instructions that ran inside block dispatches.
+fn threaded_share(m: &Machine) -> f64 {
+    m.predecode_stats().threaded_instrs as f64 / m.instructions() as f64
+}
+
+#[test]
+fn it_loops_run_threaded_and_identical_on_t2_presets() {
+    let src = it_loop_src(400);
+    for (name, config) in presets() {
+        if config.mode != IsaMode::T2 {
+            continue;
+        }
+        let what = format!("it loop on {name}");
+        let (r, on) = run_both(&|| machine_with(&config, &src), 1_000_000, &what);
+        assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
+        assert_ne!(on.cpu.regs[2], 0, "{what}: the predicated adds never ran");
+        let share = threaded_share(&on);
+        assert!(share >= 0.99, "{what}: only {:.1}% retired threaded", share * 100.0);
+    }
+}
+
+#[test]
+fn it_run_splits_and_irq_storm_identical() {
+    // A `run_until` bound at every cycle splits the IT loop between
+    // every pair of instructions, IT-covered ones included: a split
+    // inside an IT run leaves the queue non-empty, so the gate hands
+    // the rest of the run to the per-step path.
+    let src = it_loop_src(24);
+    let config = MachineConfig::m3_like();
+    let build = || machine_with(&config, &src);
+    let mut on = build();
+    let mut off = reference(&build);
+    let mut bound = 0u64;
+    loop {
+        bound += 1;
+        let got = on.run_until(bound);
+        let want = off.run_until(bound);
+        assert_eq!(got, want, "bound {bound}: RunResult diverged");
+        assert_state_eq(&on, &off, &format!("bound {bound}"));
+        if want.reason != StopReason::CycleLimit {
+            assert_eq!(want.reason, StopReason::Bkpt(0));
+            break;
+        }
+    }
+    assert!(on.predecode_stats().budget_splits > 100, "bounds must split dispatches");
+
+    // Precise-cycle interrupts walked through every phase of the loop
+    // period land between IT-covered instructions; entry clears the IT
+    // queue on both paths, and the stamps must agree exactly.
+    let handler = Assembler::new(IsaMode::T2).assemble("add r5, r5, #1\n bx lr").unwrap();
+    let src = it_loop_src(600);
+    for stride in [5u64, 13, 29] {
+        let build = || {
+            let mut m = machine_with(&config, &src);
+            m.load_flash(0x400, &handler.bytes);
+            m.load_flash(0, &0x400u32.to_le_bytes());
+            for k in 0..48u64 {
+                m.schedule_irq(300 + stride * k * 7, 0);
+            }
+            m
+        };
+        let what = format!("it storm stride {stride}");
+        let (r, on) = run_both(&build, 10_000_000, &what);
+        assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
+        assert!(on.latencies().len() >= 16, "{what}: too few interrupts observed");
+        let share = threaded_share(&on);
+        assert!(share >= 0.9, "{what}: only {:.1}% retired threaded", share * 100.0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Self-modifying code inside a fused pair of an installed block
 // ---------------------------------------------------------------------
 
 #[test]
 fn smc_inside_fused_pair_of_promoted_block_identical() {
     // Two-phase SRAM program. Phase 1 (the first 12 passes) stores to a
-    // scratch word, so the loop block stays valid, accumulates heat and
-    // is promoted to threaded code. At pass 12 the store target flips
+    // scratch word, so the loop block stays valid and dispatches as
+    // threaded code. At pass 12 the store target flips
     // to the `patched` instruction — the *first half of the fused
     // `add`+`cmp` pair* later in the same block. The armed store runs
     // inside the threaded block, moves the code-write generation, and
@@ -330,18 +425,17 @@ fn smc_inside_fused_pair_of_promoted_block_identical() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (r, all_on) = run_matrix(&build, 1_000_000, "smc_fused");
+    let (r, on) = run_both(&build, 1_000_000, "smc_fused");
     assert_eq!(r.reason, StopReason::Bkpt(0));
-    let stats = all_on.predecode_stats();
-    assert!(stats.blocks_promoted > 0, "loop block never promoted");
-    assert!(stats.threaded_dispatches > 0, "threaded engine never ran");
-    assert!(stats.demotions > 0, "the armed store must demote the promoted block");
+    let stats = on.predecode_stats();
+    assert!(stats.block_hits > 0, "block engine never ran");
+    assert!(stats.demotions > 0, "the armed store must drop the installed block");
     // Phase 1 runs the original +1; phase 2 alternates the two
     // encodings — at least one +5 must have executed.
     assert!(
-        all_on.cpu.regs[6] > passes,
+        on.cpu.regs[6] > passes,
         "no rewritten encoding ever executed (r6 = {})",
-        all_on.cpu.regs[6]
+        on.cpu.regs[6]
     );
 }
 
@@ -354,8 +448,8 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
     // Bounded runs park execution mid-block (including mid-fused-pair
     // budget splits); between bounds the host toggles a flash-patch
     // remap over the loop's literal, which moves the generation stamp
-    // and demotes the promoted block. Resuming must refetch under the
-    // new generation with cycles identical to the all-off interpreter.
+    // and drops the installed block. Resuming must refetch under the
+    // new generation with cycles identical to the per-step reference.
     let template = |addr: u32| {
         format!(
             "movw r2, #{}
@@ -378,31 +472,28 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
     let probe = Assembler::new(config.mode).assemble(&template(0)).unwrap();
     let lit_addr = 0x100 + probe.symbols["lit"];
     let out = Assembler::new(config.mode).assemble(&template(lit_addr)).unwrap();
-    let build = |mask: u32| {
+    let build = || {
         let mut m = Machine::new(config.clone());
         m.load_flash(0x100, &out.bytes);
         m.set_pc(0x100);
         m.cpu.set_sp(SRAM_BASE + 0x8000);
-        set_tiers(&mut m, mask);
         m
     };
-    let mut base = build(0);
-    let mut machines: Vec<Machine> = (1..8).map(build).collect();
+    let mut base = reference(&build);
+    let mut on = build();
     let bounds: Vec<u64> = (1..40).map(|i| 83 * i + (i % 7)).collect();
     for (i, bound) in bounds.iter().enumerate() {
         let want = base.run_until(*bound);
-        for (j, m) in machines.iter_mut().enumerate() {
-            let got = m.run_until(*bound);
-            let tag = format!("bound[{i}]={bound} combo {:03b}", j + 1);
-            assert_eq!(got, want, "{tag}: RunResult diverged");
-            assert_state_eq(m, &base, &tag);
-        }
+        let got = on.run_until(*bound);
+        let tag = format!("bound[{i}]={bound}");
+        assert_eq!(got, want, "{tag}: RunResult diverged");
+        assert_state_eq(&on, &base, &tag);
         if want.reason != StopReason::CycleLimit {
             break;
         }
         // Toggle only every 8th bound: each toggle moves the stamp and
-        // demotes, so the loop block needs quiet stretches to re-heat
-        // and re-promote between them.
+        // drops the blocks, so the loop needs quiet stretches to
+        // re-record and dispatch between them.
         if i % 8 == 7 {
             let toggle = |m: &mut Machine| {
                 if i % 16 == 7 {
@@ -412,28 +503,27 @@ fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
                 }
             };
             toggle(&mut base);
-            machines.iter_mut().for_each(toggle);
+            toggle(&mut on);
         }
     }
     let want = base.run(1_000_000);
     assert_eq!(want.reason, StopReason::Bkpt(0));
-    for (j, m) in machines.iter_mut().enumerate() {
-        let got = m.run(1_000_000);
-        assert_eq!(got, want, "final run combo {:03b}", j + 1);
-        assert_state_eq(m, &base, "final");
-    }
-    let stats = machines[6].predecode_stats(); // combo 111
-    assert!(stats.threaded_dispatches > 0, "threaded engine never ran");
-    assert!(stats.demotions > 0, "patch toggles must demote promoted blocks");
+    let got = on.run(1_000_000);
+    assert_eq!(got, want, "final run");
+    assert_state_eq(&on, &base, "final");
+    let stats = on.predecode_stats();
+    assert!(stats.block_hits > 0, "block engine never ran");
+    assert!(stats.demotions > 0, "patch toggles must drop installed blocks");
 }
 
 #[test]
 fn toggling_threaded_mid_run_matches_disabled() {
-    // Flipping the tier on/off between bounded runs (heat re-warms
-    // after every disable, promoted blocks demote on every disable)
-    // must stay identical to a reference with the tier off for good.
-    // `step()` never enters the block engine, so the toggling is
-    // driven through `run_until` bounds instead.
+    // Flipping the engine on/off between bounded runs (every disable
+    // drops the installed blocks and any recording in flight; every
+    // enable re-records from scratch) must stay identical to a
+    // reference with the engine off for good. `step()` never enters
+    // the block engine, so the toggling is driven through `run_until`
+    // bounds instead.
     let src = "mov r0, #0
          mov r2, #2000
          loop: add r0, r0, #1
@@ -443,10 +533,10 @@ fn toggling_threaded_mid_run_matches_disabled() {
     let config = MachineConfig::m3_like();
     let mut toggler = machine_with(&config, src);
     let mut reference = machine_with(&config, src);
-    reference.set_threaded_enabled(false);
+    reference.set_predecode_enabled(false);
     let mut stop = None;
     for chunk in 0..10_000u64 {
-        toggler.set_threaded_enabled(chunk % 3 != 2);
+        toggler.set_predecode_enabled(chunk % 3 != 2);
         let bound = 211 * (chunk + 1);
         let a = toggler.run_until(bound);
         let b = reference.run_until(bound);
@@ -459,8 +549,8 @@ fn toggling_threaded_mid_run_matches_disabled() {
     }
     assert_eq!(stop, Some(StopReason::Bkpt(0)));
     let stats = toggler.predecode_stats();
-    assert!(stats.threaded_dispatches > 0, "on-chunks must dispatch threaded blocks");
-    assert!(stats.demotions > 0, "every disable must demote the hot block");
+    assert!(stats.block_hits > 0, "on-chunks must dispatch blocks");
+    assert!(stats.demotions > 0, "every disable must drop the hot block");
 }
 
 // ---------------------------------------------------------------------
@@ -519,8 +609,8 @@ fn device_revision_bump_between_record_and_chained_dispatch_identical() {
     // chained successor dispatch happens under a stamp older than the
     // one its block was recorded with, so the chain hint must be
     // re-validated (split + re-record), never followed into a stale
-    // block. All tier combinations must agree bit-for-bit, including
-    // the device's own observed write stream.
+    // block. Engine and reference must agree bit-for-bit, including the
+    // device's own observed write stream.
     let src = format!(
         "movw r1, #{lo}
          movt r1, #{hi}
@@ -535,28 +625,29 @@ fn device_revision_bump_between_record_and_chained_dispatch_identical() {
         lo = REV_DEVICE_BASE & 0xFFFF,
         hi = REV_DEVICE_BASE >> 16,
     );
-    let (r, all_on) = run_matrix(&|| rev_device_machine(&src), 1_000_000, "revdev");
+    let (r, on) = run_both(&|| rev_device_machine(&src), 1_000_000, "revdev");
     assert_eq!(r.reason, StopReason::Bkpt(0));
-    let dev = all_on.bus.device::<RevDevice>().expect("device attached");
+    let dev = on.bus.device::<RevDevice>().expect("device attached");
     assert_eq!(dev.writes, 40, "every pass must reach the device");
-    assert_eq!(all_on.cpu.regs[6], (0..40).sum::<u32>(), "read-back checksum");
-    // The revision moves mid-block, so blocks re-record every pass and
-    // heat never reaches the promotion threshold — the differential
-    // would be vacuous if the engine *did* promote here.
-    let stats = all_on.predecode_stats();
-    assert!(stats.blocks_built > 2, "revision churn must force re-records");
+    assert_eq!(on.cpu.regs[6], (0..40).sum::<u32>(), "read-back checksum");
+    // The revision moves mid-block, so every pass clears the cache and
+    // re-records: each installed block is dropped before its next
+    // dispatch could chain into it.
+    let stats = on.predecode_stats();
+    assert!(stats.blocks_promoted > 2, "revision churn must force re-records");
     assert_eq!(
-        stats.threaded_dispatches, 0,
-        "a block whose stamp moves every pass must never get hot"
+        stats.block_hits, 0,
+        "a block whose stamp moves every pass must never be dispatched"
     );
 }
 
 #[test]
 fn host_side_revision_bump_demotes_promoted_block_identical() {
-    // Host-side variant: the loop touches no device, promotes, and
-    // *then* the host moves the device revision between steps — exactly
-    // the window between a block's recording and its next chained
-    // dispatch. The promoted block must be invalidated, not chained.
+    // Host-side variant: the loop touches no device and runs threaded,
+    // and *then* the host moves the device revision between steps —
+    // exactly the window between a block's recording and its next
+    // chained dispatch. The installed block must be invalidated, not
+    // chained.
     let src = "mov r0, #0
          mov r2, #400
          loop: add r0, r0, #1
@@ -565,9 +656,7 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
          bkpt #0";
     let build = || rev_device_machine(src);
     let mut on = build();
-    let mut off = build();
-    off.set_threaded_enabled(false);
-    off.set_block_cache_enabled(false);
+    let mut off = reference(&build);
     let bump = |m: &mut Machine| {
         let d = m.bus.device_mut::<RevDevice>().expect("device attached");
         d.rev = d.rev.wrapping_add(1);
@@ -575,7 +664,7 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
     };
     let mut stop = None;
     for chunk in 0..10_000u64 {
-        // Long quiet stretches let the loop promote; each bump then
+        // Long quiet stretches let the loop dispatch; each bump then
         // lands between a recording and its next chained dispatch.
         let bound = 449 * (chunk + 1);
         let a = on.run_until(bound);
@@ -591,18 +680,18 @@ fn host_side_revision_bump_demotes_promoted_block_identical() {
     }
     assert_eq!(stop, Some(StopReason::Bkpt(0)));
     let stats = on.predecode_stats();
-    assert!(stats.blocks_promoted > 0, "loop must promote before the first bump");
-    assert!(stats.threaded_dispatches > 0, "threaded engine never ran");
+    assert!(stats.block_hits > 0, "loop must dispatch before the first bump");
+    assert!(stats.demotions > 0, "every bump must drop the installed blocks");
 }
 
 // ---------------------------------------------------------------------
-// Randomized corpus across the full matrix
+// Randomized corpus
 // ---------------------------------------------------------------------
 
 #[test]
 fn matrix_randomized_programs_identical() {
     // The deterministic xorshift ALU corpus from the earlier
-    // differential suites, replayed across all 8 tier combinations.
+    // differential suites, replayed against the per-step reference.
     let mut state = 0x0DDB_A11C_0FFE_E000u64;
     let mut next = move || {
         state ^= state << 13;
@@ -631,11 +720,11 @@ fn matrix_randomized_programs_identical() {
         }
         src.push_str("sub r7, r7, #1\ncmp r7, #0\nbne loop\nbkpt #0");
         let what = format!("matrix random[{trial}]");
-        let (r, all_on) = run_matrix(&|| machine_with(&config, &src), 2_000_000, &what);
+        let (r, on) = run_both(&|| machine_with(&config, &src), 2_000_000, &what);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
         assert!(
-            all_on.predecode_stats().threaded_dispatches > 0,
-            "{what}: 12 passes must promote the body"
+            on.predecode_stats().block_hits > 0,
+            "{what}: 12 passes must dispatch the body"
         );
     }
 }
@@ -654,29 +743,30 @@ fn threaded_stats_report_promotion_and_demotion() {
          bkpt #0";
     let config = MachineConfig::m3_like();
     let mut m = machine_with(&config, src);
-    assert!(m.threaded_enabled(), "presets enable the tier by default");
+    assert!(m.predecode_enabled(), "presets enable the engine by default");
     let r = m.run(1_000_000);
     assert_eq!(r.reason, StopReason::Bkpt(0));
     let stats = m.predecode_stats();
-    assert!(stats.blocks_promoted >= 1, "hot loop must promote");
-    assert!(stats.fused_pairs >= 1, "add+cmp must fuse at promotion");
+    assert!(stats.blocks_promoted >= 1, "the loop body must be installed");
+    assert!(stats.fused_pairs >= 1, "add+cmp must fuse at install");
     assert!(
-        stats.threaded_dispatches > stats.blocks_promoted,
-        "promoted blocks must dispatch threaded more than once"
+        stats.block_hits > stats.blocks_promoted,
+        "installed blocks must dispatch more than once"
     );
     assert_eq!(stats.demotions, 0, "nothing invalidated this run");
+    assert_eq!(stats.block_instrs, 0, "no entry-at-a-time tier is left");
 
-    // Disabling the tier demotes every promoted block.
-    m.set_threaded_enabled(false);
+    // Disabling the engine drops every installed block.
+    m.set_predecode_enabled(false);
     let stats = m.predecode_stats();
-    assert!(stats.demotions >= 1, "disable must demote promoted blocks");
+    assert!(stats.demotions >= 1, "disable must drop installed blocks");
 
-    // With the tier off, a fresh run dispatches zero threaded blocks.
+    // With the engine off, a fresh run dispatches and installs nothing.
     let mut m2 = machine_with(&config, src);
-    m2.set_threaded_enabled(false);
+    m2.set_predecode_enabled(false);
     let r2 = m2.run(1_000_000);
-    assert_eq!(r2, r, "tier off changed the run result");
+    assert_eq!(r2, r, "engine off changed the run result");
     let s2 = m2.predecode_stats();
-    assert_eq!(s2.threaded_dispatches, 0, "disabled tier must not dispatch");
-    assert_eq!(s2.blocks_promoted, 0, "disabled tier must not promote");
+    assert_eq!(s2.block_hits, 0, "disabled engine must not dispatch");
+    assert_eq!(s2.blocks_promoted, 0, "disabled engine must not install");
 }

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let other = error_burst_experiment_with(
         8,
         11,
-        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false, threads: 2 },
+        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false },
     )?;
     assert_eq!(other, burst);
     println!(

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Determinism: the same topology under a different schedule.
     let other = gateway_experiment_with(
         16,
-        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false, threads: 2 },
+        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false },
     )?;
     assert_eq!(other.checksum, e.checksum);
     assert_eq!(other.delivery_logs, e.delivery_logs);

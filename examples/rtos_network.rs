@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Determinism: the preemption trace across schedules. ------
     let other = rtos_exec_experiment_with(
         8,
-        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false, threads: 2 },
+        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false },
     )?;
     assert_eq!(other.stats, e.stats, "preemption trace must be schedule-independent");
     assert_eq!(other.checksum, e.checksum);

@@ -6,8 +6,8 @@
 //! enabled, then:
 //!
 //! * exports the Chrome trace-event JSON (`gateway.trace.json`) — open
-//!   it at <https://ui.perfetto.dev> to see per-node tracks of tier
-//!   promotions, IRQ activity, WFI sleeps, DMA forwards and wire
+//!   it at <https://ui.perfetto.dev> to see per-node tracks of block
+//!   fills, IRQ activity, WFI sleeps, DMA forwards and wire
 //!   arbitration wins on one zoomable timeline;
 //! * derives the signal-shaped slice as a VCD waveform (`gateway.vcd`)
 //!   for GTKWave/Surfer;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let semantic = trace.fnv_hash(category::SEMANTIC);
     let (_, other) = gateway_experiment_traced(
         16,
-        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false, threads: 4 },
+        SystemConfig { quantum: Some(53), rotate_order: true, idle_stretch: false },
         category::ALL,
     )?;
     assert_eq!(
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "\nsemantic trace hash {semantic:#018x} is bit-identical under quantum 53, \
-         rotated order, no idle-stretch, 4 threads"
+         rotated order, no idle-stretch"
     );
     Ok(())
 }

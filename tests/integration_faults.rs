@@ -13,16 +13,15 @@ use alia_core::experiments::{
 use alia_core::prelude::sim::SystemConfig;
 
 /// The scheduler sweep: quantum sizes through the middle of guest hot
-/// loops, rotated service orders, idle-stretch on and off, and worker
-/// thread counts for the parallel node-advance phase — fault artifacts
-/// must be bit-identical across all of it.
-const SWEEP: [(Option<u64>, bool, bool, usize); 6] = [
-    (None, true, true, 1),
-    (None, false, false, 4),
-    (Some(41), false, true, 2),
-    (Some(97), true, false, 8),
-    (Some(131), false, true, 3),
-    (Some(1_000_000), false, true, 2), // clamped to the min wire lookahead
+/// loops, rotated service orders, and idle-stretch on and off — fault
+/// artifacts must be bit-identical across all of it.
+const SWEEP: [(Option<u64>, bool, bool); 6] = [
+    (None, true, true),
+    (None, false, false),
+    (Some(41), false, true),
+    (Some(97), true, false),
+    (Some(131), false, true),
+    (Some(1_000_000), false, true), // clamped to the min wire lookahead
 ];
 
 #[test]
@@ -35,14 +34,14 @@ fn error_burst_is_deterministic_across_schedules() {
     assert!(baseline.consumed >= 1, "the sweep must exercise real error frames");
     assert!(baseline.sensor_log.iter().any(|(_, _, _, data)| !data), "log shows error frames");
     assert!(baseline.sensor_log.iter().any(|(_, _, attempt, data)| *data && *attempt > 1));
-    for (quantum, rotate, stretch, threads) in SWEEP {
+    for (quantum, rotate, stretch) in SWEEP {
         let run = error_burst_experiment_with(
             8,
             11,
-            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch, threads },
+            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch },
         )
         .expect("completes");
-        assert_eq!(run, baseline, "q={quantum:?} r={rotate} s={stretch} t={threads}");
+        assert_eq!(run, baseline, "q={quantum:?} r={rotate} s={stretch}");
     }
 }
 
@@ -54,13 +53,13 @@ fn babbling_idiot_is_deterministic_across_schedules() {
     let baseline = babbling_idiot_experiment(4).expect("completes");
     assert_eq!(baseline.babbler_state, ErrorState::BusOff);
     assert_eq!(baseline.transitions.len(), 2);
-    for (quantum, rotate, stretch, threads) in SWEEP {
+    for (quantum, rotate, stretch) in SWEEP {
         let run = babbling_idiot_experiment_with(
             4,
-            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch, threads },
+            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch },
         )
         .expect("completes");
-        assert_eq!(run, baseline, "q={quantum:?} r={rotate} s={stretch} t={threads}");
+        assert_eq!(run, baseline, "q={quantum:?} r={rotate} s={stretch}");
     }
 }
 
@@ -72,13 +71,13 @@ fn mid_mission_recovery_is_deterministic_across_schedules() {
     // whole report must still be schedule-independent.
     let baseline = recovery_experiment(6).expect("completes");
     assert!(baseline.recovered(), "baseline must recover: {baseline}");
-    for (quantum, rotate, stretch, threads) in SWEEP {
+    for (quantum, rotate, stretch) in SWEEP {
         let run = recovery_experiment_with(
             6,
-            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch, threads },
+            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch },
         )
         .expect("completes");
-        assert_eq!(run, baseline, "q={quantum:?} r={rotate} s={stretch} t={threads}");
+        assert_eq!(run, baseline, "q={quantum:?} r={rotate} s={stretch}");
     }
 }
 

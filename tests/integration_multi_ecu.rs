@@ -33,9 +33,9 @@ fn block_engine_keeps_quantum_size_independence() {
     // The block engine must never execute past a quantum boundary: with
     // chaining on (the default), per-node cycles, registers, IRQ stamps
     // and the delivery log must stay bit-identical across quantum sizes
-    // — and identical to per-step execution (blocks disabled on every
-    // node). The quantum sweep moves the `run_until` bounds through the
-    // middle of the guests' hot blocks.
+    // — and identical to the uncached per-step reference (the engine
+    // disabled on every node). The quantum sweep moves the `run_until`
+    // bounds through the middle of the guests' hot blocks.
     use alia_core::prelude::sim::{
         CanConfig, DeviceSpec, Machine, MachineConfig, SharedCanBus, System, SystemConfig,
         SystemStop, TimerConfig, CAN_BASE, SRAM_BASE, TIMER_BASE,
@@ -50,7 +50,7 @@ fn block_engine_keeps_quantum_size_independence() {
         });
         let wire: SharedCanBus = sys.shared_can_bus(4);
         let mut pconf = MachineConfig::m3_like();
-        pconf.block_cache = blocks;
+        pconf.predecode = blocks;
         pconf.devices = vec![
             DeviceSpec::Timer(TimerConfig { base: TIMER_BASE, irq: 0, compare: 700 }),
             DeviceSpec::SharedCan(
@@ -99,7 +99,7 @@ fn block_engine_keeps_quantum_size_independence() {
         sys.add_node("producer", p);
 
         let mut cconf = MachineConfig::m3_like();
-        cconf.block_cache = blocks;
+        cconf.predecode = blocks;
         cconf.devices = vec![DeviceSpec::SharedCan(
             CanConfig { base: CAN_BASE, irq: 1, node: 1, ..CanConfig::default() },
             wire.clone(),
@@ -262,20 +262,20 @@ fn gateway_topology_is_deterministic_across_schedules() {
     // quiescence, so no exclusions are needed.
     assert_eq!(baseline.node_cycles.len(), 5);
     assert!(baseline.node_cycles.iter().all(|&c| c > 0), "all clocks architectural");
-    for (quantum, rotate, stretch, threads) in [
-        (None, true, true, 1),
-        (None, false, false, 4),
-        (Some(41), false, true, 2),
-        (Some(97), true, false, 8),
-        (Some(131), false, true, 5),
-        (Some(1_000_000), false, true, 2), // clamped to the min wire lookahead
+    for (quantum, rotate, stretch) in [
+        (None, true, true),
+        (None, false, false),
+        (Some(41), false, true),
+        (Some(97), true, false),
+        (Some(131), false, true),
+        (Some(1_000_000), false, true), // clamped to the min wire lookahead
     ] {
         let run = gateway_experiment_with(
             10,
-            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch, threads },
+            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch },
         )
         .expect("completes");
-        let what = format!("q={quantum:?} r={rotate} s={stretch} t={threads}");
+        let what = format!("q={quantum:?} r={rotate} s={stretch}");
         assert_eq!(run.checksum, baseline.checksum, "{what}");
         assert_eq!(run.node_cycles, baseline.node_cycles, "{what}: node clocks");
         assert_eq!(run.delivery_logs, baseline.delivery_logs, "{what}: wire logs");

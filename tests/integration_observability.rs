@@ -1,7 +1,7 @@
 //! Observability integration: the unified trace layer against the
 //! whole stack. The semantic trace hash (every architectural category
 //! — IRQ, WFI, wire, error, DMA, RTOS) must be bit-identical across
-//! scheduler configurations and worker thread counts, for the plain
+//! scheduler configurations, for the plain
 //! gateway mission (E10), the fault-injected burst (E11), and the
 //! executed-RTOS network (E13); the exporters must round-trip a real
 //! mission trace; and campaign metrics must merge to the same snapshot
@@ -15,25 +15,21 @@ use alia_core::prelude::obs::{category, chrome, vcd, EventKind, TraceSet};
 use alia_core::prelude::sim::SystemConfig;
 
 /// The scheduler sweep: quantum sizes through the middle of guest hot
-/// loops, rotated service orders, idle-stretch on and off, and worker
-/// thread counts 1/2/4/8 for the parallel node-advance phase — the
+/// loops, rotated service orders, and idle-stretch on and off — the
 /// semantic trace stream must be bit-identical across all of it.
-const SWEEP: [(Option<u64>, bool, bool, usize); 6] = [
-    (None, true, true, 1),
-    (None, false, false, 4),
-    (Some(41), false, true, 2),
-    (Some(97), true, false, 8),
-    (Some(131), false, true, 3),
-    (Some(1_000_000), false, true, 2), // clamped to the min wire lookahead
+const SWEEP: [(Option<u64>, bool, bool); 6] = [
+    (None, true, true),
+    (None, false, false),
+    (Some(41), false, true),
+    (Some(97), true, false),
+    (Some(131), false, true),
+    (Some(1_000_000), false, true), // clamped to the min wire lookahead
 ];
 
 fn sweep_configs() -> impl Iterator<Item = SystemConfig> {
-    SWEEP.into_iter().map(|(quantum, rotate_order, idle_stretch, threads)| SystemConfig {
-        quantum,
-        rotate_order,
-        idle_stretch,
-        threads,
-    })
+    SWEEP
+        .into_iter()
+        .map(|(quantum, rotate_order, idle_stretch)| SystemConfig { quantum, rotate_order, idle_stretch })
 }
 
 /// The categories a trace exercises (union over all streams).

@@ -12,27 +12,26 @@ use alia_core::prelude::sim::SystemConfig;
 fn preemption_traces_are_bit_identical_across_schedules() {
     // The RTOS ECU's cycle-stamped preemption trace (hash, spans,
     // responses), the sink checksum and every node clock must not move
-    // across quantum sizes, node service orders, the idle-stretch and
-    // 1/2/4/8 worker threads.
+    // across quantum sizes, node service orders and the idle-stretch.
     let baseline = rtos_exec_experiment(8).expect("completes");
     assert_eq!(baseline.checksum, rtos_exec_checksum(8, baseline.tx_frames));
     assert!(baseline.stats.trace_len > 0);
     assert!(baseline.preemptions() > 0, "sweep must exercise preemption");
     assert_eq!(baseline.node_cycles.len(), 6);
-    for (quantum, rotate, stretch, threads) in [
-        (None, true, true, 1),
-        (None, false, false, 2),
-        (Some(41), false, true, 4),
-        (Some(97), true, false, 8),
-        (Some(131), false, true, 2),
-        (Some(1_000_000), false, true, 8), // clamped to the min wire lookahead
+    for (quantum, rotate, stretch) in [
+        (None, true, true),
+        (None, false, false),
+        (Some(41), false, true),
+        (Some(97), true, false),
+        (Some(131), false, true),
+        (Some(1_000_000), false, true), // clamped to the min wire lookahead
     ] {
         let run = rtos_exec_experiment_with(
             8,
-            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch, threads },
+            SystemConfig { quantum, rotate_order: rotate, idle_stretch: stretch },
         )
         .expect("completes");
-        let what = format!("q={quantum:?} r={rotate} s={stretch} t={threads}");
+        let what = format!("q={quantum:?} r={rotate} s={stretch}");
         assert_eq!(run.stats, baseline.stats, "{what}: preemption trace moved");
         assert_eq!(run.bounds, baseline.bounds, "{what}: bound reports moved");
         assert_eq!(run.checksum, baseline.checksum, "{what}: sink checksum");
