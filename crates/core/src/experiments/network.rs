@@ -229,11 +229,11 @@ pub fn guest_can_exchange(frames: u32) -> Result<GuestCanExchange, CoreError> {
         });
     };
     let timer_fires = m.bus.device::<Timer>().expect("timer attached").fires();
-    let can = m.bus.device_mut::<CanController>().expect("CAN controller attached");
+    let can = m.bus.device::<CanController>().expect("CAN controller attached");
     // Settle the wire before reading utilization so frames the guest
     // enqueued through TX_GO are accounted for even if some were still
     // queued when the machine halted.
-    can.settle_wire();
+    can.wire().settle();
     Ok(GuestCanExchange {
         frames_sent: can.tx_count(),
         frames_received: can.rx_count(),
@@ -241,7 +241,7 @@ pub fn guest_can_exchange(frames: u32) -> Result<GuestCanExchange, CoreError> {
         timer_fires,
         irqs_taken: m.irq.taken,
         cycles: r.cycles,
-        bus_utilization: can.utilization(),
+        bus_utilization: can.wire().utilization(),
     })
 }
 
@@ -456,7 +456,7 @@ pub fn multi_ecu_exchange_with(
     assert!(frames > 0 && frames <= 200, "frame count must fit an 8-bit immediate");
     let asm = ecu_asm(MachineConfig::m3_like().mode);
     let mut system = System::with_config(scheduler);
-    let wire = system.shared_can_bus(4);
+    let wire = system.add_wire("can0", 4);
     let producer = system.add_node("producer", producer_machine(frames, &wire, &asm)?);
     let consumer = system.add_node(
         "consumer",
@@ -568,7 +568,7 @@ pub fn multi_ecu_watchdog(expected: u32, sent: u32) -> Result<MultiEcuWatchdog, 
     assert!(sent <= expected, "the producer cannot send more than expected");
     let asm = ecu_asm(MachineConfig::m3_like().mode);
     let mut system = System::new();
-    let wire = system.shared_can_bus(4);
+    let wire = system.add_wire("can0", 4);
     // The producer is built to ship only `sent` frames and halt.
     let producer = system.add_node("producer", producer_machine(sent, &wire, &asm)?);
     // Inter-frame gap is 600 cycles; 20k cycles of silence is a stall.

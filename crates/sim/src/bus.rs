@@ -33,10 +33,19 @@
 //!   device mutates state that can alter *instruction fetch* results
 //!   (e.g. a device that remaps code). It participates in the predecode
 //!   cache's generation stamp; plain data devices leave it at zero.
+//! * **Wire clients** — devices on a [`crate::System`]'s scheduler-run
+//!   CAN wires (shared CAN controllers, DMA gateway engines) implement
+//!   [`Device::wire_attachments`], [`Device::note_wire_progress`],
+//!   [`Device::wire_armed`] and [`Device::rebind_wires`]; devices with
+//!   their own tracer or counters implement [`Device::set_trace_mask`],
+//!   [`Device::tracer`] and [`Device::publish_metrics`]. Every one
+//!   defaults to a no-op, so the scheduler and the machine reach these
+//!   devices through the trait and never name a device type.
 
 use std::any::Any;
 use std::fmt;
 
+use crate::devices::SharedCanBus;
 use crate::mem::{BITBAND_BASE, FLASH_BASE, MMIO_BASE, SRAM_BASE, TCM_BASE};
 
 /// Memory region classes of the simulated address map, as resolved by
@@ -225,6 +234,59 @@ pub trait Device: fmt::Debug + DeviceClone + Send + Sync {
     /// fetch results; participates in the predecode generation stamp.
     fn revision(&self) -> u64 {
         0
+    }
+
+    /// The scheduler-advanced wires this device is a client of, as
+    /// `(wire, node id)` attachments: one per CAN controller on a shared
+    /// wire, one per side of a DMA gateway engine. [`crate::System`]
+    /// adopts these wires and checks per-wire node-id uniqueness at
+    /// `add_node`. The default is none.
+    fn wire_attachments(&self) -> Vec<(SharedCanBus, usize)> {
+        Vec::new()
+    }
+
+    /// Called by [`crate::System`] after it advanced every wire to a
+    /// quantum boundary: a wire client re-arms its tick at the arrival
+    /// cycle of the first wire event it has not examined yet and returns
+    /// `true`, telling the caller to follow up with
+    /// [`Bus::refresh_next_event`]. The default does nothing (`false`).
+    fn note_wire_progress(&mut self) -> bool {
+        false
+    }
+
+    /// Whether the device holds wire state that could put traffic on a
+    /// wire soon (frames queued, deliveries or error-state changes not
+    /// yet examined, forwards waiting): the scheduler's idle-stretch
+    /// veto. The default is `false`.
+    fn wire_armed(&self) -> bool {
+        false
+    }
+
+    /// Rebinds the device's wire attachments onto forked copies: `from`
+    /// and `to` are parallel wire sets (the original system's and the
+    /// fork's), matched by [`SharedCanBus::same_wire`]. Wires outside
+    /// `from` stay as they are. [`crate::System::fork`] calls this on
+    /// every forked device; the default does nothing.
+    fn rebind_wires(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
+        let _ = (from, to);
+    }
+
+    /// Sets the category mask of the device's own tracer, if it keeps
+    /// one (see [`Device::tracer`]). The default does nothing.
+    fn set_trace_mask(&mut self, mask: u32) {
+        let _ = mask;
+    }
+
+    /// The device's own event tracer (devices that record on their own
+    /// clock, like the DMA gateway engine); `None` by default.
+    fn tracer(&self) -> Option<&alia_obs::Tracer> {
+        None
+    }
+
+    /// Publishes the device's counters into `reg`, every key prefixed
+    /// with `prefix`. The default publishes nothing.
+    fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
+        let _ = (reg, prefix);
     }
 
     /// Upcast for typed access via [`Bus::device`].

@@ -1,16 +1,17 @@
 //! Pluggable bus devices: a compare-match timer, a memory-mapped CAN
-//! controller (owned or shared wire) and a countdown watchdog.
+//! controller and a countdown watchdog.
 //!
 //! All are ordinary [`Device`] implementations attached through
 //! [`crate::MachineConfig::devices`]; guest programs drive them purely
 //! with loads and stores, and receive their events as interrupts — no
 //! host-side calls are involved once the machine runs.
 //!
-//! The CAN controller exists in two bindings over the same register map:
-//! an **owned** wire (its private [`alia_can::CanBus`]: loopback and
-//! host-injected traffic, the single-machine mode) and a **shared** wire
-//! ([`SharedCanBus`]): several controllers on different machines attach
-//! to one arbitrating bus, scheduled by [`crate::System`].
+//! A CAN controller always transmits on a [`SharedCanBus`]. Built with
+//! [`CanController::new`] it gets a **private** one-station wire that it
+//! advances itself (loopback and host-injected traffic on a lone
+//! machine); built with [`CanController::attached`] it joins a wire that
+//! several machines' controllers arbitrate on and that only
+//! [`crate::System`] advances. The register map is the same either way.
 //!
 //! # Timer register map (word offsets from [`crate::TIMER_BASE`])
 //!
@@ -204,7 +205,9 @@ impl Device for Timer {
 /// advanced only at scheduler quantum boundaries ([`crate::System`]),
 /// never by an attached controller, so arbitration sees every node's
 /// enqueues for a window before deciding a winner and results are
-/// independent of host iteration order.
+/// independent of host iteration order. (The one exception is the
+/// private wire a standalone [`CanController::new`] builds for itself:
+/// no other station is on it, and the controller advances it.)
 ///
 /// Time on the wire is in CAN bit times; `cycles_per_bit` fixes the
 /// core-clock ratio for *every* attached controller (a shared wire has
@@ -231,15 +234,9 @@ pub struct SharedCanBus {
 }
 
 impl SharedCanBus {
-    /// A new idle wire with the given core-cycles-per-bit ratio and the
-    /// default name `"can"`.
-    #[must_use]
-    pub fn new(cycles_per_bit: u64) -> SharedCanBus {
-        SharedCanBus::named("can", cycles_per_bit)
-    }
-
-    /// A new idle wire with an explicit name (multi-wire topologies name
-    /// their wires — `"sensor"`, `"backbone"` — and reports key on it).
+    /// A new idle wire with the given name and core-cycles-per-bit ratio
+    /// (multi-wire topologies name their wires — `"sensor"`,
+    /// `"backbone"` — and reports key on it).
     #[must_use]
     pub fn named(name: impl Into<String>, cycles_per_bit: u64) -> SharedCanBus {
         SharedCanBus {
@@ -289,10 +286,12 @@ impl SharedCanBus {
     /// times minus the enqueue rounding slack: enqueue cycles
     /// floor-divide into bit times, letting a frame start up to
     /// `cycles_per_bit - 1` cycles "early" in bit units, and the
-    /// guarantee must hold for any boundary alignment.
+    /// guarantee must hold for any boundary alignment. Saturates at
+    /// `u64::MAX` on very slow wires.
     #[must_use]
     pub fn min_quantum_cycles(&self) -> u64 {
-        u64::from(MIN_WIRE_BITS) * self.cycles_per_bit - (self.cycles_per_bit - 1)
+        // MIN_WIRE_BITS * cpb - (cpb - 1), without the overflowing product.
+        (u64::from(MIN_WIRE_BITS) - 1).saturating_mul(self.cycles_per_bit).saturating_add(1)
     }
 
     /// Runs arbitration/transmission up to core cycle `cycle`.
@@ -475,20 +474,6 @@ impl SharedCanBus {
 // Memory-mapped CAN controller
 // ---------------------------------------------------------------------
 
-/// The wire a [`CanController`] transmits on: privately owned (legacy
-/// single-machine mode) or shared across machines.
-#[derive(Debug, Clone)]
-enum Wire {
-    /// The controller owns its bus: loopback plus host-injected remote
-    /// traffic. The controller runs the bus itself when ticked. Boxed:
-    /// [`CanBus`] carries the fault-confinement state (stations, logs,
-    /// fault plan) and dwarfs the shared-wire handle.
-    Owned(Box<CanBus>),
-    /// Several controllers share one arbitrating wire; only the system
-    /// scheduler advances it.
-    Shared(SharedCanBus),
-}
-
 /// Static configuration of a [`CanController`] device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CanConfig {
@@ -538,14 +523,25 @@ impl Default for CanConfig {
     }
 }
 
-/// A memory-mapped CAN controller wrapping the event-driven
-/// [`alia_can::CanBus`]: guest stores stage and submit TX frames, bus
-/// deliveries land in an RX FIFO and raise the RX interrupt at the
-/// cycle the frame completes on the wire.
-#[derive(Debug, Clone)]
+/// A memory-mapped CAN controller on a [`SharedCanBus`]: guest stores
+/// stage and submit TX frames, wire deliveries land in an RX FIFO and
+/// raise the RX interrupt at the cycle the frame completes on the wire.
+///
+/// Cloning follows the wire's binding: a clone of a controller on a
+/// private wire ([`CanController::new`]) gets a deep copy of that wire
+/// ([`SharedCanBus::fork_detached`]), so a cloned, snapshotted or
+/// restored machine never shares traffic with the original; a clone of
+/// an attached controller stays on the same shared wire (see
+/// [`crate::System::fork`] for forking a whole topology).
+#[derive(Debug)]
 pub struct CanController {
     config: CanConfig,
-    wire: Wire,
+    wire: SharedCanBus,
+    /// Whether `wire` is this controller's private one-station wire
+    /// (fixed by the constructor): the controller then advances the
+    /// wire itself, reports no scheduler attachment, and a clone
+    /// deep-copies the wire.
+    private_wire: bool,
     tx_id: u32,
     tx_dlc: u32,
     tx_data: [u32; 2],
@@ -571,10 +567,13 @@ pub struct CanController {
 }
 
 impl CanController {
-    /// Builds an idle controller with its own bus instance.
+    /// Builds an idle controller on a private one-station wire that it
+    /// advances itself when ticked (loopback and host-injected traffic
+    /// on a lone machine; no scheduler involved).
     #[must_use]
     pub fn new(config: CanConfig) -> CanController {
-        CanController::with_wire(config, Wire::Owned(Box::new(CanBus::new())))
+        let wire = SharedCanBus::named("can", config.cycles_per_bit);
+        CanController::with_wire(config, wire, true)
     }
 
     /// Builds a controller attached to a shared wire. The wire's bit
@@ -583,19 +582,17 @@ impl CanController {
     #[must_use]
     pub fn attached(mut config: CanConfig, wire: &SharedCanBus) -> CanController {
         config.cycles_per_bit = wire.cycles_per_bit();
-        CanController::with_wire(config, Wire::Shared(wire.clone()))
+        CanController::with_wire(config, wire.clone(), false)
     }
 
-    fn with_wire(config: CanConfig, mut wire: Wire) -> CanController {
+    fn with_wire(config: CanConfig, wire: SharedCanBus, private_wire: bool) -> CanController {
         // Register the station on its wire so REC tracks observed errors
         // from time zero (mirrors then agree with the bus counters).
-        match &mut wire {
-            Wire::Owned(bus) => bus.register_node(config.node),
-            Wire::Shared(s) => s.register_node(config.node),
-        }
+        wire.register_node(config.node);
         CanController {
             config,
             wire,
+            private_wire,
             tx_id: 0,
             tx_dlc: 0,
             tx_data: [0; 2],
@@ -665,118 +662,12 @@ impl CanController {
         self.rec_mirror
     }
 
-    /// Publishes the controller's counters into `reg` under `prefix`
-    /// (copies of the same values the legacy accessors report).
-    pub fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
-        reg.counter(&format!("{prefix}can.tx_count"), self.tx_count);
-        reg.counter(&format!("{prefix}can.rx_count"), self.rx_count);
-        reg.counter(&format!("{prefix}can.rx_overflows"), self.rx_overflows);
-        reg.counter(&format!("{prefix}can.rx_filtered"), self.rx_filtered);
-        // Error counters are point-in-time values, not monotonic
-        // totals: gauges, so campaign merges keep the worst case.
-        reg.gauge(&format!("{prefix}can.tec"), f64::from(self.tec_mirror));
-        reg.gauge(&format!("{prefix}can.rec"), f64::from(self.rec_mirror));
-    }
-
-    /// Whether this controller transmits on a shared wire.
+    /// The controller's wire: its private one-station wire, or the
+    /// shared wire it is attached to (utilization, latencies, delivery
+    /// and state logs, fault plans).
     #[must_use]
-    pub fn is_shared(&self) -> bool {
-        matches!(self.wire, Wire::Shared(_))
-    }
-
-    /// The owned bus, when this controller owns its wire (inspection:
-    /// deliveries, utilization). `None` on a shared wire — use
-    /// [`CanController::shared_bus`] or the mode-independent
-    /// [`CanController::utilization`] / [`CanController::worst_latency`].
-    #[must_use]
-    pub fn can_bus(&self) -> Option<&CanBus> {
-        match &self.wire {
-            Wire::Owned(bus) => Some(bus.as_ref()),
-            Wire::Shared(_) => None,
-        }
-    }
-
-    /// The shared wire handle, when attached to one.
-    #[must_use]
-    pub fn shared_bus(&self) -> Option<&SharedCanBus> {
-        match &self.wire {
-            Wire::Owned(_) => None,
-            Wire::Shared(s) => Some(s),
-        }
-    }
-
-    /// Wire utilization, regardless of binding.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        match &self.wire {
-            Wire::Owned(bus) => bus.utilization(),
-            Wire::Shared(s) => s.utilization(),
-        }
-    }
-
-    /// Worst observed latency for `id` (bit times), regardless of
-    /// binding.
-    #[must_use]
-    pub fn worst_latency(&self, id: CanId) -> Option<u64> {
-        match &self.wire {
-            Wire::Owned(bus) => bus.worst_latency(id),
-            Wire::Shared(s) => s.worst_latency(id),
-        }
-    }
-
-    /// Transmits everything still queued on the wire so utilization and
-    /// latency reports account for frames the guest enqueued through
-    /// the TX registers, not just host-injected traffic — RTA
-    /// comparisons then see guest frames even when a machine halted
-    /// right after `TX_GO`.
-    pub fn settle_wire(&mut self) {
-        match &mut self.wire {
-            Wire::Owned(bus) => bus.settle(),
-            Wire::Shared(s) => s.settle(),
-        }
-    }
-
-    /// Whether this controller could put traffic on the wire (or pull a
-    /// delivery off it) soon: frames are queued awaiting arbitration, or
-    /// completed deliveries have not been examined yet. The quantum
-    /// scheduler's idle-stretch uses this as the cheap "could transmit
-    /// soon" veto — while any controller is armed, quanta stay at the
-    /// conservative wire lookahead.
-    #[must_use]
-    pub fn tx_armed(&self) -> bool {
-        match &self.wire {
-            Wire::Owned(bus) => {
-                bus.pending() > 0 || bus.state_log().len() > self.state_seen
-            }
-            Wire::Shared(s) => {
-                s.pending() > 0
-                    || s.deliveries_len() > self.deliveries_seen
-                    || s.state_log_len() > self.state_seen
-            }
-        }
-    }
-
-    /// Installs a [`FaultPlan`] on this controller's wire (owned or
-    /// shared — on a shared wire every attached controller sees it).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        match &mut self.wire {
-            Wire::Owned(bus) => bus.set_fault_plan(plan),
-            Wire::Shared(s) => s.set_fault_plan(plan),
-        }
-    }
-
-    /// Rebinds a shared-wire attachment onto the forked copy of its
-    /// wire: `from` and `to` are parallel wire sets (the original
-    /// system's and the fork's), and the controller's wire is matched
-    /// against `from` by identity. Owned wires (already deep-copied
-    /// with the controller) and wires outside `from` are untouched.
-    /// This is [`crate::System::fork`]'s device walk.
-    pub(crate) fn rebind_shared_wire(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
-        if let Wire::Shared(s) = &mut self.wire {
-            if let Some(i) = from.iter().position(|w| w.same_wire(s)) {
-                *s = to[i].clone();
-            }
-        }
+    pub fn wire(&self) -> &SharedCanBus {
+        &self.wire
     }
 
     /// Host-side traffic injection: enqueues `frame` from remote node
@@ -784,35 +675,8 @@ impl CanController {
     /// [`crate::Bus::refresh_next_event`] afterwards if the machine is
     /// mid-run.
     pub fn host_enqueue(&mut self, at_bits: u64, node: usize, frame: CanFrame) {
-        match &mut self.wire {
-            Wire::Owned(bus) => bus.enqueue(at_bits, node, frame),
-            Wire::Shared(s) => s.enqueue(at_bits, node, frame),
-        }
+        self.wire.enqueue(at_bits, node, frame);
         self.poll_at = self.poll_at.min(at_bits.saturating_mul(self.config.cycles_per_bit));
-    }
-
-    /// Called by the system scheduler after it advanced a shared wire:
-    /// re-arms the controller's tick at the arrival cycle of the first
-    /// delivery — or own-node error-state transition — it has not yet
-    /// examined, so frame reception and error IRQs stay cycle-accurate
-    /// without the controller ever running the wire. The caller must
-    /// follow up with [`crate::Bus::refresh_next_event`].
-    pub fn note_wire_progress(&mut self) {
-        if let Wire::Shared(s) = &self.wire {
-            let cpb = self.config.cycles_per_bit.max(1);
-            if let Some(d) = s.delivery(self.deliveries_seen) {
-                let arrival = d.completed_at.saturating_mul(cpb);
-                self.poll_at = self.poll_at.min(arrival);
-            }
-            let mut i = self.state_seen;
-            while let Some(c) = s.state_change(i) {
-                if c.node == self.config.node {
-                    self.poll_at = self.poll_at.min(c.at.saturating_mul(cpb));
-                    break;
-                }
-                i += 1;
-            }
-        }
     }
 
     /// Absorbs wire state-log entries stamped at or before `up_to`
@@ -822,12 +686,7 @@ impl CanController {
     /// real ones at the same stamp).
     fn absorb_state_changes(&mut self, up_to: u64, ctx: &mut DeviceCtx<'_>) {
         let cpb = self.config.cycles_per_bit.max(1);
-        loop {
-            let c = match &self.wire {
-                Wire::Owned(bus) => bus.state_log().get(self.state_seen).copied(),
-                Wire::Shared(s) => s.state_change(self.state_seen),
-            };
-            let Some(c) = c else { break };
+        while let Some(c) = self.wire.state_change(self.state_seen) {
             let at = c.at.saturating_mul(cpb);
             if at > up_to {
                 break;
@@ -876,22 +735,17 @@ impl CanController {
         })
     }
 
-    /// Advances the controller to `now`: on an owned wire, runs the bus
-    /// first; on a shared wire, only collects (the scheduler runs the
-    /// wire at quantum boundaries). Completed deliveries whose
+    /// Advances the controller to `now`: on a private wire, runs the
+    /// wire first; on a shared wire, only collects (the scheduler runs
+    /// the wire at quantum boundaries). Completed deliveries whose
     /// completion cycle has been reached land in the RX FIFO.
     fn advance(&mut self, now: u64, ctx: &mut DeviceCtx<'_>) {
         let cpb = self.config.cycles_per_bit.max(1);
-        if let Wire::Owned(bus) = &mut self.wire {
-            bus.run(now / cpb);
+        if self.private_wire {
+            self.wire.run_to_cycle(now);
         }
         self.poll_at = u64::MAX;
-        loop {
-            let d = match &self.wire {
-                Wire::Owned(bus) => bus.deliveries().get(self.deliveries_seen).copied(),
-                Wire::Shared(s) => s.delivery(self.deliveries_seen),
-            };
-            let Some(d) = d else { break };
+        while let Some(d) = self.wire.delivery(self.deliveries_seen) {
             let arrival = d.completed_at.saturating_mul(cpb);
             if arrival > now {
                 // Completion is still in the future of the core clock;
@@ -942,16 +796,12 @@ impl CanController {
             }
         }
         self.absorb_state_changes(now, ctx);
-        if self.poll_at == u64::MAX {
-            if let Wire::Owned(bus) = &self.wire {
-                if bus.pending() > 0 {
-                    // Frames are queued but not yet transmitted
-                    // (arbitration or future enqueue times): poll again
-                    // next bit time. On a shared wire the scheduler
-                    // re-arms us via `note_wire_progress` instead.
-                    self.poll_at = now + cpb;
-                }
-            }
+        if self.private_wire && self.poll_at == u64::MAX && self.wire.pending() > 0 {
+            // Frames are queued but not yet transmitted (arbitration or
+            // future enqueue times): poll again next bit time. On a
+            // shared wire the scheduler re-arms us via
+            // `note_wire_progress` instead.
+            self.poll_at = now.saturating_add(cpb);
         }
     }
 }
@@ -995,17 +845,12 @@ impl Device for CanController {
             16 => {
                 let frame = self.staged_frame();
                 let cpb = self.config.cycles_per_bit.max(1);
-                match &mut self.wire {
-                    Wire::Owned(bus) => {
-                        bus.enqueue(ctx.now / cpb, self.config.node, frame);
-                        // Transmission progress needs ticks from now on.
-                        self.poll_at = self.poll_at.min(ctx.now + cpb);
-                    }
-                    Wire::Shared(s) => {
-                        // The scheduler runs the wire and re-arms ticks;
-                        // the controller only stages and enqueues.
-                        s.enqueue(ctx.now / cpb, self.config.node, frame);
-                    }
+                self.wire.enqueue(ctx.now / cpb, self.config.node, frame);
+                if self.private_wire {
+                    // Transmission progress needs ticks from now on. (On
+                    // a shared wire the scheduler runs the wire and
+                    // re-arms ticks; the controller only enqueues.)
+                    self.poll_at = self.poll_at.min(ctx.now.saturating_add(cpb));
                 }
                 self.tx_count += 1;
             }
@@ -1016,13 +861,7 @@ impl Device for CanController {
                 // ERR_RECOVER: request bus-off recovery at the current
                 // cycle; the wire rejoins the node (counters cleared,
                 // error IRQ raised) once the recovery interval elapses.
-                let at_bits = ctx.now / self.config.cycles_per_bit.max(1);
-                match &mut self.wire {
-                    Wire::Owned(bus) => bus.request_recovery(self.config.node, at_bits),
-                    Wire::Shared(s) => {
-                        s.request_recovery(self.config.node, ctx.now);
-                    }
-                }
+                self.wire.request_recovery(self.config.node, ctx.now);
             }
             64 => self.filter_id = value,
             68 => self.filter_mask = value,
@@ -1043,12 +882,77 @@ impl Device for CanController {
         (!self.rx_fifo.is_empty()).then_some(self.config.irq)
     }
 
+    fn wire_attachments(&self) -> Vec<(SharedCanBus, usize)> {
+        if self.private_wire {
+            Vec::new()
+        } else {
+            vec![(self.wire.clone(), self.config.node)]
+        }
+    }
+
+    /// Re-arms the tick at the arrival cycle of the first delivery — or
+    /// own-node error-state transition — not yet examined, so frame
+    /// reception and error IRQs stay cycle-accurate without the
+    /// controller ever running a shared wire. A private wire is the
+    /// controller's own business: nothing to do.
+    fn note_wire_progress(&mut self) -> bool {
+        if self.private_wire {
+            return false;
+        }
+        let cpb = self.config.cycles_per_bit.max(1);
+        if let Some(d) = self.wire.delivery(self.deliveries_seen) {
+            self.poll_at = self.poll_at.min(d.completed_at.saturating_mul(cpb));
+        }
+        let mut i = self.state_seen;
+        while let Some(c) = self.wire.state_change(i) {
+            if c.node == self.config.node {
+                self.poll_at = self.poll_at.min(c.at.saturating_mul(cpb));
+                break;
+            }
+            i += 1;
+        }
+        true
+    }
+
+    /// Frames queued awaiting arbitration, or deliveries or error-state
+    /// changes not examined yet: while any controller is armed, quanta
+    /// stay at the conservative wire lookahead.
+    fn wire_armed(&self) -> bool {
+        self.wire.pending() > 0
+            || self.wire.deliveries_len() > self.deliveries_seen
+            || self.wire.state_log_len() > self.state_seen
+    }
+
+    fn rebind_wires(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
+        if let Some(i) = from.iter().position(|w| w.same_wire(&self.wire)) {
+            self.wire = to[i].clone();
+        }
+    }
+
+    fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
+        reg.counter(&format!("{prefix}can.tx_count"), self.tx_count);
+        reg.counter(&format!("{prefix}can.rx_count"), self.rx_count);
+        reg.counter(&format!("{prefix}can.rx_overflows"), self.rx_overflows);
+        reg.counter(&format!("{prefix}can.rx_filtered"), self.rx_filtered);
+        // Error counters are point-in-time values, not monotonic
+        // totals: gauges, so campaign merges keep the worst case.
+        reg.gauge(&format!("{prefix}can.tec"), f64::from(self.tec_mirror));
+        reg.gauge(&format!("{prefix}can.rec"), f64::from(self.rec_mirror));
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+impl Clone for CanController {
+    fn clone(&self) -> CanController {
+        let wire = if self.private_wire { self.wire.fork_detached() } else { self.wire.clone() };
+        CanController { wire, rx_fifo: self.rx_fifo.clone(), ..*self }
     }
 }
 
@@ -1258,7 +1162,7 @@ mod tests {
     fn shared_wire_carries_frames_between_controllers() {
         // Producer and consumer controllers on one shared wire; the
         // "scheduler" here is the test: run the wire, notify, tick.
-        let wire = SharedCanBus::new(10);
+        let wire = SharedCanBus::named("can", 10);
         let mut tx = CanController::attached(CanConfig { node: 0, ..CanConfig::default() }, &wire);
         let mut rx = CanController::attached(CanConfig { node: 1, ..CanConfig::default() }, &wire);
         let mut s = BusSignals::default();
@@ -1380,7 +1284,7 @@ mod tests {
         });
         let mut plan = FaultPlan::new();
         plan.inject_bit_error(10); // corrupts the guest's first TX
-        c.set_fault_plan(plan);
+        c.wire().set_fault_plan(plan);
         let mut s = BusSignals::default();
         c.write32(0, 0x123, &mut ctx(0, &mut s)); // TX_ID
         c.write32(4, 1, &mut ctx(0, &mut s)); // TX_DLC

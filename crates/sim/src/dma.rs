@@ -38,7 +38,7 @@
 //!
 //! A delivery completing on wire A at core cycle `T` is examined by the
 //! engine's tick at exactly `T` (the scheduler re-arms the tick through
-//! [`Dma::note_wire_progress`], like a CAN controller's RX path) and, on
+//! [`Device::note_wire_progress`], like a CAN controller's RX path) and, on
 //! a route match, handed to that direction's **bounded forward queue**.
 //! The engine keeps at most one forward in flight per direction: the
 //! head of an idle direction's queue is enqueued on the target wire
@@ -197,30 +197,6 @@ impl Dma {
         }
     }
 
-    /// The engine's structured event tracer.
-    #[must_use]
-    pub fn tracer(&self) -> &alia_obs::Tracer {
-        &self.tracer
-    }
-
-    /// Sets the tracing category mask (see [`alia_obs::category`]).
-    pub fn set_trace_mask(&mut self, mask: u32) {
-        self.tracer.set_mask(mask);
-    }
-
-    /// Publishes the engine's counters into `reg` under `prefix`
-    /// (copies of the same values the legacy accessors report).
-    pub fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
-        reg.counter(&format!("{prefix}dma.forwarded"), self.forwarded);
-        reg.counter(&format!("{prefix}dma.no_route"), self.no_route);
-        reg.counter(&format!("{prefix}dma.queue_overflows"), self.queue_overflows);
-        for (i, r) in self.routes.iter().enumerate() {
-            if r.count > 0 {
-                reg.counter(&format!("{prefix}dma.route{i}.count"), r.count);
-            }
-        }
-    }
-
     /// The static configuration.
     #[must_use]
     pub fn config(&self) -> DmaConfig {
@@ -237,18 +213,6 @@ impl Dma {
     #[must_use]
     pub fn wire_b(&self) -> &SharedCanBus {
         &self.wires[1]
-    }
-
-    /// Rebinds both wire attachments onto their forked copies: `from`
-    /// and `to` are parallel wire sets (the original system's and the
-    /// fork's), matched by identity. [`crate::System::fork`]'s device
-    /// walk for gateway engines.
-    pub(crate) fn rebind_wires(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
-        for w in &mut self.wires {
-            if let Some(i) = from.iter().position(|x| x.same_wire(w)) {
-                *w = to[i].clone();
-            }
-        }
     }
 
     /// The engine's node id on the given side (0 = wire A, 1 = wire B).
@@ -287,30 +251,6 @@ impl Dma {
     #[must_use]
     pub fn route_count(&self, i: usize) -> u64 {
         self.routes[i].count
-    }
-
-    /// Whether the engine still has unexamined deliveries on either
-    /// wire — the scheduler's "could put traffic on a wire soon" veto,
-    /// the analogue of [`crate::CanController::tx_armed`].
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.wires[0].deliveries_len() > self.seen[0]
-            || self.wires[1].deliveries_len() > self.seen[1]
-            || !self.fwd_queue[0].is_empty()
-            || !self.fwd_queue[1].is_empty()
-    }
-
-    /// Called by the system scheduler after it advanced the wires:
-    /// re-arms the engine's tick at the arrival cycle of the first
-    /// delivery it has not yet examined on either side. The caller must
-    /// follow up with [`crate::Bus::refresh_next_event`].
-    pub fn note_wire_progress(&mut self) {
-        for (side, wire) in self.wires.iter().enumerate() {
-            if let Some(d) = wire.delivery(self.seen[side]) {
-                let arrival = d.completed_at.saturating_mul(wire.cycles_per_bit().max(1));
-                self.poll_at = self.poll_at.min(arrival);
-            }
-        }
     }
 
     /// Examines deliveries on both wires up to core cycle `now`,
@@ -522,6 +462,60 @@ impl Device for Dma {
         (self.poll_at != u64::MAX).then_some(self.poll_at)
     }
 
+    fn wire_attachments(&self) -> Vec<(SharedCanBus, usize)> {
+        vec![
+            (self.wires[0].clone(), self.config.node_a),
+            (self.wires[1].clone(), self.config.node_b),
+        ]
+    }
+
+    /// Re-arms the tick at the arrival cycle of the first delivery not
+    /// yet examined on either side.
+    fn note_wire_progress(&mut self) -> bool {
+        for (side, wire) in self.wires.iter().enumerate() {
+            if let Some(d) = wire.delivery(self.seen[side]) {
+                let arrival = d.completed_at.saturating_mul(wire.cycles_per_bit().max(1));
+                self.poll_at = self.poll_at.min(arrival);
+            }
+        }
+        true
+    }
+
+    /// Unexamined deliveries on either wire, or forwards still queued.
+    fn wire_armed(&self) -> bool {
+        self.wires[0].deliveries_len() > self.seen[0]
+            || self.wires[1].deliveries_len() > self.seen[1]
+            || !self.fwd_queue[0].is_empty()
+            || !self.fwd_queue[1].is_empty()
+    }
+
+    fn rebind_wires(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
+        for w in &mut self.wires {
+            if let Some(i) = from.iter().position(|x| x.same_wire(w)) {
+                *w = to[i].clone();
+            }
+        }
+    }
+
+    fn set_trace_mask(&mut self, mask: u32) {
+        self.tracer.set_mask(mask);
+    }
+
+    fn tracer(&self) -> Option<&alia_obs::Tracer> {
+        Some(&self.tracer)
+    }
+
+    fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
+        reg.counter(&format!("{prefix}dma.forwarded"), self.forwarded);
+        reg.counter(&format!("{prefix}dma.no_route"), self.no_route);
+        reg.counter(&format!("{prefix}dma.queue_overflows"), self.queue_overflows);
+        for (i, r) in self.routes.iter().enumerate() {
+            if r.count > 0 {
+                reg.counter(&format!("{prefix}dma.route{i}.count"), r.count);
+            }
+        }
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -606,7 +600,7 @@ mod tests {
         let own = dma.next_event().expect("own forward to consume");
         dma.tick(&mut ctx(own, &mut s));
         assert_eq!(dma.forwarded(), 1, "no echo of its own forward");
-        assert!(!dma.armed(), "everything examined");
+        assert!(!dma.wire_armed(), "everything examined");
     }
 
     #[test]
@@ -657,7 +651,7 @@ mod tests {
         assert_eq!(dma.forwarded(), 0);
         assert_eq!(dma.dropped(), 0, "disabled: not even counted as dropped");
         assert_eq!(wb.pending(), 0);
-        assert!(!dma.armed(), "deliveries are still consumed while disabled");
+        assert!(!dma.wire_armed(), "deliveries are still consumed while disabled");
     }
 
     #[test]
@@ -711,7 +705,7 @@ mod tests {
         assert_eq!(dma.read32(0x10, &mut ctx(2_000, &mut s)), 1, "NO_ROUTE");
         assert_eq!(dma.read32(0x14, &mut ctx(2_000, &mut s)), 1, "QUEUE_OVERFLOW");
         assert_eq!(dma.read32(0x0C, &mut ctx(2_000, &mut s)), 2, "legacy DROPPED = sum");
-        assert!(dma.armed(), "a queued forward keeps the engine armed");
+        assert!(dma.wire_armed(), "a queued forward keeps the engine armed");
         // The in-flight forward completes on B; the queued one follows.
         wb.run_to_cycle(4_000);
         dma.note_wire_progress();
@@ -758,7 +752,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "two distinct wires")]
     fn same_wire_on_both_sides_is_rejected() {
-        let w = SharedCanBus::new(4);
+        let w = SharedCanBus::named("can", 4);
         let _ = Dma::new(DmaConfig::default(), &w, &w.clone());
     }
 }

@@ -85,8 +85,9 @@ pub struct IrqLatency {
 pub enum DeviceSpec {
     /// A compare-match [`Timer`].
     Timer(TimerConfig),
-    /// A memory-mapped [`CanController`] owning its private bus
-    /// (loopback / host-injected traffic).
+    /// A memory-mapped [`CanController`] on a private one-station wire
+    /// that it advances itself (loopback / host-injected traffic on a
+    /// lone machine; no [`crate::System`] involved).
     Can(CanConfig),
     /// A memory-mapped [`CanController`] attached to a shared wire:
     /// several machines' controllers arbitrate on one
@@ -428,13 +429,12 @@ impl Machine {
 
     /// Sets the tracing category mask (see [`alia_obs::category`]) on
     /// the machine *and* on every traced device it owns (the gateway
-    /// DMA engines keep their own tracers on their own clock).
+    /// DMA engines keep their own tracers on their own clock —
+    /// [`crate::Device::set_trace_mask`]).
     pub fn set_trace_mask(&mut self, mask: u32) {
         self.tracer.set_mask(mask);
         for dev in self.bus.devices_mut() {
-            if let Some(dma) = dev.as_any_mut().downcast_mut::<Dma>() {
-                dma.set_trace_mask(mask);
-            }
+            dev.set_trace_mask(mask);
         }
     }
 
@@ -476,9 +476,11 @@ impl Machine {
     /// point — including snapshots taken mid-block or inside a parked
     /// WFI sleep.
     ///
+    /// A controller on a private wire ([`DeviceSpec::Can`]) gets a deep
+    /// copy of it, so the snapshot shares no traffic with the original.
     /// A controller on a [`crate::SharedCanBus`] keeps its binding to
-    /// the *same* wire (the handle is the attachment, not the state);
-    /// use [`crate::System::fork`] to fork a whole topology onto
+    /// the *same* shared wire (the handle is the attachment, not the
+    /// state); use [`crate::System::fork`] to fork a whole topology onto
     /// detached wire copies.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
@@ -606,12 +608,7 @@ impl Machine {
         // Device counters, keyed by bus index so multiple controllers
         // on one machine stay distinguishable.
         for (i, dev) in self.bus.devices().iter().enumerate() {
-            if let Some(dma) = dev.dev.as_any().downcast_ref::<Dma>() {
-                dma.publish_metrics(reg, &format!("{prefix}dev{i}."));
-            }
-            if let Some(can) = dev.dev.as_any().downcast_ref::<CanController>() {
-                can.publish_metrics(reg, &format!("{prefix}dev{i}."));
-            }
+            dev.dev.publish_metrics(reg, &format!("{prefix}dev{i}."));
         }
     }
 

@@ -16,11 +16,14 @@
 //!    to the boundary ([`SharedCanBus::run_to_cycle`]);
 //! 3. each wire client — CAN controller or DMA gateway — is re-armed at
 //!    the arrival cycle of its next delivery
-//!    ([`CanController::note_wire_progress`] /
-//!    [`crate::Dma::note_wire_progress`]), so reception — FIFO push, RX
-//!    interrupt, gateway forward — happens at the exact completion
+//!    ([`crate::Device::note_wire_progress`]), so reception — FIFO push,
+//!    RX interrupt, gateway forward — happens at the exact completion
 //!    cycle inside a later quantum, through the ordinary device-tick
 //!    machinery.
+//!
+//! The scheduler reaches its wire clients only through the
+//! [`crate::Device`] trait (attachments, re-arm, idle veto, fork
+//! rebinding, traces, metrics): it never names a device type.
 //!
 //! # Why this is deterministic
 //!
@@ -78,8 +81,7 @@
 //! across quantum sizes, node orderings and idle-stretch — the fault
 //! determinism sweep in `tests/integration_faults.rs` proves it.
 
-use crate::devices::{CanController, SharedCanBus};
-use crate::dma::Dma;
+use crate::devices::SharedCanBus;
 use crate::machine::{Machine, StopReason};
 
 /// A machine participating in a [`System`]: the machine, its name, and
@@ -210,23 +212,11 @@ const _: () = {
     assert_send::<Node>();
 };
 
-/// The `(wire, node id)` attachments carried by `machine`'s devices:
-/// one entry per shared CAN controller, two per DMA gateway engine
-/// (each side). The scheduler uses these to adopt wires and enforce
-/// per-wire node-id uniqueness.
-fn wire_clients(machine: &Machine) -> Vec<(SharedCanBus, usize)> {
-    let mut out = Vec::new();
-    for d in machine.bus.devices() {
-        if let Some(c) = d.dev.as_any().downcast_ref::<CanController>() {
-            if let Some(w) = c.shared_bus() {
-                out.push((w.clone(), c.config().node));
-            }
-        } else if let Some(g) = d.dev.as_any().downcast_ref::<Dma>() {
-            out.push((g.wire_a().clone(), g.config().node_a));
-            out.push((g.wire_b().clone(), g.config().node_b));
-        }
-    }
-    out
+/// The `(wire, node id)` attachments carried by `machine`'s devices
+/// ([`crate::Device::wire_attachments`]). The scheduler uses these to
+/// adopt wires and enforce per-wire node-id uniqueness.
+fn wire_clients(machine: &Machine) -> impl Iterator<Item = (SharedCanBus, usize)> + '_ {
+    machine.bus.devices().iter().flat_map(|d| d.dev.wire_attachments())
 }
 
 /// N nodes plus shared interconnects, advanced by a deterministic
@@ -279,24 +269,6 @@ impl System {
         let wire = SharedCanBus::named(name, cycles_per_bit);
         self.wires.push(wire.clone());
         wire
-    }
-
-    /// Creates the system's shared CAN wire with the default name
-    /// `"can0"` — the single-wire convenience kept from the one-bus
-    /// era; topologies with several wires use [`System::add_wire`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system already has a wire (a second call almost
-    /// certainly wanted the *same* wire — two controllers on separate
-    /// wires would silently never exchange a frame; multi-wire
-    /// topologies name their wires via [`System::add_wire`]).
-    pub fn shared_can_bus(&mut self, cycles_per_bit: u64) -> SharedCanBus {
-        assert!(
-            self.wires.is_empty(),
-            "the system already has a shared CAN wire; use add_wire for multi-wire topologies"
-        );
-        self.add_wire("can0", cycles_per_bit)
     }
 
     /// Adds a node and returns its index. Nodes join at the system's
@@ -370,14 +342,6 @@ impl System {
     /// Mutable node `i` (setup and result extraction).
     pub fn node_mut(&mut self, i: usize) -> &mut Node {
         &mut self.nodes[i]
-    }
-
-    /// The first registered wire, if any — the single-wire convenience
-    /// accessor; topologies use [`System::wires`] /
-    /// [`System::wire_named`].
-    #[must_use]
-    pub fn wire(&self) -> Option<&SharedCanBus> {
-        self.wires.first()
     }
 
     /// Every wire the scheduler services, in registration order.
@@ -455,8 +419,8 @@ impl System {
             let mut events: Vec<alia_obs::TraceEvent> =
                 node.machine.tracer().events().to_vec();
             for dev in node.machine.bus.devices() {
-                if let Some(g) = dev.dev.as_any().downcast_ref::<Dma>() {
-                    events.extend_from_slice(&g.tracer().events());
+                if let Some(t) = dev.dev.tracer() {
+                    events.extend_from_slice(&t.events());
                 }
             }
             // Machine and gateway events are each cycle-ordered; a
@@ -538,11 +502,7 @@ impl System {
         let mut nodes = self.nodes.clone();
         for node in &mut nodes {
             for d in node.machine.bus.devices_mut() {
-                if let Some(c) = d.as_any_mut().downcast_mut::<CanController>() {
-                    c.rebind_shared_wire(&self.wires, &wires);
-                } else if let Some(g) = d.as_any_mut().downcast_mut::<Dma>() {
-                    g.rebind_wires(&self.wires, &wires);
-                }
+                d.rebind_wires(&self.wires, &wires);
             }
         }
         System {
@@ -573,7 +533,7 @@ impl System {
 
     /// The idle-stretch boundary, when the system is eligible: every
     /// wire is idle, no wire client holds armed state
-    /// ([`CanController::tx_armed`] / [`Dma::armed`]) and every live
+    /// ([`crate::Device::wire_armed`]) and every live
     /// node is parked in a WFI sleep — so nothing can execute (let
     /// alone transmit or forward) before the earliest local wakeup, and
     /// the quantum may stretch straight to it. A wire with a pending
@@ -608,16 +568,8 @@ impl System {
                 return None;
             }
             wake = wake.min(m.next_local_event());
-            for d in m.bus.devices() {
-                if let Some(c) = d.dev.as_any().downcast_ref::<CanController>() {
-                    if c.tx_armed() {
-                        return None;
-                    }
-                } else if let Some(g) = d.dev.as_any().downcast_ref::<Dma>() {
-                    if g.armed() {
-                        return None;
-                    }
-                }
+            if m.bus.devices().iter().any(|d| d.dev.wire_armed()) {
+                return None;
             }
         }
         (wake != u64::MAX).then_some(wake)
@@ -696,13 +648,7 @@ impl System {
                     let bus = &mut node.machine.bus;
                     let mut touched = false;
                     for d in bus.devices_mut() {
-                        if let Some(c) = d.as_any_mut().downcast_mut::<CanController>() {
-                            c.note_wire_progress();
-                            touched = true;
-                        } else if let Some(g) = d.as_any_mut().downcast_mut::<Dma>() {
-                            g.note_wire_progress();
-                            touched = true;
-                        }
+                        touched |= d.note_wire_progress();
                     }
                     if touched {
                         bus.refresh_next_event();
@@ -756,7 +702,8 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::{CanConfig, TimerConfig};
+    use crate::devices::{CanConfig, CanController, TimerConfig};
+    use crate::dma::Dma;
     use crate::machine::{DeviceSpec, MachineConfig};
     use crate::{CAN_BASE, SRAM_BASE, TIMER_BASE};
     use alia_isa::{Assembler, IsaMode};
@@ -803,7 +750,7 @@ mod tests {
         // spins until its RX IRQ handler has drained 4 frames, then
         // exits with the checksum.
         let mut sys = System::new();
-        let wire = sys.shared_can_bus(4);
+        let wire = sys.add_wire("can0", 4);
         let mut pconf = MachineConfig::m3_like();
         pconf.devices = vec![
             DeviceSpec::Timer(TimerConfig { base: TIMER_BASE, irq: 0, compare: 800 }),
@@ -946,7 +893,7 @@ mod tests {
         // the system must settle to AllHalted/WfiIdle, not spin one
         // quantum at a time until the horizon.
         let mut sys = System::new();
-        let wire = sys.shared_can_bus(4);
+        let wire = sys.add_wire("can0", 4);
         let mut conf = MachineConfig::m3_like();
         conf.devices = vec![DeviceSpec::SharedCan(
             CanConfig { base: CAN_BASE, irq: 1, node: 0, ..CanConfig::default() },
@@ -972,7 +919,7 @@ mod tests {
                 idle_stretch,
                 ..SystemConfig::default()
             });
-            let wire = sys.shared_can_bus(4);
+            let wire = sys.add_wire("can0", 4);
             let mut plan = alia_can::FaultPlan::new();
             plan.add_babbler(alia_can::BabbleArm {
                 node: 9,
@@ -1037,9 +984,9 @@ mod tests {
 
     #[test]
     fn standalone_wire_is_adopted_at_add_node() {
-        // A SharedCanBus built outside System::shared_can_bus must
-        // still be serviced by the scheduler.
-        let wire = SharedCanBus::new(4);
+        // A SharedCanBus built outside System::add_wire must still be
+        // serviced by the scheduler.
+        let wire = SharedCanBus::named("can", 4);
         let mut conf = MachineConfig::m3_like();
         conf.devices = vec![DeviceSpec::SharedCan(
             CanConfig { base: CAN_BASE, irq: 1, node: 0, ..CanConfig::default() },
@@ -1047,7 +994,7 @@ mod tests {
         )];
         let mut sys = System::new();
         sys.add_node("n0", machine(conf, &asm("bkpt #0")));
-        assert!(sys.wire().is_some_and(|w| w.same_wire(&wire)));
+        assert!(sys.wire_named("can").is_some_and(|w| w.same_wire(&wire)));
     }
 
     #[test]
@@ -1056,7 +1003,7 @@ mod tests {
         // Receivers filter their own transmissions by node id; two
         // controllers sharing an id would silently drop peer frames.
         let mut sys = System::new();
-        let wire = sys.shared_can_bus(4);
+        let wire = sys.add_wire("can0", 4);
         let conf = |node| {
             let mut c = MachineConfig::m3_like();
             c.devices = vec![DeviceSpec::SharedCan(
@@ -1100,6 +1047,33 @@ mod tests {
     }
 
     #[test]
+    fn very_slow_wire_does_not_overflow_the_lookahead() {
+        // 46 * cycles_per_bit + 1 exceeds u64 here: the lookahead
+        // saturates instead of panicking (or wrapping to a tiny quantum
+        // in release builds), and a node transmitting on the wire runs
+        // to the horizon.
+        let mut sys = System::new();
+        let wire = sys.add_wire("slow", u64::MAX / 8);
+        assert_eq!(wire.min_quantum_cycles(), u64::MAX);
+        let mut conf = MachineConfig::m3_like();
+        conf.devices = vec![DeviceSpec::SharedCan(
+            CanConfig { base: CAN_BASE, irq: 1, node: 0, ..CanConfig::default() },
+            wire.clone(),
+        )];
+        let main = asm(
+            "movw r0, #0x2000
+             movt r0, #0x4000
+             str r1, [r0, #16]
+             spin: b spin",
+        );
+        sys.add_node("n0", machine(conf, &main));
+        let r = sys.run(1_000);
+        assert_eq!(r.reason, SystemStop::Horizon);
+        assert_eq!(r.now, 1_000);
+        assert_eq!(wire.pending() + wire.deliveries_len(), 1, "the frame reached the wire");
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate wire name")]
     fn duplicate_wire_names_are_rejected() {
         let mut sys = System::new();
@@ -1117,19 +1091,9 @@ mod tests {
         let mut conf = MachineConfig::m3_like();
         conf.devices = vec![DeviceSpec::SharedCan(
             CanConfig { base: CAN_BASE, irq: 1, node: 0, ..CanConfig::default() },
-            SharedCanBus::new(4),
+            SharedCanBus::named("can", 4),
         )];
         sys.add_node("stray", machine(conf, &asm("bkpt #0")));
-    }
-
-    #[test]
-    #[should_panic(expected = "already has a shared CAN wire")]
-    fn second_shared_can_bus_call_is_rejected() {
-        // The one-wire convenience keeps its old contract: a second
-        // call wanted the same wire, not a disconnected new one.
-        let mut sys = System::new();
-        let _ = sys.shared_can_bus(4);
-        let _ = sys.shared_can_bus(4);
     }
 
     #[test]
@@ -1202,7 +1166,7 @@ mod tests {
         assert_eq!(sys.node(0).halted(), Some(StopReason::Bkpt(0)));
         assert_eq!(sys.node(1).halted(), Some(StopReason::WfiIdle), "gateway parks");
         assert_eq!(sys.node(2).halted(), Some(StopReason::Bkpt(1)));
-        let gw = sys.node(1).machine().bus.device::<crate::Dma>().expect("engine");
+        let gw = sys.node(1).machine().bus.device::<Dma>().expect("engine");
         assert_eq!(gw.forwarded(), 1);
         assert_eq!(gw.route_count(0), 1);
         let d = wb.delivery(0).expect("forward crossed the backbone");
@@ -1222,7 +1186,7 @@ mod tests {
     /// is asleep, so the idle-stretch has real gaps to skip.
     fn sleepy_exchange(config: SystemConfig, frames: u32) -> System {
         let mut sys = System::with_config(config);
-        let wire = sys.shared_can_bus(4);
+        let wire = sys.add_wire("can0", 4);
         let mut pconf = MachineConfig::m3_like();
         pconf.devices = vec![
             DeviceSpec::Timer(TimerConfig { base: TIMER_BASE, irq: 0, compare: 2_000 }),
@@ -1329,8 +1293,8 @@ mod tests {
             );
         }
         assert_eq!(
-            fast.wire().unwrap().delivery_log(),
-            base.wire().unwrap().delivery_log()
+            fast.wire_named("can0").unwrap().delivery_log(),
+            base.wire_named("can0").unwrap().delivery_log()
         );
         assert_eq!(
             fast.node(1).halted(),
@@ -1375,8 +1339,8 @@ mod tests {
                 );
             }
             assert_eq!(
-                rot.wire().unwrap().delivery_log(),
-                base.wire().unwrap().delivery_log(),
+                rot.wire_named("can0").unwrap().delivery_log(),
+                base.wire_named("can0").unwrap().delivery_log(),
                 "q={quantum:?}"
             );
         }
@@ -1392,16 +1356,16 @@ mod tests {
         let mut dirty = sys.fork();
         // The forks live on their own wires: identical names, new
         // identities.
-        assert_eq!(clean.wire().unwrap().name(), sys.wire().unwrap().name());
-        assert!(!clean.wire().unwrap().same_wire(sys.wire().unwrap()));
-        assert!(!clean.wire().unwrap().same_wire(dirty.wire().unwrap()));
+        assert_eq!(clean.wire_named("can0").unwrap().name(), sys.wire_named("can0").unwrap().name());
+        assert!(!clean.wire_named("can0").unwrap().same_wire(sys.wire_named("can0").unwrap()));
+        assert!(!clean.wire_named("can0").unwrap().same_wire(dirty.wire_named("can0").unwrap()));
         // Fork state starts where the original is.
         assert_eq!(clean.now(), sys.now());
         assert_eq!(clean.node(0).cycles(), sys.node(0).cycles());
         // An extra frame injected on the dirty fork's wire must never
         // leak into the original or the clean fork. It poses as the
         // producer (station 0) so only the consumer receives it.
-        dirty.wire().unwrap().enqueue(
+        dirty.wire_named("can0").unwrap().enqueue(
             dirty.now() / 4 + 100,
             0,
             alia_can::CanFrame::new(alia_can::CanId::Standard(0x0F), &[0xEE]),
@@ -1421,16 +1385,16 @@ mod tests {
             );
         }
         assert_eq!(
-            clean.wire().unwrap().delivery_log(),
-            sys.wire().unwrap().delivery_log()
+            clean.wire_named("can0").unwrap().delivery_log(),
+            sys.wire_named("can0").unwrap().delivery_log()
         );
         // The dirty fork saw one more delivery (its injected frame) and
         // a different consumer checksum — inputs diverged, so results
         // diverged; the original's log is unchanged.
         assert_eq!(r2.reason, SystemStop::AllHalted);
         assert_eq!(
-            dirty.wire().unwrap().deliveries_len(),
-            sys.wire().unwrap().deliveries_len() + 1
+            dirty.wire_named("can0").unwrap().deliveries_len(),
+            sys.wire_named("can0").unwrap().deliveries_len() + 1
         );
         assert_ne!(
             dirty.node(1).machine().cpu.regs[6],
@@ -1472,7 +1436,7 @@ mod tests {
         // park the sleep at quantum boundaries, then wake it at the
         // exact arrival cycle.
         let mut sys = System::new();
-        let wire = sys.shared_can_bus(4);
+        let wire = sys.add_wire("can0", 4);
         let mut pconf = MachineConfig::m3_like();
         pconf.devices = vec![DeviceSpec::SharedCan(
             CanConfig { base: CAN_BASE, irq: 1, node: 0, ..CanConfig::default() },

@@ -126,6 +126,73 @@ fn guest_loopback_can_frame_round_trip() {
 }
 
 #[test]
+fn forks_of_a_standalone_controller_share_no_wire() {
+    // A loopback guest exchanges one frame, then waits for the host to
+    // put a TX id in r5 and sends a frame with it. Snapshotted in that
+    // wait, two forks with different ids must each receive exactly their
+    // own frame: the controller's private wire is deep-copied with the
+    // machine, so one fork's traffic never reaches the other.
+    let src = "cpsid
+         movw r0, #0x2000
+         movt r0, #0x4000
+         movw r1, #0x100
+         str r1, [r0, #0]
+         mov r1, #0
+         str r1, [r0, #4]
+         str r1, [r0, #16]
+         warm: ldr r2, [r0, #20]
+         cmp r2, #0
+         beq warm
+         str r2, [r0, #40]
+         idle: cmp r5, #0
+         beq idle
+         str r5, [r0, #0]
+         str r1, [r0, #16]
+         wait: ldr r2, [r0, #20]
+         cmp r2, #0
+         beq wait
+         ldr r3, [r0, #24]
+         str r2, [r0, #40]
+         ldr r7, [r0, #20]
+         bkpt #0";
+    let (id_a, id_b) = (0x123u32, 0x124u32);
+    let bits = |id: u32| {
+        alia_can::CanFrame::new(alia_can::CanId::Standard(id as u16), &[]).wire_bits()
+    };
+    assert_eq!(bits(id_a), bits(id_b), "equal frame lengths, so equal cycle counts");
+    let mut m = machine_with_devices(
+        vec![DeviceSpec::Can(CanConfig {
+            base: CAN_BASE,
+            irq: 1,
+            node: 0,
+            cycles_per_bit: 3,
+            loopback: true,
+            ..CanConfig::default()
+        })],
+        src,
+    );
+    let r = m.run(5_000);
+    assert_eq!(r.reason, StopReason::CycleLimit, "parked in the id wait, before TX_GO");
+    assert_eq!(m.bus.device::<CanController>().unwrap().rx_count(), 1, "warm-up frame received");
+    let snap = m.snapshot();
+    let mut a = snap.to_machine();
+    m.restore(&snap);
+    let mut b = m;
+    a.cpu.regs[5] = id_a;
+    b.cpu.regs[5] = id_b;
+    let ra = a.run(1_000_000);
+    let rb = b.run(1_000_000);
+    for (fork, r, id) in [(&a, ra, id_a), (&b, rb, id_b)] {
+        assert_eq!(r.reason, StopReason::Bkpt(0));
+        assert_eq!(fork.cpu.regs[3], id, "received a frame it never sent");
+        assert_eq!(fork.cpu.regs[7], 0, "nothing else in the FIFO");
+        let can = fork.bus.device::<CanController>().unwrap();
+        assert_eq!((can.tx_count(), can.rx_count()), (2, 2));
+    }
+    assert_eq!(a.cycles(), b.cycles());
+}
+
+#[test]
 fn host_injected_remote_frame_interrupts_the_guest() {
     // The host enqueues a frame from a remote node before the run; the
     // guest sleeps in a spin loop until the RX IRQ fires.

@@ -48,7 +48,7 @@ fn block_engine_keeps_quantum_size_independence() {
             quantum,
             ..SystemConfig::default()
         });
-        let wire: SharedCanBus = sys.shared_can_bus(4);
+        let wire: SharedCanBus = sys.add_wire("can0", 4);
         let mut pconf = MachineConfig::m3_like();
         pconf.predecode = blocks;
         pconf.devices = vec![
@@ -176,8 +176,8 @@ fn block_engine_keeps_quantum_size_independence() {
             );
         }
         assert_eq!(
-            sys.wire().unwrap().delivery_log(),
-            baseline.wire().unwrap().delivery_log(),
+            sys.wire_named("can0").unwrap().delivery_log(),
+            baseline.wire_named("can0").unwrap().delivery_log(),
             "{what}: delivery log"
         );
         if blocks {
