@@ -20,8 +20,6 @@
 //! request-fixed bit times: every fault source is keyed to wire time,
 //! never to host call order or scheduler quantum size.
 
-use std::collections::BinaryHeap;
-
 use crate::error::{
     BabbleArm, ErrorState, FaultPlan, StateChange, BUS_OFF_RECOVERY_BITS,
     ERROR_FRAME_BITS_ACTIVE, ERROR_FRAME_BITS_PASSIVE,
@@ -29,9 +27,11 @@ use crate::error::{
 use crate::frame::{CanFrame, CanId, MIN_WIRE_BITS, TRAILER_BITS};
 
 /// A message queued for transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     frame: CanFrame,
+    /// `frame.wire_bits()`, computed once at enqueue.
+    bits: u32,
     node: usize,
     enqueued_at: u64,
     seq: u64,
@@ -42,31 +42,23 @@ struct Pending {
     corrupt: bool,
 }
 
-impl Ord for Pending {
-    fn cmp(&self, other: &Pending) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; we want the arbitration winner on top.
-        // Same-id ties break on (enqueue time, node, seq) rather than the
-        // global enqueue sequence alone, so arbitration is independent of
-        // the order in which a multi-node scheduler happens to service
-        // the controllers that enqueued within the same quantum.
-        if self.frame.id == other.frame.id {
-            return other
-                .enqueued_at
-                .cmp(&self.enqueued_at)
-                .then_with(|| other.node.cmp(&self.node))
-                .then_with(|| other.seq.cmp(&self.seq));
-        }
-        if self.frame.id.wins_over(other.frame.id) {
-            std::cmp::Ordering::Greater
-        } else {
-            std::cmp::Ordering::Less
-        }
+impl Pending {
+    fn new(frame: CanFrame, node: usize, enqueued_at: u64, seq: u64, corrupt: bool) -> Pending {
+        Pending { frame, bits: frame.wire_bits(), node, enqueued_at, seq, attempt: 0, corrupt }
     }
-}
 
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Pending) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Whether `self` wins arbitration against `other`. Same-id ties
+    /// break on (enqueue time, node, seq) rather than the global enqueue
+    /// sequence alone, so arbitration is independent of the order in
+    /// which a multi-node scheduler happens to service the controllers
+    /// that enqueued within the same quantum. The order is total, so the
+    /// winner does not depend on queue order either.
+    fn beats(&self, other: &Pending) -> bool {
+        if self.frame.id == other.frame.id {
+            (self.enqueued_at, self.node, self.seq) < (other.enqueued_at, other.node, other.seq)
+        } else {
+            self.frame.id.wins_over(other.frame.id)
+        }
     }
 }
 
@@ -153,7 +145,9 @@ impl ArmState {
 /// ([`crate::response_bound_with_errors`]).
 #[derive(Debug, Clone, Default)]
 pub struct CanBus {
-    queue: BinaryHeap<Pending>,
+    /// Frames awaiting transmission, unordered: arbitration scans for
+    /// the winner.
+    queue: Vec<Pending>,
     seq: u64,
     now: u64,
     busy_until: u64,
@@ -215,21 +209,15 @@ impl CanBus {
     /// observed errors even before it ever transmits. Transmitting
     /// auto-registers; attached MMIO controllers register explicitly.
     pub fn register_node(&mut self, node: usize) {
-        if let Err(pos) = self.stations.binary_search_by_key(&node, |s| s.node) {
-            self.stations.insert(
-                pos,
-                Station { node, tec: 0, rec: 0, state: ErrorState::Active },
-            );
-        }
+        self.station_index(node);
     }
 
-    fn station_mut(&mut self, node: usize) -> &mut Station {
-        self.register_node(node);
-        let pos = self
-            .stations
-            .binary_search_by_key(&node, |s| s.node)
-            .expect("just registered");
-        &mut self.stations[pos]
+    /// The index of `node`'s station, registering it first if needed.
+    fn station_index(&mut self, node: usize) -> usize {
+        self.stations.binary_search_by_key(&node, |s| s.node).unwrap_or_else(|pos| {
+            self.stations.insert(pos, Station { node, tec: 0, rec: 0, state: ErrorState::Active });
+            pos
+        })
     }
 
     /// The station's error state at wire bit time `t`, derived from the
@@ -341,6 +329,15 @@ impl CanBus {
         }
     }
 
+    /// The earliest enqueue stamp among the frames still queued (bit
+    /// times), or `None` with an empty queue. No transmission not yet
+    /// logged can start before `max(busy_until, this)` unless a new frame
+    /// is enqueued or a babble arm fires ([`CanBus::next_fault_event`]).
+    #[must_use]
+    pub fn earliest_enqueue(&self) -> Option<u64> {
+        self.queue.iter().map(|p| p.enqueued_at).min()
+    }
+
     /// Queues `frame` from `node` at time `at` (bit times). A bus-off
     /// node's submissions are rejected (and counted) until its recovery
     /// completes.
@@ -351,33 +348,21 @@ impl CanBus {
             return;
         }
         self.seq += 1;
-        self.queue.push(Pending {
-            frame,
-            node,
-            enqueued_at: at,
-            seq: self.seq,
-            attempt: 0,
-            corrupt: false,
-        });
+        self.queue.push(Pending::new(frame, node, at, self.seq, false));
     }
 
-    /// Applies every pending recovery completing at or before `t`,
-    /// logging the bus-off → error-active transition at its exact
-    /// completion stamp and clearing the station's counters.
+    /// Applies every pending recovery completing at or before `t`, in
+    /// `(stamp, node)` order, logging the bus-off → error-active
+    /// transition at its exact completion stamp and clearing the
+    /// station's counters.
     fn apply_recoveries_up_to(&mut self, t: u64) {
-        let mut due: Vec<(usize, u64)> = self
-            .pending_recovery
-            .iter()
-            .copied()
-            .filter(|&(_, at)| at <= t)
-            .collect();
-        if due.is_empty() {
-            return;
-        }
-        due.sort_unstable_by_key(|&(node, at)| (at, node));
-        self.pending_recovery.retain(|&(_, at)| at > t);
-        for (node, at) in due {
-            let s = self.station_mut(node);
+        while let Some(k) = (0..self.pending_recovery.len())
+            .filter(|&k| self.pending_recovery[k].1 <= t)
+            .min_by_key(|&k| (self.pending_recovery[k].1, self.pending_recovery[k].0))
+        {
+            let (node, at) = self.pending_recovery.swap_remove(k);
+            let i = self.station_index(node);
+            let s = &mut self.stations[i];
             s.tec = 0;
             s.rec = 0;
             s.state = ErrorState::Active;
@@ -398,16 +383,14 @@ impl CanBus {
                 if !a.live() || a.next_at > t {
                     break;
                 }
-                let frame = a.arm.frame(a.sent);
                 self.seq += 1;
-                self.queue.push(Pending {
-                    frame,
-                    node: a.arm.node,
-                    enqueued_at: a.next_at,
-                    seq: self.seq,
-                    attempt: 0,
-                    corrupt: a.arm.corrupt,
-                });
+                self.queue.push(Pending::new(
+                    a.arm.frame(a.sent),
+                    a.arm.node,
+                    a.next_at,
+                    self.seq,
+                    a.arm.corrupt,
+                ));
                 let st = &mut self.arms[i];
                 st.sent += 1;
                 st.next_at += st.arm.period.max(1);
@@ -420,11 +403,11 @@ impl CanBus {
         self.arms.iter().filter(|a| a.live()).map(|a| a.next_at).min()
     }
 
-    /// Logs a state transition for `station` if its counters imply one.
-    fn sync_state(&mut self, node: usize, at: u64) {
-        let s = self.station_mut(node);
+    /// Logs a state transition for station `i` if its counters imply one.
+    fn sync_state(&mut self, i: usize, at: u64) {
+        let s = &mut self.stations[i];
         let to = ErrorState::from_counters(s.tec, s.rec);
-        let from = s.state;
+        let (from, node) = (s.state, s.node);
         if to == from {
             return;
         }
@@ -434,10 +417,8 @@ impl CanBus {
             // The station leaves the wire: purge its queued frames and
             // silence its babble arms for good.
             let before = self.queue.len();
-            let kept: Vec<Pending> =
-                self.queue.drain().filter(|p| p.node != node).collect();
-            self.purged_tx += (before - kept.len()) as u64;
-            self.queue.extend(kept);
+            self.queue.retain(|p| p.node != node);
+            self.purged_tx += (before - self.queue.len()) as u64;
             for a in &mut self.arms {
                 if a.arm.node == node {
                     a.suspended = true;
@@ -452,8 +433,7 @@ impl CanBus {
         while self.now < horizon {
             // Find the earliest moment any queued frame — or a babble
             // arm not yet pumped — is available.
-            let next_q = self.queue.iter().map(|p| p.enqueued_at).min();
-            let next = match (next_q, self.next_arm_at()) {
+            let next = match (self.earliest_enqueue(), self.next_arm_at()) {
                 (Some(q), Some(a)) => q.min(a),
                 (q, a) => match q.or(a) {
                     Some(n) => n,
@@ -467,28 +447,18 @@ impl CanBus {
             self.apply_recoveries_up_to(start);
             self.pump_arms(start);
             // Arbitration among frames available at `start`.
-            let mut available: Vec<Pending> = Vec::new();
-            let mut rest: Vec<Pending> = Vec::new();
-            for p in self.queue.drain() {
-                if p.enqueued_at <= start {
-                    available.push(p);
-                } else {
-                    rest.push(p);
+            let mut won: Option<usize> = None;
+            for (i, p) in self.queue.iter().enumerate() {
+                if p.enqueued_at <= start && won.is_none_or(|w| p.beats(&self.queue[w])) {
+                    won = Some(i);
                 }
             }
-            let Some(winner) = available.iter().copied().max_by(|a, b| a.cmp(b)) else {
+            let Some(winner) = won.map(|i| self.queue.swap_remove(i)) else {
                 // An arm was due but its frames were rejected/purged and
                 // nothing else is available: retry from the next event.
-                self.queue.extend(rest);
                 self.now = self.now.max(start + 1);
                 continue;
             };
-            for p in available {
-                if p != winner {
-                    rest.push(p);
-                }
-            }
-            self.queue.extend(rest);
             // Scheduled injections strictly before this transmission
             // found no frame in flight: they expire.
             while self.inj_next < self.injections.len()
@@ -499,7 +469,7 @@ impl CanBus {
             }
             // The stuffed SOF..CRC portion is corruptible; instants
             // under it are all consumed by this one error frame.
-            let data_bits = u64::from(winner.frame.wire_bits() - TRAILER_BITS);
+            let data_bits = u64::from(winner.bits - TRAILER_BITS);
             let mut hit = winner.corrupt;
             while self.inj_next < self.injections.len()
                 && self.injections[self.inj_next] < start + data_bits
@@ -532,17 +502,12 @@ impl CanBus {
                 });
                 // Fault confinement: transmitter +8, every other
                 // registered station +1, transitions stamped at `done`.
-                self.station_mut(winner.node).tec += 8;
-                self.sync_state(winner.node, done);
-                let others: Vec<usize> = self
-                    .stations
-                    .iter()
-                    .map(|s| s.node)
-                    .filter(|&n| n != winner.node)
-                    .collect();
-                for n in others {
-                    self.station_mut(n).rec += 1;
-                    self.sync_state(n, done);
+                let tx = self.station_index(winner.node);
+                self.stations[tx].tec += 8;
+                self.sync_state(tx, done);
+                for i in (0..self.stations.len()).filter(|&i| i != tx) {
+                    self.stations[i].rec += 1;
+                    self.sync_state(i, done);
                 }
                 // Automatic retransmission, unless the error tipped the
                 // transmitter into bus-off (sync_state purged it).
@@ -552,7 +517,7 @@ impl CanBus {
                 self.now = done;
                 self.busy_until = done;
             } else {
-                let bits = u64::from(winner.frame.wire_bits());
+                let bits = u64::from(winner.bits);
                 let done = start + bits;
                 self.busy_bits += bits;
                 self.deliveries.push(Delivery {
@@ -566,15 +531,14 @@ impl CanBus {
                 // Success: transmitter TEC −1, every other registered
                 // station REC −1 (both floor at 0); a station whose
                 // counters drop back under 128 rejoins error-active.
-                let nodes: Vec<usize> = self.stations.iter().map(|s| s.node).collect();
-                for n in nodes {
-                    let s = self.station_mut(n);
-                    if n == winner.node {
+                for i in 0..self.stations.len() {
+                    let s = &mut self.stations[i];
+                    if s.node == winner.node {
                         s.tec = s.tec.saturating_sub(1);
                     } else {
                         s.rec = s.rec.saturating_sub(1);
                     }
-                    self.sync_state(n, done);
+                    self.sync_state(i, done);
                 }
                 self.now = done;
                 self.busy_until = done;
@@ -621,7 +585,7 @@ impl CanBus {
     /// just host-injected frames. (Babble arms due before the drain
     /// point are pumped too; arms scheduled further out stay scheduled.)
     pub fn settle(&mut self) {
-        while let Some(next) = self.queue.iter().map(|p| p.enqueued_at).min() {
+        while let Some(next) = self.earliest_enqueue() {
             // One frame transmits per horizon that clears its start time.
             let start = self.now.max(next).max(self.busy_until);
             self.run(start + 1);

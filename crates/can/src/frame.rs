@@ -67,38 +67,28 @@ impl CanFrame {
     }
 
     /// The stuffable header+data+CRC bit string of this frame
-    /// (SOF..CRC), as bits.
-    fn stuffable_bits(&self) -> Vec<bool> {
-        let mut bits = Vec::with_capacity(128);
-        let push_val = |bits: &mut Vec<bool>, v: u32, n: u32| {
-            for i in (0..n).rev() {
-                bits.push(v >> i & 1 != 0);
-            }
-        };
-        bits.push(false); // SOF (dominant)
+    /// (SOF..CRC), on the stack.
+    fn stuffable_bits(&self) -> StuffableBits {
+        let mut bits = StuffableBits { buf: [false; MAX_STUFFABLE_BITS], len: 0 };
+        bits.push(0, 1); // SOF (dominant)
         match self.id {
             CanId::Standard(id) => {
-                push_val(&mut bits, u32::from(id), 11);
-                bits.push(false); // RTR
-                bits.push(false); // IDE = standard
-                bits.push(false); // r0
+                bits.push(u32::from(id), 11);
+                bits.push(0, 3); // RTR, IDE = standard, r0
             }
             CanId::Extended(id) => {
-                push_val(&mut bits, id >> 18, 11);
-                bits.push(true); // SRR
-                bits.push(true); // IDE = extended
-                push_val(&mut bits, id & 0x3_FFFF, 18);
-                bits.push(false); // RTR
-                bits.push(false); // r1
-                bits.push(false); // r0
+                bits.push(id >> 18, 11);
+                bits.push(0b11, 2); // SRR, IDE = extended
+                bits.push(id & 0x3_FFFF, 18);
+                bits.push(0, 3); // RTR, r1, r0
             }
         }
-        push_val(&mut bits, u32::from(self.dlc), 4);
+        bits.push(u32::from(self.dlc), 4);
         for b in &self.data[..self.dlc as usize] {
-            push_val(&mut bits, u32::from(*b), 8);
+            bits.push(u32::from(*b), 8);
         }
-        let crc = crc15(&bits);
-        push_val(&mut bits, u32::from(crc), 15);
+        let crc = crc15(bits.as_slice());
+        bits.push(u32::from(crc), 15);
         bits
     }
 
@@ -108,8 +98,33 @@ impl CanFrame {
     #[must_use]
     pub fn wire_bits(&self) -> u32 {
         let bits = self.stuffable_bits();
-        let stuffed = bits.len() as u32 + count_stuff_bits(&bits);
+        let bits = bits.as_slice();
+        let stuffed = bits.len() as u32 + count_stuff_bits(bits);
         stuffed + TRAILER_BITS
+    }
+}
+
+/// The longest SOF..CRC bit string: an extended header (39 bits with
+/// the DLC), 8 data bytes and the 15-bit CRC.
+const MAX_STUFFABLE_BITS: usize = 39 + 64 + 15;
+
+/// A frame's stuffable bit string in a fixed stack buffer.
+struct StuffableBits {
+    buf: [bool; MAX_STUFFABLE_BITS],
+    len: usize,
+}
+
+impl StuffableBits {
+    /// Appends the low `n` bits of `v`, most significant first.
+    fn push(&mut self, v: u32, n: u32) {
+        for i in (0..n).rev() {
+            self.buf[self.len] = v >> i & 1 != 0;
+            self.len += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[bool] {
+        &self.buf[..self.len]
     }
 }
 

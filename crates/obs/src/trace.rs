@@ -197,9 +197,11 @@ pub enum EventKind {
         /// Boundary sequence number.
         index: u64,
     },
-    /// The scheduler skipped dead time to the next wakeup.
+    /// The scheduler ended a quantum past its conservative lookahead
+    /// pacing: at the earliest point a wire could complete a
+    /// transmission not yet logged.
     IdleStretch {
-        /// Cycle the system jumped to.
+        /// Cycle the quantum ends at.
         to: u64,
     },
     /// An RTOS kernel event re-emitted from the executed MMIO trace.

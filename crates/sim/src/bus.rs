@@ -35,8 +35,8 @@
 //!   cache's generation stamp; plain data devices leave it at zero.
 //! * **Wire clients** — devices on a [`crate::System`]'s scheduler-run
 //!   CAN wires (shared CAN controllers, DMA gateway engines) implement
-//!   [`Device::wire_attachments`], [`Device::note_wire_progress`],
-//!   [`Device::wire_armed`] and [`Device::rebind_wires`]; devices with
+//!   [`Device::wire_attachments`], [`Device::note_wire_progress`] and
+//!   [`Device::rebind_wires`]; devices with
 //!   their own tracer or counters implement [`Device::set_trace_mask`],
 //!   [`Device::tracer`] and [`Device::publish_metrics`]. Every one
 //!   defaults to a no-op, so the scheduler and the machine reach these
@@ -108,7 +108,7 @@ pub struct BusSignals {
     /// the drain cycle, matching the legacy `MMIO_IRQ_SET` semantics).
     pub irq_requests: Vec<u32>,
     /// `(irq, cycle)` events with a precise assertion cycle (timer
-    /// compare matches, CAN frame completions).
+    /// compare matches, CAN frame completions, DMA forwards).
     pub timed_irqs: Vec<(u32, u64)>,
 }
 
@@ -123,9 +123,10 @@ impl BusSignals {
         self.irq_requests.push(irq);
     }
 
-    /// Pends `irq` with assertion cycle `at` (used for latency
-    /// accounting; `at` must not be in the future of the machine's
-    /// cycle counter when the event is drained).
+    /// Pends `irq` with assertion cycle `at` (latency accounting
+    /// measures from it). A stamp still in the future of the machine's
+    /// cycle counter when the event is drained waits in the machine's
+    /// interrupt schedule and pends at `at`.
     pub fn raise_irq_at(&mut self, irq: u32, at: u64) {
         self.timed_irqs.push((irq, at));
     }
@@ -239,28 +240,21 @@ pub trait Device: fmt::Debug + DeviceClone + Send + Sync {
     /// The scheduler-advanced wires this device is a client of, as
     /// `(wire, node id)` attachments: one per CAN controller on a shared
     /// wire, one per side of a DMA gateway engine. [`crate::System`]
-    /// adopts these wires and checks per-wire node-id uniqueness at
-    /// `add_node`. The default is none.
+    /// adopts these wires, checks per-wire node-id uniqueness and
+    /// registers the device as a client of each wire at `add_node`. The
+    /// default is none.
     fn wire_attachments(&self) -> Vec<(SharedCanBus, usize)> {
         Vec::new()
     }
 
-    /// Called by [`crate::System`] after it advanced every wire to a
-    /// quantum boundary: a wire client re-arms its tick at the arrival
-    /// cycle of the first wire event it has not examined yet and returns
-    /// `true`, telling the caller to follow up with
-    /// [`Bus::refresh_next_event`]. The default does nothing (`false`).
-    fn note_wire_progress(&mut self) -> bool {
-        false
-    }
-
-    /// Whether the device holds wire state that could put traffic on a
-    /// wire soon (frames queued, deliveries or error-state changes not
-    /// yet examined, forwards waiting): the scheduler's idle-stretch
-    /// veto. The default is `false`.
-    fn wire_armed(&self) -> bool {
-        false
-    }
+    /// Called by [`crate::System`] when a wire this device is a client
+    /// of logged something new (a delivery or an error-state change) at
+    /// a quantum boundary, and once when the device's node joins a wire
+    /// that already has a log: the device re-arms its tick at the
+    /// arrival cycle of the first wire event it has not examined yet.
+    /// The caller follows up with [`Bus::refresh_next_event`]. The
+    /// default does nothing.
+    fn note_wire_progress(&mut self) {}
 
     /// Rebinds the device's wire attachments onto forked copies: `from`
     /// and `to` are parallel wire sets (the original system's and the

@@ -296,14 +296,30 @@ impl SharedCanBus {
 
     /// Runs arbitration/transmission up to core cycle `cycle`.
     pub fn run_to_cycle(&self, cycle: u64) {
-        self.inner.lock().unwrap().run(cycle / self.cycles_per_bit);
+        self.advance(cycle);
     }
 
-    /// The core cycle at which the frame currently on the wire
-    /// completes (a scheduler may extend its quantum to this point).
-    #[must_use]
-    pub fn busy_until_cycle(&self) -> u64 {
-        self.inner.lock().unwrap().busy_until().saturating_mul(self.cycles_per_bit)
+    /// [`SharedCanBus::run_to_cycle`], returning the wire's
+    /// [`WireView`] read under the same lock.
+    pub(crate) fn advance(&self, cycle: u64) -> WireView {
+        let mut bus = self.inner.lock().unwrap();
+        bus.run(cycle / self.cycles_per_bit);
+        self.view_of(&bus)
+    }
+
+    /// The wire's current [`WireView`].
+    pub(crate) fn view(&self) -> WireView {
+        self.view_of(&self.inner.lock().unwrap())
+    }
+
+    fn view_of(&self, bus: &CanBus) -> WireView {
+        let cycles = |bits: u64| bits.saturating_mul(self.cycles_per_bit);
+        WireView {
+            busy_until: cycles(bus.busy_until()),
+            earliest_enqueue: bus.earliest_enqueue().map(cycles),
+            next_fault: bus.next_fault_event().map(cycles),
+            log_len: bus.deliveries().len() + bus.state_log().len(),
+        }
     }
 
     /// Frames queued but not yet transmitted.
@@ -451,23 +467,32 @@ impl SharedCanBus {
         self.inner.lock().unwrap().purged_tx()
     }
 
-    /// The next core cycle at which the wire's fault plan generates
-    /// activity by itself — a babble enqueue or a bus-off recovery
-    /// completion — or `None` when the plan is quiet. The scheduler's
-    /// idle-stretch must not skip past this cycle, and a system with a
-    /// pending fault event is not quiescent.
-    #[must_use]
-    pub fn next_fault_cycle(&self) -> Option<u64> {
-        self.inner
-            .lock()
-            .unwrap()
-            .next_fault_event()
-            .map(|at| at.saturating_mul(self.cycles_per_bit))
-    }
-
     pub(crate) fn enqueue(&self, at_bits: u64, node: usize, frame: CanFrame) {
         self.inner.lock().unwrap().enqueue(at_bits, node, frame);
     }
+}
+
+/// What [`crate::System`] needs to know about a wire between quanta,
+/// taken in one lock right after the wire ran to a boundary: the
+/// boundary computation, the quiescence check and the re-arm decision
+/// then read this copy and lock nothing. All stamps are core cycles.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WireView {
+    /// Completion of the frame on the wire (or of the last one): no new
+    /// arbitration starts earlier.
+    pub(crate) busy_until: u64,
+    /// The earliest enqueue stamp among the frames queued but not yet
+    /// transmitted; `None` when nothing is queued.
+    pub(crate) earliest_enqueue: Option<u64>,
+    /// The next cycle the wire's fault plan acts by itself — a babble
+    /// enqueue or a bus-off recovery completion
+    /// ([`alia_can::CanBus::next_fault_event`]). No quantum boundary
+    /// may skip past it, and a system with one pending is not
+    /// quiescent.
+    pub(crate) next_fault: Option<u64>,
+    /// Delivery-log plus state-log length: when it grows, the wire's
+    /// clients have something new to examine.
+    pub(crate) log_len: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -895,9 +920,9 @@ impl Device for CanController {
     /// reception and error IRQs stay cycle-accurate without the
     /// controller ever running a shared wire. A private wire is the
     /// controller's own business: nothing to do.
-    fn note_wire_progress(&mut self) -> bool {
+    fn note_wire_progress(&mut self) {
         if self.private_wire {
-            return false;
+            return;
         }
         let cpb = self.config.cycles_per_bit.max(1);
         if let Some(d) = self.wire.delivery(self.deliveries_seen) {
@@ -911,16 +936,6 @@ impl Device for CanController {
             }
             i += 1;
         }
-        true
-    }
-
-    /// Frames queued awaiting arbitration, or deliveries or error-state
-    /// changes not examined yet: while any controller is armed, quanta
-    /// stay at the conservative wire lookahead.
-    fn wire_armed(&self) -> bool {
-        self.wire.pending() > 0
-            || self.wire.deliveries_len() > self.deliveries_seen
-            || self.wire.state_log_len() > self.state_seen
     }
 
     fn rebind_wires(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {

@@ -471,22 +471,13 @@ impl Device for Dma {
 
     /// Re-arms the tick at the arrival cycle of the first delivery not
     /// yet examined on either side.
-    fn note_wire_progress(&mut self) -> bool {
+    fn note_wire_progress(&mut self) {
         for (side, wire) in self.wires.iter().enumerate() {
             if let Some(d) = wire.delivery(self.seen[side]) {
                 let arrival = d.completed_at.saturating_mul(wire.cycles_per_bit().max(1));
                 self.poll_at = self.poll_at.min(arrival);
             }
         }
-        true
-    }
-
-    /// Unexamined deliveries on either wire, or forwards still queued.
-    fn wire_armed(&self) -> bool {
-        self.wires[0].deliveries_len() > self.seen[0]
-            || self.wires[1].deliveries_len() > self.seen[1]
-            || !self.fwd_queue[0].is_empty()
-            || !self.fwd_queue[1].is_empty()
     }
 
     fn rebind_wires(&mut self, from: &[SharedCanBus], to: &[SharedCanBus]) {
@@ -600,7 +591,7 @@ mod tests {
         let own = dma.next_event().expect("own forward to consume");
         dma.tick(&mut ctx(own, &mut s));
         assert_eq!(dma.forwarded(), 1, "no echo of its own forward");
-        assert!(!dma.wire_armed(), "everything examined");
+        assert_eq!(dma.next_event(), None, "everything examined");
     }
 
     #[test]
@@ -651,7 +642,7 @@ mod tests {
         assert_eq!(dma.forwarded(), 0);
         assert_eq!(dma.dropped(), 0, "disabled: not even counted as dropped");
         assert_eq!(wb.pending(), 0);
-        assert!(!dma.wire_armed(), "deliveries are still consumed while disabled");
+        assert_eq!(dma.next_event(), None, "deliveries are still consumed while disabled");
     }
 
     #[test]
@@ -705,7 +696,7 @@ mod tests {
         assert_eq!(dma.read32(0x10, &mut ctx(2_000, &mut s)), 1, "NO_ROUTE");
         assert_eq!(dma.read32(0x14, &mut ctx(2_000, &mut s)), 1, "QUEUE_OVERFLOW");
         assert_eq!(dma.read32(0x0C, &mut ctx(2_000, &mut s)), 2, "legacy DROPPED = sum");
-        assert!(dma.wire_armed(), "a queued forward keeps the engine armed");
+        assert_eq!(wb.pending(), 1, "one forward in flight on B while the next waits queued");
         // The in-flight forward completes on B; the queued one follows.
         wb.run_to_cycle(4_000);
         dma.note_wire_progress();

@@ -684,12 +684,20 @@ impl Machine {
             }
         }
         self.bus.signals.irq_requests.clear();
-        // ...while timed events carry their own assertion cycle.
+        // ...while timed events carry their own assertion cycle. One
+        // stamped after `now` (a DMA IRQ-on-forward fires at the
+        // forward's `arrival + latency` enqueue) waits in the schedule:
+        // pending it now would let the core take it early.
         let mut i = 0;
         while i < self.bus.signals.timed_irqs.len() {
             let (irq, at) = self.bus.signals.timed_irqs[i];
             i += 1;
-            if (irq as usize) < self.config.irq_lines {
+            if (irq as usize) >= self.config.irq_lines {
+                continue;
+            }
+            if at > now {
+                self.schedule_irq(at, irq);
+            } else {
                 self.pend_irq(irq, at);
             }
         }
@@ -1228,7 +1236,7 @@ impl Machine {
     /// scheduled interrupt or device event (`u64::MAX` when none). For
     /// a parked machine ([`Machine::wfi_parked`]) this is the earliest
     /// cycle it could wake by itself — a multi-node scheduler uses it
-    /// to stretch quanta across all-asleep stretches.
+    /// as the earliest cycle the node could put a frame on a wire.
     #[must_use]
     pub fn next_local_event(&self) -> u64 {
         let sched = self.irq_schedule.last().map_or(u64::MAX, |&(c, _)| c);
@@ -1250,7 +1258,7 @@ impl Machine {
     /// quiescence: the park point was a scheduler boundary (a schedule
     /// artifact), while the sleep-entry cycle is determined purely by
     /// the guest's execution — so normalized WfiIdle clocks are
-    /// bit-identical across quantum sizes, orderings and idle-stretch.
+    /// bit-identical across quantum sizes, orderings and boundary policies.
     /// Must only be used on a terminal park (the node is being halted
     /// and will never resume).
     pub(crate) fn normalize_parked_clock(&mut self) {

@@ -14,16 +14,24 @@
 //!    of overshooting it);
 //! 2. every wire arbitrates and transmits everything enqueued up
 //!    to the boundary ([`SharedCanBus::run_to_cycle`]);
-//! 3. each wire client — CAN controller or DMA gateway — is re-armed at
-//!    the arrival cycle of its next delivery
-//!    ([`crate::Device::note_wire_progress`]), so reception — FIFO push,
-//!    RX interrupt, gateway forward — happens at the exact completion
-//!    cycle inside a later quantum, through the ordinary device-tick
-//!    machinery.
+//! 3. the clients — CAN controllers and DMA gateways — of every wire
+//!    that logged something new are re-armed at the arrival cycle of
+//!    their next delivery ([`crate::Device::note_wire_progress`]), so
+//!    reception — FIFO push, RX interrupt, gateway forward — happens at
+//!    the exact completion cycle inside a later quantum, through the
+//!    ordinary device-tick machinery. A per-wire client registry, built
+//!    at [`System::add_node`], names them; clients of wires that did not
+//!    move are left alone (they are already armed for everything they
+//!    have not examined).
+//!
+//! Step 2 also copies what the scheduler needs of each wire —
+//! `busy_until`, earliest queued enqueue (none when the queue is
+//! empty), next fault event, log length — under the one lock it takes,
+//! so computing the next boundary and checking quiescence lock nothing.
 //!
 //! The scheduler reaches its wire clients only through the
-//! [`crate::Device`] trait (attachments, re-arm, idle veto, fork
-//! rebinding, traces, metrics): it never names a device type.
+//! [`crate::Device`] trait (attachments, re-arm, fork rebinding,
+//! traces, metrics): it never names a device type.
 //!
 //! # Why this is deterministic
 //!
@@ -46,6 +54,29 @@
 //! `max(boundary, busy_until)`): an idle wire can start a new
 //! arbitration at any moment, so no wire's stretch may leap over
 //! another wire's decision point.
+//!
+//! That conservative pacing is the reference schedule
+//! ([`SystemConfig::idle_stretch`] `= false`). By default quanta are
+//! **event-driven**: each ends at the earliest point any wire could
+//! complete a transmission not yet logged. For each wire, take the
+//! earliest cycle such a transmission could *start*:
+//! `max(busy_until, min(earliest queued enqueue, next fault event,
+//! earliest cycle a live client node can act))`, where an awake client
+//! can act now and a WFI-parked one not before its
+//! [`Machine::next_local_event`] — parked, it executes nothing, and its
+//! devices tick only at their own events. Only a client can put a frame
+//! on a wire. Add the wire's lookahead; the boundary is the minimum over
+//! wires. A boundary there cannot slice a delivery: every transmission
+//! the wire starts in this quantum starts at or after that earliest
+//! start, so it completes at or after the boundary — after every node
+//! has run up to it. Every delivery *inside* the quantum was therefore
+//! logged at an earlier boundary, its clients were re-armed for it
+//! then, and any node it can wake (a parked client's `next_local_event`
+//! includes the re-armed tick) was counted in the earliest start. Nodes
+//! that are no wire's client never enter: they cannot affect a wire.
+//! The event bound only ever lengthens a quantum (it is applied when it
+//! lies past the conservative boundary), and is still clamped to fault
+//! events and the horizon.
 //!
 //! Gateway forwarding composes with the same argument: a delivery
 //! materialized at a boundary always completes at or after that
@@ -74,14 +105,15 @@
 //!
 //! Because an idle wire with a live arm or pending recovery can
 //! generate traffic (and guest-visible IRQs) without any node acting,
-//! the idle-stretch may not leap past a wire's
-//! [`SharedCanBus::next_fault_cycle`], and a system with one pending is
-//! not quiescent. With that veto in place, delivery logs, error-state
-//! logs, retransmission stamps and guest checksums are bit-identical
-//! across quantum sizes, node orderings and idle-stretch — the fault
+//! a wire's next fault event ([`alia_can::CanBus::next_fault_event`])
+//! counts as a possible transmission start in the event bound, no
+//! boundary may leap past it, and a system with one pending is not
+//! quiescent. With that veto in place, delivery logs, error-state logs,
+//! retransmission stamps and guest checksums are bit-identical across
+//! quantum sizes, node orderings and both boundary policies — the fault
 //! determinism sweep in `tests/integration_faults.rs` proves it.
 
-use crate::devices::SharedCanBus;
+use crate::devices::{SharedCanBus, WireView};
 use crate::machine::{Machine, StopReason};
 
 /// A machine participating in a [`System`]: the machine, its name, and
@@ -134,7 +166,7 @@ impl Node {
     /// sleep — the scheduler normalizes the parked clock when it
     /// declares quiescence, so *every* node's clock (parked-idle ones
     /// included) is bit-identical across quantum sizes, node orderings
-    /// and idle-stretch.
+    /// and boundary policies.
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.machine.cycles()
@@ -162,17 +194,18 @@ pub struct SystemConfig {
     /// lookahead ([`SharedCanBus::min_quantum_cycles`]) — larger values
     /// could deliver frames late. `None` uses the lookahead itself
     /// (or one whole-horizon quantum when no shared wire is attached).
+    /// Under event-driven quanta it caps each wire's margin past the
+    /// earliest possible transmission start instead.
     pub quantum: Option<u64>,
     /// Rotate the node service order every quantum instead of always
     /// starting at node 0. Results must not change either way.
     pub rotate_order: bool,
-    /// Stretch quanta past the wire lookahead while the wire is idle,
-    /// no controller holds armed TX state and every live node is parked
-    /// in a WFI sleep — the system skips straight to the earliest local
-    /// wakeup in one quantum instead of pacing the gap at lookahead
-    /// granularity. Results must not change either way (no node can
-    /// execute — let alone transmit — inside the stretch). `false`
-    /// keeps conservative quanta for determinism comparisons.
+    /// Event-driven quanta (the default): each quantum ends at the
+    /// earliest point any wire could complete a transmission not yet
+    /// logged — past busy wires, sleeping nodes and idle stretches
+    /// alike (see the module docs). `false` keeps conservative pacing
+    /// at the lookahead, the reference schedule for determinism
+    /// comparisons. Results must not change either way.
     pub idle_stretch: bool,
 }
 
@@ -212,11 +245,24 @@ const _: () = {
     assert_send::<Node>();
 };
 
-/// The `(wire, node id)` attachments carried by `machine`'s devices
-/// ([`crate::Device::wire_attachments`]). The scheduler uses these to
-/// adopt wires and enforce per-wire node-id uniqueness.
-fn wire_clients(machine: &Machine) -> impl Iterator<Item = (SharedCanBus, usize)> + '_ {
-    machine.bus.devices().iter().flat_map(|d| d.dev.wire_attachments())
+/// A wire client: device `device` (bus attachment index) of node `node`,
+/// station `id` on the wire.
+#[derive(Debug, Clone, Copy)]
+struct Client {
+    node: usize,
+    device: usize,
+    id: usize,
+}
+
+/// The scheduler's bookkeeping for one wire (parallel to
+/// [`System::wires`]).
+#[derive(Debug, Clone)]
+struct WireState {
+    /// Every device attached to the wire, registered at `add_node`
+    /// ([`crate::Device::wire_attachments`]).
+    clients: Vec<Client>,
+    /// The wire as it stood after it last ran.
+    view: WireView,
 }
 
 /// N nodes plus shared interconnects, advanced by a deterministic
@@ -226,6 +272,7 @@ fn wire_clients(machine: &Machine) -> impl Iterator<Item = (SharedCanBus, usize)
 pub struct System {
     nodes: Vec<Node>,
     wires: Vec<SharedCanBus>,
+    wire_state: Vec<WireState>,
     config: SystemConfig,
     now: u64,
     quanta: u64,
@@ -267,8 +314,13 @@ impl System {
             "duplicate wire name {name:?}"
         );
         let wire = SharedCanBus::named(name, cycles_per_bit);
-        self.wires.push(wire.clone());
+        self.push_wire(wire.clone());
         wire
+    }
+
+    fn push_wire(&mut self, wire: SharedCanBus) {
+        self.wire_state.push(WireState { clients: Vec::new(), view: wire.view() });
+        self.wires.push(wire);
     }
 
     /// Adds a node and returns its index. Nodes join at the system's
@@ -279,7 +331,9 @@ impl System {
     /// system's wire set if not already registered (wires created
     /// standalone via [`SharedCanBus::named`] work exactly like ones
     /// from [`System::add_wire`]): a wire the scheduler does not
-    /// service would never deliver a frame.
+    /// service would never deliver a frame. Each attached device joins
+    /// its wire's client registry; when a wire already has a log, the
+    /// node's wire clients are re-armed once so they examine it.
     ///
     /// # Panics
     ///
@@ -293,38 +347,43 @@ impl System {
             machine.cycles() <= self.now,
             "a node must not join ahead of system time"
         );
-        let mut taken: Vec<(usize, usize)> = Vec::new();
-        for n in &self.nodes {
-            for (w, id) in wire_clients(n.machine()) {
-                if let Some(wi) = self.wires.iter().position(|x| x.same_wire(&w)) {
-                    taken.push((wi, id));
-                }
+        let node = self.nodes.len();
+        let mut joins_a_log = false;
+        for (device, d) in machine.bus.devices().iter().enumerate() {
+            for (w, id) in d.dev.wire_attachments() {
+                let wi = match self.wires.iter().position(|x| x.same_wire(&w)) {
+                    Some(wi) => wi,
+                    None => {
+                        // Adoption must uphold the same invariant add_wire
+                        // asserts: reports key on wire names.
+                        assert!(
+                            self.wires.iter().all(|x| x.name() != w.name()),
+                            "adopted wire duplicates the name {:?} of a registered wire",
+                            w.name()
+                        );
+                        self.push_wire(w.clone());
+                        self.wires.len() - 1
+                    }
+                };
+                let state = &mut self.wire_state[wi];
+                assert!(
+                    state.clients.iter().all(|c| c.id != id),
+                    "duplicate CAN node id {id} on wire {:?}",
+                    w.name()
+                );
+                state.clients.push(Client { node, device, id });
+                joins_a_log |= state.view.log_len > 0;
             }
         }
-        for (w, id) in wire_clients(&machine) {
-            let wi = match self.wires.iter().position(|x| x.same_wire(&w)) {
-                Some(wi) => wi,
-                None => {
-                    // Adoption must uphold the same invariant add_wire
-                    // asserts: reports key on wire names.
-                    assert!(
-                        self.wires.iter().all(|x| x.name() != w.name()),
-                        "adopted wire duplicates the name {:?} of a registered wire",
-                        w.name()
-                    );
-                    self.wires.push(w.clone());
-                    self.wires.len() - 1
-                }
-            };
-            assert!(
-                !taken.contains(&(wi, id)),
-                "duplicate CAN node id {id} on wire {:?}",
-                w.name()
-            );
-            taken.push((wi, id));
-        }
         self.nodes.push(Node::new(name, machine));
-        self.nodes.len() - 1
+        if joins_a_log {
+            let bus = &mut self.nodes[node].machine.bus;
+            for d in bus.devices_mut() {
+                d.note_wire_progress();
+            }
+            bus.refresh_next_event();
+        }
+        node
     }
 
     /// The nodes.
@@ -386,7 +445,7 @@ impl System {
     /// Replaces the scheduler configuration. Any configuration yields
     /// bit-identical results (that is the scheduling contract), so a
     /// forked system may freely change quantum, ordering or
-    /// idle-stretch between runs.
+    /// boundary policy between runs.
     pub fn set_config(&mut self, config: SystemConfig) {
         self.config = config;
     }
@@ -508,6 +567,7 @@ impl System {
         System {
             nodes,
             wires,
+            wire_state: self.wire_state.clone(),
             config: self.config,
             now: self.now,
             quanta: self.quanta,
@@ -531,90 +591,98 @@ impl System {
         self.config.quantum.unwrap_or(lookahead).min(lookahead).max(1)
     }
 
-    /// The idle-stretch boundary, when the system is eligible: every
-    /// wire is idle, no wire client holds armed state
-    /// ([`crate::Device::wire_armed`]) and every live
-    /// node is parked in a WFI sleep — so nothing can execute (let
-    /// alone transmit or forward) before the earliest local wakeup, and
-    /// the quantum may stretch straight to it. A wire with a pending
-    /// fault event (a babble arm's next enqueue or a bus-off recovery
-    /// completion — [`SharedCanBus::next_fault_cycle`]) can generate
-    /// traffic and IRQs with every node asleep, so the stretch is
-    /// capped at the earliest such event. `None` when ineligible or no
-    /// finite wakeup exists (the quiescence check below handles the
-    /// latter).
-    fn idle_stretch_boundary(&self) -> Option<u64> {
-        for wire in &self.wires {
-            if wire.pending() > 0 || wire.busy_until_cycle() > self.now {
-                return None;
+    /// The event-driven quantum boundary: for each wire, the earliest
+    /// cycle a transmission not yet logged could start —
+    /// `max(busy_until, min(earliest queued enqueue, next fault event,
+    /// earliest cycle a live client node can act))`, where an awake
+    /// client can act now and a WFI-parked one not before its
+    /// [`Machine::next_local_event`] — plus the wire's lookahead (capped
+    /// by [`SystemConfig::quantum`]); the minimum over all wires. `None`
+    /// when no wire can ever carry another transmission without outside
+    /// input.
+    fn event_boundary(&self) -> Option<u64> {
+        let mut boundary = u64::MAX;
+        for (wire, state) in self.wires.iter().zip(&self.wire_state) {
+            let view = &state.view;
+            let mut start = view
+                .earliest_enqueue
+                .unwrap_or(u64::MAX)
+                .min(view.next_fault.unwrap_or(u64::MAX));
+            for c in &state.clients {
+                let node = &self.nodes[c.node];
+                if node.halted.is_none() {
+                    let m = node.machine();
+                    start = start.min(if m.wfi_parked() { m.next_local_event() } else { self.now });
+                }
+            }
+            if start != u64::MAX {
+                let lookahead = wire.min_quantum_cycles();
+                let margin = self.config.quantum.map_or(lookahead, |q| q.min(lookahead)).max(1);
+                boundary = boundary.min(start.max(view.busy_until).saturating_add(margin));
             }
         }
-        let mut wake = u64::MAX;
-        for wire in &self.wires {
-            if let Some(fault) = wire.next_fault_cycle() {
-                wake = wake.min(fault);
+        (boundary != u64::MAX).then_some(boundary)
+    }
+
+    /// Stores wire `wi`'s fresh view and, when its log grew, re-arms its
+    /// clients ([`crate::Device::note_wire_progress`]).
+    fn update_view(&mut self, wi: usize, view: WireView) {
+        let state = &mut self.wire_state[wi];
+        let moved = view.log_len != state.view.log_len;
+        state.view = view;
+        if moved {
+            for c in &state.clients {
+                let bus = &mut self.nodes[c.node].machine.bus;
+                if let Some(d) = bus.devices_mut().nth(c.device) {
+                    d.note_wire_progress();
+                }
+                bus.refresh_next_event();
             }
         }
-        for node in &self.nodes {
-            // A halted node's devices never tick again, so even armed
-            // state there can't put traffic on a wire (a frame it
-            // already enqueued shows up in the wire's own pending/busy
-            // check above) — only live nodes' devices veto the stretch.
-            if node.halted.is_some() {
-                continue;
-            }
-            let m = node.machine();
-            if !m.wfi_parked() {
-                return None;
-            }
-            wake = wake.min(m.next_local_event());
-            if m.bus.devices().iter().any(|d| d.dev.wire_armed()) {
-                return None;
-            }
-        }
-        (wake != u64::MAX).then_some(wake)
     }
 
     /// Advances the system to `horizon` (cycles) or until every node
     /// halts, delivering cross-node CAN frames cycle-accurately.
     pub fn run(&mut self, horizon: u64) -> SystemRunResult {
         let quantum = self.effective_quantum();
+        // Host calls since the last run (fault plans, injected frames,
+        // settles) may have moved a wire: start from fresh views.
+        for wi in 0..self.wires.len() {
+            let view = self.wires[wi].view();
+            self.update_view(wi, view);
+        }
         while self.now < horizon && self.nodes.iter().any(|n| n.halted.is_none()) {
-            // Quantum boundary: never beyond the lookahead past `now`,
-            // but stretched across busy wires — only to the *earliest*
-            // per-wire decision point (`min` over wires of
+            // Conservative boundary: never beyond the lookahead past
+            // `now`, but stretched across busy wires — only to the
+            // *earliest* per-wire decision point (`min` over wires of
             // `max(base, busy_until)`): a busy wire admits no new
             // arbitration before its `busy_until`, but an idle wire can
             // start one at any moment, so no single wire's stretch may
-            // leap over another's. Also stretched across an all-asleep
-            // system (the scheduler idle-stretch) and clamped to the
-            // horizon.
+            // leap over another's.
             let base = self.now.saturating_add(quantum);
             let mut boundary = self
-                .wires
+                .wire_state
                 .iter()
-                .map(|w| base.max(w.busy_until_cycle()))
+                .map(|w| base.max(w.view.busy_until))
                 .min()
                 .unwrap_or(base);
+            // Event-driven boundary: as far as the earliest point any
+            // wire could complete a transmission not yet logged.
             if self.config.idle_stretch {
-                if let Some(wake) = self.idle_stretch_boundary() {
-                    if wake > boundary {
-                        self.tracer
-                            .record(self.now, alia_obs::EventKind::IdleStretch { to: wake });
-                    }
-                    boundary = boundary.max(wake);
+                if let Some(event) = self.event_boundary().filter(|&e| e > boundary) {
+                    self.tracer.record(self.now, alia_obs::EventKind::IdleStretch { to: event });
+                    boundary = event;
                 }
             }
             let mut boundary = boundary.min(horizon);
             // Never leap over a wire's scheduled fault event (a babble
-            // arm's next enqueue or a bus-off recovery completion).
-            // Busy wires already pin boundaries to their completion
-            // stamps (above), but a fault event can fire on an *idle*
-            // wire — landing the boundary exactly on its stamp keeps
-            // the IRQs it raises (and so parked nodes' wake cycles)
-            // bit-identical across quantum sizes and the idle-stretch.
-            for wire in &self.wires {
-                if let Some(fault) = wire.next_fault_cycle() {
+            // arm's next enqueue or a bus-off recovery completion): a
+            // fault event can fire on an *idle* wire — landing the
+            // boundary exactly on its stamp keeps the IRQs it raises
+            // (and so parked nodes' wake cycles) bit-identical across
+            // quantum sizes and boundary policies.
+            for state in &self.wire_state {
+                if let Some(fault) = state.view.next_fault {
                     if fault > self.now && fault < boundary {
                         boundary = fault;
                     }
@@ -638,22 +706,11 @@ impl System {
                 self.nodes[(i + offset) % n].run_until(boundary);
             }
             // 2. Every wire arbitrates everything enqueued this quantum.
-            // 3. Wire clients (controllers, gateways) re-arm at their
-            //    next delivery's arrival.
-            if !self.wires.is_empty() {
-                for wire in &self.wires {
-                    wire.run_to_cycle(boundary);
-                }
-                for node in &mut self.nodes {
-                    let bus = &mut node.machine.bus;
-                    let mut touched = false;
-                    for d in bus.devices_mut() {
-                        touched |= d.note_wire_progress();
-                    }
-                    if touched {
-                        bus.refresh_next_event();
-                    }
-                }
+            // 3. The clients (controllers, gateways) of every wire that
+            //    logged something re-arm at their next delivery's arrival.
+            for wi in 0..self.wires.len() {
+                let view = self.wires[wi].advance(boundary);
+                self.update_view(wi, view);
             }
             // Quiescence: when every wire is quiet (nothing queued, in
             // flight, or scheduled by a fault plan) and every live node
@@ -664,10 +721,10 @@ impl System {
             // to the horizon. A live babble arm or pending bus-off
             // recovery vetoes: the wire will act (and may raise IRQs)
             // without any node doing anything.
-            let wire_quiet = self.wires.iter().all(|w| {
-                w.pending() == 0
-                    && w.busy_until_cycle() <= boundary
-                    && w.next_fault_cycle().is_none()
+            let wire_quiet = self.wire_state.iter().all(|w| {
+                w.view.earliest_enqueue.is_none()
+                    && w.view.busy_until <= boundary
+                    && w.view.next_fault.is_none()
             });
             if wire_quiet
                 && self
@@ -911,9 +968,9 @@ mod tests {
     #[test]
     fn babble_arm_wakes_a_parked_system_and_vetoes_quiescence() {
         // A wire with a live babble arm generates traffic (and RX
-        // IRQs) while every node sleeps: the idle-stretch must land on
-        // the arm's enqueues instead of leaping past them, quiescence
-        // must not fire, and results are identical stretch on or off.
+        // IRQs) while every node sleeps: event-driven quanta must land
+        // on the arm's enqueues instead of leaping past them, quiescence
+        // must not fire, and results equal conservative pacing's.
         let run = |idle_stretch: bool| {
             let mut sys = System::with_config(SystemConfig {
                 idle_stretch,
@@ -1183,7 +1240,7 @@ mod tests {
     /// A WFI-paced exchange: the producer sleeps between timer ticks
     /// and ships one frame per wakeup; the consumer sleeps until its RX
     /// interrupt has counted `frames`. Between events the whole system
-    /// is asleep, so the idle-stretch has real gaps to skip.
+    /// is asleep, so event-driven quanta have real gaps to skip.
     fn sleepy_exchange(config: SystemConfig, frames: u32) -> System {
         let mut sys = System::with_config(config);
         let wire = sys.add_wire("can0", 4);
@@ -1264,10 +1321,10 @@ mod tests {
 
     #[test]
     fn idle_stretch_matches_conservative_quanta() {
-        // ROADMAP's scheduler idle-stretch: while every live node
-        // sleeps, the wire is idle and no controller is armed, quanta
-        // stretch to the next local wakeup — with bit-identical per-node
-        // cycles, registers and delivery logs, in far fewer quanta.
+        // Event-driven quanta skip the gaps where every node sleeps and
+        // no wire can start a transmission — with bit-identical per-node
+        // cycles, registers and delivery logs, in far fewer quanta than
+        // conservative pacing.
         let frames = 6u32;
         let mut base = sleepy_exchange(
             SystemConfig { idle_stretch: false, ..SystemConfig::default() },
@@ -1474,5 +1531,92 @@ mod tests {
         let arrival = d.completed_at * 4;
         let lat = sys.node(1).machine().latencies()[0];
         assert_eq!(lat.pend_cycle, arrival, "woken at the exact arrival cycle");
+    }
+
+    #[test]
+    fn a_parked_clients_timer_bounds_the_quantum() {
+        // A slow wire holding a queued frame allows a quantum thousands
+        // of cycles long, but a sleeping node on a fast wire has a
+        // timer due long before that: it wakes, transmits, and its
+        // frame must reach the receiver at the exact completion cycle —
+        // every node and wire exactly as under conservative pacing.
+        let run = |idle_stretch: bool| {
+            let mut sys =
+                System::with_config(SystemConfig { idle_stretch, ..SystemConfig::default() });
+            let slow = sys.add_wire("slow", 40);
+            let fast = sys.add_wire("fast", 4);
+            let can = |node, wire: &SharedCanBus| {
+                DeviceSpec::SharedCan(
+                    CanConfig { base: CAN_BASE, irq: 1, node, ..CanConfig::default() },
+                    wire.clone(),
+                )
+            };
+            // Two 8-byte frames on the slow wire: one on the wire, one
+            // queued behind it.
+            let mut conf = MachineConfig::m3_like();
+            conf.devices = vec![can(0, &slow)];
+            let main = asm(
+                "movw r0, #0x2000
+                 movt r0, #0x4000
+                 mov r1, #8
+                 str r1, [r0, #4]
+                 str r1, [r0, #16]
+                 str r1, [r0, #16]
+                 bkpt #0",
+            );
+            sys.add_node("slow_tx", machine(conf, &main));
+            // Sleeps until its timer fires at ~300, then sends one frame
+            // on the fast wire.
+            let mut conf = MachineConfig::m3_like();
+            conf.devices = vec![
+                DeviceSpec::Timer(TimerConfig { base: TIMER_BASE, irq: 0, compare: 300 }),
+                can(0, &fast),
+            ];
+            let main = asm(
+                "movw r0, #0x1000
+                 movt r0, #0x4000
+                 movw r1, #300
+                 str r1, [r0, #4]
+                 mov r1, #1
+                 str r1, [r0, #0]
+                 sleep: wfi
+                 cmp r4, #1
+                 blt sleep
+                 bkpt #1",
+            );
+            let tick = asm(
+                "movw r0, #0x2000
+                 movt r0, #0x4000
+                 str r0, [r0, #16]
+                 mov r4, #1
+                 bx lr",
+            );
+            let mut m = machine(conf, &main);
+            m.load_flash(0x200, &tick);
+            m.load_flash(0, &0x200u32.to_le_bytes());
+            sys.add_node("fast_tx", m);
+            let mut conf = MachineConfig::m3_like();
+            conf.devices = vec![can(1, &fast)];
+            let mut m = machine(conf, &asm("wfi\n bkpt #2"));
+            m.load_flash(0x200, &asm("bx lr"));
+            m.load_flash(4, &0x200u32.to_le_bytes());
+            sys.add_node("fast_rx", m);
+            let r = sys.run(1_000_000);
+            assert_eq!(r.reason, SystemStop::AllHalted);
+            let nodes: Vec<_> = sys
+                .nodes()
+                .iter()
+                .map(|n| (n.halted(), n.cycles(), n.machine().latencies().to_vec()))
+                .collect();
+            (r.quanta, nodes, slow.delivery_log(), fast.delivery_log())
+        };
+        let (q_event, nodes, slow_log, fast_log) = run(true);
+        let (q_paced, paced_nodes, paced_slow, paced_fast) = run(false);
+        assert_eq!(nodes, paced_nodes, "halt verdicts, clocks and IRQ stamps");
+        assert_eq!((slow_log.len(), fast_log.len()), (1, 1), "the second slow frame stays queued");
+        assert_eq!((&slow_log, &fast_log), (&paced_slow, &paced_fast), "wire logs");
+        let rx = &nodes[2].2[0];
+        assert_eq!(rx.pend_cycle, fast_log[0].completed_at * 4, "woken at the arrival");
+        assert!(q_event < q_paced, "event-driven quanta engaged: {q_event} vs {q_paced}");
     }
 }

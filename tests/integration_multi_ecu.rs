@@ -286,6 +286,42 @@ fn gateway_topology_is_deterministic_across_schedules() {
 }
 
 #[test]
+fn gateway_scheduler_work_is_pinned_exactly() {
+    // An exact gate on the scheduler's work counter, host-independent:
+    // E10 at 16 frames takes exactly this many quanta with event-driven
+    // boundaries, and exactly the conservative pacing count without
+    // them. A quantum override caps the event-driven margin, so it
+    // lands strictly in between — and none of it moves a result.
+    use alia_core::prelude::sim::SystemConfig;
+    const EVENT_DRIVEN: u64 = 129;
+    const CONSERVATIVE: u64 = 363;
+    let event = gateway_experiment_with(16, SystemConfig::default()).expect("completes");
+    let paced = gateway_experiment_with(
+        16,
+        SystemConfig { idle_stretch: false, ..SystemConfig::default() },
+    )
+    .expect("completes");
+    let capped = gateway_experiment_with(
+        16,
+        SystemConfig { quantum: Some(41), ..SystemConfig::default() },
+    )
+    .expect("completes");
+    assert_eq!(event.quanta, EVENT_DRIVEN, "event-driven quanta");
+    assert_eq!(paced.quanta, CONSERVATIVE, "conservative quanta");
+    assert!(
+        EVENT_DRIVEN < capped.quanta && capped.quanta < CONSERVATIVE,
+        "a capped margin still varies the schedule: {} quanta",
+        capped.quanta
+    );
+    assert_eq!(event.checksum, gateway_checksum(16));
+    for run in [&paced, &capped] {
+        assert_eq!(run.checksum, event.checksum);
+        assert_eq!(run.node_cycles, event.node_cycles, "node clocks");
+        assert_eq!(run.delivery_logs, event.delivery_logs, "wire logs");
+    }
+}
+
+#[test]
 fn gateway_traffic_stays_within_rta_bounds_on_every_wire() {
     // Executed worst latencies never exceed the per-wire analytic
     // response bounds (jitter inherited hop by hop), and executed
