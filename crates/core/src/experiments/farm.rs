@@ -8,8 +8,8 @@
 //!
 //! * [`alia_sim::System::fork`] — the base topology is built and
 //!   driven once to a mid-mission snapshot, then every campaign run
-//!   forks it (copy-on-write dirty-page copies, detached wires) instead
-//!   of re-assembling and re-warming the world;
+//!   forks it (copying only the memory pages written, detaching the
+//!   wires) instead of re-assembling and re-warming the world;
 //! * [`crate::campaign::run_campaign`] — runs fan out over a worker
 //!   pool and merge into a key-ordered, thread-count-independent
 //!   summary;
@@ -323,6 +323,29 @@ mod tests {
         let one = farm_experiment(24, 16, 1).expect("runs");
         let four = farm_experiment(24, 16, 4).expect("runs");
         assert_eq!(one, four, "the merged summary must not depend on the worker pool");
+    }
+
+    #[test]
+    fn forks_copy_exactly_the_pages_each_node_wrote() {
+        // A fresh machine holds no guest memory: a built E10 node holds
+        // only the flash pages its images were loaded into, a warmed one
+        // also the SRAM pages its guest stored to, and a fork copies
+        // exactly those pages.
+        let pages = |s: &System| -> Vec<usize> {
+            s.nodes().iter().map(|n| n.machine().resident_pages()).collect()
+        };
+        let mut base =
+            build_gateway_topology(FARM_FRAMES, PERIOD_CYCLES, None, None, SystemConfig::default())
+                .expect("builds");
+        assert_eq!(pages(&base.system), [1; 5]);
+        assert_eq!(pages(&base.system.fork()), pages(&base.system));
+        base.system.run(FORK_POINT_CYCLES);
+        assert_eq!(pages(&base.system), [2, 2, 1, 1, 1], "the sensors have stacked an IRQ");
+        assert_eq!(pages(&base.system.fork()), pages(&base.system));
+        assert_eq!(base.system.run(FLIP_HORIZON_CYCLES).reason, SystemStop::AllHalted);
+        // The DMA engines forward without their guests touching SRAM.
+        assert_eq!(pages(&base.system), [2, 2, 1, 1, 2]);
+        assert_eq!(pages(&base.system.fork()), pages(&base.system));
     }
 
     #[test]

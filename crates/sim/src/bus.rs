@@ -428,19 +428,36 @@ impl Bus {
 
     /// Resolves an address to its region: one table index, at most two
     /// wrapping subtract + compare pairs, then (for device space only) a
-    /// scan of the short device-window list.
+    /// binary search of the device windows.
     #[must_use]
     #[inline]
     pub fn classify(&self, addr: u32) -> Region {
+        self.classify_access(addr, 1)
+    }
+
+    /// Resolves an access of `len` bytes at `addr` — the one lookup the
+    /// fetch, load and store paths make. It is [`Bus::classify`] plus a
+    /// span check: a flash, TCM or SRAM access whose bytes run past the
+    /// end of its region resolves to [`Region::Unmapped`], so the guest
+    /// faults instead of the memory array being indexed out of range.
+    /// Bit-band and device accesses resolve on their first byte (each
+    /// names one SRAM bit or one device register).
+    #[must_use]
+    #[inline]
+    pub fn classify_access(&self, addr: u32, len: u32) -> Region {
         let entry = &self.table[(addr >> 28) as usize];
         for s in &entry.slots {
-            if addr.wrapping_sub(s.base) < s.size {
+            let off = addr.wrapping_sub(s.base);
+            if off < s.size {
                 return match s.kind {
+                    SlotKind::Flash | SlotKind::Tcm | SlotKind::Sram if s.size - off < len => {
+                        Region::Unmapped
+                    }
                     SlotKind::Flash => Region::Flash,
                     SlotKind::Tcm => Region::Tcm,
                     SlotKind::Sram => Region::Sram,
                     SlotKind::BitBand => Region::BitBand,
-                    SlotKind::DeviceSpace => return self.resolve_device(addr),
+                    SlotKind::DeviceSpace => self.resolve_device(addr),
                 };
             }
         }

@@ -68,14 +68,15 @@
 //!   bit-identical with the engine on or off
 //!   ([`Machine::set_predecode_enabled`], the one host-only switch).
 //! * **Zero-allocation hot loop**: `Machine::step` performs no heap
-//!   allocation on any path — decode reads a fixed 4-byte window
-//!   (`alia_isa::decode_window`), LDM staging uses a fixed register
-//!   buffer, IT blocks expand into an inline [`ItQueue`], and the IRQ
-//!   drain is allocation-free.
-//! * **Pooled, dirty-page-tracked memory arrays**: flash and SRAM
-//!   buffers are recycled through a thread-local pool, zeroing only the
-//!   4 KiB pages a run actually wrote. Machine construction is O(pages
-//!   touched), not O(address space) — ~0.3 µs instead of ~80 µs.
+//!   allocation apart from a guest store's first write to a memory page
+//!   — decode reads a fixed 4-byte window (`alia_isa::decode_window`),
+//!   LDM staging uses a fixed register buffer, IT blocks expand into an
+//!   inline [`ItQueue`], and the IRQ drain is allocation-free.
+//! * **Sparse paged memory arrays**: flash, SRAM and TCM are tables of
+//!   4 KiB pages, each allocated on its first write; absent pages read
+//!   as zero. [`Machine::new`] allocates no guest memory, and a snapshot
+//!   or fork copies only the pages written so far
+//!   ([`Machine::resident_pages`]), whatever the configured sizes.
 //!
 //! `cargo bench -p alia-bench --bench sim_throughput` measures guest
 //! MIPS; the `table1` bench measures the full experiment pipeline.

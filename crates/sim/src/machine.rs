@@ -261,9 +261,10 @@ fn never_in_block(instr: &Instr) -> bool {
 /// A frozen copy of a [`Machine`] taken by [`Machine::snapshot`]:
 /// restore it into the source machine ([`Machine::restore`]) or fork
 /// any number of independent machines from it
-/// ([`MachineSnapshot::to_machine`]). Cloning a snapshot is a dirty-page
-/// copy, so fanning a warmed-up machine across a campaign costs
-/// microseconds per fork, not memsets of the address space.
+/// ([`MachineSnapshot::to_machine`]). Cloning a snapshot copies only the
+/// memory pages the machine wrote ([`Machine::resident_pages`]), so
+/// fanning a warmed-up machine across a campaign costs microseconds per
+/// fork, not copies of the address space.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     state: Box<Machine>,
@@ -467,14 +468,14 @@ impl Machine {
         Machine::new(MachineConfig::high_end_like())
     }
 
-    /// A point-in-time copy of the whole machine: CPU, memories
-    /// (dirty-page copies — cost proportional to the touched footprint,
-    /// not the address-space size), devices, IRQ state, predecode and
-    /// block caches, WFI-park state. Restoring ([`Machine::restore`]) or
-    /// materializing ([`MachineSnapshot::to_machine`]) yields a machine
-    /// that runs bit-identically to the original from the snapshot
-    /// point — including snapshots taken mid-block or inside a parked
-    /// WFI sleep.
+    /// A point-in-time copy of the whole machine: CPU, memories (only
+    /// the [`Machine::resident_pages`] are copied — cost proportional to
+    /// the written footprint, not the address-space size), devices, IRQ
+    /// state, predecode and block caches, WFI-park state. Restoring
+    /// ([`Machine::restore`]) or materializing
+    /// ([`MachineSnapshot::to_machine`]) yields a machine that runs
+    /// bit-identically to the original from the snapshot point —
+    /// including snapshots taken mid-block or inside a parked WFI sleep.
     ///
     /// A controller on a private wire ([`DeviceSpec::Can`]) gets a deep
     /// copy of it, so the snapshot shares no traffic with the original.
@@ -612,6 +613,17 @@ impl Machine {
         }
     }
 
+    /// Guest-memory pages the machine holds: the 4 KiB pages of flash,
+    /// SRAM and TCM (RAM and ECC shadow) that an image load or a store
+    /// has written. A fresh machine holds none; [`Machine::snapshot`]
+    /// copies exactly these.
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.flash.resident_pages()
+            + self.sram.resident_pages()
+            + self.tcm.as_ref().map_or(0, Tcm::resident_pages)
+    }
+
     /// Loads bytes into flash at `addr` (must be inside flash).
     pub fn load_flash(&mut self, addr: u32, image: &[u8]) {
         self.flash.load(addr - FLASH_BASE, image);
@@ -708,10 +720,12 @@ impl Machine {
     // Memory paths
     // -----------------------------------------------------------------
 
-    /// Resolves an address to its memory region — the single classifier
-    /// shared by the fetch, data-read and data-write paths. Dispatch is
-    /// a bus region-table lookup (`addr >> 28` index + bounds check),
-    /// not a chain of range compares; see [`crate::bus`].
+    /// Resolves an address to its memory region. Dispatch is a bus
+    /// region-table lookup (`addr >> 28` index + bounds check), not a
+    /// chain of range compares; see [`crate::bus`]. The fetch, data-read
+    /// and data-write paths resolve whole accesses through the same
+    /// table with [`Bus::classify_access`], which also faults an access
+    /// running past the end of flash, TCM or SRAM.
     #[must_use]
     #[inline]
     pub fn classify(&self, addr: u32) -> Region {
@@ -754,7 +768,7 @@ impl Machine {
                 return Err(MemFault::MpuViolation { addr, write: false });
             }
         }
-        match self.classify(addr) {
+        match self.bus.classify_access(addr, len) {
             Region::Sram => Ok((self.sram.cycles, Region::Sram, 0)),
             Region::Tcm => {
                 let tcm = self.tcm.as_mut().expect("classified Tcm");
@@ -841,7 +855,7 @@ impl Machine {
                 return Err(MemFault::MpuViolation { addr, write: false });
             }
         }
-        let region = self.classify(addr);
+        let region = self.bus.classify_access(addr, len);
         if let Region::Device(idx) = region {
             let v = self.bus.device_read(idx, addr, len, self.cycles, self.active_irq);
             return Ok((v, 1));
@@ -907,7 +921,7 @@ impl Machine {
                 return Err(MemFault::MpuViolation { addr, write: true });
             }
         }
-        match self.classify(addr) {
+        match self.bus.classify_access(addr, len) {
             Region::Device(idx) => {
                 self.bus
                     .device_write(idx, addr, len, value, self.cycles, self.active_irq);
@@ -2341,8 +2355,7 @@ mod tests {
     fn snapshot_forks_diverge_on_divergent_inputs() {
         // Two forks of one snapshot, one of them with a poked SRAM cell
         // the guest reads *after* the fork point: results must differ —
-        // the forks share no storage (the dirty-page copy is a real
-        // copy).
+        // the forks share no storage (the page copy is a real copy).
         let src = "movw r0, #0x0040
              movt r0, #0x2000
              movw r1, #2000

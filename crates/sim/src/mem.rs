@@ -16,154 +16,138 @@
 //! stream — so a literal-pool data fetch in the middle of an instruction
 //! stream is charged twice: once for itself and once by un-streaming the
 //! next fetch.
+//!
+//! Flash, SRAM and the TCM (its RAM and its ECC shadow) store their bytes
+//! in one sparse table of 4 KiB pages: a page is allocated, zeroed, on
+//! its first write, and an absent page reads as zero. A machine holds
+//! only the pages its image loads and guest stores touched
+//! ([`crate::Machine::resident_pages`]), so building one allocates no
+//! guest memory, and [`crate::Machine::snapshot`] and
+//! [`crate::System::fork`] copy just those pages.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
-/// Backing storage for the large zeroed memory arrays (flash, SRAM).
+/// Page granularity of the guest-memory store (4 KiB).
+const PAGE_SHIFT: u32 = 12;
+/// Bytes per page.
+const PAGE: usize = 1 << PAGE_SHIFT;
+
+/// Sparse byte store behind every memory array (flash, SRAM, the TCM and
+/// its ECC shadow): a table of 4 KiB pages.
 ///
-/// Allocating a machine used to cost two ~1 MiB `vec![0; n]` zeroings —
-/// after the allocator starts recycling arena memory, that is a 2 MiB
-/// memset per `Machine::new`, which dominated short experiment runs. This
-/// wrapper keeps a thread-local pool of *already-zeroed* buffers: on drop
-/// it zeroes only the 4 KiB pages that were actually written (tracked
-/// with a one-bit-per-page map on the store path) and returns the buffer
-/// to the pool; on construction it takes a pooled buffer when one fits.
-/// Net effect: steady-state machine construction zeroes only the pages a
-/// run touched (typically a handful), not the whole address space.
-mod zeroed {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
+/// A page is allocated, zeroed, on its first write; an absent page reads
+/// as zero. A fresh store therefore holds no guest memory, the derived
+/// `Clone` copies only the pages written so far, and drop just frees
+/// them — so building, snapshotting and forking a machine cost what its
+/// guest wrote, not the size of its address space.
+///
+/// Accesses take one table index: an access inside one page reads or
+/// writes that page directly; one that straddles a page boundary goes
+/// byte by byte. An access running past the end of the store panics
+/// like slice indexing — the bus faults guest accesses before they get
+/// here ([`crate::Bus::classify_access`]), so only host misuse can.
+#[derive(Debug, Clone)]
+struct Pages {
+    table: Vec<Option<Box<[u8; PAGE]>>>,
+    len: u32,
+}
 
-    /// Page granularity for dirty tracking (4 KiB).
-    const PAGE_SHIFT: u32 = 12;
-    /// Buffers smaller than this skip the pool (cheap to allocate fresh).
-    const POOL_MIN: usize = 64 << 10;
-    /// Retained buffers per size class per thread.
-    const POOL_CAP: usize = 8;
-
-    thread_local! {
-        static POOL: RefCell<HashMap<usize, Vec<Vec<u8>>>> = RefCell::new(HashMap::new());
+impl Pages {
+    fn new(len: u32) -> Pages {
+        Pages { table: vec![None; (len as usize).div_ceil(PAGE)], len }
     }
 
-    /// A zero-initialized byte array with page-granular dirty tracking.
-    ///
-    /// Invariant: every byte outside a dirty page is zero.
-    #[derive(Debug)]
-    pub struct ZeroedBytes {
-        buf: Vec<u8>,
-        dirty: Vec<u64>,
+    /// Pages allocated so far.
+    fn resident(&self) -> usize {
+        self.table.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Dirty-page copy: the clone takes a pooled pre-zeroed buffer and
-    /// copies only the pages the original has written — the same-content
-    /// guarantee follows from the all-zero-outside-dirty invariant. This
-    /// is what makes `Machine::snapshot`/`System::fork` cost
-    /// proportional to the *touched* footprint (typically a few pages),
-    /// not the address-space size.
-    impl Clone for ZeroedBytes {
-        fn clone(&self) -> ZeroedBytes {
-            let mut out = ZeroedBytes::new(self.buf.len());
-            let page = 1usize << PAGE_SHIFT;
-            for (w, &bits) in self.dirty.iter().enumerate() {
-                if bits == 0 {
-                    continue;
-                }
-                for b in 0..64 {
-                    if bits & 1 << b != 0 {
-                        let start = (w * 64 + b) * page;
-                        if start < self.buf.len() {
-                            let end = (start + page).min(self.buf.len());
-                            out.buf[start..end].copy_from_slice(&self.buf[start..end]);
-                        }
-                    }
-                }
-            }
-            out.dirty.copy_from_slice(&self.dirty);
-            out
+    /// Checks that `off..off + len` lies inside the store and returns the
+    /// offset of `off` within its page.
+    #[inline]
+    fn page_offset(&self, off: u32, len: u32) -> usize {
+        assert!(
+            u64::from(off) + u64::from(len) <= u64::from(self.len),
+            "access of {len} bytes at {off:#x} runs past the end of a {:#x}-byte memory",
+            self.len
+        );
+        off as usize & (PAGE - 1)
+    }
+
+    /// Little-endian read of `len` (at most 4) bytes at `off`.
+    #[inline]
+    fn read(&self, off: u32, len: u32) -> u32 {
+        let o = self.page_offset(off, len);
+        if o + len as usize > PAGE {
+            return (0..len).rev().fold(0, |v, i| v << 8 | self.read(off + i, 1));
+        }
+        match &self.table[(off >> PAGE_SHIFT) as usize] {
+            Some(page) => read_le(&page[o..], len),
+            None => 0,
         }
     }
 
-    impl ZeroedBytes {
-        pub fn new(size: usize) -> ZeroedBytes {
-            let buf = if size >= POOL_MIN {
-                POOL.with(|p| p.borrow_mut().get_mut(&size).and_then(Vec::pop))
-                    .unwrap_or_else(|| vec![0; size])
-            } else {
-                vec![0; size]
-            };
-            let pages = size.div_ceil(1 << PAGE_SHIFT);
-            ZeroedBytes { buf, dirty: vec![0; pages.div_ceil(64)] }
-        }
-
-        /// Marks the pages covering `off..off + len` as written.
-        #[inline]
-        pub fn mark(&mut self, off: u32, len: u32) {
-            let first = off >> PAGE_SHIFT;
-            let last = (off + len.max(1) - 1) >> PAGE_SHIFT;
-            for p in first..=last {
-                self.dirty[(p >> 6) as usize] |= 1 << (p & 63);
+    /// Little-endian write of the low `len` (at most 4) bytes of `value`.
+    #[inline]
+    fn write(&mut self, off: u32, len: u32, value: u32) {
+        let o = self.page_offset(off, len);
+        if o + len as usize > PAGE {
+            for i in 0..len {
+                self.write(off + i, 1, value >> (8 * i));
             }
+            return;
         }
+        write_le(&mut self.page_mut(off)[o..], len, value);
+    }
 
-        /// Marks every page as written (out-of-band mutable access).
-        pub fn mark_all(&mut self) {
-            self.dirty.fill(!0);
-        }
-
-        #[inline]
-        pub fn as_slice(&self) -> &[u8] {
-            &self.buf
-        }
-
-        #[inline]
-        pub fn as_mut_slice(&mut self) -> &mut [u8] {
-            &mut self.buf
+    /// Copies `image` in at byte offset `off`.
+    fn load(&mut self, off: u32, image: &[u8]) {
+        let end = u32::try_from(image.len()).ok().and_then(|n| off.checked_add(n));
+        assert!(
+            end.is_some_and(|end| end <= self.len),
+            "image of {} bytes at {off:#x} does not fit a {:#x}-byte memory",
+            image.len(),
+            self.len
+        );
+        let (mut at, mut rest) = (off, image);
+        while !rest.is_empty() {
+            let o = at as usize & (PAGE - 1);
+            let n = rest.len().min(PAGE - o);
+            self.page_mut(at)[o..o + n].copy_from_slice(&rest[..n]);
+            (at, rest) = (at + n as u32, &rest[n..]);
         }
     }
 
-    impl Drop for ZeroedBytes {
-        fn drop(&mut self) {
-            if self.buf.len() < POOL_MIN {
-                return;
-            }
-            // Zeroing is only worthwhile if the pool will retain the
-            // buffer; a full size class means it is simply freed.
-            let wanted = POOL.with(|p| {
-                p.borrow().get(&self.buf.len()).is_none_or(|c| c.len() < POOL_CAP)
-            });
-            if !wanted {
-                return;
-            }
-            // Restore the all-zero invariant (only dirty pages can hold
-            // nonzero bytes), then hand the buffer to the pool.
-            let page = 1usize << PAGE_SHIFT;
-            for (w, &bits) in self.dirty.iter().enumerate() {
-                if bits == 0 {
-                    continue;
-                }
-                for b in 0..64 {
-                    if bits & 1 << b != 0 {
-                        let start = (w * 64 + b) * page;
-                        let end = (start + page).min(self.buf.len());
-                        if start < self.buf.len() {
-                            self.buf[start..end].fill(0);
-                        }
-                    }
-                }
-            }
-            let buf = std::mem::take(&mut self.buf);
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                let class = pool.entry(buf.len()).or_default();
-                if class.len() < POOL_CAP {
-                    class.push(buf);
-                }
-            });
-        }
+    /// The page holding `off`, allocated (zeroed) on first use.
+    fn page_mut(&mut self, off: u32) -> &mut [u8; PAGE] {
+        self.table[(off >> PAGE_SHIFT) as usize].get_or_insert_with(|| Box::new([0; PAGE]))
     }
 }
 
-use zeroed::ZeroedBytes;
+/// Little-endian scalar read of `len` (at most 4) bytes at the start of
+/// `bytes`.
+#[inline]
+fn read_le(bytes: &[u8], len: u32) -> u32 {
+    match len {
+        4 => u32::from_le_bytes(bytes[..4].try_into().expect("4-byte slice")),
+        2 => u32::from(u16::from_le_bytes(bytes[..2].try_into().expect("2-byte slice"))),
+        1 => u32::from(bytes[0]),
+        _ => bytes[..len as usize].iter().rev().fold(0, |v, &b| v << 8 | u32::from(b)),
+    }
+}
+
+/// Little-endian scalar write of the low `len` (at most 4) bytes of
+/// `value` at the start of `bytes`.
+#[inline]
+fn write_le(bytes: &mut [u8], len: u32, value: u32) {
+    match len {
+        4 => bytes[..4].copy_from_slice(&value.to_le_bytes()),
+        2 => bytes[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+        1 => bytes[0] = value as u8,
+        _ => bytes[..len as usize].copy_from_slice(&value.to_le_bytes()[..len as usize]),
+    }
+}
 
 /// Default flash base address.
 pub const FLASH_BASE: u32 = 0x0000_0000;
@@ -271,7 +255,7 @@ pub struct FlashStats {
 /// Wait-stated flash with a streaming prefetch model.
 #[derive(Debug, Clone)]
 pub struct Flash {
-    bytes: ZeroedBytes,
+    bytes: Pages,
     config: FlashConfig,
     stream_next: Option<u32>,
     stats: FlashStats,
@@ -279,11 +263,11 @@ pub struct Flash {
 }
 
 impl Flash {
-    /// Creates a flash of `config.size` zeroed bytes.
+    /// Creates a flash of `config.size` zeroed bytes (no page resident).
     #[must_use]
     pub fn new(config: FlashConfig) -> Flash {
         Flash {
-            bytes: ZeroedBytes::new(config.size as usize),
+            bytes: Pages::new(config.size),
             config,
             stream_next: None,
             stats: FlashStats::default(),
@@ -291,10 +275,9 @@ impl Flash {
         }
     }
 
-    /// Content revision: bumped by every mutable access to the array
-    /// ([`Flash::load`], [`Flash::bytes_mut`]). Consumers caching decoded
-    /// views of flash (the machine's predecode cache) compare revisions
-    /// to detect staleness.
+    /// Content revision: bumped by every [`Flash::load`]. Consumers
+    /// caching decoded views of flash (the machine's predecode cache)
+    /// compare revisions to detect staleness.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.revision
@@ -306,10 +289,14 @@ impl Flash {
     ///
     /// Panics if the image does not fit.
     pub fn load(&mut self, offset: u32, image: &[u8]) {
-        let o = offset as usize;
-        self.bytes.mark(offset, image.len() as u32);
-        self.bytes.as_mut_slice()[o..o + image.len()].copy_from_slice(image);
+        self.bytes.load(offset, image);
         self.revision += 1;
+    }
+
+    /// 4 KiB pages written so far (see [`crate::Machine::resident_pages`]).
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.bytes.resident()
     }
 
     /// The behaviour parameters.
@@ -328,20 +315,6 @@ impl Flash {
     pub fn reset_stats(&mut self) {
         self.stats = FlashStats::default();
         self.stream_next = None;
-    }
-
-    /// Raw contents (offset-addressed).
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_slice()
-    }
-
-    /// Mutable raw contents. Conservatively counts as a content mutation
-    /// (bumps [`Flash::revision`]).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.revision += 1;
-        self.bytes.mark_all();
-        self.bytes.as_mut_slice()
     }
 
     /// Performs an access of `len` bytes at byte offset `off`, returning
@@ -399,65 +372,25 @@ impl Flash {
     /// Reads without affecting timing state.
     #[must_use]
     pub fn peek(&self, off: u32, len: u32) -> u32 {
-        read_le(self.bytes.as_slice(), off, len)
-    }
-}
-
-/// Little-endian scalar read of `len.min(4)` bytes at `off`.
-///
-/// # Panics
-///
-/// Panics when the access runs past the end of `bytes` (same contract as
-/// direct indexing).
-#[inline]
-fn read_le(bytes: &[u8], off: u32, len: u32) -> u32 {
-    let o = off as usize;
-    match len {
-        4 => u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4-byte slice")),
-        2 => u32::from(u16::from_le_bytes(bytes[o..o + 2].try_into().expect("2-byte slice"))),
-        1 => u32::from(bytes[o]),
-        0 => 0,
-        _ => {
-            let mut v = 0u32;
-            for i in (0..len.min(4)).rev() {
-                v = v << 8 | u32::from(bytes[(off + i) as usize]);
-            }
-            v
-        }
-    }
-}
-
-/// Little-endian scalar write of the low `len.min(4)` bytes of `value`.
-#[inline]
-fn write_le(bytes: &mut [u8], off: u32, len: u32, value: u32) {
-    let o = off as usize;
-    match len {
-        4 => bytes[o..o + 4].copy_from_slice(&value.to_le_bytes()),
-        2 => bytes[o..o + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-        1 => bytes[o] = value as u8,
-        _ => {
-            for i in 0..len.min(4) {
-                bytes[(off + i) as usize] = (value >> (8 * i)) as u8;
-            }
-        }
+        self.bytes.read(off, len)
     }
 }
 
 /// Single-cycle SRAM.
 #[derive(Debug, Clone)]
 pub struct Sram {
-    bytes: ZeroedBytes,
-    size: u32,
+    bytes: Pages,
     /// Cycles per access.
     pub cycles: u32,
     revision: u64,
 }
 
 impl Sram {
-    /// Creates `size` zeroed bytes of single-cycle RAM.
+    /// Creates `size` zeroed bytes of single-cycle RAM (no page
+    /// resident).
     #[must_use]
     pub fn new(size: u32) -> Sram {
-        Sram { bytes: ZeroedBytes::new(size as usize), size, cycles: 1, revision: 0 }
+        Sram { bytes: Pages::new(size), cycles: 1, revision: 0 }
     }
 
     /// Loads an image at byte offset `off` (host-side bulk write; bumps
@@ -467,16 +400,14 @@ impl Sram {
     ///
     /// Panics if the image does not fit.
     pub fn load(&mut self, off: u32, image: &[u8]) {
-        let o = off as usize;
-        self.bytes.mark(off, image.len() as u32);
-        self.bytes.as_mut_slice()[o..o + image.len()].copy_from_slice(image);
+        self.bytes.load(off, image);
         self.revision += 1;
     }
 
-    /// Host-side content revision: bumped by [`Sram::bytes_mut`] (bulk /
-    /// out-of-band mutation). Per-access [`Sram::write`] is *not* counted
-    /// here — simulated stores are tracked by the machine's predecode
-    /// watermark instead, keeping the store path cheap.
+    /// Host-side content revision: bumped by host writes ([`Sram::load`],
+    /// [`Sram::write`]). Simulated stores are *not* counted here — the
+    /// machine's predecode watermark tracks them instead, keeping the
+    /// store path cheap.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.revision
@@ -485,34 +416,26 @@ impl Sram {
     /// Size in bytes.
     #[must_use]
     pub fn len(&self) -> u32 {
-        self.size
+        self.bytes.len
     }
 
     /// Whether the RAM is empty (zero-sized).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.size == 0
+        self.bytes.len == 0
     }
 
-    /// Raw contents.
+    /// 4 KiB pages written so far (see [`crate::Machine::resident_pages`]).
     #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_slice()
-    }
-
-    /// Mutable raw contents. Conservatively counts as a content mutation
-    /// (bumps [`Sram::revision`]).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.revision += 1;
-        self.bytes.mark_all();
-        self.bytes.as_mut_slice()
+    pub fn resident_pages(&self) -> usize {
+        self.bytes.resident()
     }
 
     /// Reads `len` bytes at offset `off` (little-endian).
     #[must_use]
     #[inline]
     pub fn read(&self, off: u32, len: u32) -> u32 {
-        read_le(self.bytes.as_slice(), off, len)
+        self.bytes.read(off, len)
     }
 
     /// Writes the low `len` bytes of `value` at offset `off`.
@@ -529,8 +452,7 @@ impl Sram {
     /// Simulated-store write: no revision bump (the caller is responsible
     /// for code-coherence tracking — see `Machine::note_code_write`).
     pub(crate) fn write_raw(&mut self, off: u32, len: u32, value: u32) {
-        self.bytes.mark(off, len);
-        write_le(self.bytes.as_mut_slice(), off, len, value);
+        self.bytes.write(off, len, value);
     }
 }
 
@@ -542,8 +464,11 @@ impl Sram {
 #[derive(Debug, Clone)]
 pub struct Tcm {
     ram: Sram,
-    poisoned: Vec<bool>, // per word
-    shadow: Vec<u8>,     // ECC-protected truth
+    /// Word offsets of poisoned words (soft errors are rare: usually
+    /// empty).
+    poisoned: BTreeSet<u32>,
+    /// ECC-protected truth.
+    shadow: Pages,
     /// Whether ECC protection is fitted.
     pub ecc: bool,
     /// Stall cycles for one hold-and-repair event.
@@ -558,8 +483,8 @@ impl Tcm {
     pub fn new(size: u32) -> Tcm {
         Tcm {
             ram: Sram::new(size),
-            poisoned: vec![false; (size / 4) as usize],
-            shadow: vec![0; size as usize],
+            poisoned: BTreeSet::new(),
+            shadow: Pages::new(size),
             ecc: true,
             repair_cycles: 4,
             repairs: 0,
@@ -573,9 +498,17 @@ impl Tcm {
         self.repairs
     }
 
+    /// 4 KiB pages written so far, RAM and ECC shadow together (see
+    /// [`crate::Machine::resident_pages`]).
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.ram.resident_pages() + self.shadow.resident()
+    }
+
     /// Host-side content revision: bumped by out-of-band mutation
-    /// ([`Tcm::load`], [`Tcm::inject_bit_flip`]). Simulated stores are
-    /// tracked by the machine's predecode watermark instead.
+    /// ([`Tcm::load`], [`Tcm::write`], [`Tcm::inject_bit_flip`]).
+    /// Simulated stores are tracked by the machine's predecode watermark
+    /// instead.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.revision
@@ -586,25 +519,23 @@ impl Tcm {
     pub fn inject_bit_flip(&mut self, off: u32, bit: u32) {
         let word = self.ram.read(off & !3, 4) ^ (1 << (bit & 31));
         self.ram.write_raw(off & !3, 4, word);
-        self.poisoned[(off / 4) as usize] = true;
+        self.poisoned.insert(off & !3);
         self.revision += 1;
     }
 
     /// Whether the word containing `off` is currently poisoned.
     #[must_use]
     pub fn is_poisoned(&self, off: u32) -> bool {
-        self.poisoned[(off / 4) as usize]
+        self.poisoned.contains(&(off & !3))
     }
 
     /// Reads with hold-and-repair; returns `(value, cycles)`.
     pub fn read(&mut self, off: u32, len: u32) -> (u32, u32) {
         let mut cycles = 1;
-        let widx = (off / 4) as usize;
-        if self.ecc && self.poisoned[widx] {
+        let base = off & !3;
+        if self.ecc && self.poisoned.remove(&base) {
             // Repair from the ECC shadow copy, stall, continue.
-            let base = off & !3;
-            self.ram.write_raw(base, 4, read_le(&self.shadow, base, 4));
-            self.poisoned[widx] = false;
+            self.ram.write_raw(base, 4, self.shadow.read(base, 4));
             self.repairs += 1;
             cycles += self.repair_cycles;
         }
@@ -626,21 +557,22 @@ impl Tcm {
     /// for code-coherence tracking — see `Machine::note_code_write`).
     pub(crate) fn write_raw(&mut self, off: u32, len: u32, value: u32) -> u32 {
         self.ram.write_raw(off, len, value);
-        for i in 0..len.min(4) {
-            self.shadow[(off + i) as usize] = (value >> (8 * i)) as u8;
-        }
+        self.shadow.write(off, len, value);
         // A full-word write clears poison (the word is rewritten whole).
         if len == 4 {
-            self.poisoned[(off / 4) as usize] = false;
+            self.poisoned.remove(&(off & !3));
         }
         1
     }
 
     /// Loads an image and synchronizes the ECC shadow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image does not fit.
     pub fn load(&mut self, off: u32, image: &[u8]) {
-        let o = off as usize;
         self.ram.load(off, image);
-        self.shadow[o..o + image.len()].copy_from_slice(image);
+        self.shadow.load(off, image);
         self.revision += 1;
     }
 }

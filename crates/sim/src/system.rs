@@ -542,7 +542,8 @@ impl System {
     }
 
     /// A fully independent deep copy of the whole topology: every node
-    /// is forked (dirty-page machine copies — see [`Machine::snapshot`]),
+    /// is forked (machine copies of the written memory pages only — see
+    /// [`Machine::snapshot`]),
     /// every wire is deep-copied onto a new identity
     /// ([`SharedCanBus::fork_detached`]), and each forked node's shared
     /// CAN controllers and DMA gateway engines are rebound to the
@@ -552,8 +553,9 @@ impl System {
     /// bit-identically from the fork point given identical inputs.
     ///
     /// Forking a warmed-up topology costs microseconds (proportional to
-    /// the touched memory footprint), which is what makes campaign
-    /// fan-out cheap: build and warm one system, fork it per run.
+    /// the written memory footprint, [`Machine::resident_pages`] per
+    /// node), which is what makes campaign fan-out cheap: build and warm
+    /// one system, fork it per run.
     #[must_use]
     pub fn fork(&self) -> System {
         let wires: Vec<SharedCanBus> =

@@ -9,10 +9,10 @@
 //! real machine through its public classifier and host-driven bus
 //! accessors and compares.
 
-use alia_isa::IsaMode;
+use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
-    CanConfig, DeviceSpec, Machine, MachineConfig, Region, TimerConfig, BITBAND_BASE, CAN_BASE,
-    FLASH_BASE, MMIO_BASE, SRAM_BASE, TCM_BASE, TIMER_BASE,
+    CanConfig, DeviceSpec, Machine, MachineConfig, MemFault, Region, StopReason, TimerConfig,
+    BITBAND_BASE, CAN_BASE, FLASH_BASE, MMIO_BASE, SRAM_BASE, TCM_BASE, TIMER_BASE,
 };
 
 /// The seed's region classes (the instrumentation block was a dedicated
@@ -180,6 +180,90 @@ fn fault_behaviour_matches_seed_rules_at_every_edge() {
             }
         }
     }
+}
+
+/// Runs `insn` as a guest with `r0 = addr` and `r1 = 0xA5A5_5A5A`,
+/// after `setup` prepared the machine; returns the stopped machine.
+fn run_access(
+    config: &MachineConfig,
+    insn: &str,
+    addr: u32,
+    setup: impl FnOnce(&mut Machine),
+) -> (StopReason, Machine) {
+    let src = format!(
+        "movw r0, #{lo}
+         movt r0, #{hi}
+         movw r1, #0x5A5A
+         movt r1, #0xA5A5
+         {insn}
+         bkpt #0",
+        lo = addr & 0xFFFF,
+        hi = addr >> 16
+    );
+    let prog = Assembler::new(config.mode).assemble(&src).expect("test program assembles");
+    let mut m = Machine::new(config.clone());
+    m.load_flash(0x100, &prog.bytes);
+    m.set_pc(0x100);
+    m.cpu.set_sp(SRAM_BASE + 0x8000);
+    setup(&mut m);
+    let reason = m.run(10_000).reason;
+    (reason, m)
+}
+
+/// Host-side image load into whichever memory holds `addr`.
+fn load_at(m: &mut Machine, addr: u32, image: &[u8]) {
+    match m.classify(addr) {
+        Region::Flash => m.load_flash(addr, image),
+        Region::Sram => m.load_sram(addr, image),
+        Region::Tcm => m.tcm.as_mut().expect("tcm fitted").load(addr - TCM_BASE, image),
+        other => panic!("{addr:#010x} is not memory: {other:?}"),
+    }
+}
+
+#[test]
+fn accesses_running_past_a_region_end_fault_instead_of_panicking() {
+    // The bus used to check only an access's first byte, so a load or
+    // store whose bytes ran past the end of flash, TCM or SRAM indexed
+    // the memory array out of range and panicked the host. Each must
+    // end in an unmapped fault at the access address.
+    let m3 = MachineConfig::m3_like();
+    let high_end = MachineConfig::high_end_like();
+    let regions = [
+        ("flash", &m3, FLASH_BASE + m3.flash.size),
+        ("sram", &m3, SRAM_BASE + m3.sram_size),
+        ("tcm", &high_end, TCM_BASE + high_end.tcm_size.expect("tcm fitted")),
+    ];
+    for (name, config, end) in regions {
+        for (insn, len) in [("ldr r1, [r0]", 4), ("str r1, [r0]", 4), ("ldrh r1, [r0]", 2)] {
+            for addr in end - len + 1..end {
+                let (reason, mut m) = run_access(config, insn, addr, |_| {});
+                let fault = StopReason::Fault(MemFault::Unmapped { addr });
+                assert_eq!(reason, fault, "{name}: `{insn}` at {addr:#010x}");
+                assert_eq!(m.bus_read(addr, len), Err(MemFault::Unmapped { addr }));
+                assert_eq!(m.bus_write(addr, len, 0), Err(MemFault::Unmapped { addr }));
+            }
+        }
+        // The last whole in-range word and halfword still load...
+        let word = 0xDEAD_BEEFu32.to_le_bytes();
+        let preload = |m: &mut Machine| load_at(m, end - 4, &word);
+        let (reason, m) = run_access(config, "ldr r1, [r0]", end - 4, preload);
+        assert_eq!((reason, m.cpu.regs[1]), (StopReason::Bkpt(0), 0xDEAD_BEEF), "{name}: word");
+        let (reason, m) = run_access(config, "ldrh r1, [r0]", end - 2, preload);
+        assert_eq!((reason, m.cpu.regs[1]), (StopReason::Bkpt(0), 0xDEAD), "{name}: halfword");
+        // ...and, outside read-only flash, the last word still stores.
+        let (reason, mut m) = run_access(config, "str r1, [r0]", end - 4, |_| {});
+        if name == "flash" {
+            assert_eq!(reason, StopReason::Fault(MemFault::Unmapped { addr: end - 4 }));
+        } else {
+            assert_eq!(reason, StopReason::Bkpt(0), "{name}: last word store");
+            assert_eq!(m.bus_read(end - 4, 4), Ok((0xA5A5_5A5A, 1)), "{name}: stored word");
+        }
+    }
+    // A 4-byte A32 fetch straddling the end of flash faults the same way.
+    let mut m = Machine::arm7_like(IsaMode::A32);
+    let end = FLASH_BASE + m.config.flash.size;
+    m.set_pc(end - 2);
+    assert_eq!(m.run(100).reason, StopReason::Fault(MemFault::Unmapped { addr: end - 2 }));
 }
 
 #[test]

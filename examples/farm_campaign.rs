@@ -2,8 +2,8 @@
 //! fault-seed sweep over forked gateway snapshots.
 //!
 //! The base 3-wire / 5-node gateway topology is built and warmed once;
-//! every campaign run `fork()`s it (copy-on-write memory, detached
-//! wires) and fans out over a worker pool. The merged summary is a
+//! every campaign run `fork()`s it (copying only the memory pages the
+//! base wrote, detaching the wires) and fans out over a worker pool. The merged summary is a
 //! pure function of the run keys — bit-identical at any worker count —
 //! which this example cross-checks before trusting the big campaign.
 //!
