@@ -2,7 +2,8 @@
 //!
 //! Measures campaign throughput (forked soft-error runs per second) at
 //! 1/2/4/8 workers over one shared base snapshot, records the curve
-//! into `BENCH_9.json`, and cross-checks that the merged summary is
+//! into `BENCH_10.json` (`bench_diff` gates it against the committed
+//! `BENCH_9.json`), and cross-checks that the merged summary is
 //! identical at every worker count. The 4-worker speedup is the farm's
 //! headline number; it is asserted (≥2.5×) only when the host actually
 //! has 4 cores to offer — on smaller hosts the curve is recorded as

@@ -3,7 +3,8 @@
 //! Measures task-set lowering (compile + assemble + load), standalone
 //! preemptive mission throughput (guest kernel + four workload tasks
 //! on the bare machine), and the full in-network experiment; records
-//! guest-MIPS-style figures into `BENCH_9.json`.
+//! guest-MIPS-style figures into `BENCH_10.json` (`bench_diff` gates
+//! them against the committed `BENCH_9.json`).
 
 use std::time::Instant;
 
@@ -51,8 +52,8 @@ fn bench_rtos_exec(c: &mut Criterion) {
 
     // Execution-only mission throughput: lower once, fork each run from
     // a snapshot so the wall clock measures pure simulation — the
-    // number the interpreter tiers (predecode / blocks / threaded)
-    // actually move.
+    // number the execution paths (per-step interpreter and threaded
+    // blocks) actually move.
     let snap = {
         let g = build_guest_rtos(&standalone, &config).unwrap();
         g.machine.snapshot()

@@ -20,8 +20,7 @@ fn main() {
             let p = &k.predecode;
             println!(
                 "  {:<6} {:<8} {:>9} cycles {:>6} bytes  {:>7.1} host MIPS  \
-                 blocks {}/{} hits ({} fused), {} chained, {} splits, {} demoted  \
-                 (l1 {}/{})",
+                 blocks {}/{} hits ({} fused), {} chained, {} splits, {} demoted",
                 r.mode,
                 k.kernel,
                 k.cycles,
@@ -33,8 +32,6 @@ fn main() {
                 p.chain_follows,
                 p.budget_splits,
                 p.demotions,
-                p.hits,
-                p.misses,
             );
         }
     }

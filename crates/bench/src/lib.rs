@@ -1,8 +1,8 @@
 //! # alia-bench — the table/figure regeneration harness
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! DESIGN.md's experiment index) and prints the measured rows next to the
-//! paper's reported values. The Criterion benches in `benches/` measure
+//! Each binary regenerates one table or figure of the paper (see the
+//! experiment table in [`alia_core::experiments`]) and prints the
+//! measured rows next to the paper's reported values. The Criterion benches in `benches/` measure
 //! the same experiments for host-side performance tracking.
 //!
 //! ```text

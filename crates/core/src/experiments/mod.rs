@@ -1,4 +1,4 @@
-//! The per-table/figure experiments (see DESIGN.md's experiment index).
+//! The per-table/figure experiments. This table is the experiment index:
 //!
 //! | id | paper reference | function |
 //! |----|-----------------|----------|

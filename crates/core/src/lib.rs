@@ -1,8 +1,8 @@
 //! # alia-core — umbrella API and experiment harness
 //!
 //! Reproduces Lyons, *"Meeting the Embedded Design Needs of Automotive
-//! Applications"* (DATE 2005). See `DESIGN.md` at the repository root for
-//! the full experiment index.
+//! Applications"* (DATE 2005). The experiment table in [`experiments`]
+//! is the full experiment index.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -31,7 +31,7 @@
 //!   introspection; the machine drains edge events from the signals.
 //! * **Revisions** — [`Device::revision`] must change whenever the
 //!   device mutates state that can alter *instruction fetch* results
-//!   (e.g. a device that remaps code). It participates in the predecode
+//!   (e.g. a device that remaps code). It participates in the block
 //!   cache's generation stamp; plain data devices leave it at zero.
 //! * **Wire clients** — devices on a [`crate::System`]'s scheduler-run
 //!   CAN wires (shared CAN controllers, DMA gateway engines) implement
@@ -232,7 +232,7 @@ pub trait Device: fmt::Debug + DeviceClone + Send + Sync {
     }
 
     /// Revision counter over device state that can change instruction
-    /// fetch results; participates in the predecode generation stamp.
+    /// fetch results; participates in the block cache's generation stamp.
     fn revision(&self) -> u64 {
         0
     }
@@ -326,8 +326,8 @@ pub struct Bus {
     /// (`u64::MAX` when no device has a timed event).
     next_event: u64,
     /// Cached sum of the attached devices' [`Device::revision`]
-    /// counters (refreshed with `next_event`; read every step by the
-    /// predecode stamp).
+    /// counters (refreshed with `next_event`; read by the block
+    /// cache's generation stamp and the block executor's safety check).
     rev_sum: u64,
 }
 
@@ -570,7 +570,7 @@ impl Bus {
     }
 
     /// Sum of the attached devices' [`Device::revision`] counters —
-    /// folded into the predecode generation stamp (cached bus-side;
+    /// folded into the block cache's generation stamp (cached bus-side;
     /// refreshed on every device access and tick).
     #[must_use]
     #[inline]

@@ -49,23 +49,24 @@
 //! The interpreter is built to run "as fast as the hardware allows"
 //! without changing a single reported cycle:
 //!
-//! * **Predecode cache** ([`predecode`]): a generation-stamped, 2-way
-//!   set-associative cache from instruction address to decoded
-//!   instruction. Steady-state execution never re-reads instruction
-//!   bytes or re-runs the table decoder; only the *timing* side of each
-//!   fetch (flash streaming, I-cache, TCM repair, MPU) is replayed. The
-//!   cache invalidates on flash loads, flash-patch programming,
-//!   host-side RAM mutation and self-modifying stores (tracked by an
-//!   address watermark on the store path).
-//! * **Threaded blocks**: straight-line runs the per-step path records
-//!   are lowered to threaded code (pre-resolved handlers, fused
-//!   instruction pairs, planned fetch timing) when installed, and
-//!   [`Machine::run`] dispatches them whole and chains their exits. IT
-//!   blocks lower too: covered instructions keep the per-step issue
-//!   sequence, and a block only runs with an empty IT queue. The
-//!   per-step interpreter remains the fill path and, uncached, the
-//!   reference: cycle counts, `FlashPatch::hits` and `StopReason`s are
-//!   bit-identical with the engine on or off
+//! * **Threaded blocks** ([`predecode`], the one code cache):
+//!   straight-line runs the per-step path records are lowered to
+//!   threaded code (pre-resolved handlers, fused instruction pairs,
+//!   planned fetch timing) when installed, and [`Machine::run`]
+//!   dispatches them whole and chains their exits. Hot code never
+//!   re-reads instruction bytes or re-runs the table decoder; only the
+//!   *timing* side of each fetch (flash streaming, I-cache, TCM repair,
+//!   MPU) is replayed. IT blocks lower too: covered instructions keep
+//!   the per-step issue sequence, and a block only runs with an empty
+//!   IT queue. The cache invalidates on flash loads, flash-patch
+//!   programming, host-side RAM mutation and self-modifying stores
+//!   (tracked on the store path by an address watermark over installed
+//!   blocks plus the run being recorded).
+//! * **Per-step interpreter**: `Machine::step` fetches and decodes
+//!   every instruction. It records blocks, takes interrupts, runs
+//!   `wfi`/`bkpt` and resumes after splits; with the engine off it runs
+//!   everything and is the reference: cycle counts, `FlashPatch::hits`
+//!   and `StopReason`s are bit-identical with the engine on or off
 //!   ([`Machine::set_predecode_enabled`], the one host-only switch).
 //! * **Zero-allocation hot loop**: `Machine::step` performs no heap
 //!   allocation apart from a guest store's first write to a memory page
@@ -141,7 +142,7 @@ pub use machine::{
     DeviceSpec, IrqLatency, Machine, MachineConfig, MachineSnapshot, RunResult, StopReason,
     MMIO_IRQ_ACTIVE,
 };
-pub use predecode::{Predecode, PredecodeStats};
+pub use predecode::PredecodeStats;
 pub use system::{Node, System, SystemConfig, SystemRunResult, SystemStop};
 pub use mem::{
     Access, Flash, FlashConfig, FlashStats, MemFault, Mmio, Sram, Tcm, BITBAND_BASE, FLASH_BASE,

@@ -20,7 +20,7 @@ use crate::mem::{
 };
 use std::sync::Arc;
 
-use crate::predecode::{BlockCache, Entry, Predecode, PredecodeStats, MAX_BLOCK_LEN};
+use crate::predecode::{BlockCache, Entry, PredecodeStats, MAX_BLOCK_LEN};
 use crate::threaded::{self, BlockExit, ThreadedBlock};
 use crate::{Cache, CacheConfig, CoreTiming, FlashPatch, IrqController, IrqStyle, Lookup, Mpu,
     MpuKind};
@@ -130,12 +130,12 @@ pub struct MachineConfig {
     /// Base address of the vector table (one word per line for the
     /// hardware scheme; a single vector for the software scheme).
     pub vector_base: u32,
-    /// Whether the host-side execution engine is enabled: the
-    /// predecoded-instruction cache ([`crate::predecode`]) plus the
-    /// block engine on top of it, which [`Machine::run`] uses to
-    /// dispatch recorded straight-line runs as threaded code. A pure
-    /// host optimization: `false` selects the uncached per-step
-    /// interpreter, and results are bit-identical either way.
+    /// Whether the host-side block engine is enabled: [`Machine::run`]
+    /// records straight-line runs, lowers them to threaded code and
+    /// dispatches them whole ([`crate::predecode`], the one code cache).
+    /// A pure host optimization: `false` runs every instruction on the
+    /// per-step interpreter, and results are bit-identical either way.
+    /// [`Machine::set_predecode_enabled`] flips it at runtime.
     pub predecode: bool,
     /// Bus devices to attach beyond the always-present instrumentation
     /// MMIO block (index 0).
@@ -317,7 +317,6 @@ pub struct Machine {
     svc_count: u64,
     icache_recoveries: u64,
     dcache_recoveries: u64,
-    predecode: Predecode,
     /// The basic-block cache: recorded straight-line runs, lowered to
     /// threaded code and dispatched whole by [`Machine::run`].
     blocks: BlockCache,
@@ -328,9 +327,9 @@ pub struct Machine {
     /// Recycled staging buffer for block recording (keeps repeated
     /// record attempts allocation-free).
     rec_spare: Vec<Entry>,
-    /// Bumped whenever a simulated store lands inside the predecode or
-    /// block-cache watermark (self-modifying code); part of the caches'
-    /// shared generation stamp.
+    /// Bumped whenever a simulated store lands inside the block-cache
+    /// watermark or the run being recorded (self-modifying code); part
+    /// of the block cache's generation stamp.
     code_write_gen: u64,
     /// Cycle bound of the current [`Machine::run_until`] call
     /// (`u64::MAX` outside bounded runs). Caps the WFI fast-forward so a
@@ -409,7 +408,6 @@ impl Machine {
             svc_count: 0,
             icache_recoveries: 0,
             dcache_recoveries: 0,
-            predecode: Predecode::new(config.predecode),
             blocks: BlockCache::new(),
             block_rec: None,
             rec_spare: Vec::new(),
@@ -471,7 +469,7 @@ impl Machine {
     /// A point-in-time copy of the whole machine: CPU, memories (only
     /// the [`Machine::resident_pages`] are copied — cost proportional to
     /// the written footprint, not the address-space size), devices, IRQ
-    /// state, predecode and block caches, WFI-park state. Restoring
+    /// state, block cache, WFI-park state. Restoring
     /// ([`Machine::restore`]) or materializing
     /// ([`MachineSnapshot::to_machine`]) yields a machine that runs
     /// bit-identically to the original from the snapshot point —
@@ -529,42 +527,28 @@ impl Machine {
         self.dcache_recoveries
     }
 
-    /// Enables or disables the host-side execution engine (predecode
-    /// cache and block engine) at runtime. Disabling drops every cached
-    /// entry and block and falls back to the uncached per-step
-    /// interpreter; results are bit-identical either way.
+    /// Enables or disables the host-side block engine at runtime
+    /// ([`MachineConfig::predecode`]). Toggling drops every cached block
+    /// and any recording in flight; disabled, every instruction runs on
+    /// the per-step interpreter. Results are bit-identical either way.
     pub fn set_predecode_enabled(&mut self, enabled: bool) {
-        self.predecode.set_enabled(enabled);
+        self.config.predecode = enabled;
         self.blocks.clear();
         self.discard_record();
     }
 
-    /// Whether the execution engine is currently enabled.
+    /// Whether the block engine is currently enabled.
     #[must_use]
     pub fn predecode_enabled(&self) -> bool {
-        self.predecode.enabled()
+        self.config.predecode
     }
 
-    /// Predecode cache hit/miss/invalidation counters, plus the block
-    /// engine's (installs, dispatches, chain follows, budget splits,
-    /// fused pairs, fetch-plan mix, demotions).
+    /// The block engine's counters: installs, dispatches, chain
+    /// follows, budget splits, fused pairs, fetch-plan mix, demotions
+    /// and instructions retired threaded.
     #[must_use]
     pub fn predecode_stats(&self) -> PredecodeStats {
-        let b = &self.blocks.stats;
-        PredecodeStats {
-            block_hits: b.hits,
-            chain_follows: b.chain_follows,
-            budget_splits: b.budget_splits,
-            blocks_promoted: b.promoted,
-            fused_pairs: b.fused_pairs,
-            demotions: b.demotions,
-            threaded_instrs: b.threaded_instrs,
-            block_instrs: 0,
-            plans_free: b.plans_free,
-            plans_refill: b.plans_refill,
-            plans_slow: b.plans_slow,
-            ..self.predecode.stats()
-        }
+        self.blocks.stats
     }
 
     /// Per-block execution profile: one entry per occupied block-cache
@@ -587,9 +571,6 @@ impl Machine {
         reg.counter(&format!("{prefix}cycles"), self.cycles);
         reg.counter(&format!("{prefix}instructions"), self.instret);
         let s = self.predecode_stats();
-        reg.counter(&format!("{prefix}predecode.hits"), s.hits);
-        reg.counter(&format!("{prefix}predecode.misses"), s.misses);
-        reg.counter(&format!("{prefix}predecode.invalidations"), s.invalidations);
         reg.counter(&format!("{prefix}blocks.hits"), s.block_hits);
         reg.counter(&format!("{prefix}blocks.chain_follows"), s.chain_follows);
         reg.counter(&format!("{prefix}blocks.budget_splits"), s.budget_splits);
@@ -755,9 +736,9 @@ impl Machine {
 
     /// Charges the *timing* of fetching `len` instruction bytes at `addr`
     /// — MPU execute check, flash streaming / I-cache state, TCM
-    /// hold-and-repair — without extracting flash bytes. Run on every
-    /// step (predecode hit or miss) so cached execution is
-    /// cycle-identical. Returns `(cycles, region, tcm_value)`; the third
+    /// hold-and-repair — without extracting flash bytes. Threaded ops
+    /// replay it for every fetch, so block execution is cycle-identical
+    /// to stepping. Returns `(cycles, region, tcm_value)`; the third
     /// element carries the TCM read's value (the repairing read is the
     /// access itself, so it is performed exactly once) and is zero for
     /// other regions.
@@ -811,8 +792,8 @@ impl Machine {
     }
 
     /// Fetches `len` instruction bytes at `addr`. Returns
-    /// `(raw, cycles, patched_breakpoint)`. Predecode-miss path only; the
-    /// hit path replays [`Machine::fetch_timing`] alone.
+    /// `(raw, cycles, patched_breakpoint)`. The per-step path's fetch;
+    /// threaded ops replay [`Machine::fetch_timing`] alone.
     fn fetch_mem(&mut self, addr: u32, len: u32) -> Result<(u32, u32, bool), MemFault> {
         let (cycles, region, tcm_value) = self.fetch_timing(addr, len)?;
         match region {
@@ -955,19 +936,23 @@ impl Machine {
     }
 
     /// Self-modifying-code hook on the store path: a write that lands
-    /// inside the predecode or block-cache watermark invalidates both
-    /// caches (by bumping the machine's code-write generation). The
-    /// block executor additionally re-checks this generation after
-    /// every instruction, so a store that rewrites code *later in the
-    /// currently executing block* splits back to the per-step path
-    /// before the stale entry could issue.
+    /// inside the block-cache watermark, or inside the run being
+    /// recorded (`[start, next_pc)`: captured entries not yet
+    /// installed), bumps the machine's code-write generation. That
+    /// clears the block cache at its next lookup and makes the recorder
+    /// discard the run. The block executor additionally re-checks this
+    /// generation after every impure op, so a store that rewrites code
+    /// *later in the currently executing block* splits back to the
+    /// per-step path before the stale entry could issue.
     fn note_code_write(&mut self, addr: u32, len: u32) {
-        if self.predecode.covers(addr, len) || self.blocks.covers(addr, len) {
+        let recorded =
+            |rec: &BlockRec| addr < rec.next_pc && addr.saturating_add(len.max(1) - 1) >= rec.start;
+        if self.blocks.covers(addr, len) || self.block_rec.as_ref().is_some_and(recorded) {
             self.code_write_gen = self.code_write_gen.wrapping_add(1);
         }
     }
 
-    /// The predecode generation stamp: the sum of the per-region
+    /// The block cache's generation stamp: the sum of the per-region
     /// revision counters — any change to what instruction bytes decode
     /// to moves this value. Devices participate through
     /// [`crate::Device::revision`] (cached bus-side, so plain data
@@ -1011,7 +996,7 @@ impl Machine {
     /// [`Machine::step`]. Results are bit-identical to stepping — see
     /// [`Machine::exec_blocks`] for the boundary contract.
     fn advance(&mut self, cycle_limit: u64) -> Option<StopReason> {
-        if !self.predecode.enabled() || self.wfi_parked {
+        if !self.config.predecode || self.wfi_parked {
             return self.step();
         }
         // Block-boundary IRQ sampling: drain once at block entry. Inside
@@ -1099,7 +1084,7 @@ impl Machine {
             // dispatch-follow-redispatch passes of this chain loop:
             // charge the stats those passes would have charged.
             let stats = &mut self.blocks.stats;
-            stats.hits += rounds;
+            stats.block_hits += rounds;
             stats.chain_follows += rounds.saturating_sub(1);
             stats.threaded_instrs += self.instret - instret0;
             self.blocks.note_dispatch(slot, rounds);
@@ -1163,7 +1148,8 @@ impl Machine {
     /// arrive on the straight line (`pc == next_pc`) under the same
     /// generation stamp; anything else (an interrupt diverted
     /// execution, the stamp moved) discards the partial run.
-    fn record_entry(&mut self, pc: u32, stamp: u64, entry: &Entry) {
+    fn record_entry(&mut self, pc: u32, entry: &Entry) {
+        let stamp = self.code_stamp();
         let Some(rec) = &mut self.block_rec else { return };
         if rec.next_pc != pc || rec.stamp != stamp {
             self.discard_record();
@@ -1313,23 +1299,12 @@ impl Machine {
             }
         }
         let pc = self.cpu.pc;
-        let stamp = self.code_stamp();
-        // Predecode hit: replay the fetch timing, skip bytes + decode.
-        // Miss: full fetch + decode, filling the cache. Both paths charge
-        // identical cycles and produce identical patch accounting.
-        let (entry, fetch_cycles) = if let Some(e) = self.predecode.lookup(pc, stamp) {
-            match self.replay_fetch(pc, &e) {
-                Ok(c) => (e, c),
-                Err(stop) => return Some(stop),
-            }
-        } else {
-            match self.fetch_decode(pc, stamp) {
-                Ok(t) => t,
-                Err(stop) => return Some(stop),
-            }
+        let (entry, fetch_cycles) = match self.fetch_decode(pc) {
+            Ok(t) => t,
+            Err(stop) => return Some(stop),
         };
         if self.block_rec.is_some() {
-            self.record_entry(pc, stamp, &entry);
+            self.record_entry(pc, &entry);
         }
         self.issue(&entry, pc, fetch_cycles)
     }
@@ -1358,36 +1333,10 @@ impl Machine {
         self.exec(entry.instr, pc, entry.size)
     }
 
-    /// Predecode-hit fetch: re-charges the timing of every fetch the
-    /// decode path would perform (flash streaming / I-cache / TCM / MPU
-    /// state advance identically) and replays the entry's flash-patch
-    /// accounting, without touching bytes or the decoder.
-    fn replay_fetch(&mut self, pc: u32, e: &Entry) -> Result<u32, StopReason> {
-        let mode = self.config.mode;
-        let mut cycles = match self.fetch_timing(pc, mode.min_instr_size()) {
-            Ok((c, _, _)) => c,
-            Err(f) => return Err(StopReason::Fault(f)),
-        };
-        self.patch.hits += u64::from(e.patch_hits);
-        if e.bp_first {
-            return Err(StopReason::PatchBreakpoint { addr: pc });
-        }
-        if mode != IsaMode::A32 && e.size == 4 {
-            let c2 = match self.fetch_timing(pc + 2, 2) {
-                Ok((c, _, _)) => c,
-                Err(f) => return Err(StopReason::Fault(f)),
-            };
-            if e.bp_second {
-                return Err(StopReason::PatchBreakpoint { addr: pc + 2 });
-            }
-            cycles += c2;
-        }
-        Ok(cycles)
-    }
-
-    /// Predecode-miss fetch: narrow first, widen on demand, decode from a
-    /// fixed 4-byte window (no heap), install the result in the cache.
-    fn fetch_decode(&mut self, pc: u32, stamp: u64) -> Result<(Entry, u32), StopReason> {
+    /// The per-step fetch: narrow first, widen on demand, decode from a
+    /// fixed 4-byte window (no heap). A flash-patch breakpoint on either
+    /// halfword stops before anything is decoded.
+    fn fetch_decode(&mut self, pc: u32) -> Result<(Entry, u32), StopReason> {
         let mode = self.config.mode;
         let first_len = mode.min_instr_size();
         let hits_before = self.patch.hits;
@@ -1396,9 +1345,6 @@ impl Machine {
             Err(f) => return Err(StopReason::Fault(f)),
         };
         if bp {
-            let patch_hits = (self.patch.hits - hits_before) as u8;
-            self.predecode
-                .insert(pc, stamp, Entry::breakpoint(pc, first_len, false, patch_hits));
             return Err(StopReason::PatchBreakpoint { addr: pc });
         }
         let mut window = raw;
@@ -1408,9 +1354,6 @@ impl Machine {
                 Err(f) => return Err(StopReason::Fault(f)),
             };
             if bp2 {
-                let patch_hits = (self.patch.hits - hits_before) as u8;
-                self.predecode
-                    .insert(pc, stamp, Entry::breakpoint(pc, 4, true, patch_hits));
                 return Err(StopReason::PatchBreakpoint { addr: pc + 2 });
             }
             fetch_cycles += c2;
@@ -1421,9 +1364,7 @@ impl Machine {
             Err(_) => return Err(StopReason::DecodeError { addr: pc }),
         };
         let patch_hits = (self.patch.hits - hits_before) as u8;
-        let entry = Entry::decoded(pc, instr, isize, patch_hits);
-        self.predecode.insert(pc, stamp, entry);
-        Ok((entry, fetch_cycles))
+        Ok((Entry::decoded(instr, isize, patch_hits), fetch_cycles))
     }
 
     #[allow(clippy::too_many_lines)]
@@ -2320,7 +2261,7 @@ mod tests {
     #[test]
     fn snapshot_mid_block_restores_bit_identically() {
         // Snapshot taken at a bound landing inside the hot loop's basic
-        // block (warm predecode + block caches, recording in flight):
+        // block (warm block cache, recording in flight):
         // the original, a restored machine, and a materialized fork
         // must all finish with identical cycles/instret/registers.
         let src = "mov r0, #0

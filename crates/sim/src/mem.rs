@@ -276,7 +276,7 @@ impl Flash {
     }
 
     /// Content revision: bumped by every [`Flash::load`]. Consumers
-    /// caching decoded views of flash (the machine's predecode cache)
+    /// caching decoded views of flash (the machine's block cache)
     /// compare revisions to detect staleness.
     #[must_use]
     pub fn revision(&self) -> u64 {
@@ -326,8 +326,9 @@ impl Flash {
 
     /// Timing-only access: advances the streaming state and counters
     /// exactly like [`Flash::access`] without extracting bytes. Used by
-    /// the fetch path, where the predecode cache usually already knows
-    /// the decoded instruction.
+    /// the machine's fetch and data paths, which read the bytes through
+    /// the flash-patch unit, and by cached blocks, which replay only
+    /// the timing of instructions they already hold decoded.
     #[inline]
     pub fn access_timing(&mut self, off: u32, len: u32, kind: Access) -> u32 {
         // Avoid the division in the overwhelmingly common case of an
@@ -406,7 +407,7 @@ impl Sram {
 
     /// Host-side content revision: bumped by host writes ([`Sram::load`],
     /// [`Sram::write`]). Simulated stores are *not* counted here — the
-    /// machine's predecode watermark tracks them instead, keeping the
+    /// machine's block-cache watermark tracks them instead, keeping the
     /// store path cheap.
     #[must_use]
     pub fn revision(&self) -> u64 {
@@ -443,7 +444,7 @@ impl Sram {
     /// This is the *host-side* entry point and conservatively counts as a
     /// content mutation (bumps [`Sram::revision`], invalidating any
     /// cached decoded view). The machine's own store path uses
-    /// `Sram::write_raw` instead, guarded by its predecode watermark.
+    /// `Sram::write_raw` instead, guarded by its block-cache watermark.
     pub fn write(&mut self, off: u32, len: u32, value: u32) {
         self.revision += 1;
         self.write_raw(off, len, value);
@@ -507,8 +508,8 @@ impl Tcm {
 
     /// Host-side content revision: bumped by out-of-band mutation
     /// ([`Tcm::load`], [`Tcm::write`], [`Tcm::inject_bit_flip`]).
-    /// Simulated stores are tracked by the machine's predecode watermark
-    /// instead.
+    /// Simulated stores are tracked by the machine's block-cache
+    /// watermark instead.
     #[must_use]
     pub fn revision(&self) -> u64 {
         self.revision
@@ -547,7 +548,7 @@ impl Tcm {
     /// This is the *host-side* entry point and conservatively counts as a
     /// content mutation (bumps [`Tcm::revision`], invalidating any cached
     /// decoded view). The machine's own store path uses
-    /// `Tcm::write_raw`, guarded by its predecode watermark.
+    /// `Tcm::write_raw`, guarded by its block-cache watermark.
     pub fn write(&mut self, off: u32, len: u32, value: u32) -> u32 {
         self.revision += 1;
         self.write_raw(off, len, value)

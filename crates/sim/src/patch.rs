@@ -74,7 +74,7 @@ impl FlashPatch {
 
     /// Programming revision: bumped by every [`FlashPatch::set`] /
     /// [`FlashPatch::clear`]. Consumers caching patched views of flash
-    /// (the machine's predecode cache) compare revisions to detect
+    /// (the machine's block cache) compare revisions to detect
     /// staleness.
     #[must_use]
     pub fn revision(&self) -> u64 {

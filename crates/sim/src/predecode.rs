@@ -1,58 +1,52 @@
-//! Predecoded-instruction cache: decode each instruction address once.
+//! The code cache: recorded blocks of decoded instructions, lowered to
+//! threaded code, plus the block engine's counters.
 //!
-//! Guest instruction memory is effectively immutable between flash loads,
-//! flash-patch updates and (rare) self-modifying stores, yet the seed
-//! interpreter re-fetched bytes and re-ran the table decoder on every
-//! single step. This module adds the classic interpreter remedy — a
-//! *predecode cache* (translation cache without code generation): a
-//! 2-way set-associative table from instruction address to the
-//! already-decoded [`Instr`], its size, its condition field and its
-//! flash-patch interaction, consulted by `Machine::step` before falling
-//! back to `alia_isa::decode_window`.
-//!
-//! On top of it sits the `BlockCache`: straight-line runs of `Entry`s up
-//! to the next control transfer, recorded as a side effect of per-step
-//! execution and lowered to threaded code (`crates/sim/src/threaded.rs`)
-//! when the recording is installed. `Machine::run`
-//! dispatches those blocks whole and chains block exits, so hot loops
-//! run cache-to-cache without re-probing. The instruction-level cache
-//! stays as the fill path: blocks are built from the entries it produced.
+//! `Machine::step` fetches and decodes every instruction it executes.
+//! With the block engine on ([`crate::MachineConfig::predecode`]), the
+//! per-step path also records the straight-line runs it retires, as
+//! `Entry`s up to the next control transfer, and installs each
+//! finished run in the `BlockCache`, lowered to threaded code
+//! (`crates/sim/src/threaded.rs`). `Machine::run` dispatches those
+//! blocks whole and chains block exits, so hot loops run block to block
+//! without re-reading instruction bytes or re-running the decoder. The
+//! block cache is the only code cache; the module and the switch keep
+//! their historical `predecode` names.
 //!
 //! # Semantics preservation
 //!
 //! The cache changes *host* cost only. Everything the cycle model
-//! observes is replayed on every step, hit or miss:
+//! observes is replayed by every threaded op:
 //!
 //! * fetch **timing** (flash streaming/prefetch state, I-cache lookups and
-//!   parity recoveries, TCM hold-and-repair, MPU execute checks) — the
-//!   machine re-runs the timing side of every fetch; only the byte
-//!   extraction and decode are skipped,
-//! * **flash-patch accounting** — a cached entry remembers how many patch
-//!   hits the fetch contributed and whether it was a patch breakpoint, so
-//!   `FlashPatch::hits` and `StopReason::PatchBreakpoint` are identical,
+//!   parity recoveries, TCM hold-and-repair, MPU execute checks) — only
+//!   the byte extraction and decode are skipped,
+//! * **flash-patch accounting** — each entry remembers how many patch
+//!   hits its fetch contributed, so `FlashPatch::hits` is identical; a
+//!   patch breakpoint stops the per-step path before it is recorded,
 //! * **condition evaluation** — IT-block and A32 predication read live CPU
 //!   state, never the cache.
 //!
 //! # Invalidation
 //!
-//! Entries are guarded by a *generation stamp* — the sum of revision
+//! Blocks are guarded by a *generation stamp* — the sum of revision
 //! counters on everything that can change what bytes decode to:
 //!
 //! * [`crate::Flash::revision`] — flash image loads / host mutation,
 //! * [`crate::FlashPatch::revision`] — patch slot programming,
 //! * [`crate::Sram::revision`] / [`crate::Tcm::revision`] — host-side RAM
 //!   mutation (bulk loads, fault injection),
+//! * [`crate::Device::revision`] — devices that remap code,
 //! * the machine's *code-write generation*, bumped when a simulated store
 //!   (including bit-band aliases) lands inside the cache's **watermark**
-//!   — the address interval covered by cached instructions. Stores
-//!   outside the watermark (the overwhelmingly common case: data is data)
-//!   cost two compares.
+//!   — the address interval covered by installed blocks — or inside the
+//!   run being recorded. Stores elsewhere (the overwhelmingly common
+//!   case: data is data) cost a few compares.
 //!
 //! A stamp mismatch clears the whole table on the next lookup. This is
 //! deliberately coarse: correct first, cheap second — invalidation events
-//! are rare compared to steps, and a full clear makes the consistency
-//! argument one sentence long. The block cache is guarded the same way,
-//! so its threaded code dies with the entries it was lowered from.
+//! are rare compared to dispatches, and a full clear makes the
+//! consistency argument one sentence long. Threaded code dies with the
+//! slot that holds it.
 
 use std::sync::Arc;
 
@@ -60,20 +54,10 @@ use alia_isa::{Cond, Instr};
 
 use crate::threaded::ThreadedBlock;
 
-/// Set count: two ways each, 2048 entries in all (4 KiB of contiguous
-/// Thumb code before two addresses share a set; kernels in this repo
-/// are a few hundred bytes).
-const SETS: usize = 1024;
-
-/// Marker for an empty slot (instruction addresses are even, so an odd
-/// tag can never match a real PC).
-const TAG_EMPTY: u32 = 1;
-
-/// One predecoded instruction.
+/// One decoded instruction of a recorded run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
-    tag: u32,
-    /// The decoded instruction (meaningless for breakpoint entries).
+    /// The decoded instruction.
     pub instr: Instr,
     /// Encoded size in bytes (2 or 4).
     pub size: u32,
@@ -81,57 +65,26 @@ pub(crate) struct Entry {
     pub cond: Cond,
     /// Precomputed `matches!(instr, Instr::It { .. })`.
     pub is_it: bool,
-    /// Flash-patch breakpoint on the first fetched unit (stop before
-    /// executing; `StopReason::PatchBreakpoint { addr: pc }`).
-    pub bp_first: bool,
-    /// Flash-patch breakpoint on the second halfword of a wide Thumb
-    /// instruction (`StopReason::PatchBreakpoint { addr: pc + 2 }`).
-    pub bp_second: bool,
     /// `FlashPatch::hits` increments this fetch contributes per step.
     pub patch_hits: u8,
 }
 
 impl Entry {
-    /// An entry for a successfully decoded instruction at `pc`.
-    pub(crate) fn decoded(pc: u32, instr: Instr, size: u32, patch_hits: u8) -> Entry {
+    /// An entry for a successfully decoded instruction.
+    pub(crate) fn decoded(instr: Instr, size: u32, patch_hits: u8) -> Entry {
         Entry {
-            tag: pc,
             instr,
             size,
             cond: instr.cond(),
             is_it: matches!(instr, Instr::It { .. }),
-            bp_first: false,
-            bp_second: false,
-            patch_hits,
-        }
-    }
-
-    /// An entry for a flash-patch breakpoint at `pc`; `second` marks a
-    /// breakpoint on the second halfword of a wide Thumb instruction.
-    pub(crate) fn breakpoint(pc: u32, size: u32, second: bool, patch_hits: u8) -> Entry {
-        Entry {
-            tag: pc,
-            instr: Instr::Nop,
-            size,
-            cond: Cond::Al,
-            is_it: false,
-            bp_first: !second,
-            bp_second: second,
             patch_hits,
         }
     }
 }
 
-/// Hit/miss/invalidation counters for the predecode cache, plus the
-/// counters of the block engine that sits on top of it.
+/// The block engine's counters (see [`crate::Machine::predecode_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredecodeStats {
-    /// Lookups served from the instruction-level cache.
-    pub hits: u64,
-    /// Lookups that fell back to the full fetch + decode path.
-    pub misses: u64,
-    /// Whole-cache invalidations (generation-stamp changes).
-    pub invalidations: u64,
     /// Block executions (entry probes, chain follows and self-loop
     /// rounds all count — one per pass through a block).
     pub block_hits: u64,
@@ -172,9 +125,6 @@ impl PredecodeStats {
     /// drop a newly added field.
     pub fn merge(&mut self, other: &PredecodeStats) {
         let PredecodeStats {
-            hits,
-            misses,
-            invalidations,
             block_hits,
             chain_follows,
             budget_splits,
@@ -187,9 +137,6 @@ impl PredecodeStats {
             plans_refill,
             plans_slow,
         } = other;
-        self.hits += hits;
-        self.misses += misses;
-        self.invalidations += invalidations;
         self.block_hits += block_hits;
         self.chain_follows += chain_follows;
         self.budget_splits += budget_splits;
@@ -201,165 +148,6 @@ impl PredecodeStats {
         self.plans_free += plans_free;
         self.plans_refill += plans_refill;
         self.plans_slow += plans_slow;
-    }
-}
-
-/// The predecoded-instruction cache. See the module docs.
-#[derive(Debug, Clone)]
-pub struct Predecode {
-    /// Entry storage, allocated lazily on the first insert so a machine
-    /// that never steps (or runs with the cache disabled) pays nothing
-    /// at construction. Indexed as [`SETS`] pairs of ways.
-    entries: Vec<Entry>,
-    /// One MRU bit per set (bit set = way 1 was used more recently, so
-    /// way 0 is the eviction victim).
-    mru: Vec<u64>,
-    stamp: u64,
-    /// Watermark over cached instruction bytes: lowest / highest address
-    /// (inclusive) any live entry covers. `lo > hi` means empty.
-    lo: u32,
-    hi: u32,
-    enabled: bool,
-    stats: PredecodeStats,
-}
-
-impl Predecode {
-    pub(crate) fn new(enabled: bool) -> Predecode {
-        Predecode {
-            entries: Vec::new(),
-            mru: Vec::new(),
-            stamp: 0,
-            lo: u32::MAX,
-            hi: 0,
-            enabled,
-            stats: PredecodeStats::default(),
-        }
-    }
-
-    /// Whether lookups are served (disabling also drops all entries).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        self.drop_entries();
-    }
-
-    /// Counters since construction (cleared entries keep their counts).
-    #[must_use]
-    pub fn stats(&self) -> PredecodeStats {
-        self.stats
-    }
-
-    fn set(pc: u32) -> usize {
-        (pc >> 1) as usize & (SETS - 1)
-    }
-
-    fn drop_entries(&mut self) {
-        for e in &mut self.entries {
-            e.tag = TAG_EMPTY;
-        }
-        self.lo = u32::MAX;
-        self.hi = 0;
-    }
-
-    /// Looks up `pc` under generation `stamp`, copying out the entry on a
-    /// hit. A stamp change clears the table first.
-    #[inline]
-    pub(crate) fn lookup(&mut self, pc: u32, stamp: u64) -> Option<Entry> {
-        if !self.enabled {
-            return None;
-        }
-        if self.stamp != stamp {
-            self.drop_entries();
-            self.stamp = stamp;
-            self.stats.invalidations += 1;
-            self.stats.misses += 1;
-            return None;
-        }
-        let set = Predecode::set(pc);
-        let way = match self.entries.get(set * 2..set * 2 + 2) {
-            Some(pair) if pair[0].tag == pc => 0,
-            Some(pair) if pair[1].tag == pc => 1,
-            _ => {
-                self.stats.misses += 1;
-                return None;
-            }
-        };
-        let e = self.entries[set * 2 + way];
-        self.mark_mru(set, way);
-        self.stats.hits += 1;
-        Some(e)
-    }
-
-    /// Records `way` as most-recently-used for `set`. The store is
-    /// skipped when the bit already agrees — in steady-state
-    /// straight-line execution the same way hits repeatedly, so the hot
-    /// path does one load and no store.
-    #[inline]
-    fn mark_mru(&mut self, set: usize, way: usize) {
-        let word = &mut self.mru[set >> 6];
-        let bit = 1u64 << (set & 63);
-        let want = way == 1;
-        if (*word & bit != 0) != want {
-            *word ^= bit;
-        }
-    }
-
-    /// Installs an entry for `pc` filled under generation `stamp`.
-    pub(crate) fn insert(&mut self, pc: u32, stamp: u64, entry: Entry) {
-        if !self.enabled || self.stamp != stamp {
-            return;
-        }
-        if self.entries.is_empty() {
-            self.entries = vec![
-                Entry {
-                    tag: TAG_EMPTY,
-                    instr: Instr::Nop,
-                    size: 0,
-                    cond: Cond::Al,
-                    is_it: false,
-                    bp_first: false,
-                    bp_second: false,
-                    patch_hits: 0,
-                };
-                SETS * 2
-            ];
-            self.mru = vec![0; SETS.div_ceil(64)];
-        }
-        debug_assert_eq!(entry.tag, pc);
-        let end = pc + entry.size.max(2) - 1;
-        self.lo = self.lo.min(pc);
-        self.hi = self.hi.max(end);
-        let set = Predecode::set(pc);
-        let base = set * 2;
-        // Way choice: matching tag, then an empty way, then the LRU
-        // victim.
-        let way = if self.entries[base].tag == pc {
-            0
-        } else if self.entries[base + 1].tag == pc {
-            1
-        } else if self.entries[base].tag == TAG_EMPTY {
-            0
-        } else if self.entries[base + 1].tag == TAG_EMPTY {
-            1
-        } else if self.mru[set >> 6] & 1 << (set & 63) != 0 {
-            0 // way 1 is MRU: evict way 0
-        } else {
-            1
-        };
-        self.entries[base + way] = entry;
-        self.mark_mru(set, way);
-    }
-
-    /// Whether a write of `len` bytes at `addr` overlaps any cached
-    /// instruction (the self-modifying-code check on the store path).
-    #[must_use]
-    pub(crate) fn covers(&self, addr: u32, len: u32) -> bool {
-        // Empty cache has lo > hi, which can never satisfy both bounds.
-        addr <= self.hi && addr.saturating_add(len.max(1) - 1) >= self.lo
     }
 }
 
@@ -384,23 +172,9 @@ const _: () = assert!(MAX_BLOCK_LEN <= 64);
 /// fall-through).
 const BLOCK_LINKS: usize = 2;
 
-/// Marker for an unset chain link.
-const LINK_EMPTY: (u32, u16) = (TAG_EMPTY, u16::MAX);
-
-/// Block-level counters (merged into [`PredecodeStats`] by the machine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct BlockStats {
-    pub hits: u64,
-    pub chain_follows: u64,
-    pub budget_splits: u64,
-    pub promoted: u64,
-    pub fused_pairs: u64,
-    pub demotions: u64,
-    pub threaded_instrs: u64,
-    pub plans_free: u64,
-    pub plans_refill: u64,
-    pub plans_slow: u64,
-}
+/// Marker for an unset chain link (instruction addresses are even, so
+/// an odd exit pc can never match a real PC).
+const LINK_EMPTY: (u32, u16) = (1, u16::MAX);
 
 /// A cached block handed to the dispatcher: its slot (for chain links
 /// and profile counts) and its threaded code.
@@ -426,10 +200,10 @@ struct Block {
     dispatches: u64,
 }
 
-/// The basic-block cache. Invalidation mirrors [`Predecode`]: the same
-/// generation stamp guards all blocks (a mismatch clears the table),
-/// and a watermark over every cached block's byte range feeds the
-/// store-path self-modifying-code check. See the module docs.
+/// The basic-block cache: one generation stamp guards all blocks (a
+/// mismatch clears the table), and a watermark over every cached
+/// block's byte range feeds the store-path self-modifying-code check.
+/// See the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockCache {
     /// Slot storage (`None` = empty), allocated lazily on the first
@@ -437,11 +211,10 @@ pub(crate) struct BlockCache {
     blocks: Vec<Option<Block>>,
     stamp: u64,
     /// Watermark over cached block bytes (inclusive; `lo > hi` = empty).
-    /// Kept separately from the instruction cache's watermark because
-    /// the two levels clear independently.
     lo: u32,
     hi: u32,
-    pub(crate) stats: BlockStats,
+    /// The engine's counters, charged here and by the dispatcher.
+    pub(crate) stats: PredecodeStats,
 }
 
 impl BlockCache {
@@ -451,7 +224,7 @@ impl BlockCache {
             stamp: 0,
             lo: u32::MAX,
             hi: 0,
-            stats: BlockStats::default(),
+            stats: PredecodeStats::default(),
         }
     }
 
@@ -511,7 +284,7 @@ impl BlockCache {
         self.lo = self.lo.min(pc);
         self.hi = self.hi.max(end);
         let stats = &mut self.stats;
-        stats.promoted += 1;
+        stats.blocks_promoted += 1;
         stats.fused_pairs += u64::from(code.fused);
         stats.plans_free += u64::from(code.plans_free);
         stats.plans_refill += u64::from(code.plans_refill);
@@ -543,7 +316,7 @@ impl BlockCache {
         let links = &mut b.links;
         let pos = links
             .iter()
-            .position(|&(exit, _)| exit == pc || exit == TAG_EMPTY)
+            .position(|&(exit, _)| exit == pc || exit == LINK_EMPTY.0)
             .unwrap_or(BLOCK_LINKS - 1);
         // Keep the most recent hint in front so `follow` finds the hot
         // exit first.
@@ -552,10 +325,10 @@ impl BlockCache {
     }
 
     /// Whether a write of `len` bytes at `addr` overlaps any cached
-    /// block (the store-path self-modifying-code check, alongside
-    /// [`Predecode::covers`]).
+    /// block (the store-path self-modifying-code check).
     #[must_use]
     pub(crate) fn covers(&self, addr: u32, len: u32) -> bool {
+        // An empty cache has lo > hi, which can never satisfy both bounds.
         addr <= self.hi && addr.saturating_add(len.max(1) - 1) >= self.lo
     }
 
@@ -583,91 +356,6 @@ impl BlockCache {
 mod tests {
     use super::*;
 
-    fn entry(pc: u32, size: u32) -> Entry {
-        Entry::decoded(pc, Instr::Nop, size, 0)
-    }
-
-    #[test]
-    fn miss_then_hit() {
-        let mut p = Predecode::new(true);
-        assert!(p.lookup(0x100, 5).is_none()); // first lookup sets stamp
-        p.insert(0x100, 5, entry(0x100, 2));
-        assert!(p.lookup(0x100, 5).is_some());
-        assert_eq!(p.stats().hits, 1);
-        assert_eq!(p.stats().misses, 1);
-    }
-
-    #[test]
-    fn stamp_change_clears() {
-        let mut p = Predecode::new(true);
-        p.lookup(0x100, 1);
-        p.insert(0x100, 1, entry(0x100, 2));
-        assert!(p.lookup(0x100, 2).is_none(), "new stamp invalidates");
-        assert!(p.lookup(0x100, 2).is_none(), "entry really gone");
-        assert_eq!(p.stats().invalidations, 2, "construction stamp 0 -> 1 -> 2");
-    }
-
-    #[test]
-    fn stale_insert_is_dropped() {
-        let mut p = Predecode::new(true);
-        p.lookup(0x100, 1);
-        p.insert(0x100, 2, entry(0x100, 2)); // filled under a newer stamp
-        assert!(p.lookup(0x100, 1).is_none());
-    }
-
-    #[test]
-    fn disabled_never_hits() {
-        let mut p = Predecode::new(false);
-        p.insert(0x100, 0, entry(0x100, 2));
-        assert!(p.lookup(0x100, 0).is_none());
-        assert_eq!(p.stats().hits, 0);
-    }
-
-    #[test]
-    fn watermark_covers_cached_range_only() {
-        let mut p = Predecode::new(true);
-        p.lookup(0x100, 1);
-        assert!(!p.covers(0x100, 4), "empty cache covers nothing");
-        p.insert(0x100, 1, entry(0x100, 4));
-        p.insert(0x200, 1, entry(0x200, 2));
-        assert!(p.covers(0x100, 1));
-        assert!(p.covers(0x103, 1));
-        assert!(p.covers(0x201, 1));
-        assert!(p.covers(0xFE, 8), "straddling write detected");
-        assert!(!p.covers(0x202, 4));
-        assert!(!p.covers(0, 0x100));
-    }
-
-    #[test]
-    fn two_way_holds_a_pair_of_aliases() {
-        // Two addresses mapping to the same set coexist — the
-        // main-loop/handler aliasing case.
-        let mut p = Predecode::new(true);
-        p.lookup(0x100, 1);
-        let alias = 0x100 + 2 * SETS as u32;
-        p.insert(0x100, 1, entry(0x100, 2));
-        p.insert(alias, 1, entry(alias, 2));
-        assert!(p.lookup(0x100, 1).is_some(), "way 0 survives");
-        assert!(p.lookup(alias, 1).is_some(), "way 1 coexists");
-    }
-
-    #[test]
-    fn two_way_evicts_the_lru_way() {
-        let mut p = Predecode::new(true);
-        p.lookup(0x100, 1);
-        let a = 0x100;
-        let b = a + 2 * SETS as u32;
-        let c = b + 2 * SETS as u32;
-        p.insert(a, 1, entry(a, 2));
-        p.insert(b, 1, entry(b, 2));
-        // Touch `a` so `b` becomes the LRU victim.
-        assert!(p.lookup(a, 1).is_some());
-        p.insert(c, 1, entry(c, 2));
-        assert!(p.lookup(a, 1).is_some(), "MRU way kept");
-        assert!(p.lookup(b, 1).is_none(), "LRU way evicted");
-        assert!(p.lookup(c, 1).is_some());
-    }
-
     /// A cache primed at generation `stamp` (the first lookup adopts it).
     fn block_cache(stamp: u64) -> BlockCache {
         let mut b = BlockCache::new();
@@ -679,7 +367,10 @@ mod tests {
     /// returning whether it landed.
     fn install(b: &mut BlockCache, stamp: u64, pcs: &[(u32, u32)]) -> bool {
         let m = crate::Machine::m3_like();
-        let run: Vec<Entry> = pcs.iter().map(|&(pc, size)| entry(pc, size)).collect();
+        let run: Vec<Entry> = pcs
+            .iter()
+            .map(|&(_, size)| Entry::decoded(Instr::Nop, size, 0))
+            .collect();
         let start = pcs.first().map_or(0x100, |p| p.0);
         let end = pcs.last().map_or(start, |&(pc, size)| pc + size - 1);
         crate::threaded::build(start, &run, &m).is_some_and(|code| b.insert(start, end, stamp, code))
@@ -691,7 +382,7 @@ mod tests {
         assert!(install(&mut b, 5, &[(0x100, 2), (0x102, 4)]));
         let (_, code) = b.lookup(0x100, 5).expect("block cached");
         assert_eq!(code.instrs(), 2);
-        assert_eq!(b.stats.promoted, 1);
+        assert_eq!(b.stats.blocks_promoted, 1);
     }
 
     #[test]

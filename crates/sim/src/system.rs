@@ -934,7 +934,7 @@ mod tests {
             assert_eq!(snap.counter(&format!("node.{node}.cycles")), Some(m.cycles()));
             assert_eq!(snap.counter(&format!("node.{node}.instructions")), Some(m.instructions()));
             let s = m.predecode_stats();
-            assert_eq!(snap.counter(&format!("node.{node}.predecode.hits")), Some(s.hits));
+            assert_eq!(snap.counter(&format!("node.{node}.blocks.hits")), Some(s.block_hits));
             assert_eq!(
                 snap.counter(&format!("node.{node}.blocks.promoted")),
                 Some(s.blocks_promoted)

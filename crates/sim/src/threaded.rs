@@ -207,7 +207,7 @@ impl Half {
 pub(crate) struct Op {
     /// The handler.
     pub(crate) run: Handler,
-    /// The first (or only) instruction's predecode entry — the generic
+    /// The first (or only) instruction's recorded entry — the generic
     /// handler issues it; every handler charges its patch accounting.
     pub(crate) entry: Entry,
     /// Whether the whole op (both halves when fused) is pure: cannot
@@ -417,8 +417,8 @@ fn plan_cycles(
 }
 
 /// Replays the fetch of one instruction (both calls for wide Thumb)
-/// and its flash-patch accounting — the threaded mirror of
-/// `Machine::replay_fetch` for breakpoint-free entries.
+/// and its flash-patch accounting — the timing side of the per-step
+/// path's `Machine::fetch_decode`, without reading bytes or decoding.
 #[inline(always)]
 fn fetch_instr(
     m: &mut Machine,
@@ -1029,11 +1029,9 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     if n == 0 {
         return None;
     }
-    // The per-step path stops before recording a flash-patch breakpoint
-    // entry, and the recorder caps runs at MAX_BLOCK_LEN (the width of
-    // the IT bitmask below).
+    // The recorder caps runs at MAX_BLOCK_LEN (the width of the IT
+    // bitmask below).
     debug_assert!(n <= MAX_BLOCK_LEN);
-    debug_assert!(!entries.iter().any(|e| e.bp_first || e.bp_second));
     let mode = m.config.mode;
     let flen = mode.min_instr_size();
     let flash_cfg = m.flash.config();

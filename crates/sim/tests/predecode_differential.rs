@@ -1,24 +1,28 @@
-//! Differential tests: the predecode cache must be invisible.
+//! Differential tests: the block engine's code cache must be invisible.
 //!
-//! Every scenario here runs twice — predecode enabled and disabled — and
-//! asserts bit-identical architectural outcomes: `StopReason`, `cycles`,
-//! `instructions`, registers, flags, flash streaming statistics and
-//! flash-patch hit accounting. Scenarios cover all three machine presets,
-//! IRQs (both schemes), IT blocks, literal pools, flash-patch programming
-//! mid-run, self-modifying SRAM code and randomized ALU programs.
+//! Every scenario here runs twice — engine enabled (`predecode`, the
+//! presets' default) and disabled — and asserts bit-identical
+//! architectural outcomes: `StopReason`, `cycles`, `instructions`,
+//! registers, flags, flash streaming statistics and flash-patch hit
+//! accounting. Scenarios cover all three machine presets, IRQs (both
+//! schemes), IT blocks, literal pools, flash-patch programming mid-run,
+//! self-modifying SRAM code and randomized ALU programs.
 //!
-//! `Machine::run` drives the block engine on top of the cache, while
-//! the `lockstep` scenarios drive `Machine::step`, which never enters
-//! it. The second half (`blocks_*`) aims at the block engine: branchy
-//! control flow, mid-block self-modifying code, flash-patch toggles
-//! landing mid-block via a `run_until` split, and an IRQ storm paced by
-//! a precise-cycle timer device — cycles, registers, stop reasons and
-//! exact IRQ pend/entry stamps all bit-identical.
+//! `Machine::step` never records or dispatches a block, so every
+//! scenario drives `Machine::run` / `Machine::run_until`. Host-side
+//! mutations (patch programming, component-level RAM writes, host SMC,
+//! engine toggles) land at `run_until` bounds, after the engine-on
+//! machine has dispatched cached blocks. The second half (`blocks_*`)
+//! aims at the block engine's sharp edges: branchy control flow,
+//! mid-block self-modifying code, flash-patch toggles landing mid-block
+//! via a `run_until` split, and an IRQ storm paced by a precise-cycle
+//! timer device — cycles, registers, stop reasons and exact IRQ
+//! pend/entry stamps all bit-identical.
 
 use alia_isa::{encode, Assembler, Instr, IsaMode, Operand2, Reg};
 use alia_sim::{Machine, MachineConfig, PatchKind, StopReason, RunResult, SRAM_BASE};
 
-/// Builds the pair: identical machines except for the predecode setting.
+/// Builds the pair: identical machines except for the engine setting.
 fn pair(build: impl Fn() -> Machine) -> (Machine, Machine) {
     let mut on = build();
     on.set_predecode_enabled(true);
@@ -40,63 +44,62 @@ fn assert_state_eq(on: &Machine, off: &Machine, what: &str) {
     assert_eq!(on.latencies(), off.latencies(), "{what}: IRQ stamps diverged");
 }
 
-/// Runs both machines to completion and asserts identical results.
+/// Runs both machines to completion and asserts identical results. The
+/// engine-on machine must have dispatched at least one block, or the
+/// differential exercised nothing.
 fn run_both(on: &mut Machine, off: &mut Machine, limit: u64, what: &str) -> RunResult {
     let a = on.run(limit);
     let b = off.run(limit);
     assert_eq!(a, b, "{what}: RunResult diverged");
     assert_state_eq(on, off, what);
-    let stats = on.predecode_stats();
     assert!(
-        stats.hits > 0 || stats.block_hits > 0 || a.instructions < 2,
-        "{what}: cache never hit — the differential exercised nothing"
+        on.predecode_stats().block_hits > 0 || a.instructions < 2,
+        "{what}: block engine never dispatched — the differential exercised nothing"
     );
-    let off_stats = off.predecode_stats();
-    assert_eq!(off_stats.hits, 0, "{what}: disabled cache must not hit");
-    assert_eq!(off_stats.block_hits, 0, "{what}: disabled cache must not dispatch blocks");
+    assert_eq!(
+        off.predecode_stats().block_hits,
+        0,
+        "{what}: disabled engine dispatched blocks"
+    );
     a
 }
 
-/// [`run_both`] for the `blocks_*` scenarios, which must also have
-/// dispatched at least one block: a predecode hit during recording
-/// alone would leave the block engine unexercised.
-fn run_both_blocks(on: &mut Machine, off: &mut Machine, limit: u64, what: &str) -> RunResult {
-    let r = run_both(on, off, limit, what);
-    assert!(
-        on.predecode_stats().block_hits > 0 || r.instructions < 2,
-        "{what}: block engine never dispatched — the differential exercised nothing"
-    );
-    r
-}
-
-/// A host-side mutation applied to both machines at a given step index.
+/// A host-side mutation applied to both machines at a cycle bound.
 type Event<'a> = (u64, &'a dyn Fn(&mut Machine));
 
-/// Lockstep run: steps both machines together, comparing after every
-/// step, applying `events` (host-side mutations) at given step indices.
-fn lockstep(
-    mut on: Machine,
-    mut off: Machine,
-    max_steps: u64,
+/// Runs both machines with `run_until` to each event's cycle bound,
+/// compares them there, checks that the engine-on machine dispatched a
+/// block since the previous boundary (so the mutation lands on cached
+/// code), applies the event to both, and finally runs both to
+/// completion ([`run_both`]).
+fn run_with_events(
+    on: &mut Machine,
+    off: &mut Machine,
+    limit: u64,
     events: &[Event<'_>],
     what: &str,
-) -> Option<StopReason> {
-    for step in 0..max_steps {
-        for (at, event) in events {
-            if *at == step {
-                event(&mut on);
-                event(&mut off);
-            }
-        }
-        let a = on.step();
-        let b = off.step();
-        assert_eq!(a, b, "{what}: stop reason diverged at step {step}");
-        assert_state_eq(&on, &off, &format!("{what} (step {step})"));
-        if a.is_some() {
-            return a;
-        }
+) -> RunResult {
+    let mut dispatched = 0;
+    for (i, &(at, event)) in events.iter().enumerate() {
+        let a = on.run_until(at);
+        let b = off.run_until(at);
+        assert_eq!(a, b, "{what}: run to event {i} diverged");
+        assert_eq!(
+            a.reason,
+            StopReason::CycleLimit,
+            "{what}: program ended before event {i}"
+        );
+        assert_state_eq(on, off, &format!("{what} (event {i}, cycle {at})"));
+        let hits = on.predecode_stats().block_hits;
+        assert!(
+            hits > dispatched,
+            "{what}: no block dispatched before event {i}"
+        );
+        dispatched = hits;
+        event(on);
+        event(off);
     }
-    None
+    run_both(on, off, limit, what)
 }
 
 fn presets() -> Vec<(&'static str, MachineConfig)> {
@@ -242,9 +245,9 @@ fn interrupts_identical_under_both_schemes() {
 
 #[test]
 fn flash_patch_remap_programmed_mid_run_identical() {
-    // The loop re-reads a flash word that gets remapped mid-run; the
-    // predecode watermark doesn't cover data, but the patch *revision*
-    // must invalidate cached views either way.
+    // The loop re-reads a flash word that gets remapped mid-run and
+    // unmapped again; the block watermark doesn't cover data, but the
+    // patch *revision* must drop the cached blocks either way.
     //
     // Two-pass assembly: first with placeholder immediates to learn the
     // literal's offset (instruction sizes don't depend on immediates),
@@ -279,24 +282,24 @@ fn flash_patch_remap_programmed_mid_run_identical() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (on, off) = pair(build);
+    let (mut on, mut off) = pair(build);
     let set_patch: &dyn Fn(&mut Machine) =
         &|m| m.patch.set(0, lit_addr, PatchKind::Remap(0x100)).unwrap();
     let clear_patch: &dyn Fn(&mut Machine) = &|m| m.patch.clear(0).unwrap();
-    let stop = lockstep(
-        on,
-        off,
-        100_000,
-        &[(40, set_patch), (120, clear_patch)],
-        "patch_remap_mid_run",
+    let events: &[Event<'_>] = &[(150, set_patch), (400, clear_patch)];
+    let r = run_with_events(&mut on, &mut off, 1_000_000, events, "patch_remap_mid_run");
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    let sum = on.cpu.regs[6];
+    assert!(
+        sum > 40 && sum < 40 * 0x100,
+        "remap must cover some loads, not all: {sum}"
     );
-    assert_eq!(stop, Some(StopReason::Bkpt(0)));
 }
 
 #[test]
 fn flash_patch_breakpoint_on_cached_instruction() {
     // Execute a loop long enough to cache it, then drop a breakpoint
-    // patch onto an instruction *already in the predecode cache*.
+    // patch onto an instruction *inside a cached block*.
     let src = "mov r0, #0
          loop: add r0, r0, #1
          target: add r0, r0, #2
@@ -313,21 +316,24 @@ fn flash_patch_breakpoint_on_cached_instruction() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (on, off) = pair(build);
+    let (mut on, mut off) = pair(build);
     let set_bp: &dyn Fn(&mut Machine) =
         &|m| m.patch.set(3, target, PatchKind::Breakpoint).unwrap();
-    let stop = lockstep(on, off, 100_000, &[(30, set_bp)], "patch_bp_mid_run");
-    assert!(
-        matches!(stop, Some(StopReason::PatchBreakpoint { .. })),
-        "expected patch breakpoint, got {stop:?}"
+    let r = run_with_events(
+        &mut on,
+        &mut off,
+        100_000,
+        &[(100, set_bp)],
+        "patch_bp_mid_run",
     );
+    assert_eq!(r.reason, StopReason::PatchBreakpoint { addr: target });
 }
 
 #[test]
 fn self_modifying_sram_code_program_driven() {
     // Code runs *from SRAM* and rewrites one of its own instructions
     // (`mov r4, #1` -> `mov r4, #99`) after it has been executed (and
-    // therefore predecoded), then loops back through it. Two-pass
+    // recorded into a block), then loops back through it. Two-pass
     // assembly bakes the target address and replacement encoding into
     // movw immediates (layout is immediate-independent).
     let code_base = SRAM_BASE + 0x100;
@@ -381,7 +387,10 @@ fn self_modifying_sram_code_program_driven() {
     assert_eq!(on.cpu.regs, off.cpu.regs, "SMC registers diverged");
     assert_eq!(a.reason, StopReason::Bkpt(0));
     // The second pass must have executed the *rewritten* instruction.
-    assert_eq!(on.cpu.regs[4], 99, "stale predecode served the old instruction");
+    assert_eq!(
+        on.cpu.regs[4], 99,
+        "a stale block served the old instruction"
+    );
 }
 
 #[test]
@@ -409,11 +418,18 @@ fn direct_component_level_sram_write_invalidates() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (on, off) = pair(build);
+    let (mut on, mut off) = pair(build);
     let rewrite: &dyn Fn(&mut Machine) =
         &|m| m.sram.write(target_addr - SRAM_BASE, 4, word);
-    let stop = lockstep(on, off, 100_000, &[(20, rewrite)], "component_sram_write");
-    assert_eq!(stop, Some(StopReason::Bkpt(0)));
+    let r = run_with_events(
+        &mut on,
+        &mut off,
+        100_000,
+        &[(60, rewrite)],
+        "component_sram_write",
+    );
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    assert!(on.cpu.regs[6] > 30, "the rewritten instruction never ran");
 }
 
 #[test]
@@ -440,13 +456,20 @@ fn direct_component_level_tcm_write_invalidates() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (on, off) = pair(build);
+    let (mut on, mut off) = pair(build);
     let rewrite: &dyn Fn(&mut Machine) =
         &|m| {
             m.tcm.as_mut().unwrap().write(target_off, 4, word);
         };
-    let stop = lockstep(on, off, 100_000, &[(20, rewrite)], "component_tcm_write");
-    assert_eq!(stop, Some(StopReason::Bkpt(0)));
+    let r = run_with_events(
+        &mut on,
+        &mut off,
+        100_000,
+        &[(60, rewrite)],
+        "component_tcm_write",
+    );
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    assert!(on.cpu.regs[6] > 30, "the rewritten instruction never ran");
 }
 
 #[test]
@@ -473,14 +496,20 @@ fn self_modifying_sram_code_host_driven() {
     // Replacement word: `add r7, r7, #3` + original `cmp r0, #60`.
     let repl = Assembler::new(mode).assemble("add r7, r7, #3\n cmp r0, #60").unwrap();
     let word = u32::from_le_bytes(repl.bytes[..4].try_into().unwrap());
-    let (on, off) = pair(build);
+    let (mut on, mut off) = pair(build);
     let rewrite: &dyn Fn(&mut Machine) = &|m| m.write_sram_word(target_addr, word);
-    let stop = lockstep(on, off, 100_000, &[(50, rewrite)], "host_smc");
-    assert_eq!(stop, Some(StopReason::Bkpt(0)));
+    let r = run_with_events(&mut on, &mut off, 100_000, &[(100, rewrite)], "host_smc");
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    assert!(on.cpu.regs[7] > 60, "the rewritten instruction never ran");
 }
 
 #[test]
 fn toggling_predecode_mid_run_matches_disabled() {
+    // The engine flips on and off at every `run_until` bound (a prime
+    // stride, so the toggles wander through the loop body); each
+    // engine-on stretch must dispatch cached blocks before the toggle
+    // that drops them, and the whole run must match a reference with
+    // the engine off for good.
     let src = "mov r0, #0
          mov r1, #300
          loop: add r0, r0, #3
@@ -492,22 +521,36 @@ fn toggling_predecode_mid_run_matches_disabled() {
     let mut toggler = machine_with(&config, src);
     let mut reference = machine_with(&config, src);
     reference.set_predecode_enabled(false);
-    let mut stop_a = None;
-    for step in 0..100_000u64 {
-        if step.is_multiple_of(37) {
-            toggler.set_predecode_enabled(step.is_multiple_of(74));
+    let mut dispatched = 0;
+    let mut toggles = 0;
+    let mut bound = 0;
+    let stop = loop {
+        bound += 97;
+        let a = toggler.run_until(bound);
+        let b = reference.run_until(bound);
+        assert_eq!(a, b, "diverged at bound {bound}");
+        assert_state_eq(&toggler, &reference, &format!("bound {bound}"));
+        if a.reason != StopReason::CycleLimit {
+            break a.reason;
         }
-        let a = toggler.step();
-        let b = reference.step();
-        assert_eq!(a, b, "diverged at step {step}");
-        assert_eq!(toggler.cycles(), reference.cycles(), "cycles diverged at step {step}");
-        assert_eq!(toggler.cpu.regs, reference.cpu.regs, "regs diverged at step {step}");
-        if a.is_some() {
-            stop_a = a;
-            break;
+        let enabled = toggler.predecode_enabled();
+        if enabled {
+            let hits = toggler.predecode_stats().block_hits;
+            assert!(
+                hits > dispatched,
+                "no block dispatched before the toggle at {bound}"
+            );
+            dispatched = hits;
         }
-    }
-    assert_eq!(stop_a, Some(StopReason::Bkpt(0)));
+        toggler.set_predecode_enabled(!enabled);
+        toggles += 1;
+    };
+    assert_eq!(stop, StopReason::Bkpt(0));
+    assert!(
+        toggles >= 4,
+        "the run must span several on/off stretches, got {toggles}"
+    );
+    assert_eq!(reference.predecode_stats().block_hits, 0);
 }
 
 #[test]
@@ -523,7 +566,7 @@ fn randomized_alu_programs_identical() {
     let ops = ["add", "sub", "and", "orr", "eor"];
     for trial in 0..12 {
         // Random straight-line body, looped thrice so the second and
-        // third passes run from the predecode cache.
+        // third passes run from cached blocks.
         let mut src = String::from(
             "mov r0, #1\nmov r1, #2\nmov r2, #3\nmov r3, #4\nmov r7, #3\nloop:\n",
         );
@@ -580,7 +623,7 @@ fn blocks_branchy_programs_identical_across_presets() {
             continue; // bl/bx helper shape assembles for A32/T2 here
         }
         let (mut on, mut off) = pair(|| machine_with(&config, src));
-        let r = run_both_blocks(&mut on, &mut off, 1_000_000, name);
+        let r = run_both(&mut on, &mut off, 1_000_000, name);
         assert_eq!(r.reason, StopReason::Bkpt(0), "{name}");
     }
 }
@@ -639,7 +682,7 @@ fn blocks_mid_block_smc_identical() {
         m
     };
     let (mut on, mut off) = pair(build);
-    let r = run_both_blocks(&mut on, &mut off, 1_000_000, "mid_block_smc");
+    let r = run_both(&mut on, &mut off, 1_000_000, "mid_block_smc");
     assert_eq!(r.reason, StopReason::Bkpt(0));
     // Alternating +5 / +1, starting with the freshly stored +5.
     let expect = (passes / 2) * 5 + (passes / 2);
@@ -647,6 +690,79 @@ fn blocks_mid_block_smc_identical() {
     let rc = check.run(1_000_000);
     assert_eq!(rc.reason, StopReason::Bkpt(0));
     assert_eq!(check.cpu.regs[6], expect, "stale block served an old encoding");
+}
+
+#[test]
+fn blocks_store_into_open_recording_identical() {
+    // The loop's first pass is recorded as a block, and its store
+    // rewrites an instruction the recorder has already captured
+    // (`mov r4, #1` -> `mov r4, #99`) but not yet installed. The store
+    // must discard the recording: installing it would serve the stale
+    // `mov r4, #1` on the next pass. The prologue ends in `b loop`, so
+    // `loop` starts a recording of its own.
+    let code_base = SRAM_BASE + 0x100;
+    let mode = IsaMode::T2;
+    let repl = encode(
+        &Instr::Mov {
+            s: false,
+            cond: alia_isa::Cond::Al,
+            rd: Reg::R4,
+            op2: Operand2::Imm(99),
+        },
+        mode,
+    )
+    .unwrap();
+    assert_eq!(repl.as_bytes().len(), 2, "narrow mov expected");
+    let halfword = u16::from_le_bytes([repl.as_bytes()[0], repl.as_bytes()[1]]);
+    let template = |target: u32| {
+        format!(
+            "movw r0, #{}
+             movt r0, #{}
+             movw r1, #{halfword}
+             mov r5, #0
+             mov r6, #0
+             b loop
+             loop: add r5, r5, #1
+             target: mov r4, #1
+             store: strh r1, [r0]
+             add r6, r6, r4
+             cmp r5, #3
+             bne loop
+             bkpt #0",
+            target & 0xFFFF,
+            target >> 16
+        )
+    };
+    let probe = Assembler::new(mode).assemble(&template(0)).unwrap();
+    let target = code_base + probe.symbols["target"];
+    let out = Assembler::new(mode).assemble(&template(target)).unwrap();
+    assert_eq!(
+        out.symbols, probe.symbols,
+        "layout must be immediate-independent"
+    );
+    assert_eq!(
+        out.symbols["store"] - out.symbols["target"],
+        2,
+        "narrow target expected"
+    );
+    let build = || {
+        let mut m = Machine::new(MachineConfig::m3_like());
+        m.load_sram(code_base, &out.bytes);
+        m.set_pc(code_base);
+        m.cpu.set_sp(SRAM_BASE + 0x8000);
+        m
+    };
+    let (mut on, mut off) = pair(build);
+    let a = on.run(1_000_000);
+    let b = off.run(1_000_000);
+    assert_eq!(a, b, "RunResult diverged");
+    assert_state_eq(&on, &off, "store_into_open_recording");
+    assert_eq!(a.reason, StopReason::Bkpt(0));
+    assert_eq!(
+        on.cpu.regs[6],
+        1 + 99 + 99,
+        "a stale recording served the old mov"
+    );
 }
 
 #[test]
@@ -748,7 +864,7 @@ fn blocks_irq_storm_with_precise_timer_identical() {
         m
     };
     let (mut on, mut off) = pair(build);
-    let r = run_both_blocks(&mut on, &mut off, 10_000_000, "irq_storm");
+    let r = run_both(&mut on, &mut off, 10_000_000, "irq_storm");
     assert_eq!(r.reason, StopReason::Bkpt(0));
     // The storm really interacted with block dispatch: budget splits
     // fired on the engine-on machine.
@@ -791,7 +907,7 @@ fn blocks_randomized_programs_identical() {
         for (name, config) in presets() {
             let (mut on, mut off) = pair(|| machine_with(&config, &src));
             let what = format!("blocks random[{trial}] on {name}");
-            let r = run_both_blocks(&mut on, &mut off, 1_000_000, &what);
+            let r = run_both(&mut on, &mut off, 1_000_000, &what);
             assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
         }
     }
@@ -808,9 +924,7 @@ fn predecode_stats_report_hits() {
          bkpt #0";
     let config = MachineConfig::m3_like();
 
-    // Stepping never enters the block engine: every retired
-    // instruction consults the instruction cache, and the steady-state
-    // loop mostly hits.
+    // Stepping never records or dispatches a block.
     let mut m = machine_with(&config, src);
     let stop = loop {
         if let Some(stop) = m.step() {
@@ -820,28 +934,28 @@ fn predecode_stats_report_hits() {
     assert_eq!(stop, StopReason::Bkpt(0));
     let r = RunResult { reason: stop, cycles: m.cycles(), instructions: m.instructions() };
     let stats = m.predecode_stats();
-    assert!(stats.hits > stats.misses, "steady-state loop must mostly hit");
-    assert!(
-        stats.hits + stats.misses >= r.instructions,
-        "every retired instruction consults the cache"
-    );
     assert_eq!(stats.block_hits, 0, "stepping must not dispatch blocks");
+    assert_eq!(
+        stats.threaded_instrs, 0,
+        "stepping must not retire threaded"
+    );
 
     // `run`: the loop body is recorded once, then dispatched
-    // block-to-block through its chain link; the instruction cache only
-    // serves the recording prefix.
+    // block-to-block through its chain link, retiring almost every
+    // instruction threaded.
     let mut m = machine_with(&config, src);
     let r2 = m.run(1_000_000);
     assert_eq!(r2, r, "block engine changed the run result");
     let stats = m.predecode_stats();
-    assert!(stats.blocks_promoted >= 1, "loop body never recorded");
-    assert!(stats.block_hits > 2, "steady-state loop must dispatch blocks");
+    assert!(stats.blocks_promoted >= 1, "loop body never installed");
     assert!(
         stats.chain_follows > 0,
-        "the loop's back edge must chain cache-to-cache"
+        "the loop's back edge must chain block to block"
     );
     assert!(
-        stats.hits + stats.misses < r.instructions,
-        "block dispatch must bypass per-instruction probes"
+        stats.threaded_instrs * 10 > r2.instructions * 9,
+        "only {} of {} instructions retired threaded",
+        stats.threaded_instrs,
+        r2.instructions
     );
 }
