@@ -1,13 +1,12 @@
 //! Criterion bench for E12: the simulation farm's host-side scaling.
 //!
 //! Measures campaign throughput (forked soft-error runs per second) at
-//! 1/2/4/8 workers over one shared base snapshot, records the curve
-//! into `BENCH_10.json` (`bench_diff` gates it against the committed
-//! `BENCH_9.json`), and cross-checks that the merged summary is
-//! identical at every worker count. The 4-worker speedup is the farm's
-//! headline number; it is asserted (≥2.5×) only when the host actually
-//! has 4 cores to offer — on smaller hosts the curve is recorded as
-//! measured and flagged in the log.
+//! 1/2/4/8 workers over one shared base snapshot, prints the curve, and
+//! cross-checks that the merged summary is identical at every worker
+//! count. The 4-worker speedup is the farm's headline number; it is
+//! asserted (≥2.5×) only when the host actually has 4 cores to offer —
+//! on smaller hosts the curve is printed as measured and flagged in the
+//! log.
 
 use std::time::Instant;
 
@@ -67,20 +66,8 @@ fn bench_campaign(c: &mut Criterion) {
              (measured {speedup_4t:.2}x)"
         );
     } else {
-        println!("  ({host_cores} core(s) — speedup gate needs 4, recording as measured)");
+        println!("  ({host_cores} core(s) — speedup gate needs 4, printed as measured)");
     }
-
-    alia_bench::record_bench_json(
-        "campaign",
-        &[
-            ("farm_runs_per_sec_1t", runs_per_sec[0].1),
-            ("farm_runs_per_sec_2t", runs_per_sec[1].1),
-            ("farm_runs_per_sec_4t", runs_per_sec[2].1),
-            ("farm_runs_per_sec_8t", runs_per_sec[3].1),
-            ("farm_speedup_4t", speedup_4t),
-            ("host_cores", host_cores as f64),
-        ],
-    );
 }
 
 criterion_group! {

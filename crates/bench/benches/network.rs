@@ -3,8 +3,6 @@
 //! gateway topology (multi-wire scheduling + DMA forwarding), and the
 //! fault-injection degradation studies (error burst, babbling idiot).
 
-use std::time::Instant;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_network(c: &mut Criterion) {
@@ -35,43 +33,12 @@ fn bench_network(c: &mut Criterion) {
         "multi-wire scheduling must stay deterministic under the bench smoke"
     );
 
-    // Best of five timed passes per experiment into the
-    // machine-readable summary (sub-millisecond workloads, so a single
-    // sample is at the mercy of host scheduling noise), plus the
-    // fault-layer headline facts.
-    let timed_ms = |f: &dyn Fn()| {
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let gateway_ms =
-        timed_ms(&|| drop(alia_core::experiments::gateway_experiment(16).unwrap()));
     let burst = alia_core::experiments::error_burst_experiment(8, 11).expect("burst");
     println!("\n{burst}");
     assert!(burst.graceful(), "fault smoke: burst degradation must stay graceful");
-    let burst_ms =
-        timed_ms(&|| drop(alia_core::experiments::error_burst_experiment(8, 11).unwrap()));
     let babble = alia_core::experiments::babbling_idiot_experiment(4).expect("babble");
     println!("\n{babble}");
     assert!(babble.contained(), "fault smoke: the babbler must be contained");
-    let babble_ms =
-        timed_ms(&|| drop(alia_core::experiments::babbling_idiot_experiment(4).unwrap()));
-    alia_bench::record_bench_json(
-        "network",
-        &[
-            ("gateway_3wire_16_frames_ms", gateway_ms),
-            ("error_burst_8_frames_ms", burst_ms),
-            ("babbling_idiot_4_frames_ms", babble_ms),
-            ("error_burst_error_frames", burst.error_frames as f64),
-            ("error_burst_retransmissions", burst.retransmissions as f64),
-            ("babbling_idiot_error_frames", babble.error_frames as f64),
-            ("babbling_idiot_purged", babble.purged as f64),
-        ],
-    );
 }
 
 criterion_group! {

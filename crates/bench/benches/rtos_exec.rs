@@ -2,9 +2,8 @@
 //!
 //! Measures task-set lowering (compile + assemble + load), standalone
 //! preemptive mission throughput (guest kernel + four workload tasks
-//! on the bare machine), and the full in-network experiment; records
-//! guest-MIPS-style figures into `BENCH_10.json` (`bench_diff` gates
-//! them against the committed `BENCH_9.json`).
+//! on the bare machine), and the full in-network experiment, and prints
+//! guest-cycle throughput figures.
 
 use std::time::Instant;
 
@@ -69,17 +68,6 @@ fn bench_rtos_exec(c: &mut Criterion) {
     println!(
         "E13 executed RTOS (exec only, snapshot-forked): {exec_per_sec:.1} missions/sec, \
          {exec_mcycles:.1} guest Mcycles/sec"
-    );
-
-    alia_bench::record_bench_json(
-        "rtos_exec",
-        &[
-            ("mission_guest_cycles", guest_cycles),
-            ("missions_per_sec", mission_per_sec),
-            ("guest_mcycles_per_sec", guest_mips),
-            ("exec_missions_per_sec", exec_per_sec),
-            ("exec_guest_mcycles_per_sec", exec_mcycles),
-        ],
     );
 }
 

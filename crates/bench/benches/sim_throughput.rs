@@ -113,14 +113,14 @@ fn bench_sim_throughput(c: &mut Criterion) {
 
     // Host-MIPS summary: best of five timed runs per case (the runs
     // are short, so a single sample is at the mercy of host scheduling
-    // noise — the best run is the stable capability figure), recorded
-    // to the machine-readable BENCH_10.json for CI display/diffing.
+    // noise — the best run is the stable capability figure). Printed
+    // only: a host-performance claim is a same-host A/B of perfbench.
     println!("\nhost throughput (guest MIPS = retired instructions / wall second, best of 5):");
-    let timed = |name: &str, mk: &dyn Fn() -> Machine| -> f64 {
+    for (name, config, src) in &cases {
         let mut best: Option<(f64, u64, u64, f64)> = None;
         for _ in 0..5 {
             let start = Instant::now();
-            let (instructions, cycles) = run_to_bkpt(mk());
+            let (instructions, cycles) = run_to_bkpt(machine_with(config.clone(), src));
             let dt = start.elapsed().as_secs_f64();
             let mips = instructions as f64 / dt / 1e6;
             if best.is_none_or(|(b, ..)| mips > b) {
@@ -132,16 +132,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
             "  {name:<22} {mips:>8.1} MIPS  ({instructions} instrs, {cycles} cycles, {:.1} ms)",
             dt * 1e3,
         );
-        mips
-    };
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let mut on_mips = 0.0;
-    for (name, config, src) in &cases {
-        let mips = timed(name, &|| machine_with(config.clone(), src));
-        if *name == "alu_t2_m3" {
-            on_mips = mips;
-        }
-        metrics.push((format!("{name}_mips"), mips));
     }
     // Tracing-overhead gate: every machine now carries an obs tracer,
     // and every recording site is guarded so that with an empty
@@ -208,26 +198,12 @@ fn bench_sim_throughput(c: &mut Criterion) {
          categories vs {off_best:.1} disabled, gate <= 2% + noise)",
         mad * 100.0,
     );
-    metrics.push(("alu_t2_m3_tracing_all_mips".into(), all_best));
-    metrics.push(("tracing_overhead_pct".into(), overhead_pct));
     assert!(
         median_ratio >= 0.98 - 2.0 * mad,
         "full-recording ALU throughput ran {overhead_pct:.2}% below the \
          disabled-tracer figure (median paired ratio {median_ratio:.4}, \
          MAD {mad:.4}) — a recording site grew work on the hot dispatch path"
     );
-    // The committed baseline comparison stays informational here (host
-    // speed drifts across sessions); bench_diff gates it at 20%.
-    let baseline = alia_bench::load_bench_json(alia_bench::BENCH_BASELINE_JSON);
-    if let Some(&base) = baseline.get("sim_throughput.alu_t2_m3_mips") {
-        println!(
-            "  vs committed baseline: {:.2}% ({on_mips:.1} now, {base:.1} then; \
-             bench_diff gates at 20%)",
-            (1.0 - on_mips / base) * 100.0
-        );
-    }
-    let flat: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    alia_bench::record_bench_json("sim_throughput", &flat);
 }
 
 criterion_group! {

@@ -28,28 +28,6 @@ fn bench_table1(c: &mut Criterion) {
     // Regenerate the actual table once per bench invocation.
     let t = alia_core::experiments::table1(7, 64).expect("experiment");
     println!("\n{t}");
-
-    // Best of five timed passes per configuration into the
-    // machine-readable summary (compile + simulate + verify, like the
-    // bench above; the passes are sub-millisecond, so the best sample
-    // is the figure robust to host scheduling noise).
-    let timed_ms = |mode: MachineConfig| {
-        (0..5)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                run_kernel(kernel, mode.clone(), &opts, 7, 64).unwrap();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    alia_bench::record_bench_json(
-        "table1",
-        &[
-            ("puwmod_a32_arm7_ms", timed_ms(MachineConfig::arm7_like(IsaMode::A32))),
-            ("puwmod_t16_arm7_ms", timed_ms(MachineConfig::arm7_like(IsaMode::T16))),
-            ("puwmod_t2_m3_ms", timed_ms(MachineConfig::m3_like())),
-        ],
-    );
 }
 
 criterion_group! {

@@ -1,13 +1,14 @@
-//! Tier profiler: where does the simulator actually spend its time,
-//! block by block and tier by tier?
+//! Tier profiler: where does the guest's work run, tier by tier and
+//! block by block?
 //!
 //! Runs the AutoIndy-6 suite on the M3-class (T2) preset and prints,
 //! per kernel: the occupancy of the two tiers (what fraction of retired
 //! guest instructions ran as threaded blocks, t3, and on the per-step
 //! path, t1), the fusion and fetch-plan mix of the threaded code, and
-//! the hottest resident blocks with the run's host time attributed per
-//! block. The suite aggregate is recorded under `profile` in the bench
-//! summary (BENCH_10.json).
+//! the hottest resident blocks with each one's share of the
+//! instructions estimated to have retired in blocks (a weight from
+//! dispatch counts, not a clock), then the suite aggregate. Nothing is
+//! written to disk.
 //!
 //! ```text
 //! cargo run --release -p alia-bench --bin profile
@@ -66,21 +67,20 @@ fn main() {
             pct(p.plans_refill, plans),
             pct(p.plans_slow, plans),
         );
+        let block_est: u64 = blocks.iter().map(|b| b.est_instructions).sum();
         for b in blocks.iter().take(TOP_BLOCKS) {
             println!(
                 "         {:#010x} {:>3} insts  {:>8} dispatches  {:>2} fused  \
-                 ~{:>5.1}% of host time ({} µs)",
+                 {:>5.1}% of est. block instrs",
                 b.start,
                 b.insts,
                 b.dispatches,
                 b.fused,
-                pct(b.host_nanos, run.host_nanos),
-                b.host_nanos / 1_000,
+                pct(b.est_instructions, block_est),
             );
         }
     }
 
-    let plans = agg.plans_free + agg.plans_refill + agg.plans_slow;
     let t3_pct = pct(agg.threaded_instrs, total_instrs);
     let t1_pct = (100.0 - t3_pct).max(0.0);
     let host_mips =
@@ -89,18 +89,5 @@ fn main() {
         "\nsuite aggregate: t3 {t3_pct:.1}% / t1 {t1_pct:.1}% occupancy, \
          {} fused pairs over {} installed blocks, {host_mips:.1} host MIPS",
         agg.fused_pairs, agg.blocks_promoted,
-    );
-    alia_bench::record_bench_json(
-        "profile",
-        &[
-            ("tier3_occupancy_pct", t3_pct),
-            ("tier1_occupancy_pct", t1_pct),
-            ("plans_free_pct", pct(agg.plans_free, plans)),
-            ("plans_refill_pct", pct(agg.plans_refill, plans)),
-            ("plans_slow_pct", pct(agg.plans_slow, plans)),
-            ("fused_pairs", agg.fused_pairs as f64),
-            ("blocks_promoted", agg.blocks_promoted as f64),
-            ("suite_host_mips", host_mips),
-        ],
     );
 }

@@ -30,7 +30,7 @@ use std::fmt;
 
 use alia_can::{response_bound, CanMessage};
 use alia_rtos::exec::{
-    build_guest_rtos, emit_obs_events, BoundReport, CanPort, ExecStats, GuestRtos,
+    build_guest_rtos, decode_trace, BoundReport, CanPort, ExecStats, GuestRtos,
     GuestRtosConfig, GuestTask,
 };
 use alia_sim::{
@@ -334,7 +334,7 @@ pub fn rtos_exec_experiment_traced(
     // stream as structured RTOS events (always emitted — the raw trace
     // exists regardless of the mask; hashing filters by category).
     let mut trace = system.trace_set();
-    let kernel_events = emit_obs_events(&system.node(rtos).machine().mmio().trace)
+    let kernel_events = decode_trace(&system.node(rtos).machine().mmio().trace)
         .map_err(|e| CoreError::Run { what: format!("rtos obs trace: {e}") })?;
     trace.push_stream("rtos.kernel", kernel_events);
 

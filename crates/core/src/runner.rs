@@ -268,20 +268,17 @@ pub struct BlockProfileRow {
     pub fused: u32,
     /// Estimated instructions retired inside the block
     /// (`dispatches × insts` — an attribution weight, not an exact
-    /// count: early block exits retire fewer).
+    /// count: early block exits retire fewer). No host time is
+    /// attributed per block: the run's only clock is
+    /// [`KernelRun::host_nanos`].
     pub est_instructions: u64,
-    /// Host nanoseconds attributed to the block: the run's measured
-    /// wall time inside `Machine::run`, split across blocks in
-    /// proportion to `est_instructions`.
-    pub host_nanos: u64,
 }
 
 /// [`run_kernel_cached`] plus the per-block profiler view: every block
 /// resident in the block cache when the run halted, hottest (most
-/// dispatched) first, with the run's host time attributed per block in
-/// proportion to the instructions each is estimated to have retired.
-/// Blocks evicted or invalidated mid-run are absent, and so are their
-/// dispatch counts.
+/// dispatched) first, with the instructions each is estimated to have
+/// retired. Blocks evicted or invalidated mid-run are absent, and so
+/// are their dispatch counts.
 ///
 /// # Errors
 ///
@@ -295,26 +292,15 @@ pub fn profile_kernel(
     elems: u32,
 ) -> Result<(KernelRun, Vec<BlockProfileRow>), CoreError> {
     let (run, m) = run_kernel_inner(cache, kernel, config, opts, seed, elems)?;
-    let raw = m.block_profile();
-    let total_est: u64 =
-        raw.iter().map(|&(_, insts, disp, _)| disp * u64::from(insts)).sum();
-    let rows = raw
+    let rows = m
+        .block_profile()
         .into_iter()
-        .map(|(start, insts, dispatches, fused)| {
-            let est = dispatches * u64::from(insts);
-            let host_nanos = if total_est == 0 {
-                0
-            } else {
-                (run.host_nanos as u128 * u128::from(est) / u128::from(total_est)) as u64
-            };
-            BlockProfileRow {
-                start,
-                insts,
-                dispatches,
-                fused,
-                est_instructions: est,
-                host_nanos,
-            }
+        .map(|(start, insts, dispatches, fused)| BlockProfileRow {
+            start,
+            insts,
+            dispatches,
+            fused,
+            est_instructions: dispatches * u64::from(insts),
         })
         .collect();
     Ok((run, rows))

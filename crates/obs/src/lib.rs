@@ -40,5 +40,6 @@ pub mod trace;
 pub mod vcd;
 
 pub use trace::{
-    category, DropReason, EventKind, RtosEventKind, TraceEvent, TraceSet, TraceStream, Tracer,
+    category, DropReason, EventKind, Fnv, RtosEventKind, TraceEvent, TraceSet, TraceStream,
+    Tracer,
 };

@@ -90,30 +90,36 @@ pub enum DropReason {
     QueueOverflow,
 }
 
-/// RTOS kernel event kinds, mirroring the executed kernel's MMIO trace
-/// taxonomy (`rtos::exec::TraceKind`) so the scheduler's behavior
-/// rides the same stream as the hardware-level events.
+/// RTOS kernel event kinds: the executed guest kernel's trace taxonomy
+/// (decoded by `alia_rtos::exec::decode_trace`), so the scheduler's
+/// behavior rides the same stream as the hardware-level events. In
+/// [`EventKind::Rtos`], the per-task kinds (`Activate`, `Start`,
+/// `Preempt`, `Complete`, `Overrun`) carry the task index; the others
+/// carry `0xFF`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RtosEventKind {
-    /// A job was released (moved to ready).
+    /// A job was released (moved to ready) by the tick.
     Activate,
-    /// A job was dispatched onto the CPU for the first time.
+    /// A task was dispatched onto the CPU: payload 0 for a job's first
+    /// dispatch (fresh frame), 1 for resuming a preempted job.
     Start,
-    /// A running job was preempted by a higher-priority release.
+    /// A running job was switched out with its context saved.
     Preempt,
-    /// A job completed.
+    /// A job completed (checksum banked, optional CAN TX done).
     Complete,
-    /// Kernel tick handler entry.
+    /// Kernel tick handler entry (payload = tick number, 1-based).
     TickEnter,
     /// Kernel tick handler exit.
     TickExit,
-    /// Scheduler entry.
+    /// Scheduler (completion pend) handler entry.
     SchedEnter,
-    /// Scheduler exit.
+    /// Scheduler handler exit.
     SchedExit,
-    /// The CPU went idle.
+    /// The scheduler found nothing runnable and dispatched idle.
     Idle,
-    /// A job overran its deadline.
+    /// A release found the task's previous job still in flight
+    /// (released, not yet completed); the release is skipped and
+    /// counted. Not a missed-deadline event.
     Overrun,
 }
 
@@ -354,22 +360,43 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// FNV-1a accumulator (64-bit), matching the constants the executed
-/// RTOS trace hash already uses.
-struct Fnv(u64);
+/// 64-bit FNV-1a accumulator: the one hash behind
+/// [`TraceSet::fnv_hash`] and the executed RTOS kernel's raw-trace
+/// fingerprint.
+#[derive(Debug)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(Self::BASIS)
+    }
+}
 
 impl Fnv {
     const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
 
-    fn byte(&mut self, b: u8) {
+    /// Folds in one byte.
+    pub(crate) fn byte(&mut self, b: u8) {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
     }
 
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+    /// Folds in each byte of `bytes`, in order.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.byte(b);
         }
+    }
+
+    /// Folds in the eight little-endian bytes of `v`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The hash of everything folded in so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
     }
 }
 
@@ -532,11 +559,9 @@ impl TraceSet {
     /// scheduler configuration).
     #[must_use]
     pub fn fnv_hash(&self, mask: u32) -> u64 {
-        let mut h = Fnv(Fnv::BASIS);
+        let mut h = Fnv::default();
         for s in &self.streams {
-            for b in s.label.as_bytes() {
-                h.byte(*b);
-            }
+            h.bytes(s.label.as_bytes());
             h.byte(0);
             for ev in &s.events {
                 if ev.kind.category() & mask == 0 {
@@ -546,13 +571,26 @@ impl TraceSet {
                 ev.kind.hash_into(&mut h);
             }
         }
-        h.0
+        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_fnv1a_64_known_answers() {
+        for (input, want) in [
+            ("", 0xcbf2_9ce4_8422_2325),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = Fnv::default();
+            h.bytes(input.as_bytes());
+            assert_eq!(h.finish(), want, "{input:?}");
+        }
+    }
 
     #[test]
     fn disabled_mask_records_nothing() {

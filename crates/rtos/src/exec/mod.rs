@@ -53,10 +53,7 @@ use alia_sim::{
 };
 use alia_workloads::kernel_by_name;
 
-pub use trace::{
-    decode_trace, emit_obs_events, BoundReport, ExecStats, HandlerStats, TaskExecStats, TraceKind,
-    TraceRecord,
-};
+pub use trace::{decode_trace, BoundReport, ExecStats, HandlerStats, TaskExecStats};
 
 /// The timer IRQ line pacing the preemption tick.
 pub const TICK_IRQ: u32 = 0;

@@ -1,8 +1,9 @@
 //! End-to-end tests of the executed RTOS tier on a bare machine.
 
+use alia_obs::{EventKind, RtosEventKind, TraceEvent};
 use alia_sim::{Machine, StopReason};
 
-use super::{build_guest_rtos, ExecStats, GuestRtos, GuestRtosConfig, GuestTask, TraceKind};
+use super::{build_guest_rtos, decode_trace, ExecStats, GuestRtos, GuestRtosConfig, GuestTask};
 
 fn three_task_set() -> Vec<GuestTask> {
     // Highest priority first; the low-priority matrix job is sized to
@@ -101,15 +102,54 @@ fn single_task_runs_unpreempted() {
 #[test]
 fn trace_decodes_with_expected_structure() {
     let (guest, _) = mission(&three_task_set(), 2_000, 40);
-    let records = super::decode_trace(&guest.machine.mmio().trace).unwrap();
-    let ticks = records.iter().filter(|r| r.kind == TraceKind::TickEnter).count();
+    let events = decode_trace(&guest.machine.mmio().trace).unwrap();
+    let records: Vec<(RtosEventKind, u32)> = events
+        .iter()
+        .map(|e| match e.kind {
+            EventKind::Rtos { kind, payload, .. } => (kind, payload),
+            other => panic!("non-RTOS event {other:?}"),
+        })
+        .collect();
+    let ticks = records.iter().filter(|r| r.0 == RtosEventKind::TickEnter).count();
     assert_eq!(ticks as u32, guest.layout.total_ticks);
     // Tick numbers in the payload count 1..=total.
-    let last = records.iter().rev().find(|r| r.kind == TraceKind::TickEnter).unwrap();
-    assert_eq!(last.payload, guest.layout.total_ticks);
-    let dispatches = records.iter().filter(|r| r.kind == TraceKind::Dispatch).count();
-    let completes = records.iter().filter(|r| r.kind == TraceKind::Complete).count();
+    let last = records.iter().rev().find(|r| r.0 == RtosEventKind::TickEnter).unwrap();
+    assert_eq!(last.1, guest.layout.total_ticks);
+    let dispatches = records.iter().filter(|r| r.0 == RtosEventKind::Start).count();
+    let completes = records.iter().filter(|r| r.0 == RtosEventKind::Complete).count();
     assert!(dispatches >= completes);
+}
+
+#[test]
+fn trace_words_decode_to_the_obs_taxonomy() {
+    use RtosEventKind as K;
+    // (kind code, kind, carries the task nibble)
+    let table = [
+        (1, K::Activate, true),
+        (2, K::Start, true),
+        (3, K::Preempt, true),
+        (4, K::Complete, true),
+        (5, K::TickEnter, false),
+        (6, K::TickExit, false),
+        (7, K::SchedEnter, false),
+        (8, K::SchedExit, false),
+        (9, K::Idle, false),
+        (10, K::Overrun, true),
+    ];
+    for (code, kind, per_task) in table {
+        // Task nibble 0x5; the payload is the low 24 bits.
+        let value = code << 28 | 0x5 << 24 | 0x00AB_CDEF;
+        let events = decode_trace(&[(value, 42)]).unwrap();
+        let task = if per_task { 0x5 } else { 0xFF };
+        assert_eq!(
+            events,
+            vec![TraceEvent { cycle: 42, kind: EventKind::Rtos { kind, task, payload: 0x00AB_CDEF } }],
+            "code {code}"
+        );
+    }
+    for code in [0u32, 11, 12, 13, 14, 15] {
+        assert!(decode_trace(&[(code << 28, 0)]).is_err(), "code {code} must be rejected");
+    }
 }
 
 #[test]

@@ -1,135 +1,55 @@
 //! Host-side decoding of the guest kernel's cycle-stamped trace and
 //! the executed-vs-analytic response-time machinery.
 
+use alia_obs::{EventKind, Fnv, RtosEventKind, TraceEvent};
 use alia_sim::Machine;
 
 use crate::{response_time_analysis, AnalysisTask, ResponseTerm};
 
 use super::{err, read_tcb_stats, ExecError, TaskSetLayout, TICK_IRQ};
 
-/// What a trace record reports. The guest encodes records as
-/// `kind << 28 | task << 24 | payload` (task bits are meaningful only
-/// for the per-task kinds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A task was released by the tick (task field set).
-    Activate,
-    /// A task was switched in (payload 0 = fresh frame, 1 = resumed).
-    Dispatch,
-    /// A running task was switched out with its context saved.
-    Preempt,
-    /// A task's job finished (checksum banked, optional CAN TX done).
-    Complete,
-    /// Tick handler entry (payload = tick number, 1-based).
-    TickEnter,
-    /// Tick handler exit.
-    TickExit,
-    /// Scheduler (completion pend) handler entry.
-    SchedEnter,
-    /// Scheduler handler exit.
-    SchedExit,
-    /// The scheduler found nothing runnable and dispatched idle.
-    Idle,
-    /// A release found the previous job still in flight (task field
-    /// set); the release is skipped and counted.
-    Overrun,
+/// The task field of a decoded event that names no task.
+const NO_TASK: u8 = 0xFF;
+
+/// Decodes one guest trace word, `kind << 28 | task << 24 | payload`,
+/// into `(kind, task, payload)`. Kinds 1..=10 are [`RtosEventKind`]'s
+/// variants in declaration order; the task nibble is kept for the
+/// per-task kinds and is [`NO_TASK`] for the others.
+fn decode_word(value: u32) -> Result<(RtosEventKind, u8, u32), ExecError> {
+    use RtosEventKind as K;
+    let (kind, per_task) = match value >> 28 {
+        1 => (K::Activate, true),
+        2 => (K::Start, true),
+        3 => (K::Preempt, true),
+        4 => (K::Complete, true),
+        5 => (K::TickEnter, false),
+        6 => (K::TickExit, false),
+        7 => (K::SchedEnter, false),
+        8 => (K::SchedExit, false),
+        9 => (K::Idle, false),
+        10 => (K::Overrun, true),
+        _ => return Err(err(format!("unknown trace kind in 0x{value:08X}"))),
+    };
+    let task = if per_task { ((value >> 24) & 0xF) as u8 } else { NO_TASK };
+    Ok((kind, task, value & 0x00FF_FFFF))
 }
 
-impl TraceKind {
-    fn from_bits(kind: u32) -> Option<TraceKind> {
-        Some(match kind {
-            1 => TraceKind::Activate,
-            2 => TraceKind::Dispatch,
-            3 => TraceKind::Preempt,
-            4 => TraceKind::Complete,
-            5 => TraceKind::TickEnter,
-            6 => TraceKind::TickExit,
-            7 => TraceKind::SchedEnter,
-            8 => TraceKind::SchedExit,
-            9 => TraceKind::Idle,
-            10 => TraceKind::Overrun,
-            _ => return None,
-        })
-    }
-
-    fn has_task(self) -> bool {
-        matches!(
-            self,
-            TraceKind::Activate
-                | TraceKind::Dispatch
-                | TraceKind::Preempt
-                | TraceKind::Complete
-                | TraceKind::Overrun
-        )
-    }
-}
-
-/// One decoded trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Record kind.
-    pub kind: TraceKind,
-    /// Task index, for the per-task kinds.
-    pub task: Option<usize>,
-    /// 24-bit payload (tick number, dispatch flavour).
-    pub payload: u32,
-    /// Cycle the record was emitted at.
-    pub cycle: u64,
-}
-
-/// Decodes the raw `(value, cycle)` pairs read from the `Mmio` device.
+/// Decodes the raw `(value, cycle)` pairs read from the `Mmio` device
+/// into structured [`alia_obs`] events ([`alia_obs::category::RTOS`]),
+/// so a mission's kernel activity can merge into the same
+/// cycle-stamped stream as the simulator's own tier / IRQ / wire
+/// events.
 ///
 /// # Errors
 ///
 /// Fails on unknown kind bits.
-pub fn decode_trace(raw: &[(u32, u64)]) -> Result<Vec<TraceRecord>, ExecError> {
+pub fn decode_trace(raw: &[(u32, u64)]) -> Result<Vec<TraceEvent>, ExecError> {
     raw.iter()
         .map(|&(value, cycle)| {
-            let kind = TraceKind::from_bits(value >> 28)
-                .ok_or_else(|| err(format!("unknown trace kind in 0x{value:08X}")))?;
-            let task = kind.has_task().then_some(((value >> 24) & 0xF) as usize);
-            Ok(TraceRecord { kind, task, payload: value & 0x00FF_FFFF, cycle })
+            let (kind, task, payload) = decode_word(value)?;
+            Ok(TraceEvent { cycle, kind: EventKind::Rtos { kind, task, payload } })
         })
         .collect()
-}
-
-/// Re-emits the raw guest trace as structured [`alia_obs`] events
-/// ([`alia_obs::category::RTOS`]), so a mission's kernel activity can
-/// merge into the same cycle-stamped stream as the simulator's own
-/// tier / IRQ / wire events. [`TraceKind::Dispatch`] maps to
-/// [`alia_obs::RtosEventKind::Start`] with the dispatch flavour
-/// (0 = fresh frame, 1 = resumed) kept in the payload.
-///
-/// # Errors
-///
-/// Fails on unknown kind bits, like [`decode_trace`].
-pub fn emit_obs_events(raw: &[(u32, u64)]) -> Result<Vec<alia_obs::TraceEvent>, ExecError> {
-    use alia_obs::RtosEventKind as K;
-    Ok(decode_trace(raw)?
-        .iter()
-        .map(|r| {
-            let kind = match r.kind {
-                TraceKind::Activate => K::Activate,
-                TraceKind::Dispatch => K::Start,
-                TraceKind::Preempt => K::Preempt,
-                TraceKind::Complete => K::Complete,
-                TraceKind::TickEnter => K::TickEnter,
-                TraceKind::TickExit => K::TickExit,
-                TraceKind::SchedEnter => K::SchedEnter,
-                TraceKind::SchedExit => K::SchedExit,
-                TraceKind::Idle => K::Idle,
-                TraceKind::Overrun => K::Overrun,
-            };
-            alia_obs::TraceEvent {
-                cycle: r.cycle,
-                kind: alia_obs::EventKind::Rtos {
-                    kind,
-                    task: r.task.map_or(0xFF, |t| t as u8),
-                    payload: r.payload,
-                },
-            }
-        })
-        .collect())
 }
 
 /// Aggregate statistics of one handler (tick or scheduler).
@@ -184,8 +104,8 @@ pub struct ExecStats {
     pub tick_fires: Vec<u64>,
     /// Raw trace length.
     pub trace_len: usize,
-    /// FNV-1a hash over the raw `(value, cycle)` trace — the
-    /// determinism fingerprint.
+    /// FNV-1a ([`Fnv`]) over the raw `(value, cycle)` trace words —
+    /// the determinism fingerprint.
     pub trace_hash: u64,
 }
 
@@ -231,22 +151,6 @@ pub struct BoundReport {
     pub dominant: ResponseTerm,
 }
 
-/// FNV-1a over the raw trace stream.
-fn fnv1a(raw: &[(u32, u64)]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for &(value, cycle) in raw {
-        eat(u64::from(value));
-        eat(cycle);
-    }
-    h
-}
-
 impl ExecStats {
     /// Distills the trace, IRQ latency log and TCB state of a finished
     /// mission.
@@ -258,14 +162,17 @@ impl ExecStats {
     /// an unreleased task) — any of which indicates a guest kernel bug.
     pub fn from_machine(m: &Machine, layout: &TaskSetLayout) -> Result<ExecStats, ExecError> {
         let raw = &m.mmio().trace;
-        let records = decode_trace(raw)?;
         let n = layout.tasks.len();
-        for r in &records {
-            if let Some(t) = r.task {
-                if t >= n {
-                    return Err(err(format!("trace names task {t} of {n}")));
-                }
+        let mut records = Vec::with_capacity(raw.len());
+        let mut hash = Fnv::default();
+        for &(value, cycle) in raw {
+            let (kind, task, _) = decode_word(value)?;
+            if task != NO_TASK && usize::from(task) >= n {
+                return Err(err(format!("trace names task {task} of {n}")));
             }
+            records.push((kind, usize::from(task), cycle));
+            hash.u64(u64::from(value));
+            hash.u64(cycle);
         }
 
         let tick_fires: Vec<u64> = m
@@ -286,7 +193,7 @@ impl ExecStats {
         // completion), activation and completion pairing.
         let mut tick = HandlerStats::default();
         let mut sched = HandlerStats::default();
-        let mut handler_enter: Option<(TraceKind, u64)> = None;
+        let mut handler_enter: Option<(RtosEventKind, u64)> = None;
         let mut running: Option<usize> = None;
         let mut seg_start: u64 = 0;
         let mut in_handler = false;
@@ -297,82 +204,79 @@ impl ExecStats {
         let mut preemptions = vec![0u32; n];
         let mut overruns = vec![0u32; n];
 
-        for r in &records {
-            match r.kind {
-                TraceKind::TickEnter | TraceKind::SchedEnter => {
+        for &(kind, t, cycle) in &records {
+            match kind {
+                RtosEventKind::TickEnter | RtosEventKind::SchedEnter => {
                     if handler_enter.is_some() {
                         return Err(err("nested handler enter in trace"));
                     }
-                    handler_enter = Some((r.kind, r.cycle));
+                    handler_enter = Some((kind, cycle));
                     if let Some(t) = running {
                         if !in_handler {
-                            job_acc[t] += r.cycle - seg_start;
+                            job_acc[t] += cycle - seg_start;
                         }
                     }
                     in_handler = true;
                 }
-                TraceKind::TickExit | TraceKind::SchedExit => {
+                RtosEventKind::TickExit | RtosEventKind::SchedExit => {
                     let Some((ekind, enter)) = handler_enter.take() else {
                         return Err(err("handler exit without enter in trace"));
                     };
-                    let want = if r.kind == TraceKind::TickExit {
-                        TraceKind::TickEnter
+                    let want = if kind == RtosEventKind::TickExit {
+                        RtosEventKind::TickEnter
                     } else {
-                        TraceKind::SchedEnter
+                        RtosEventKind::SchedEnter
                     };
                     if ekind != want {
                         return Err(err("mismatched handler enter/exit kinds"));
                     }
-                    let span = r.cycle - enter;
-                    let h = if r.kind == TraceKind::TickExit { &mut tick } else { &mut sched };
+                    let span = cycle - enter;
+                    let h = if kind == RtosEventKind::TickExit { &mut tick } else { &mut sched };
                     h.invocations += 1;
                     h.total_span += span;
                     h.max_span = h.max_span.max(span);
                     in_handler = false;
                     if running.is_some() {
-                        seg_start = r.cycle;
+                        seg_start = cycle;
                     }
                 }
-                TraceKind::Activate => {
-                    activations[r.task.unwrap()].push(r.cycle);
+                RtosEventKind::Activate => {
+                    activations[t].push(cycle);
                 }
-                TraceKind::Overrun => {
-                    overruns[r.task.unwrap()] += 1;
+                RtosEventKind::Overrun => {
+                    overruns[t] += 1;
                 }
-                TraceKind::Preempt => {
-                    let t = r.task.unwrap();
+                RtosEventKind::Preempt => {
                     preemptions[t] += 1;
                     if running != Some(t) {
                         return Err(err("preempt of a task that was not running"));
                     }
                     running = None;
                 }
-                TraceKind::Dispatch => {
-                    let t = r.task.unwrap();
+                RtosEventKind::Start => {
                     if activations[t].len() <= completions[t].len() {
                         return Err(err("dispatch of a task with no outstanding activation"));
                     }
                     running = Some(t);
                     // The segment starts when the handler returns.
                 }
-                TraceKind::Idle => {
+                RtosEventKind::Idle => {
                     running = None;
                 }
-                TraceKind::Complete => {
-                    let t = r.task.unwrap();
+                RtosEventKind::Complete => {
                     if running != Some(t) {
                         return Err(err("completion of a task that was not running"));
                     }
                     if in_handler {
                         return Err(err("completion traced inside a handler"));
                     }
-                    job_acc[t] += r.cycle - seg_start;
+                    job_acc[t] += cycle - seg_start;
                     wcet_measured[t] = wcet_measured[t].max(job_acc[t]);
                     job_acc[t] = 0;
                     if completions[t].len() >= activations[t].len() {
                         return Err(err("completion without activation"));
                     }
-                    completions[t].push(r.cycle);
+                    completions[t].push(cycle);
                     running = None;
                 }
             }
@@ -432,7 +336,7 @@ impl ExecStats {
             irq_overhead_max,
             tick_fires,
             trace_len: raw.len(),
-            trace_hash: fnv1a(raw),
+            trace_hash: hash.finish(),
         })
     }
 

@@ -79,8 +79,9 @@
 //!   or fork copies only the pages written so far
 //!   ([`Machine::resident_pages`]), whatever the configured sizes.
 //!
-//! `cargo bench -p alia-bench --bench sim_throughput` measures guest
-//! MIPS; the `table1` bench measures the full experiment pipeline.
+//! `cargo bench -p alia-bench --bench sim_throughput` prints guest
+//! MIPS; the `table1` bench times the full experiment pipeline. Host
+//! performance is judged with the mission benchmark in `perfbench/`.
 //!
 //! # Examples
 //!

@@ -1718,7 +1718,9 @@ impl Machine {
             if target == EXC_RETURN_HW {
                 return self.exception_return_hw();
             }
-            if target == EXC_RETURN_SW {
+            // Without a software frame this is an ordinary branch (to
+            // an unmapped address), not an exception return.
+            if target == EXC_RETURN_SW && !self.sw_frames.is_empty() {
                 self.exception_return_sw();
                 return None;
             }

@@ -2,7 +2,7 @@
 //! executor paths the experiments rely on less directly.
 
 use alia_isa::{Assembler, IsaMode};
-use alia_sim::{Machine, StopReason, SRAM_BASE};
+use alia_sim::{Machine, MemFault, StopReason, SRAM_BASE};
 
 fn run(mode: IsaMode, src: &str) -> Machine {
     let out = Assembler::new(mode).assemble(src).expect("assembles");
@@ -258,4 +258,33 @@ fn deep_call_chain_with_stack_frames() {
             pop {r4, r5, pc}",
     );
     assert_eq!(m.cpu.regs[0], 8); // fib(6)
+}
+
+#[test]
+fn branch_to_exc_return_sw_without_frame_faults_instead_of_panicking() {
+    // 0xFFFF_FFF1 is the software-scheme exception-return value, but
+    // with no software frame stacked it is an ordinary branch target:
+    // the run must end in a fetch fault, never a host panic.
+    let cases = [
+        ("m3_like, engine on", IsaMode::T2, "movw r0, #0xfff1\n movt r0, #0xffff\n bx r0", true),
+        ("m3_like, engine off", IsaMode::T2, "movw r0, #0xfff1\n movt r0, #0xffff\n bx r0", false),
+        ("arm7_like A32", IsaMode::A32, "mvn r0, #14\n bx r0", true),
+    ];
+    for (name, mode, src, engine) in cases {
+        let out = Assembler::new(mode).assemble(src).expect("assembles");
+        let mut m = match mode {
+            IsaMode::T2 => Machine::m3_like(),
+            _ => Machine::arm7_like(mode),
+        };
+        m.set_predecode_enabled(engine);
+        m.load_flash(0x100, &out.bytes);
+        m.set_pc(0x100);
+        m.cpu.set_sp(SRAM_BASE + 0x8000);
+        let r = m.run(1_000);
+        assert_eq!(
+            r.reason,
+            StopReason::Fault(MemFault::Unmapped { addr: 0xFFFF_FFF0 }),
+            "{name}"
+        );
+    }
 }
