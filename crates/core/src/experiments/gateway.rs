@@ -679,6 +679,52 @@ mod tests {
         assert!(s.contains("backbone"));
     }
 
+    /// The E10 guest images at 16 frames per sensor (both sensors, both
+    /// gateways, the sink; then a filtered sensor and sink as E11's
+    /// filter studies program them), pinned by length and FNV-1a in
+    /// assembly order: an assembler change must not move a byte.
+    #[test]
+    fn e10_images_are_pinned() {
+        let images = std::cell::RefCell::new(Vec::new());
+        let base = asm_err(MachineConfig::m3_like().mode);
+        let asm = |src: &str| {
+            let bytes = base(src)?;
+            let mut fnv = alia_obs::Fnv::default();
+            for &b in &bytes {
+                fnv.u64(u64::from(b));
+            }
+            images.borrow_mut().push((bytes.len(), fnv.finish()));
+            Ok(bytes)
+        };
+        let (a, b) = (SharedCanBus::named("a", EDGE_CPB), SharedCanBus::named("b", BACKBONE_CPB));
+        let filter = Some((0x100, 0x7C0));
+        sensor_machine(16, SENSOR_IDS[0], 0, PERIOD_CYCLES, None, &a, &asm).unwrap();
+        sensor_machine(16, SENSOR_IDS[1], 1, PERIOD_CYCLES, None, &a, &asm).unwrap();
+        gateway_machine(0x100, 0x17F, 0x300, 6, &a, &b, &asm).unwrap();
+        gateway_machine(0x300, 0x37F, 0x500, 7, &b, &a, &asm).unwrap();
+        sink_machine(32, 0, None, &a, &asm).unwrap();
+        sensor_machine(16, SENSOR_IDS[0], 0, PERIOD_CYCLES, filter, &a, &asm).unwrap();
+        sink_machine(32, 0, filter, &a, &asm).unwrap();
+        let expected = [
+            (36, 0x589a_867c_b54d_e7f8),
+            (34, 0xa8ae_c274_43c9_2464),
+            (20, 0x55f9_476a_c277_896c),
+            (36, 0x589a_867c_b54d_e7f8),
+            (34, 0xbffc_60c3_0a05_4424),
+            (20, 0x55f9_476a_c277_896c),
+            (46, 0x7850_f1e0_cb76_8ad5),
+            (46, 0x2a53_e8a8_cfaa_f393),
+            (18, 0xc912_979a_f0a7_e55d),
+            (30, 0xca81_c45e_520c_dde4),
+            (56, 0x02fa_3643_99c6_c97e),
+            (34, 0xa8ae_c274_43c9_2464),
+            (20, 0x55f9_476a_c277_896c),
+            (38, 0xc531_361c_9e78_e55b),
+            (30, 0xca81_c45e_520c_dde4),
+        ];
+        assert_eq!(images.into_inner(), expected);
+    }
+
     #[test]
     fn checksum_is_closed_form() {
         let e = gateway_experiment(3).expect("completes");

@@ -185,3 +185,32 @@ fn stats_reject_foreign_machines() {
     foreign.mmio_mut().trace.push((0xF000_0000, 7));
     assert!(ExecStats::from_machine(&foreign, &guest.layout).is_err());
 }
+
+/// The E13 guest kernel image at E13's parameters (a tick every 2000
+/// cycles; idle stack below the four-task in-network set and the
+/// three-task standalone set), pinned by length, FNV-1a and entry
+/// points: an assembler change must not move a byte of it.
+#[test]
+fn e13_kernel_image_is_pinned() {
+    use super::kernel_asm::{assemble_kernel, KernelParams};
+    use super::{KERNEL_BASE, STACK_BASE, STACK_STRIDE};
+
+    let expected: [(u32, usize, u64, [u32; 3]); 2] = [
+        (4, 0x454, 0x8bd1_4475_c57f_3667, [0x100, 0x1e4, 0x3e0]),
+        (3, 0x454, 0x0536_358e_578c_82e7, [0x100, 0x1e4, 0x3e0]),
+    ];
+    for (tasks, len, hash, entries) in expected {
+        let k = assemble_kernel(&KernelParams {
+            base: KERNEL_BASE,
+            tick_cycles: 2_000,
+            idle_stack_top: STACK_BASE - tasks * STACK_STRIDE,
+        })
+        .expect("kernel assembles");
+        let mut fnv = alia_obs::Fnv::default();
+        for &b in &k.bytes {
+            fnv.u64(u64::from(b));
+        }
+        let actual = (k.bytes.len(), fnv.finish(), [k.main, k.tick_handler, k.sched_handler]);
+        assert_eq!(actual, (len, hash, entries), "{tasks}-task kernel: {actual:#x?}");
+    }
+}

@@ -78,6 +78,22 @@ mod tests {
     }
 
     #[test]
+    fn kernel_by_name_builds_the_same_kernel_as_the_suite() {
+        for k in all_kernels() {
+            let named = kernel_by_name(k.name).expect("every suite name resolves");
+            assert_eq!(
+                (named.name, named.description, &named.module, named.default_elems),
+                (k.name, k.description, &k.module, k.default_elems)
+            );
+            let input = (k.gen_input)(7, 16);
+            assert_eq!((named.gen_input)(7, 16), input, "{}", k.name);
+            assert_eq!((named.reference)(&input, 16), (k.reference)(&input, 16), "{}", k.name);
+        }
+        assert!(kernel_by_name("nosuch").is_none());
+        assert!(kernel_by_name("").is_none());
+    }
+
+    #[test]
     fn kernel_metadata_consistent() {
         for k in all_kernels() {
             assert!(!k.description.is_empty());
