@@ -56,15 +56,15 @@ fn main() {
             pct(t3, run.instructions),
             pct(t1, run.instructions),
         );
-        let plans = p.plans_free + p.plans_refill + p.plans_slow;
+        let plans = p.plans_free + p.plans_window + p.plans_slow;
         println!(
             "         {} installed, {} fused pairs ({:.2} per block), \
-             fetch plans: {:.1}% Free / {:.1}% Refill / {:.1}% Slow",
+             fetch plans: {:.1}% Free / {:.1}% Window / {:.1}% Slow",
             p.blocks_promoted,
             p.fused_pairs,
             if p.blocks_promoted == 0 { 0.0 } else { p.fused_pairs as f64 / p.blocks_promoted as f64 },
             pct(p.plans_free, plans),
-            pct(p.plans_refill, plans),
+            pct(p.plans_window, plans),
             pct(p.plans_slow, plans),
         );
         let block_est: u64 = blocks.iter().map(|b| b.est_instructions).sum();

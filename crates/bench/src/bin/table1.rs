@@ -53,14 +53,14 @@ fn main() {
         agg.budget_splits,
         agg.demotions
     );
-    let plans = agg.plans_free + agg.plans_refill + agg.plans_slow;
+    let plans = agg.plans_free + agg.plans_window + agg.plans_slow;
     let pct = |n: u64| if plans == 0 { 0.0 } else { 100.0 * n as f64 / plans as f64 };
     println!(
-        "threaded fetch-plan mix over the suite: {} Free ({:.1}%), {} Refill ({:.1}%), {} Slow ({:.1}%)",
+        "threaded fetch-plan mix over the suite: {} Free ({:.1}%), {} Window ({:.1}%), {} Slow ({:.1}%)",
         agg.plans_free,
         pct(agg.plans_free),
-        agg.plans_refill,
-        pct(agg.plans_refill),
+        agg.plans_window,
+        pct(agg.plans_window),
         agg.plans_slow,
         pct(agg.plans_slow),
     );

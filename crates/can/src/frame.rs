@@ -66,10 +66,9 @@ impl CanFrame {
         CanFrame { id, dlc: data.len() as u8, data: buf }
     }
 
-    /// The stuffable header+data+CRC bit string of this frame
-    /// (SOF..CRC), on the stack.
-    fn stuffable_bits(&self) -> StuffableBits {
-        let mut bits = StuffableBits { buf: [false; MAX_STUFFABLE_BITS], len: 0 };
+    /// The frame's SOF..data bit string: everything the CRC covers.
+    fn crc_covered_bits(&self) -> Bits {
+        let mut bits = Bits::default();
         bits.push(0, 1); // SOF (dominant)
         match self.id {
             CanId::Standard(id) => {
@@ -87,46 +86,111 @@ impl CanFrame {
         for b in &self.data[..self.dlc as usize] {
             bits.push(u32::from(*b), 8);
         }
-        let crc = crc15(bits.as_slice());
-        bits.push(u32::from(crc), 15);
         bits
     }
 
     /// Exact number of bits on the wire for this frame, including stuff
     /// bits and the unstuffed trailer (CRC delimiter, ACK, EOF,
     /// interframe space).
+    ///
+    /// Computed on the frame's bits packed in one integer: the CRC eight
+    /// bits at a time from a table and the stuff bits one run of equal
+    /// bits at a time. [`crc15`] and [`count_stuff_bits`] are the
+    /// bit-serial reference it equals.
     #[must_use]
     pub fn wire_bits(&self) -> u32 {
-        let bits = self.stuffable_bits();
-        let bits = bits.as_slice();
-        let stuffed = bits.len() as u32 + count_stuff_bits(bits);
-        stuffed + TRAILER_BITS
+        let mut bits = self.crc_covered_bits();
+        let crc = bits.crc15();
+        bits.push(u32::from(crc), 15);
+        bits.len + bits.stuff_bits() + TRAILER_BITS
     }
 }
 
 /// The longest SOF..CRC bit string: an extended header (39 bits with
 /// the DLC), 8 data bytes and the 15-bit CRC.
-const MAX_STUFFABLE_BITS: usize = 39 + 64 + 15;
+const MAX_STUFFABLE_BITS: u32 = 39 + 64 + 15;
 
-/// A frame's stuffable bit string in a fixed stack buffer.
-struct StuffableBits {
-    buf: [bool; MAX_STUFFABLE_BITS],
-    len: usize,
+const _: () = assert!(MAX_STUFFABLE_BITS <= u128::BITS);
+
+/// A bit string of at most [`MAX_STUFFABLE_BITS`] bits in the low `len`
+/// bits of an integer, the first bit most significant.
+#[derive(Debug, Default, Clone, Copy)]
+struct Bits {
+    bits: u128,
+    len: u32,
 }
 
-impl StuffableBits {
-    /// Appends the low `n` bits of `v`, most significant first.
+impl Bits {
+    /// Appends the low `n` (at most 31) bits of `v`, most significant
+    /// first.
     fn push(&mut self, v: u32, n: u32) {
-        for i in (0..n).rev() {
-            self.buf[self.len] = v >> i & 1 != 0;
-            self.len += 1;
-        }
+        self.bits = self.bits << n | u128::from(v & ((1 << n) - 1));
+        self.len += n;
     }
 
-    fn as_slice(&self) -> &[bool] {
-        &self.buf[..self.len]
+    /// [`crc15`] of the string: the leading `len % 8` bits one at a
+    /// time, then whole bytes through [`CRC15_TABLE`].
+    fn crc15(&self) -> u16 {
+        let mut crc = 0u16;
+        let mut left = self.len;
+        while !left.is_multiple_of(8) {
+            left -= 1;
+            let b = (self.bits >> left) as u16 & 1;
+            crc = crc << 1 ^ if (crc >> 14 & 1) ^ b != 0 { CRC15_POLY } else { 0 };
+        }
+        while left > 0 {
+            left -= 8;
+            let byte = (self.bits >> left) as u8;
+            crc = crc << 8 ^ CRC15_TABLE[usize::from((crc >> 7) as u8 ^ byte)];
+        }
+        crc & 0x7FFF
+    }
+
+    /// [`count_stuff_bits`] of the string. A run of `l` equal bits that
+    /// starts with `c` bits of the same value already counted (1 when
+    /// the previous run ended on a stuff bit, whose value is the
+    /// opposite of that run's, so this one's; else 0) gets a stuff bit
+    /// after every fifth bit of `c + l`, and hands `c = 1` on when its
+    /// last bit earned one.
+    fn stuff_bits(&self) -> u32 {
+        let mut count = 0;
+        let mut carried = 0;
+        let mut left = self.len;
+        // The unread bits, first one at the top.
+        let mut rest = self.bits.checked_shl(u128::BITS - self.len).unwrap_or(0);
+        while left > 0 {
+            let same = if rest >> 127 == 0 { rest.leading_zeros() } else { rest.leading_ones() };
+            let run = same.min(left);
+            count += (carried + run) / 5;
+            carried = u32::from((carried + run) % 5 == 0);
+            left -= run;
+            rest = rest.checked_shl(run).unwrap_or(0);
+        }
+        count
     }
 }
+
+/// The CAN CRC-15 generator polynomial (x^15 + x^14 + x^10 + x^8 + x^7
+/// + x^4 + x^3 + 1, top term implicit).
+const CRC15_POLY: u16 = 0x4599;
+
+/// `CRC15_TABLE[i]`: the register after eight bit-serial [`crc15`]
+/// steps of zero input from `i << 7` — one byte of input at a time.
+const CRC15_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 7;
+        let mut k = 0;
+        while k < 8 {
+            crc = if crc >> 14 & 1 != 0 { crc << 1 ^ CRC15_POLY } else { crc << 1 };
+            k += 1;
+        }
+        table[i] = crc & 0x7FFF;
+        i += 1;
+    }
+    table
+};
 
 /// CRC delimiter (1) + ACK slot/delimiter (2) + EOF (7) + IFS (3).
 pub const TRAILER_BITS: u32 = 13;
@@ -140,6 +204,7 @@ pub const MIN_WIRE_BITS: u32 = 34 + TRAILER_BITS;
 
 /// Counts the stuff bits a transmitter inserts: one after every run of
 /// five equal bits (the stuff bit itself participates in later runs).
+/// The bit-serial reference for [`CanFrame::wire_bits`].
 #[must_use]
 pub fn count_stuff_bits(bits: &[bool]) -> u32 {
     let mut count = 0u32;
@@ -163,7 +228,8 @@ pub fn count_stuff_bits(bits: &[bool]) -> u32 {
     count
 }
 
-/// The CAN CRC-15 (polynomial 0x4599) over a bit string.
+/// The CAN CRC-15 (polynomial 0x4599) over a bit string. The
+/// bit-serial reference for [`CanFrame::wire_bits`].
 #[must_use]
 pub fn crc15(bits: &[bool]) -> u16 {
     let mut crc = 0u16;
@@ -171,7 +237,7 @@ pub fn crc15(bits: &[bool]) -> u16 {
         let crc_next = (crc >> 14 & 1 != 0) ^ b;
         crc <<= 1;
         if crc_next {
-            crc ^= 0x4599;
+            crc ^= CRC15_POLY;
         }
     }
     crc & 0x7FFF
@@ -248,6 +314,88 @@ mod tests {
         assert_eq!(f1.wire_bits(), CanFrame::new(CanId::Standard(0x123), &[1, 2, 3]).wire_bits());
         // CRC differences may change stuffing; just ensure both compute.
         let _ = f2.wire_bits();
+    }
+
+    /// The bit-serial reference: the frame's SOF..CRC string as `bool`s,
+    /// CRC and stuff bits by [`crc15`] and [`count_stuff_bits`].
+    fn reference_wire_bits(f: &CanFrame) -> (u16, u32) {
+        fn push(bits: &mut Vec<bool>, v: u32, n: u32) {
+            bits.extend((0..n).rev().map(|i| v >> i & 1 != 0));
+        }
+        let mut bits = Vec::new();
+        push(&mut bits, 0, 1);
+        match f.id {
+            CanId::Standard(id) => {
+                push(&mut bits, u32::from(id), 11);
+                push(&mut bits, 0, 3);
+            }
+            CanId::Extended(id) => {
+                push(&mut bits, id >> 18, 11);
+                push(&mut bits, 0b11, 2);
+                push(&mut bits, id & 0x3_FFFF, 18);
+                push(&mut bits, 0, 3);
+            }
+        }
+        push(&mut bits, u32::from(f.dlc), 4);
+        for b in &f.data[..f.dlc as usize] {
+            push(&mut bits, u32::from(*b), 8);
+        }
+        let crc = crc15(&bits);
+        push(&mut bits, u32::from(crc), 15);
+        (crc, bits.len() as u32 + count_stuff_bits(&bits) + TRAILER_BITS)
+    }
+
+    #[test]
+    fn wire_bits_equal_the_bit_serial_reference() {
+        // Every DLC, standard and extended ids (edge and random), fixed
+        // patterns and seeded payloads.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut ids = vec![
+            CanId::Standard(0),
+            CanId::Standard(0x7FF),
+            CanId::Standard(0x2A5),
+            CanId::Extended(0),
+            CanId::Extended(0x1FFF_FFFF),
+            CanId::Extended(0x123 << 18 | 0x55),
+        ];
+        for _ in 0..24 {
+            ids.push(CanId::Standard((next() & 0x7FF) as u16));
+            ids.push(CanId::Extended((next() & 0x1FFF_FFFF) as u32));
+        }
+        for id in ids {
+            for dlc in 0..=8usize {
+                let mut payloads = vec![[0u8; 8], [0xFF; 8], [0xAA; 8], [0x0F; 8]];
+                for _ in 0..8 {
+                    payloads.push(next().to_le_bytes());
+                }
+                for data in payloads {
+                    let f = CanFrame::new(id, &data[..dlc]);
+                    let (crc, bits) = reference_wire_bits(&f);
+                    assert_eq!(f.crc_covered_bits().crc15(), crc, "{f:?}: CRC");
+                    assert_eq!(f.wire_bits(), bits, "{f:?}: wire bits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_stuff_count_equals_reference_on_runs() {
+        // Runs straddling the stuff boundary, carried stuff bits and a
+        // string filling all 118 bits.
+        for len in [1u32, 4, 5, 6, 9, 10, 11, 64, 117, 118] {
+            for pattern in [0u128, u128::MAX, 0x0F0F_0F0F << 40, 0xF83E_0F83_E0F8_3E0F << 50] {
+                let bits = Bits { bits: pattern & ((1u128 << len) - 1), len };
+                let reference: Vec<bool> =
+                    (0..len).rev().map(|i| bits.bits >> i & 1 != 0).collect();
+                assert_eq!(bits.stuff_bits(), count_stuff_bits(&reference), "{len} {pattern:#x}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,13 @@
 //! Label references resolve for `b`, `bl` and `cbz`/`cbnz`; a label may
 //! be defined once. `ldr rX, =label`-style literal loads are not
 //! supported — use `.word` plus an explicit `ldr rX, [pc, #off]` or the
-//! compiler crate, which manages literal pools automatically.
+//! compiler crate, which manages literal pools automatically. That word
+//! `ldr` is the only load or store that takes a `pc` base with an
+//! immediate offset. A condition suffix on `bl`, `cbz`/`cbnz`,
+//! `tbb`/`tbh`, `svc`, `bkpt`, `nop`, `wfi` or `cpsid`/`cpsie` is an
+//! error, never silently dropped: their [`Instr`] forms carry no
+//! condition, so this assembler cannot encode one (A32 itself defines
+//! conditional `bl`, `svc`, `nop` and `wfi`; they are not modelled).
 //!
 //! # One parse
 //!
@@ -555,7 +561,8 @@ impl Op {
 /// Splits a mnemonic into (operation, set-flags, condition), ignoring
 /// case. The longest base that leaves a valid suffix wins, so a
 /// condition is never read as part of a shorter base: `bleq` is `bl` +
-/// `eq`, while `bls` is `b` + `ls` (`bl` + `s` is no mnemonic).
+/// `eq` (rejected later: `Instr::Bl` carries no condition), while `bls` is
+/// `b` + `ls` (`bl` + `s` is no mnemonic).
 fn split_mnemonic(mn: &str) -> Option<(Op, bool, Cond)> {
     // No base plus `s` plus a condition is longer than eight bytes.
     let mut buf = [0u8; 8];
@@ -664,16 +671,27 @@ fn scan(s: &str) -> Scanned<'_> {
     })
 }
 
+/// [`Cond::from_mnemonic`] ignoring case: condition names are two
+/// letters (or empty, for `al`), so the lowercase copy lives on the
+/// stack.
+fn cond_ignore_case(s: &str) -> Option<Cond> {
+    let mut buf = [0u8; 2];
+    let lower = buf.get_mut(..s.len())?;
+    lower.copy_from_slice(s.as_bytes());
+    lower.make_ascii_lowercase();
+    Cond::from_mnemonic(std::str::from_utf8(lower).ok()?)
+}
+
 /// An IT instruction: `mn` is `it` plus its then/else pattern (`ite`,
-/// `itte`, ...), `first` names the first condition, and `bad_pattern`
-/// is the error for a letter other than `t` or `e`.
+/// `itte`, ...), `first` names the first condition (any case), and
+/// `bad_pattern` is the error for a letter other than `t` or `e`.
 fn parse_it(
     mn: &str,
     first: &str,
     line: usize,
     bad_pattern: impl Fn() -> AsmError,
 ) -> Result<Instr, AsmError> {
-    let firstcond = Cond::from_mnemonic(first).ok_or_else(|| aerr(line, "bad IT condition"))?;
+    let firstcond = cond_ignore_case(first).ok_or_else(|| aerr(line, "bad IT condition"))?;
     let mut mask = 0u8;
     let mut count = 1u8;
     for (i, c) in mn.bytes().skip(2).enumerate() {
@@ -702,6 +720,25 @@ fn parse_instr<'a>(code: &Code<'a>, line: usize) -> Result<(Instr, Option<&'a st
         }
         return Err(unknown());
     };
+    // Forms whose `Instr` carries no condition: a suffix would be
+    // silently dropped.
+    let unconditional = matches!(
+        op,
+        Op::Bl
+            | Op::Cbz { .. }
+            | Op::Tbb
+            | Op::Tbh
+            | Op::Svc
+            | Op::Bkpt
+            | Op::Nop
+            | Op::Wfi
+            | Op::Cpsid
+            | Op::Cpsie
+    );
+    if unconditional && cond != Cond::Al {
+        let msg = format!("`{mn}`: no condition suffix is supported on this instruction");
+        return Err(aerr(line, msg));
+    }
 
     let instr = match (op, code.ops()) {
         (Op::Dp(op), [rd, rn, tail @ ..]) if !tail.is_empty() => {
@@ -775,11 +812,16 @@ fn parse_instr<'a>(code: &Code<'a>, line: usize) -> Result<(Instr, Option<&'a st
             let rt = reg(rt)?;
             let addr = parse_addr(code.tail, line)?;
             match addr.offset {
-                // Known defect, kept so existing images stay bit-identical:
-                // `[pc, #off]` becomes a word literal load whatever the
-                // mnemonic, so `str`, `strb` or `ldrh` to it miscompile
-                // (see the FOUND note on `[pc, #off]` in CHANGES.md).
-                Offset::Imm(offset) if code.tail.starts_with("[pc") => {
+                // `[pc, #off]`, in any case, is the literal-pool load:
+                // only a plain word `ldr` has that form.
+                Offset::Imm(offset) if addr.base == Reg::PC => {
+                    let word_load = load && size == MemSize::Word && !signed;
+                    if !word_load || addr.index != Index::Offset {
+                        return Err(aerr(
+                            line,
+                            format!("`{mn}` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"),
+                        ));
+                    }
                     Instr::LdrLit { cond, rt, offset }
                 }
                 _ if load => Instr::Ldr { cond, size, signed, rt, addr },

@@ -3,10 +3,12 @@
 //! messages pinned. A mode that rejects a form pins its error, so the
 //! table also fixes which forms each mode accepts.
 //!
-//! The rows pin behaviour as it is, known defects included: `bleq` and
-//! `nopeq` drop their condition, and `ITE EQ` and `LDR R0, [PC, #8]`
-//! do not assemble as their lowercase spellings do. A fix for one of
-//! them changes its rows on purpose.
+//! The rows pin behaviour as it is. A condition suffix on a form whose
+//! `Instr` carries no condition (`bleq`, `nopeq`, `svceq`, `cbzeq`...:
+//! A32 defines some of these, the assembler does not encode them) is an
+//! error, `[pc, #off]` is a literal load for a word `ldr` only (in any
+//! case) and an error for every other load or store, and `ITE EQ`
+//! assembles as `ite eq` does.
 //!
 //! On a mismatch the test prints every row as it now assembles, in the
 //! table's own syntax.
@@ -141,6 +143,12 @@ const CASES: &[(&str, [&str; 3])] = &[
     ("str r0, [r1, r2, LSL #1]", ["820081e7", "error: line 1: cannot encode `str r0, [r1, r2, lsl #1]` in T16: does not fit the 16-bit encoding", "60f34900"]),
     ("ldr r0, [pc, #8]", ["08009fe5", "0248", "0248"]),
     ("ldr r1, [pc]", ["00109fe5", "0049", "0049"]),
+    ("str r0, [pc, #8]", ["error: line 1: `str` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `str` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `str` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
+    ("strb r0, [pc, #4]", ["error: line 1: `strb` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `strb` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `strb` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
+    ("ldrh r0, [pc, #2]", ["error: line 1: `ldrh` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldrh` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldrh` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
+    ("ldrsb r0, [pc, #1]", ["error: line 1: `ldrsb` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldrsb` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldrsb` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
+    ("ldr r0, [pc, #8]!", ["error: line 1: `ldr` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldr` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldr` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
+    ("ldr r0, [pc], #4", ["error: line 1: `ldr` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldr` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `ldr` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
     ("ldreq r0, [r1]", ["00009105", "error: line 1: cannot encode `ldreq r0, [r1]` in T16: condition fields require A32 (use IT in T2)", "error: line 1: cannot encode `ldreq r0, [r1]` in T2: condition fields require A32 (use IT in T2)"]),
     ("ldrhi r0, [r1]", ["00009185", "error: line 1: cannot encode `ldrhi r0, [r1]` in T16: condition fields require A32 (use IT in T2)", "error: line 1: cannot encode `ldrhi r0, [r1]` in T2: condition fields require A32 (use IT in T2)"]),
     ("ldrhhi r0, [r1]", ["b000d181", "error: line 1: cannot encode `ldrhhi r0, [r1]` in T16: condition fields require A32 (use IT in T2)", "error: line 1: cannot encode `ldrhhi r0, [r1]` in T2: condition fields require A32 (use IT in T2)"]),
@@ -170,7 +178,7 @@ const CASES: &[(&str, [&str; 3])] = &[
     ("bhs x\nx: nop", ["ffffff2a00f020e3 x=4", "ffd200bf x=2", "ffd200bf x=2"]),
     ("blo x\nx:", ["ffffff3a x=4", "ffd3 x=2", "ffd3 x=2"]),
     ("bal x\nx: nop", ["ffffffea00f020e3 x=4", "ffe700bf x=2", "ffe700bf x=2"]),
-    ("bleq x\nx: nop", ["ffffffeb00f020e3 x=4", "60f0000000bf x=4", "60f0000000bf x=4"]),
+    ("bleq x\nx: nop", ["error: line 1: `bleq`: no condition suffix is supported on this instruction", "error: line 1: `bleq`: no condition suffix is supported on this instruction", "error: line 1: `bleq`: no condition suffix is supported on this instruction"]),
     ("here: b here", ["feffffea here=0", "fee7 here=0", "fee7 here=0"]),
     ("bx lr", ["1eff2fe1", "e047", "e047"]),
     ("bx r3", ["13ff2fe1", "3047", "3047"]),
@@ -194,7 +202,15 @@ const CASES: &[(&str, [&str; 3])] = &[
     ("wfi", ["03f020e3", "30bf", "30bf"]),
     ("cpsid", ["80000cf1", "72b6", "72b6"]),
     ("cpsie", ["800008f1", "62b6", "62b6"]),
-    ("nopeq", ["00f020e3", "00bf", "00bf"]),
+    ("nopeq", ["error: line 1: `nopeq`: no condition suffix is supported on this instruction", "error: line 1: `nopeq`: no condition suffix is supported on this instruction", "error: line 1: `nopeq`: no condition suffix is supported on this instruction"]),
+    ("svceq #1", ["error: line 1: `svceq`: no condition suffix is supported on this instruction", "error: line 1: `svceq`: no condition suffix is supported on this instruction", "error: line 1: `svceq`: no condition suffix is supported on this instruction"]),
+    ("bkptne #1", ["error: line 1: `bkptne`: no condition suffix is supported on this instruction", "error: line 1: `bkptne`: no condition suffix is supported on this instruction", "error: line 1: `bkptne`: no condition suffix is supported on this instruction"]),
+    ("wfieq", ["error: line 1: `wfieq`: no condition suffix is supported on this instruction", "error: line 1: `wfieq`: no condition suffix is supported on this instruction", "error: line 1: `wfieq`: no condition suffix is supported on this instruction"]),
+    ("cpsideq", ["error: line 1: `cpsideq`: no condition suffix is supported on this instruction", "error: line 1: `cpsideq`: no condition suffix is supported on this instruction", "error: line 1: `cpsideq`: no condition suffix is supported on this instruction"]),
+    ("cpsiene", ["error: line 1: `cpsiene`: no condition suffix is supported on this instruction", "error: line 1: `cpsiene`: no condition suffix is supported on this instruction", "error: line 1: `cpsiene`: no condition suffix is supported on this instruction"]),
+    ("cbzeq r0, x\nnop\nx: nop", ["error: line 1: `cbzeq`: no condition suffix is supported on this instruction", "error: line 1: `cbzeq`: no condition suffix is supported on this instruction", "error: line 1: `cbzeq`: no condition suffix is supported on this instruction"]),
+    ("tbbeq [r0, r1]", ["error: line 1: `tbbeq`: no condition suffix is supported on this instruction", "error: line 1: `tbbeq`: no condition suffix is supported on this instruction", "error: line 1: `tbbeq`: no condition suffix is supported on this instruction"]),
+    ("nopal", ["00f020e3", "00bf", "00bf"]),
     // Directives and labels.
     (".word 0xDEADBEEF", ["efbeadde", "efbeadde", "efbeadde"]),
     (".word 42", ["2a000000", "2a000000", "2a000000"]),
@@ -231,9 +247,13 @@ const CASES: &[(&str, [&str; 3])] = &[
     ("LOOP: NOP\nBNE LOOP", ["00f020e3fdffff1a LOOP=0", "00bffdd1 LOOP=0", "00bffdd1 LOOP=0"]),
     ("LSL R0, R1, #2", ["0101a0e1", "8800", "8800"]),
     ("Add r0, R0, r1, LSL #1", ["810080e0", "error: line 1: cannot encode `add r0, r0, r1, lsl #1` in T16: does not fit the 16-bit encoding", "00ea8110"]),
-    ("ITE EQ", ["error: line 1: bad IT condition", "error: line 1: bad IT condition", "error: line 1: bad IT condition"]),
+    ("ITE EQ", ["error: line 1: cannot encode `ite Eq` in A32: cbz/it require T2", "error: line 1: cannot encode `ite Eq` in T16: cbz/it require T2", "0cbf"]),
+    ("itTe Ne", ["error: line 1: cannot encode `itte Ne` in A32: cbz/it require T2", "error: line 1: cannot encode `itte Ne` in T16: cbz/it require T2", "1abf"]),
+    ("BLEQ X\nX: NOP", ["error: line 1: `BLEQ`: no condition suffix is supported on this instruction", "error: line 1: `BLEQ`: no condition suffix is supported on this instruction", "error: line 1: `BLEQ`: no condition suffix is supported on this instruction"]),
     ("CBZ R0, L\nL: NOP", ["error: line 1: cannot encode `cbz r0, .+4` in A32: cbz/it require T2", "error: line 1: cannot encode `cbz r0, .+4` in T16: cbz/it require T2", "error: line 1: cannot encode `cbz r0, .+2` in T2: cbz offset must be 4..=130, even"]),
-    ("LDR R0, [PC, #8]", ["08009fe5", "error: line 1: cannot encode `ldr r0, [pc, #8]` in T16: does not fit the 16-bit encoding", "01f208e0"]),
+    ("LDR R0, [PC, #8]", ["08009fe5", "0248", "0248"]),
+    ("Ldr r1, [Pc]", ["00109fe5", "0049", "0049"]),
+    ("STRH R0, [PC, #2]", ["error: line 1: `STRH` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `STRH` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal", "error: line 1: `STRH` cannot take a pc base: only `ldr rt, [pc, #off]` loads a literal"]),
     ("BX LR", ["1eff2fe1", "e047", "e047"]),
     ("TBB [R0, R1]", ["error: line 1: cannot encode `tbb [r0, r1]` in A32: operation requires the T2 repertoire (ARMv6T2-era); the A32 profile models an ARM7-class core", "error: line 1: cannot encode `tbb [r0, r1]` in T16: wide-only operation unavailable in T16", "c0f10100"]),
     ("ldr r0, [r1, r2, LSL #0B1]", ["820091e7", "error: line 1: cannot encode `ldr r0, [r1, r2, lsl #1]` in T16: does not fit the 16-bit encoding", "00f34900"]),

@@ -579,7 +579,7 @@ impl Machine {
         reg.counter(&format!("{prefix}blocks.demotions"), s.demotions);
         reg.counter(&format!("{prefix}tier.threaded_instrs"), s.threaded_instrs);
         reg.counter(&format!("{prefix}plans.free"), s.plans_free);
-        reg.counter(&format!("{prefix}plans.refill"), s.plans_refill);
+        reg.counter(&format!("{prefix}plans.window"), s.plans_window);
         reg.counter(&format!("{prefix}plans.slow"), s.plans_slow);
         reg.counter(&format!("{prefix}irq.taken"), self.latencies.len() as u64);
         for l in &self.latencies {
@@ -956,9 +956,15 @@ impl Machine {
     /// revision counters — any change to what instruction bytes decode
     /// to moves this value. Devices participate through
     /// [`crate::Device::revision`] (cached bus-side, so plain data
-    /// devices cost nothing here). See [`crate::predecode`].
+    /// devices cost nothing here). The top two bits say whether an
+    /// I-cache and an MPU are fitted: installed fetch plans assume
+    /// neither (see `crates/sim/src/threaded.rs`), so fitting or
+    /// removing one between runs drops every block. See
+    /// [`crate::predecode`].
     #[inline]
     fn code_stamp(&self) -> u64 {
+        let fitted =
+            u64::from(self.icache.is_some()) << 62 | u64::from(self.mpu.is_some()) << 63;
         self.flash
             .revision()
             .wrapping_add(self.patch.revision())
@@ -966,6 +972,7 @@ impl Machine {
             .wrapping_add(self.tcm.as_ref().map_or(0, Tcm::revision))
             .wrapping_add(self.bus.device_revisions())
             .wrapping_add(self.code_write_gen)
+            .wrapping_add(fitted)
     }
 
     fn break_fetch_stream(&mut self) {
@@ -1914,7 +1921,8 @@ impl Machine {
     }
 }
 
-fn width_mask(width: u8) -> u32 {
+/// The low `width` bits set (all 32 from 32 up).
+pub(crate) fn width_mask(width: u8) -> u32 {
     if width >= 32 {
         u32::MAX
     } else {

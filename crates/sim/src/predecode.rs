@@ -111,9 +111,9 @@ pub struct PredecodeStats {
     /// Statically-free fetch plans across all installed blocks (fetch
     /// plan mix: the op's fetch is window-resident, zero cycles).
     pub plans_free: u64,
-    /// Single-refill fetch plans across all installed blocks (one
-    /// planned streaming refill replaces the full timing walk).
-    pub plans_refill: u64,
+    /// Window fetch plans across all installed blocks (one checked
+    /// streaming refill replaces the full timing walk).
+    pub plans_window: u64,
     /// Slow fetch plans across all installed blocks (unplannable —
     /// replay `fetch_timing` in full).
     pub plans_slow: u64,
@@ -134,7 +134,7 @@ impl PredecodeStats {
             threaded_instrs,
             block_instrs,
             plans_free,
-            plans_refill,
+            plans_window,
             plans_slow,
         } = other;
         self.block_hits += block_hits;
@@ -146,7 +146,7 @@ impl PredecodeStats {
         self.threaded_instrs += threaded_instrs;
         self.block_instrs += block_instrs;
         self.plans_free += plans_free;
-        self.plans_refill += plans_refill;
+        self.plans_window += plans_window;
         self.plans_slow += plans_slow;
     }
 }
@@ -287,7 +287,7 @@ impl BlockCache {
         stats.blocks_promoted += 1;
         stats.fused_pairs += u64::from(code.fused);
         stats.plans_free += u64::from(code.plans_free);
-        stats.plans_refill += u64::from(code.plans_refill);
+        stats.plans_window += u64::from(code.plans_window);
         stats.plans_slow += u64::from(code.plans_slow);
         let slot = &mut self.blocks[BlockCache::slot(pc)];
         stats.demotions += u64::from(slot.is_some());

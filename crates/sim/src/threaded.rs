@@ -10,27 +10,46 @@
 //!
 //! Three mechanisms carry the speed:
 //!
-//! * **Handler specialization** — the dominant single instructions
-//!   (ALU reg/imm, `mov`, `cmp`, direct branches, `cbz`,
-//!   immediate-offset `ldr`/`str`) get dedicated handlers that touch
-//!   exactly the state the instruction touches. Everything else falls
-//!   back to a generic handler that reuses [`Machine::issue`], so the
-//!   lowering never has to be complete to be correct.
+//! * **Handler specialization** — the dominant single instructions get
+//!   dedicated handlers that touch exactly the state the instruction
+//!   touches: ALU reg/imm (`add`/`sub`/`and`/`orr`/`eor`/`bic`),
+//!   `mov`/`movw`, shifted-register moves (`lsl`/`lsr`/`asr`/`ror` by
+//!   an immediate or a register amount, flag-setting or not), `mul`/
+//!   `muls`, `ubfx`, `bfi`, `cmp`, direct branches, `cbz`/`cbnz`,
+//!   unsigned `ldr`/`str` (word, byte, halfword) with an immediate or
+//!   a register offset (`[rn, #imm]`, `[rn, rm, lsl #k]`), and the
+//!   word literal-pool load, whose address is fixed at lowering.
+//!   Register-only ops other than ALU and `mov` share one handler that
+//!   matches on their [`RegOp`]; loads and stores match on their
+//!   [`Ea`] addressing form. Everything else falls back to a generic
+//!   handler that reuses [`Machine::issue`], so the lowering never has
+//!   to be complete to be correct.
 //! * **Superinstruction fusion** — the dominant dynamic pairs
 //!   (`cmp`+branch, `alu`+`cmp`, `alu`+branch loop backedges,
-//!   `ldr`+`alu`) are fused into single handlers, halving dispatch
-//!   count on loop-shaped code. A fused handler re-checks the split
-//!   conditions *between* its two halves, so interrupts and
-//!   `run_until` bounds land on exactly the instruction boundary the
-//!   per-step path puts them on.
-//! * **Batched fetch-timing replay** — for straight-line code in
-//!   uncached, MPU-less flash the streaming-buffer walk of
-//!   `Machine::fetch_timing` is precomputed per fetch into a
-//!   [`FetchPlan`]: statically window-resident fetches charge zero
-//!   cycles with no state change, single-refill fetches charge one
-//!   live [`crate::Flash::access_timing`] call (keeping seq/nonseq
-//!   cycles, flash stats and stream state exact), and anything the
-//!   builder cannot prove falls back to the full `fetch_timing` call.
+//!   `ldr`+`alu` with any addressing form, and any two adjacent
+//!   register-only ops — shift chains, shift+ALU, `mov`+`mul`...) are
+//!   fused into single handlers, halving dispatch count on loop-shaped
+//!   code. A fused handler re-checks the split conditions *between*
+//!   its two halves, so interrupts and `run_until` bounds land on
+//!   exactly the instruction boundary the per-step path puts them on.
+//!   The register-pair handler runs both halves through one `match`
+//!   on [`RegOp`]; one instantiation per pair of kinds measured
+//!   slower (more code for the same dispatches).
+//! * **Fetch-timing replay by plan** — in uncached, MPU-less flash
+//!   every fetch of a block gets a [`FetchPlan`] that replaces the
+//!   streaming-buffer walk of `Machine::fetch_timing`: a fetch the
+//!   builder proves window-resident is [`FetchPlan::Free`] (zero
+//!   cycles, no state change); any other fetch that stays inside one
+//!   window is [`FetchPlan::Window`], which refills the window unless
+//!   the buffer already holds it — exactly what `fetch_timing` does for
+//!   such a fetch, so it needs no knowledge of the buffered window and
+//!   also covers block entry and the fetch after a load or store.
+//!   Only a fetch spanning windows from an unknown buffer state, or
+//!   code the plans do not apply to, runs `fetch_timing` in full
+//!   ([`FetchPlan::Slow`]). Plans assume no I-cache and no MPU; which
+//!   of the two are fitted is part of the block cache's generation
+//!   stamp, so fitting either (or removing it) drops every installed
+//!   block before a stale plan could run.
 //!
 //! # IT blocks
 //!
@@ -63,10 +82,10 @@
 //! `BlockCache` slots and dies with them (generation stamps, watermark
 //! stores, device revisions), counted as demotions.
 
-use alia_isa::{Cond, DpOp, Index, Instr, IsaMode, Offset, Operand2, Reg};
+use alia_isa::{AddrMode, Cond, DpOp, Index, Instr, IsaMode, Offset, Operand2, Reg, ShiftOp};
 
 use crate::cpu::{add_with_carry, EXC_RETURN_HW, EXC_RETURN_SW};
-use crate::machine::{Machine, StopReason};
+use crate::machine::{width_mask, Machine, StopReason};
 use crate::mem::{Access, FLASH_BASE};
 use crate::predecode::{Entry, MAX_BLOCK_LEN};
 
@@ -125,7 +144,7 @@ pub(crate) struct ExecCtx {
     /// `min(cycle_limit, sched_due, bus.next_event())`, recomputed
     /// after every impure op — the single compare pure ops make.
     pub(crate) bound: u64,
-    /// Flash streaming-window size (bytes) for [`FetchPlan::Refill`].
+    /// Flash streaming-window size (bytes) for [`FetchPlan::Window`].
     pub(crate) window: u32,
     /// First fetch length: `mode.min_instr_size()`.
     pub(crate) flen: u32,
@@ -138,11 +157,14 @@ pub(crate) enum FetchPlan {
     None,
     /// Statically window-resident: zero cycles, no state change.
     Free,
-    /// Exactly one streaming refill of the given window base: one live
-    /// `Flash::access_timing` fetch plus the buffered-window update.
-    Refill(u32),
-    /// Unplannable (block entry, post-impure state, non-flash code,
-    /// I-cache/MPU fitted, multi-window): run `fetch_timing` in full.
+    /// A fetch whose only possible refill is the given window base (it
+    /// lies inside that window, or the windows before it are provably
+    /// resident): refill it with one live `Flash::access_timing` fetch
+    /// unless `fetch_window` already holds it, then leave it buffered.
+    Window(u32),
+    /// Unplannable (non-flash code, I-cache or MPU fitted, a fetch
+    /// spanning windows from an unknown buffer state): run
+    /// `fetch_timing` in full.
     Slow,
 }
 
@@ -165,32 +187,79 @@ pub(crate) enum AluKind {
     Bic,
 }
 
+/// The register-only operation a [`Half`] performs — what the
+/// register handlers dispatch on (memory halves leave it unused).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RegOp {
+    /// [`AluKind`] data processing.
+    Alu,
+    /// `mov`/`movw` of a register or immediate.
+    Mov,
+    /// Shifted-register move by the immediate amount `imm`.
+    ShiftImm,
+    /// Shifted-register move by the bottom byte of `rn`.
+    ShiftReg,
+    /// `mul{s}`.
+    Mul,
+    /// `ubfx`: `rd = rn >> imm & len`.
+    Ubfx,
+    /// `bfi`: `rd = rd & !len | rn << imm & len`.
+    Bfi,
+}
+
+/// The addressing form of a memory [`Half`] (offset addressing, no
+/// writeback).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ea {
+    /// `[rn, #imm]`.
+    Imm,
+    /// `[rn, rm, lsl #imm]`.
+    Reg,
+    /// The absolute address `imm`: a literal-pool load, whose
+    /// `pc`-relative address is fixed when the block is lowered.
+    Abs,
+}
+
 /// Pre-resolved operands for one instruction (or one half of a fused
 /// pair). Fields are only meaningful for the handler that reads them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Half {
+    /// Register-only operation (register handlers).
+    pub(crate) op: RegOp,
+    /// Addressing form (memory handlers).
+    pub(crate) ea: Ea,
     /// ALU kind (ALU handlers).
     pub(crate) kind: AluKind,
+    /// Shift kind (shifted-register move handlers).
+    pub(crate) sh: ShiftOp,
     /// Flag-setting (`s` suffix).
     pub(crate) s: bool,
     /// Second operand is `rm` (`true`) or `imm` (`false`).
     pub(crate) b_reg: bool,
     /// Destination register / `ldr`/`str` transfer register.
     pub(crate) rd: Reg,
-    /// First operand register / memory base register.
+    /// First operand register / memory base register / register shift
+    /// amount / first multiplicand.
     pub(crate) rn: Reg,
-    /// Register second operand.
+    /// Register second operand / memory offset register / shifted
+    /// register / second multiplicand.
     pub(crate) rm: Reg,
-    /// Immediate second operand / memory offset (sign-extended).
+    /// Immediate second operand / memory offset (sign-extended) /
+    /// offset register's left shift / absolute literal address / shift
+    /// amount / bitfield `lsb`.
     pub(crate) imm: u32,
-    /// Memory access length in bytes (`ldr`/`str` handlers).
+    /// Memory access length in bytes (`ldr`/`str` handlers) / bitfield
+    /// mask (`ubfx`: `width` ones; `bfi`: shifted to `lsb`).
     pub(crate) len: u32,
 }
 
 impl Half {
     /// Placeholder for unused halves.
     pub(crate) const NONE: Half = Half {
+        op: RegOp::Alu,
+        ea: Ea::Imm,
         kind: AluKind::Add,
+        sh: ShiftOp::Lsl,
         s: false,
         b_reg: false,
         rd: Reg::R0,
@@ -254,9 +323,10 @@ pub(crate) struct ThreadedBlock {
     pub(crate) start: u32,
     /// Alternate first op for self-loop iterations: identical to
     /// `ops[0]` except its fetch plans assume the streaming window the
-    /// block itself leaves buffered at its taken backedge (instead of
-    /// the unknown-entry `Slow` walk). Only reached after a *pure*
-    /// terminal exit, which provably cannot disturb the fetch stream.
+    /// block itself leaves buffered at its taken backedge (a `Free`
+    /// plan where the unknown entry state needs a `Window` check). Only
+    /// reached after a *pure* terminal exit, which provably cannot
+    /// disturb the fetch stream.
     pub(crate) loop_head: Op,
     /// Flash streaming-window size the fetch plans were built for.
     pub(crate) window: u32,
@@ -267,8 +337,8 @@ pub(crate) struct ThreadedBlock {
     /// [`FetchPlan::Free`] plans across the block's ops (fetch-plan
     /// mix reporting; the `loop_head` alternate entry is not counted).
     pub(crate) plans_free: u32,
-    /// [`FetchPlan::Refill`] plans across the block's ops.
-    pub(crate) plans_refill: u32,
+    /// [`FetchPlan::Window`] plans across the block's ops.
+    pub(crate) plans_window: u32,
     /// [`FetchPlan::Slow`] plans across the block's ops.
     pub(crate) plans_slow: u32,
 }
@@ -401,10 +471,13 @@ fn plan_cycles(
             );
             Ok(0)
         }
-        FetchPlan::Refill(w) => {
-            // Exactly one non-resident window: one live access_timing
+        FetchPlan::Window(w) => {
+            // The walk's only possible refill: one live access_timing
             // call keeps seq/nonseq selection, flash stats and stream
             // state identical to the full walk.
+            if m.fetch_window == Some(w) {
+                return Ok(0);
+            }
             let c = m.flash.access_timing(w - FLASH_BASE, window, Access::Fetch);
             m.fetch_window = Some(w);
             Ok(c)
@@ -495,10 +568,20 @@ fn cmp_half(m: &mut Machine, h: &Half) {
     m.cycles += 1;
 }
 
-/// One immediate-offset `ldr[b|h]` (unsigned, no writeback) step.
+/// The effective address of a memory half.
+#[inline(always)]
+fn mem_ea(m: &Machine, h: &Half) -> u32 {
+    match h.ea {
+        Ea::Imm => m.cpu.read_reg(h.rn, 0).wrapping_add(h.imm),
+        Ea::Reg => m.cpu.read_reg(h.rn, 0).wrapping_add(m.cpu.read_reg(h.rm, 0) << h.imm),
+        Ea::Abs => h.imm,
+    }
+}
+
+/// One unsigned `ldr[b|h]` step (offset addressing, no writeback).
 #[inline(always)]
 fn ldr_half(m: &mut Machine, h: &Half) -> Result<(), StopReason> {
-    let ea = m.cpu.read_reg(h.rn, 0).wrapping_add(h.imm);
+    let ea = mem_ea(m, h);
     let (v, c) = match m.data_read(ea, h.len) {
         Ok(t) => t,
         Err(f) => return Err(StopReason::Fault(f)),
@@ -506,6 +589,71 @@ fn ldr_half(m: &mut Machine, h: &Half) -> Result<(), StopReason> {
     m.cycles += 1 + u64::from(c) + u64::from(m.config.timing.load_internal);
     m.cpu.write_reg(h.rd, v);
     Ok(())
+}
+
+/// One `mov`/`movw` step: N/Z when flag-setting (C is the shifter's
+/// carry-out, which for an unshifted operand is C itself), 1 cycle.
+#[inline(always)]
+fn mov_half(m: &mut Machine, h: &Half) {
+    let v = if h.b_reg { m.cpu.read_reg(h.rm, 0) } else { h.imm };
+    if h.s {
+        m.cpu.set_nz(v);
+    }
+    m.cpu.write_reg(h.rd, v);
+    m.cycles += 1;
+}
+
+/// One shifted-register move step by `amount`: the barrel shifter the
+/// generic executor runs, with its carry-out into C when flag-setting.
+/// The caller charges the issue cycles.
+#[inline(always)]
+fn shift_half(m: &mut Machine, h: &Half, amount: u32) {
+    let (v, c) = h.sh.apply(m.cpu.read_reg(h.rm, 0), amount, m.cpu.flags.c);
+    if h.s {
+        m.cpu.set_nz(v);
+        m.cpu.flags.c = c;
+    }
+    m.cpu.write_reg(h.rd, v);
+}
+
+/// One register-only step of any [`RegOp`], cycles included.
+#[inline(always)]
+fn reg_half(m: &mut Machine, h: &Half) {
+    match h.op {
+        RegOp::Alu => alu_half(m, h),
+        RegOp::Mov => mov_half(m, h),
+        RegOp::ShiftImm => {
+            shift_half(m, h, h.imm);
+            m.cycles += 1;
+        }
+        RegOp::ShiftReg => {
+            // The amount is the bottom byte of `rn`; a register-specified
+            // shift costs one cycle more.
+            let amount = m.cpu.read_reg(h.rn, 0) & 0xFF;
+            shift_half(m, h, amount);
+            m.cycles += 2;
+        }
+        RegOp::Mul => {
+            // N/Z only when flag-setting, `mul_cycles` to issue.
+            let r = m.cpu.read_reg(h.rn, 0).wrapping_mul(m.cpu.read_reg(h.rm, 0));
+            if h.s {
+                m.cpu.set_nz(r);
+            }
+            m.cpu.write_reg(h.rd, r);
+            m.cycles += 1 + u64::from(m.config.timing.mul_cycles - 1);
+        }
+        RegOp::Ubfx => {
+            let v = m.cpu.read_reg(h.rn, 0) >> h.imm & h.len;
+            m.cpu.write_reg(h.rd, v);
+            m.cycles += 1;
+        }
+        RegOp::Bfi => {
+            let old = m.cpu.read_reg(h.rd, 0);
+            let v = m.cpu.read_reg(h.rn, 0) << h.imm & h.len;
+            m.cpu.write_reg(h.rd, old & !h.len | v);
+            m.cycles += 1;
+        }
+    }
 }
 
 /// The terminal direct-branch step: evaluates the (possibly `AL`)
@@ -581,12 +729,17 @@ fn h_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 fn h_mov(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    let v = if op.a.b_reg { m.cpu.read_reg(op.a.rm, 0) } else { op.a.imm };
-    if op.a.s {
-        m.cpu.set_nz(v);
-    }
-    m.cpu.write_reg(op.a.rd, v);
-    m.cycles += 1;
+    mov_half(m, &op.a);
+    m.cpu.pc = pc.wrapping_add(op.size);
+    Ctl::Next
+}
+
+/// Any other register-only [`RegOp`] (shifted-register moves, `mul`,
+/// `ubfx`, `bfi`), unconditional, no PC operands.
+fn h_reg(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+    let pc = m.cpu.pc;
+    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
+    reg_half(m, &op.a);
     m.cpu.pc = pc.wrapping_add(op.size);
     Ctl::Next
 }
@@ -624,8 +777,9 @@ fn h_cbz(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     Ctl::Exit
 }
 
-/// Specialized unconditional immediate-offset `ldr` (unsigned, no
-/// writeback, no PC operands). Impure: the load may touch a device.
+/// Specialized unconditional `ldr` (unsigned, any [`Ea`] form: an
+/// immediate or a shifted register offset with no PC operand, or a
+/// word literal-pool load). Impure: the load may touch a device.
 fn h_ldr(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
@@ -637,12 +791,13 @@ fn h_ldr(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     Ctl::Next
 }
 
-/// Specialized unconditional immediate-offset `str` (no writeback, no
-/// PC operands). Impure: the store may touch a device or code bytes.
+/// Specialized unconditional `str` (an immediate or a shifted register
+/// offset, no PC operands). Impure: the store may touch a device or
+/// code bytes.
 fn h_str(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    let ea = m.cpu.read_reg(op.a.rn, 0).wrapping_add(op.a.imm);
+    let ea = mem_ea(m, &op.a);
     let v = m.cpu.read_reg(op.a.rd, 0);
     let c = match m.data_write(ea, op.a.len, v) {
         Ok(c) => c,
@@ -704,9 +859,10 @@ fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     Ctl::Exit
 }
 
-/// Fused immediate-offset `ldr` + ALU (pointer-chase / accumulate).
-/// The first half is impure, so the mid-pair boundary runs the full
-/// check sequence before the second half issues.
+/// Fused `ldr` (any [`Ea`] form) + ALU (pointer-chase, table lookup,
+/// constant use, accumulate). The first half is impure, so the
+/// mid-pair boundary runs the full check sequence before the second
+/// half issues.
 fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
@@ -718,6 +874,24 @@ fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
     }
     try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
     alu_half(m, &op.b);
+    m.cpu.pc = pc.wrapping_add(op.size);
+    Ctl::Next
+}
+
+/// Fused pair of register-only ops of any [`RegOp`]s (shift chains,
+/// shift + ALU, ALU + ALU, `mov` + `mul`...). Both halves pure; the
+/// mid-pair boundary needs only the budget compare.
+fn h_fused_reg2(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+    let pc = m.cpu.pc;
+    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
+    reg_half(m, &op.a);
+    let pc2 = pc.wrapping_add(op.size1);
+    m.cpu.pc = pc2;
+    if m.cycles >= ctx.bound {
+        return Ctl::SplitBudget;
+    }
+    try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
+    reg_half(m, &op.b);
     m.cpu.pc = pc.wrapping_add(op.size);
     Ctl::Next
 }
@@ -745,15 +919,18 @@ impl FetchSim {
             return FetchPlan::Slow;
         }
         let wm = self.window - 1;
+        let first = addr & !wm;
         let fin = (addr + len - 1) & !wm;
-        let Some(mut cur) = self.cur else {
-            // Unknown entry state: run the full walk, after which the
-            // buffered window is deterministic.
-            self.cur = Some(fin);
-            return FetchPlan::Slow;
+        // After the walk the final window is buffered, whatever came
+        // before.
+        let Some(mut cur) = self.cur.replace(fin) else {
+            // Unknown buffer state (block entry, after an impure op): a
+            // fetch inside one window refills it unless it is already
+            // buffered — the `Window` check at run time.
+            return if first == fin { FetchPlan::Window(fin) } else { FetchPlan::Slow };
         };
         // Replicate the fetch_timing window walk statically.
-        let mut w = addr & !wm;
+        let mut w = first;
         let end = addr + len;
         let mut refills = 0u32;
         let mut refill_at = 0u32;
@@ -765,12 +942,12 @@ impl FetchSim {
             }
             w += self.window;
         }
-        self.cur = Some(fin);
         match refills {
             0 => FetchPlan::Free,
             // A single refill whose window is also the final buffered
-            // window collapses to one live access_timing call.
-            1 if refill_at == fin => FetchPlan::Refill(refill_at),
+            // window collapses to one live access_timing call (the
+            // run-time check finds it unbuffered).
+            1 if refill_at == fin => FetchPlan::Window(fin),
             _ => FetchPlan::Slow,
         }
     }
@@ -782,33 +959,48 @@ impl FetchSim {
     }
 }
 
-/// Operand source for the micro-op classifier.
-#[derive(Debug, Clone, Copy)]
-enum Src {
-    Imm(u32),
-    Reg(Reg),
-}
-
 /// The specializer's view of one instruction: a pattern the fusion
-/// and handler selection match on. `Generic` runs through
-/// [`h_generic`] (still threaded — just not specialized).
+/// and handler selection match on, its operands pre-resolved into a
+/// [`Half`]. `Generic` runs through [`h_generic`] (still threaded —
+/// just not specialized).
 #[derive(Debug, Clone, Copy)]
 enum Micro {
-    Alu { kind: AluKind, s: bool, rd: Reg, rn: Reg, src: Src },
-    Mov { s: bool, rd: Reg, src: Src },
-    Cmp { rn: Reg, src: Src },
+    /// A register-only op of any [`RegOp`].
+    Reg(Half),
+    /// `cmp` (a flag-setting ALU subtract with no destination).
+    Cmp(Half),
     B { cond: Cond, target: u32 },
     Cbz { nonzero: bool, rn: Reg, target: u32 },
-    Ldr { rt: Reg, rn: Reg, off: u32, len: u32 },
-    Str { rt: Reg, rn: Reg, off: u32, len: u32 },
+    /// An unsigned load.
+    Ldr(Half),
+    /// A store.
+    Str(Half),
     Generic,
 }
 
-fn src_of(op2: Operand2) -> Option<Src> {
+/// The half of an ALU op or `mov` whose second operand is `op2` (a
+/// register or immediate; `None` for shifted or PC operands).
+fn with_op2(h: Half, op2: Operand2) -> Option<Half> {
     match op2 {
-        Operand2::Imm(v) => Some(Src::Imm(v)),
-        Operand2::Reg(r) if r != Reg::PC => Some(Src::Reg(r)),
+        Operand2::Imm(imm) => Some(Half { imm, ..h }),
+        Operand2::Reg(rm) if rm != Reg::PC => Some(Half { b_reg: true, rm, ..h }),
         _ => None,
+    }
+}
+
+/// The half of an offset-addressed load or store of `len` bytes with
+/// no PC operand (`None` for writeback forms and PC operands).
+fn mem_half(rt: Reg, addr: AddrMode, len: u32) -> Option<Half> {
+    if rt == Reg::PC || addr.base == Reg::PC || addr.index != Index::Offset {
+        return None;
+    }
+    let h = Half { rd: rt, rn: addr.base, len, ..Half::NONE };
+    match addr.offset {
+        Offset::Imm(i) => Some(Half { imm: i as u32, ..h }),
+        Offset::Reg(rm, k) if rm != Reg::PC => {
+            Some(Half { ea: Ea::Reg, rm, imm: u32::from(k), ..h })
+        }
+        Offset::Reg(..) => None,
     }
 }
 
@@ -818,10 +1010,13 @@ fn exc_target(target: u32) -> bool {
     target == EXC_RETURN_HW || target == EXC_RETURN_SW
 }
 
-/// Classifies one entry for specialization. Conservative: anything
-/// with PC operands, shifts, conditions (beyond the branch's own),
-/// carry-in arithmetic, sign extension or writeback stays `Generic`.
-fn classify(e: &Entry, pc: u32) -> Micro {
+/// Classifies one entry at `pc` (whose reads of the PC see `pc + bias`)
+/// for specialization. Conservative: anything with PC operands (but a
+/// literal-pool load's base), shifted ALU operands, conditions (beyond
+/// the branch's own), carry-in arithmetic, sign extension or writeback
+/// stays `Generic`.
+fn classify(e: &Entry, pc: u32, bias: u32) -> Micro {
+    let no_pc = |regs: &[Reg]| !regs.contains(&Reg::PC);
     match e.instr {
         Instr::B { cond, offset } => {
             let raw = pc.wrapping_add(offset as u32);
@@ -838,7 +1033,7 @@ fn classify(e: &Entry, pc: u32) -> Micro {
             Micro::Cbz { nonzero, rn, target: raw & !1 }
         }
         _ if e.cond != Cond::Al => Micro::Generic,
-        Instr::Dp { op, s, rd, rn, op2, .. } if rd != Reg::PC && rn != Reg::PC => {
+        Instr::Dp { op, s, rd, rn, op2, .. } if no_pc(&[rd, rn]) => {
             let kind = match op {
                 DpOp::Add => AluKind::Add,
                 DpOp::Sub => AluKind::Sub,
@@ -848,41 +1043,47 @@ fn classify(e: &Entry, pc: u32) -> Micro {
                 DpOp::Bic => AluKind::Bic,
                 DpOp::Adc | DpOp::Sbc | DpOp::Rsb => return Micro::Generic,
             };
-            match src_of(op2) {
-                Some(src) => Micro::Alu { kind, s, rd, rn, src },
-                None => Micro::Generic,
+            with_op2(Half { kind, s, rd, rn, ..Half::NONE }, op2).map_or(Micro::Generic, Micro::Reg)
+        }
+        Instr::Mov { s, rd, op2, .. } if rd != Reg::PC => {
+            let h = Half { s, rd, ..Half::NONE };
+            match op2 {
+                Operand2::RegShiftImm(rm, sh, n) if rm != Reg::PC => {
+                    Micro::Reg(Half { op: RegOp::ShiftImm, sh, rm, imm: u32::from(n), ..h })
+                }
+                Operand2::RegShiftReg(rm, sh, rs) if no_pc(&[rm, rs]) => {
+                    Micro::Reg(Half { op: RegOp::ShiftReg, sh, rm, rn: rs, ..h })
+                }
+                _ => with_op2(Half { op: RegOp::Mov, ..h }, op2).map_or(Micro::Generic, Micro::Reg),
             }
         }
-        Instr::Mov { s, rd, op2, .. } if rd != Reg::PC => match src_of(op2) {
-            Some(src) => Micro::Mov { s, rd, src },
-            None => Micro::Generic,
-        },
         Instr::MovW { rd, imm16, .. } if rd != Reg::PC => {
-            Micro::Mov { s: false, rd, src: Src::Imm(u32::from(imm16)) }
+            Micro::Reg(Half { op: RegOp::Mov, rd, imm: u32::from(imm16), ..Half::NONE })
+        }
+        Instr::Mul { s, rd, rn, rm, .. } if no_pc(&[rd, rn, rm]) => {
+            Micro::Reg(Half { op: RegOp::Mul, s, rd, rn, rm, ..Half::NONE })
+        }
+        Instr::Ubfx { rd, rn, lsb, width, .. } if no_pc(&[rd, rn]) => {
+            let (imm, len) = (u32::from(lsb), width_mask(width));
+            Micro::Reg(Half { op: RegOp::Ubfx, rd, rn, imm, len, ..Half::NONE })
+        }
+        Instr::Bfi { rd, rn, lsb, width, .. } if no_pc(&[rd, rn]) => {
+            let (imm, len) = (u32::from(lsb), width_mask(width) << lsb);
+            Micro::Reg(Half { op: RegOp::Bfi, rd, rn, imm, len, ..Half::NONE })
         }
         Instr::Cmp { op: alia_isa::CmpOp::Cmp, rn, op2, .. } if rn != Reg::PC => {
-            match src_of(op2) {
-                Some(src) => Micro::Cmp { rn, src },
-                None => Micro::Generic,
-            }
+            let h = Half { kind: AluKind::Sub, s: true, rn, ..Half::NONE };
+            with_op2(h, op2).map_or(Micro::Generic, Micro::Cmp)
         }
-        Instr::Ldr { size, signed: false, rt, addr, .. }
-            if rt != Reg::PC
-                && addr.base != Reg::PC
-                && addr.index == Index::Offset
-                && matches!(addr.offset, Offset::Imm(_)) =>
-        {
-            let Offset::Imm(i) = addr.offset else { unreachable!() };
-            Micro::Ldr { rt, rn: addr.base, off: i as u32, len: size.bytes() }
+        Instr::Ldr { size, signed: false, rt, addr, .. } => {
+            mem_half(rt, addr, size.bytes()).map_or(Micro::Generic, Micro::Ldr)
         }
-        Instr::Str { size, rt, addr, .. }
-            if rt != Reg::PC
-                && addr.base != Reg::PC
-                && addr.index == Index::Offset
-                && matches!(addr.offset, Offset::Imm(_)) =>
-        {
-            let Offset::Imm(i) = addr.offset else { unreachable!() };
-            Micro::Str { rt, rn: addr.base, off: i as u32, len: size.bytes() }
+        Instr::LdrLit { rt, offset, .. } if rt != Reg::PC => {
+            let imm = (pc.wrapping_add(bias) & !3).wrapping_add(offset as u32);
+            Micro::Ldr(Half { ea: Ea::Abs, rd: rt, imm, len: 4, ..Half::NONE })
+        }
+        Instr::Str { size, rt, addr, .. } => {
+            mem_half(rt, addr, size.bytes()).map_or(Micro::Generic, Micro::Str)
         }
         _ => Micro::Generic,
     }
@@ -926,22 +1127,6 @@ fn is_pure(instr: &Instr, pc: u32) -> bool {
     }
 }
 
-fn alu_to_half(kind: AluKind, s: bool, rd: Reg, rn: Reg, src: Src) -> Half {
-    let mut h = Half { kind, s, rd, rn, ..Half::NONE };
-    match src {
-        Src::Imm(v) => h.imm = v,
-        Src::Reg(r) => {
-            h.b_reg = true;
-            h.rm = r;
-        }
-    }
-    h
-}
-
-fn mem_to_half(rt: Reg, rn: Reg, off: u32, len: u32) -> Half {
-    Half { rd: rt, rn, imm: off, len, ..Half::NONE }
-}
-
 /// A selected fusion: handler plus the pieces the [`Op`] needs.
 struct Fusion {
     run: Handler,
@@ -951,71 +1136,49 @@ struct Fusion {
     target: u32,
 }
 
+/// Whether a register half is an [`AluKind`] op (the ALU patterns).
+fn is_alu(h: &Half) -> bool {
+    matches!(h.op, RegOp::Alu)
+}
+
 /// Tries to fuse the pair `(m1, m2)`, in pattern priority order:
 /// `cmp`+branch, ALU+branch (the `subs`+`bne` backedge), ALU+`cmp`,
-/// `ldr`+ALU.
+/// `ldr`+ALU, then any two register-only ops.
 fn fuse(m1: Micro, m2: Micro) -> Option<Fusion> {
+    let fusion = |run, a, b, cond2, target| Some(Fusion { run, a, b, cond2, target });
     match (m1, m2) {
-        (Micro::Cmp { rn, src }, Micro::B { cond, target }) => Some(Fusion {
-            run: h_fused_cmp_b,
-            a: alu_to_half(AluKind::Sub, true, Reg::R0, rn, src),
-            b: Half::NONE,
-            cond2: cond,
-            target,
-        }),
-        (Micro::Alu { kind, s, rd, rn, src }, Micro::B { cond, target }) => Some(Fusion {
-            run: h_fused_alu_b,
-            a: alu_to_half(kind, s, rd, rn, src),
-            b: Half::NONE,
-            cond2: cond,
-            target,
-        }),
-        (Micro::Alu { kind, s, rd, rn, src }, Micro::Cmp { rn: rn2, src: src2 }) => {
-            Some(Fusion {
-                run: h_fused_alu_cmp,
-                a: alu_to_half(kind, s, rd, rn, src),
-                b: alu_to_half(AluKind::Sub, true, Reg::R0, rn2, src2),
-                cond2: Cond::Al,
-                target: 0,
-            })
+        (Micro::Cmp(a), Micro::B { cond, target }) => {
+            fusion(h_fused_cmp_b, a, Half::NONE, cond, target)
         }
-        (
-            Micro::Ldr { rt, rn, off, len },
-            Micro::Alu { kind, s, rd, rn: rn2, src },
-        ) => Some(Fusion {
-            run: h_fused_ldr_alu,
-            a: mem_to_half(rt, rn, off, len),
-            b: alu_to_half(kind, s, rd, rn2, src),
-            cond2: Cond::Al,
-            target: 0,
-        }),
+        (Micro::Reg(a), Micro::B { cond, target }) if is_alu(&a) => {
+            fusion(h_fused_alu_b, a, Half::NONE, cond, target)
+        }
+        (Micro::Reg(a), Micro::Cmp(b)) if is_alu(&a) => fusion(h_fused_alu_cmp, a, b, Cond::Al, 0),
+        (Micro::Ldr(a), Micro::Reg(b)) if is_alu(&b) => fusion(h_fused_ldr_alu, a, b, Cond::Al, 0),
+        (Micro::Reg(a), Micro::Reg(b)) => fusion(h_fused_reg2, a, b, Cond::Al, 0),
         _ => None,
     }
 }
 
-/// Selects the specialized handler (and operand halves) for a single
+/// Selects the specialized handler (and operand half) for a single
 /// unfused instruction.
 fn single(micro: Micro) -> (Handler, Half, Cond, u32, bool) {
     match micro {
-        Micro::Alu { kind, s, rd, rn, src } => {
-            (h_alu, alu_to_half(kind, s, rd, rn, src), Cond::Al, 0, false)
+        Micro::Reg(h) => {
+            let run: Handler = match h.op {
+                RegOp::Alu => h_alu,
+                RegOp::Mov => h_mov,
+                _ => h_reg,
+            };
+            (run, h, Cond::Al, 0, false)
         }
-        Micro::Mov { s, rd, src } => {
-            (h_mov, alu_to_half(AluKind::Add, s, rd, Reg::R0, src), Cond::Al, 0, false)
-        }
-        Micro::Cmp { rn, src } => {
-            (h_cmp, alu_to_half(AluKind::Sub, true, Reg::R0, rn, src), Cond::Al, 0, false)
-        }
+        Micro::Cmp(h) => (h_cmp, h, Cond::Al, 0, false),
         Micro::B { cond, target } => (h_b, Half::NONE, cond, target, false),
         Micro::Cbz { nonzero, rn, target } => {
             (h_cbz, Half { rn, ..Half::NONE }, Cond::Al, target, nonzero)
         }
-        Micro::Ldr { rt, rn, off, len } => {
-            (h_ldr, mem_to_half(rt, rn, off, len), Cond::Al, 0, false)
-        }
-        Micro::Str { rt, rn, off, len } => {
-            (h_str, mem_to_half(rt, rn, off, len), Cond::Al, 0, false)
-        }
+        Micro::Ldr(h) => (h_ldr, h, Cond::Al, 0, false),
+        Micro::Str(h) => (h_str, h, Cond::Al, 0, false),
         Micro::Generic => (h_generic, Half::NONE, Cond::Al, 0, false),
     }
 }
@@ -1038,9 +1201,10 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     let window = flash_cfg.width.max(2);
     let end = entries.iter().fold(start, |pc, e| pc.wrapping_add(e.size));
     // Fetch plans only apply to streaming flash code with no I-cache
-    // and no MPU (both would run per-fetch logic the plan elides);
-    // everything else replays fetch_timing in full, which is always
-    // correct.
+    // and no MPU (both would run per-fetch logic the plan elides; the
+    // code stamp covers which are fitted, so the assumption cannot go
+    // stale under an installed block); everything else replays
+    // fetch_timing in full, which is always correct.
     // (Flash occupies the bottom of the address space at FLASH_BASE =
     // 0, so `start` is in-region iff `end` stays under the flash top.)
     let plannable = m.icache.is_none()
@@ -1064,9 +1228,10 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     }
     // Classifies entry `k` at `pc`: covered entries stay generic, which
     // also keeps them out of every fusion pattern.
+    let bias = mode.pc_bias();
     let lower = |k: usize, pc: u32| {
         let e = &entries[k];
-        let micro = if covered >> k & 1 != 0 { Micro::Generic } else { classify(e, pc) };
+        let micro = if covered >> k & 1 != 0 { Micro::Generic } else { classify(e, pc, bias) };
         (micro, is_pure(&e.instr, pc))
     };
     // Plans one instruction's fetch calls (both for wide Thumb).
@@ -1168,13 +1333,13 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     }
     // Fetch-plan mix over the block's ops (every planned call: first
     // and second-halfword fetches of both halves of a fused pair).
-    let (mut plans_free, mut plans_refill, mut plans_slow) = (0u32, 0u32, 0u32);
+    let (mut plans_free, mut plans_window, mut plans_slow) = (0u32, 0u32, 0u32);
     for op in &ops {
         for plan in [op.f1, op.f1b, op.f2, op.f2b] {
             match plan {
                 FetchPlan::None => {}
                 FetchPlan::Free => plans_free += 1,
-                FetchPlan::Refill(_) => plans_refill += 1,
+                FetchPlan::Window(_) => plans_window += 1,
                 FetchPlan::Slow => plans_slow += 1,
             }
         }
@@ -1187,7 +1352,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         flen,
         fused,
         plans_free,
-        plans_refill,
+        plans_window,
         plans_slow,
     })
 }

@@ -14,14 +14,20 @@
 //! pair of an installed block, `run_until` bounds splitting blocks
 //! mid-flight, flash-patch toggles dropping installed blocks, and
 //! device-revision stamps moving between a block's recording and its
-//! chained successor dispatch.
+//! chained successor dispatch. A seeded corpus of the specialized
+//! shift, multiply and register-offset load/store forms runs on all
+//! four presets, compared at every bound of a `run_until` walk, next to
+//! directed cases for those handlers (a register-offset store raising
+//! an IRQ or rewriting code mid-block) and for the fetch plans (the
+//! fetch after a literal-pool load or an SRAM access, an I-cache or
+//! deny-all MPU fitted under installed blocks).
 
 use std::any::Any;
 
 use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
-    Device, DeviceCtx, Machine, MachineConfig, PatchKind, RunResult, StopReason, MMIO_BASE,
-    SRAM_BASE,
+    Cache, CacheConfig, Device, DeviceCtx, Machine, MachineConfig, MemFault, Mpu, MpuKind,
+    PatchKind, RunResult, StopReason, MMIO_BASE, MMIO_IRQ_SET, SRAM_BASE,
 };
 
 /// Asserts both machines are architecturally identical right now,
@@ -174,10 +180,9 @@ fn matrix_ldr_alu_fusion_identical() {
 
 #[test]
 fn matrix_generic_fallback_instructions_identical() {
-    // Instructions the specializer leaves on the generic handler —
-    // multiplies, bitfields, shifts, IT blocks — mixed into a hot loop:
-    // the threaded block carries them via `h_generic` and must stay
-    // bit-identical.
+    // Multiplies, bitfields, shifts and an IT block mixed into a hot
+    // loop: specialized handlers and fused register pairs next to the
+    // IT-covered entries `h_generic` carries, all bit-identical.
     let src = "mov r0, #0
          mov r2, #120
          mov r4, #3
@@ -769,4 +774,479 @@ fn threaded_stats_report_promotion_and_demotion() {
     let s2 = m2.predecode_stats();
     assert_eq!(s2.block_hits, 0, "disabled engine must not dispatch");
     assert_eq!(s2.blocks_promoted, 0, "disabled engine must not install");
+}
+
+// ---------------------------------------------------------------------
+// Specialized shifts, multiplies and register-offset loads/stores
+// ---------------------------------------------------------------------
+
+/// Register roles in the corpus and directed loops. Low registers
+/// only, so every mode's narrow forms apply: r0-r3 data, r4 shift
+/// amount, r5 buffer or device base, r6 index, r7 loop counter. The
+/// host seeds them, so no program has to materialize a constant.
+const BUF: u32 = SRAM_BASE + 0x1000;
+
+/// The deterministic xorshift generator the corpora are drawn from.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[(self.next() % xs.len() as u64) as usize]
+    }
+}
+
+/// Whether `mode` encodes `line` (the corpus keeps only the forms each
+/// mode has: T16 has no rotate by immediate, no three-address register
+/// shift or multiply and no shifted register offset; no narrow T16 form
+/// sets flags).
+fn encodes(mode: IsaMode, line: &str) -> bool {
+    Assembler::new(mode).assemble(line).is_ok()
+}
+
+/// Forms the corpus covers, counted per program so no preset's corpus
+/// can silently lose one.
+#[derive(Debug, Default)]
+struct Coverage {
+    shift_imm: u32,
+    shift_reg: u32,
+    mul: u32,
+    mem: u32,
+    /// `ubfx`/`bfi` lines (T2 only).
+    bits: u32,
+    /// The literal pool: one word per literal-pool load, in order.
+    pool: Vec<u32>,
+}
+
+/// Corpus line `k` (or two: an amount or index set-up plus its user)
+/// for `mode`: the kinds take turns, and each prefers the drawn
+/// three-address, flag-setting form, falling back to the two-address
+/// or flagless one where the mode only has that.
+fn corpus_lines(rng: &mut Rng, k: usize, mode: IsaMode, cov: &mut Coverage) -> Vec<String> {
+    let first = |cands: &[String]| cands.iter().find(|l| encodes(mode, l)).cloned();
+    let d = rng.next() % 4;
+    let m = rng.next() % 4;
+    let s = rng.pick(&["", "s"]);
+    let sh = rng.pick(&["lsl", "lsr", "asr", "ror"]);
+    match k % 8 {
+        0 => {
+            let amt = rng.pick(&[0u32, 1, 31, 32]);
+            let cands = [
+                format!("{sh}{s} r{d}, r{m}, #{amt}"),
+                format!("{sh}{s} r{d}, r{d}, #{amt}"),
+                format!("{sh} r{d}, r{m}, #{amt}"),
+                format!("lsl r{d}, r{m}, #{}", amt.min(31)),
+            ];
+            let Some(l) = first(&cands) else { return Vec::new() };
+            cov.shift_imm += 1;
+            vec![l]
+        }
+        1 => {
+            let amt = rng.pick(&[0u32, 1, 31, 32, 33, 255]);
+            let cands = [
+                format!("{sh}{s} r{d}, r{m}, r4"),
+                format!("{sh}{s} r{d}, r{d}, r4"),
+                format!("{sh} r{d}, r{d}, r4"),
+            ];
+            let Some(l) = first(&cands) else { return Vec::new() };
+            cov.shift_reg += 1;
+            vec![format!("mov r4, #{amt}"), l]
+        }
+        2 => {
+            let n = rng.next() % 4;
+            let cands = [
+                format!("mul{s} r{d}, r{n}, r{m}"),
+                format!("mul{s} r{d}, r{d}, r{m}"),
+                format!("mul r{d}, r{d}, r{m}"),
+            ];
+            let Some(l) = first(&cands) else { return Vec::new() };
+            cov.mul += 1;
+            vec![l]
+        }
+        3 | 4 => {
+            let (op, size) = rng.pick(&[
+                ("ldr", 4u32),
+                ("ldrb", 1),
+                ("ldrh", 2),
+                ("str", 4),
+                ("strb", 1),
+                ("strh", 2),
+            ]);
+            let k = rng.pick(&[0u32, 1, 2, 3]);
+            let j = (rng.next() % 8) as u32;
+            // Keep every access aligned: the index times 2^k is a
+            // multiple of the access size.
+            let idx = |k: u32| j * (size >> k).max(1);
+            let cands = [
+                (format!("{op} r{d}, [r5, r6, lsl #{k}]"), idx(k)),
+                (format!("{op} r{d}, [r5, r6]"), idx(0)),
+            ];
+            let Some((l, i)) = cands.into_iter().find(|(l, _)| encodes(mode, l)) else {
+                return Vec::new();
+            };
+            cov.mem += 1;
+            vec![format!("mov r6, #{i}"), l]
+        }
+        6 => {
+            // A literal-pool load (its offset resolved by
+            // `corpus_src`), often used right away by an ALU op.
+            let n = cov.pool.len();
+            cov.pool.push(rng.next() as u32);
+            let mut lines = vec![format!("lit{n}: ldr r{d}, [pc, #@{n}@]")];
+            if rng.next().is_multiple_of(2) {
+                lines.push(format!("add r{m}, r{m}, r{d}"));
+            }
+            lines
+        }
+        7 => {
+            let lsb = rng.pick(&[0u32, 1, 7, 16, 31]);
+            let width = rng.pick(&[1u32, 3, 8, 16, 32]).min(32 - lsb);
+            let op = rng.pick(&["ubfx", "bfi"]);
+            let l = format!("{op} r{d}, r{m}, #{lsb}, #{width}");
+            if !encodes(mode, &l) {
+                return Vec::new();
+            }
+            cov.bits += 1;
+            vec![l]
+        }
+        _ => {
+            // Mixers: fold the loop counter in and read the carry, so
+            // flag and value differences propagate to the end state.
+            let op = rng.pick(&["add", "eor", "adc"]);
+            let src = if op == "add" { 7 } else { m };
+            vec![format!("{op} r{d}, r{d}, r{src}")]
+        }
+    }
+}
+
+/// A corpus loop: `lines` body lines drawn from `seed`, run `passes`
+/// times. Returns the source and what it covers.
+fn corpus_src(mode: IsaMode, seed: u64, lines: usize) -> (String, Coverage) {
+    let mut rng = Rng(seed);
+    let mut cov = Coverage::default();
+    let mut body = Vec::new();
+    for k in 0.. {
+        if body.len() >= lines {
+            break;
+        }
+        body.extend(corpus_lines(&mut rng, k, mode, &mut cov));
+    }
+    let pool: String =
+        cov.pool.iter().enumerate().map(|(n, v)| format!("pool{n}: .word {v}\n")).collect();
+    let template = format!(
+        "loop: {}
+         sub r7, r7, #1
+         cmp r7, #0
+         bne loop
+         bkpt #0
+         .align 4
+         {pool}",
+        body.join("\n")
+    );
+    // Resolve each `@n@` literal offset from a probe assembly (the
+    // layout does not depend on the offsets).
+    let resolve = |offs: &dyn Fn(usize) -> u32| {
+        (0..cov.pool.len()).fold(template.clone(), |src, n| {
+            src.replace(&format!("@{n}@"), &offs(n).to_string())
+        })
+    };
+    let probe = Assembler::new(mode).assemble(&resolve(&|_| 0)).expect("corpus assembles");
+    let sym = |name: String| probe.symbols[&name];
+    let src = resolve(&|n| sym(format!("pool{n}")) - ((sym(format!("lit{n}")) + mode.pc_bias()) & !3));
+    let check = Assembler::new(mode).assemble(&src).expect("corpus assembles");
+    assert_eq!(check.symbols, probe.symbols, "layout must be offset-independent");
+    (src, cov)
+}
+
+/// A machine running `src` from 0x100 with r0-r3 seeded from `seed`,
+/// r5 at the SRAM buffer and r7 counting `passes`.
+fn seeded_machine(config: &MachineConfig, src: &str, seed: u64, passes: u32) -> Machine {
+    let mut m = machine_with(config, src);
+    let mut rng = Rng(seed ^ 0x9E37_79B9_7F4A_7C15);
+    for r in 0..4 {
+        m.cpu.regs[r] = rng.next() as u32;
+    }
+    m.cpu.regs[5] = BUF;
+    m.cpu.regs[7] = passes;
+    m
+}
+
+/// Runs `build` unbounded against the reference (asserting a threaded
+/// share of at least `min_share`), then again under `run_until` bounds
+/// every `stride` cycles, comparing the whole state at every bound so
+/// flag and register values are checked mid-block too.
+fn run_both_bounded(build: &dyn Fn() -> Machine, stride: u64, min_share: f64, what: &str) {
+    let (r, on) = run_both(build, 2_000_000, what);
+    assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
+    assert!(on.predecode_stats().block_hits > 0, "{what}: block engine never ran");
+    let share = threaded_share(&on);
+    assert!(share >= min_share, "{what}: only {:.1}% retired threaded", share * 100.0);
+    let mut on = build();
+    let mut off = reference(build);
+    let mut bound = 0u64;
+    loop {
+        bound += stride;
+        let got = on.run_until(bound);
+        let want = off.run_until(bound);
+        assert_eq!(got, want, "{what}: bound {bound}: RunResult diverged");
+        assert_state_eq(&on, &off, &format!("{what}: bound {bound}"));
+        if want.reason != StopReason::CycleLimit {
+            break;
+        }
+    }
+    assert!(on.predecode_stats().budget_splits > 0, "{what}: bounds must split dispatches");
+}
+
+#[test]
+fn matrix_specialized_forms_corpus_identical() {
+    // Seeded loops of shifted-register moves (every shift by immediate
+    // 0, 1, 31 and 32 where the mode encodes it, by register amounts 0,
+    // 1, 31, 32, 33 and 255, flag-setting where the mode has the form),
+    // `mul`/`muls`, unsigned register-offset loads and stores
+    // `[rn, rm, lsl #k]`, literal-pool loads and (T2) `ubfx`/`bfi`,
+    // adjacent in every order the register-pair fusion meets, on every
+    // preset.
+    for (name, config) in presets() {
+        for seed in [1u64, 0x5EED, 0xC0FF_EE00_D15E_A5E5] {
+            let (src, cov) = corpus_src(config.mode, seed, 48);
+            let what = format!("corpus {seed:#x} on {name}");
+            let bits_ok = cov.bits > 0 || config.mode != IsaMode::T2;
+            assert!(
+                cov.shift_imm > 0
+                    && cov.shift_reg > 0
+                    && cov.mul > 0
+                    && cov.mem > 0
+                    && !cov.pool.is_empty()
+                    && bits_ok,
+                "{what}: corpus lost a form: {cov:?}"
+            );
+            let build = || seeded_machine(&config, &src, seed, 24);
+            run_both_bounded(&build, 37, 0.95, &what);
+        }
+    }
+}
+
+/// Assembles `src` for `mode` with a `[pc, #off]` literal load at label
+/// `ld` resolved to label `lit`: the offset is computed from a probe
+/// assembly, whose layout must not depend on it.
+fn with_literal(mode: IsaMode, src: &dyn Fn(u32) -> String) -> String {
+    let probe = Assembler::new(mode).assemble(&src(0)).expect("probe assembles");
+    let (ld, lit) = (probe.symbols["ld"], probe.symbols["lit"]);
+    let base = (ld + mode.pc_bias()) & !3;
+    let out = src(lit - base);
+    let check = Assembler::new(mode).assemble(&out).expect("program assembles");
+    assert_eq!(check.symbols, probe.symbols, "layout must be offset-independent");
+    out
+}
+
+#[test]
+fn matrix_register_offset_store_raises_irq_mid_block_identical() {
+    // A register-offset store into the MMIO window's IRQ-set register
+    // raises an interrupt from the middle of a threaded block: the
+    // engine must split right after the store so the interrupt is taken
+    // at the same instruction boundary, with the same stamps, as on the
+    // per-step path.
+    let src = "loop: add r0, r0, #1
+         str r3, [r5, r6]
+         add r2, r2, r0
+         lsl r1, r2, #3
+         eor r1, r1, r0
+         sub r7, r7, #1
+         cmp r7, #0
+         bne loop
+         bkpt #0";
+    for (name, config) in presets() {
+        let handler = Assembler::new(config.mode).assemble("add r4, r4, #1\n bx lr").unwrap();
+        let build = || {
+            let mut m = machine_with(&config, src);
+            m.load_flash(0x300, &handler.bytes);
+            m.load_flash(0, &0x300u32.to_le_bytes());
+            m.cpu.regs[3] = 0; // the IRQ line
+            m.cpu.regs[5] = MMIO_BASE;
+            m.cpu.regs[6] = MMIO_IRQ_SET - MMIO_BASE;
+            m.cpu.regs[7] = 40;
+            m
+        };
+        let what = format!("irq store on {name}");
+        run_both_bounded(&build, 29, 0.75, &what);
+        let (_, on) = run_both(&build, 2_000_000, &what);
+        assert_eq!(on.latencies().len(), 40, "{what}: every pass must take its interrupt");
+        assert_eq!(on.cpu.regs[4], 40, "{what}: the handler must run every pass");
+    }
+}
+
+#[test]
+fn matrix_register_offset_store_rewrites_later_instruction_identical() {
+    // SRAM code whose register-offset store (first into a scratch area,
+    // from pass 12 on into the block itself) rewrites `patched`, three
+    // instructions later in the same threaded block. The encoding
+    // alternates between `add r3, r3, #1` and `add r3, r3, #5`, so a
+    // single stale execution shows in r3.
+    let code_base = SRAM_BASE + 0x400;
+    let (passes, arm_at) = (28u32, 12u32);
+    for (name, config) in presets() {
+        let mode = config.mode;
+        let enc = |src: &str| {
+            let out = Assembler::new(mode).assemble(src).unwrap();
+            let mut w = [0u8; 4];
+            w[..out.bytes.len()].copy_from_slice(&out.bytes);
+            u32::from_le_bytes(w)
+        };
+        let (h0, h1) = (enc("add r3, r3, #1"), enc("add r3, r3, #5"));
+        let store = if mode == IsaMode::A32 { "str" } else { "strh" };
+        let src = format!(
+            "mloop: {store} r2, [r1, r6]
+             eor r2, r2, r4
+             add r0, r0, #1
+             patched: add r3, r3, #1
+             cmp r0, #{passes}
+             beq done
+             cmp r0, #{arm_at}
+             bne mloop
+             mov r1, r5
+             b mloop
+             done: bkpt #0"
+        );
+        let out = Assembler::new(mode).assemble(&src).unwrap();
+        let build = || {
+            let mut m = Machine::new(config.clone());
+            m.load_sram(code_base, &out.bytes);
+            m.set_pc(code_base);
+            m.cpu.set_sp(SRAM_BASE + 0x8000);
+            m.cpu.regs[1] = BUF; // scratch until armed
+            m.cpu.regs[2] = h1;
+            m.cpu.regs[4] = h0 ^ h1;
+            m.cpu.regs[5] = code_base;
+            m.cpu.regs[6] = out.symbols["patched"];
+            m
+        };
+        let what = format!("smc store on {name}");
+        let (r, on) = run_both(&build, 1_000_000, &what);
+        assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
+        let stats = on.predecode_stats();
+        assert!(stats.block_hits > 0, "{what}: block engine never ran");
+        assert!(stats.demotions > 0, "{what}: the armed store must drop the block");
+        assert!(on.cpu.regs[3] > passes, "{what}: no rewritten encoding executed");
+    }
+}
+
+#[test]
+fn matrix_fetch_after_literal_load_identical() {
+    // A literal-pool load disturbs the flash prefetch stream, so the
+    // fetch right after it refills whatever window was buffered before.
+    for (name, config) in presets() {
+        let src = with_literal(config.mode, &|off| {
+            format!(
+                "loop: add r0, r0, r7
+                 ld: ldr r3, [pc, #{off}]
+                 add r2, r2, r3
+                 lsl r1, r2, #1
+                 sub r7, r7, #1
+                 cmp r7, #0
+                 bne loop
+                 bkpt #0
+                 .align 4
+                 lit: .word 0x01020304"
+            )
+        });
+        let build = || seeded_machine(&config, &src, 7, 64);
+        let what = format!("literal fetch on {name}");
+        run_both_bounded(&build, 23, 0.95, &what);
+    }
+}
+
+#[test]
+fn matrix_fetch_after_sram_store_identical() {
+    // On arm7's unified bus an SRAM load or store steals the bus from
+    // the fetch stream, so the next fetch refills; on the Harvard cores
+    // the window stays buffered. Register-offset forms throughout.
+    let src = "loop: str r0, [r5, r6]
+         add r0, r0, r7
+         ldr r1, [r5, r6]
+         add r2, r2, r1
+         strb r2, [r5, r4]
+         mul r3, r3, r1
+         sub r7, r7, #1
+         cmp r7, #0
+         bne loop
+         bkpt #0";
+    for (name, config) in presets() {
+        let build = || {
+            let mut m = seeded_machine(&config, src, 11, 64);
+            m.cpu.regs[4] = 9;
+            m.cpu.regs[6] = 4;
+            m
+        };
+        let what = format!("sram store fetch on {name}");
+        run_both_bounded(&build, 31, 0.95, &what);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fitting an I-cache or MPU between runs
+// ---------------------------------------------------------------------
+
+/// Runs the ALU loop to cycle 1500 on the engine and the reference,
+/// applies `fit` to both, then runs both to the end.
+fn fit_between_runs(fit: &dyn Fn(&mut Machine), what: &str) -> (RunResult, Machine) {
+    let src = "mov r0, #0
+         mov r2, #500
+         loop: add r0, r0, #1
+         cmp r0, r2
+         bne loop
+         bkpt #0";
+    let config = MachineConfig::m3_like();
+    let build = || machine_with(&config, src);
+    let mut on = build();
+    let mut off = reference(&build);
+    assert_eq!(on.run_until(1500), off.run_until(1500), "{what}: first leg diverged");
+    assert!(on.predecode_stats().block_hits > 0, "{what}: blocks must be installed first");
+    fit(&mut on);
+    fit(&mut off);
+    let got = on.run(1_000_000);
+    let want = off.run(1_000_000);
+    assert_eq!(got, want, "{what}: RunResult diverged");
+    assert_state_eq(&on, &off, what);
+    assert_eq!(
+        on.icache.as_ref().map(|c| c.stats()),
+        off.icache.as_ref().map(|c| c.stats()),
+        "{what}: I-cache stats diverged"
+    );
+    (want, on)
+}
+
+#[test]
+fn fitting_icache_between_runs_matches_reference() {
+    // Blocks installed without an I-cache must not keep replaying
+    // uncached flash timing once one is fitted.
+    let (r, _) = fit_between_runs(
+        &|m| m.icache = Some(Cache::new(CacheConfig::default())),
+        "icache fitted",
+    );
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+}
+
+#[test]
+fn fitting_deny_all_mpu_between_runs_matches_reference() {
+    // A deny-all MPU fitted under installed blocks must fault the very
+    // next fetch, as it does on the per-step path.
+    let (r, _) = fit_between_runs(
+        &|m| {
+            let mut mpu = Mpu::new(MpuKind::FineGrain);
+            mpu.background_allowed = false;
+            m.mpu = Some(mpu);
+        },
+        "deny-all mpu fitted",
+    );
+    assert!(
+        matches!(r.reason, StopReason::Fault(MemFault::MpuViolation { write: false, .. })),
+        "the first fetch after fitting must fault: {:?}",
+        r.reason
+    );
 }
