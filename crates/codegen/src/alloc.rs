@@ -6,11 +6,29 @@
 //! using two reserved scratch registers. The allocatable pool differs per
 //! encoding — `T16` can only address `r0..r7`, which is precisely the
 //! register-pressure handicap the paper's Table 1 numbers reflect.
+//!
+//! # Dense data
+//!
+//! Vreg ids are dense (`0..vreg_count`), so every per-vreg table is a
+//! vector indexed by id and every vreg set is a bitset of
+//! `⌈vreg_count / 64⌉` words. Liveness is the usual backward dataflow
+//! over four such rows per block (gen, kill, live-in, live-out), iterated
+//! to its fixed point: a round costs one pass over the blocks with a few
+//! word operations per row and successor, and allocates nothing. Live
+//! ranges, use counts, parameter preferences and the final locations are
+//! vectors indexed by vreg; the caller-saved and used register sets are
+//! [`RegList`] masks. Instruction operands are visited in place, so no
+//! vector is built per instruction. A function of `n` instructions, `b`
+//! blocks and `v` vregs costs O(n + b·⌈v/64⌉) per dataflow round and
+//! O(v log v) to order the intervals.
+//!
+//! The fixed point, the `(start, vreg)` interval order and the spill
+//! choice depend only on the sets' contents, so the allocation (and every
+//! byte the compiler emits from it) does not depend on how sets are
+//! stored.
 
-use std::collections::{HashMap, HashSet};
-
-use alia_isa::{IsaMode, Reg};
-use alia_tir::{Function, Inst, Operand, Terminator, VReg};
+use alia_isa::{IsaMode, Reg, RegList};
+use alia_tir::{BlockId, Function, Inst, Operand, Terminator, VReg};
 
 /// Where a virtual register lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +46,7 @@ pub struct RegPlan {
     /// (callee-saved first).
     pub allocatable: Vec<Reg>,
     /// Caller-saved subset (unusable across calls).
-    pub caller_saved: HashSet<Reg>,
+    pub caller_saved: RegList,
     /// First scratch register (always reserved).
     pub scratch0: Reg,
     /// Second scratch register (always reserved).
@@ -43,10 +61,11 @@ impl RegPlan {
         // never needs to survive a TIR instruction, and keeping it out of
         // the pool costs a caller-saved register instead of a callee-saved
         // one — which matters for call-heavy loops (soft-divide kernels).
+        let caller_saved = [Reg::R0, Reg::R1, Reg::R2].into_iter().collect();
         match mode {
             IsaMode::T16 => RegPlan {
                 allocatable: vec![Reg::R4, Reg::R5, Reg::R6, Reg::R0, Reg::R1, Reg::R2],
-                caller_saved: [Reg::R0, Reg::R1, Reg::R2].into_iter().collect(),
+                caller_saved,
                 scratch0: Reg::R7,
                 scratch1: Reg::R3,
             },
@@ -64,7 +83,7 @@ impl RegPlan {
                     Reg::R1,
                     Reg::R2,
                 ],
-                caller_saved: [Reg::R0, Reg::R1, Reg::R2].into_iter().collect(),
+                caller_saved,
                 scratch0: Reg::R12,
                 scratch1: Reg::R3,
             },
@@ -75,12 +94,12 @@ impl RegPlan {
 /// The result of allocation for one function.
 #[derive(Debug, Clone)]
 pub struct Allocation {
-    /// Virtual register locations.
-    pub locs: HashMap<VReg, Loc>,
+    /// Location of each virtual register, indexed by vreg id.
+    pub locs: Vec<Loc>,
     /// Number of spill slots used.
     pub spill_slots: u32,
     /// Callee-saved registers that must be preserved in the prologue.
-    pub used_callee_saved: Vec<Reg>,
+    pub used_callee_saved: RegList,
     /// Whether the function makes calls (needs `lr` saved).
     pub has_calls: bool,
 }
@@ -93,7 +112,7 @@ impl Allocation {
     /// Panics for a register never seen by the allocator.
     #[must_use]
     pub fn loc(&self, v: VReg) -> Loc {
-        *self.locs.get(&v).unwrap_or_else(|| panic!("unallocated vreg {v}"))
+        *self.locs.get(v.0 as usize).unwrap_or_else(|| panic!("unallocated vreg {v}"))
     }
 }
 
@@ -108,240 +127,267 @@ struct Interval {
     uses: u32,
 }
 
-/// Instruction indices are assigned in block order; each block occupies
-/// `[block_start[i], block_start[i+1])` with its terminator last.
-fn number_function(f: &Function) -> (Vec<u32>, u32) {
-    let mut starts = Vec::with_capacity(f.blocks.len());
-    let mut idx = 0u32;
-    for b in &f.blocks {
-        starts.push(idx);
-        idx += b.insts.len() as u32 + 1; // + terminator
-    }
-    (starts, idx)
-}
-
-fn operand_uses(o: Operand, out: &mut Vec<VReg>) {
+/// Calls `f` on every vreg `o` reads.
+fn operand_use(o: Operand, f: &mut impl FnMut(VReg)) {
     if let Operand::Reg(v) = o {
-        out.push(v);
+        f(v);
     }
 }
 
-/// `(uses, defs)` of one instruction.
-fn inst_uses_defs(inst: &Inst) -> (Vec<VReg>, Option<VReg>) {
-    let mut uses = Vec::new();
-    let def = match inst {
+/// Calls `f` on every vreg `inst` reads, once per operand, and returns
+/// the vreg it writes.
+fn inst_uses_def(inst: &Inst, mut f: impl FnMut(VReg)) -> Option<VReg> {
+    match inst {
         Inst::Const { dst, .. } => Some(*dst),
         Inst::Copy { dst, src } => {
-            operand_uses(*src, &mut uses);
+            operand_use(*src, &mut f);
             Some(*dst)
         }
         Inst::Bin { dst, a, b, .. } => {
-            operand_uses(*a, &mut uses);
-            operand_uses(*b, &mut uses);
+            operand_use(*a, &mut f);
+            operand_use(*b, &mut f);
             Some(*dst)
         }
         Inst::Un { dst, a, .. } => {
-            operand_uses(*a, &mut uses);
+            operand_use(*a, &mut f);
             Some(*dst)
         }
         Inst::ExtractBits { dst, src, .. } => {
-            operand_uses(*src, &mut uses);
+            operand_use(*src, &mut f);
             Some(*dst)
         }
         Inst::InsertBits { dst, src, .. } => {
             // read-modify-write: dst is also a use
-            uses.push(*dst);
-            operand_uses(*src, &mut uses);
+            f(*dst);
+            operand_use(*src, &mut f);
             Some(*dst)
         }
-        Inst::Select { dst, a, b, t, f, .. } => {
-            for o in [a, b, t, f] {
-                operand_uses(*o, &mut uses);
+        Inst::Select { dst, a, b, t, f: fv, .. } => {
+            for o in [a, b, t, fv] {
+                operand_use(*o, &mut f);
             }
             Some(*dst)
         }
         Inst::Load { dst, base, offset, .. } => {
-            uses.push(*base);
-            operand_uses(*offset, &mut uses);
+            f(*base);
+            operand_use(*offset, &mut f);
             Some(*dst)
         }
         Inst::Store { src, base, offset, .. } => {
-            operand_uses(*src, &mut uses);
-            uses.push(*base);
-            operand_uses(*offset, &mut uses);
+            operand_use(*src, &mut f);
+            f(*base);
+            operand_use(*offset, &mut f);
             None
         }
         Inst::Call { dst, args, .. } => {
             for a in args {
-                operand_uses(*a, &mut uses);
+                operand_use(*a, &mut f);
             }
             *dst
         }
-    };
-    (uses, def)
+    }
 }
 
-fn term_uses(term: &Terminator) -> Vec<VReg> {
-    let mut uses = Vec::new();
+/// Calls `f` on every vreg `term` reads.
+fn term_uses(term: &Terminator, mut f: impl FnMut(VReg)) {
     match term {
-        Terminator::Br { .. } => {}
+        Terminator::Br { .. } | Terminator::Ret { value: None } => {}
         Terminator::CondBr { a, b, .. } => {
-            operand_uses(*a, &mut uses);
-            operand_uses(*b, &mut uses);
+            operand_use(*a, &mut f);
+            operand_use(*b, &mut f);
         }
-        Terminator::Switch { value, .. } => uses.push(*value),
-        Terminator::Ret { value } => {
-            if let Some(v) = value {
-                operand_uses(*v, &mut uses);
-            }
-        }
+        Terminator::Switch { value, .. } => f(*value),
+        Terminator::Ret { value: Some(v) } => operand_use(*v, &mut f),
     }
-    uses
 }
 
-fn successors(term: &Terminator) -> Vec<alia_tir::BlockId> {
+/// Calls `f` on every successor of `term`.
+fn successors(term: &Terminator, mut f: impl FnMut(BlockId)) {
     match term {
-        Terminator::Br { target } => vec![*target],
-        Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-        Terminator::Switch { targets, default, .. } => {
-            let mut v = targets.clone();
-            v.push(*default);
-            v
+        Terminator::Br { target } => f(*target),
+        Terminator::CondBr { then_bb, else_bb, .. } => {
+            f(*then_bb);
+            f(*else_bb);
         }
-        Terminator::Ret { .. } => vec![],
+        Terminator::Switch { targets, default, .. } => {
+            targets.iter().copied().for_each(&mut f);
+            f(*default);
+        }
+        Terminator::Ret { .. } => {}
     }
 }
 
-/// Computes conservative live intervals for every vreg.
-fn live_intervals(f: &Function) -> Vec<Interval> {
+/// Vreg sets, one row of `words` 64-bit words per block, in one vector.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    fn new(rows: usize, vregs: u32) -> BitRows {
+        let words = (vregs as usize).div_ceil(64);
+        BitRows { words, bits: vec![0; rows * words] }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.bits[r * self.words..(r + 1) * self.words]
+    }
+}
+
+fn contains(row: &[u64], v: VReg) -> bool {
+    row[v.0 as usize / 64] & 1 << (v.0 % 64) != 0
+}
+
+fn insert(row: &mut [u64], v: VReg) {
+    row[v.0 as usize / 64] |= 1 << (v.0 % 64);
+}
+
+/// Calls `f` on every member of `row`.
+fn members(row: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in row.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Computes one conservative live interval per touched vreg, plus whether
+/// the function makes calls. Instruction indices are assigned in block
+/// order; a block occupies `[start, start + insts]`, its terminator last.
+fn live_intervals(f: &Function) -> (Vec<Interval>, bool) {
     let n_blocks = f.blocks.len();
-    let (starts, total) = number_function(f);
 
     // Per-block use/def sets for dataflow.
-    let mut gen_sets: Vec<HashSet<VReg>> = vec![HashSet::new(); n_blocks];
-    let mut kill_sets: Vec<HashSet<VReg>> = vec![HashSet::new(); n_blocks];
+    let mut gen_sets = BitRows::new(n_blocks, f.vreg_count);
+    let mut kill_sets = BitRows::new(n_blocks, f.vreg_count);
     for (bi, b) in f.blocks.iter().enumerate() {
+        let (gen, kill) = (gen_sets.row_mut(bi), kill_sets.row_mut(bi));
         for inst in &b.insts {
-            let (uses, def) = inst_uses_defs(inst);
-            for u in uses {
-                if !kill_sets[bi].contains(&u) {
-                    gen_sets[bi].insert(u);
+            let def = inst_uses_def(inst, |u| {
+                if !contains(kill, u) {
+                    insert(gen, u);
                 }
-            }
+            });
             if let Some(d) = def {
-                kill_sets[bi].insert(d);
+                insert(kill, d);
             }
         }
-        for u in term_uses(&b.term) {
-            if !kill_sets[bi].contains(&u) {
-                gen_sets[bi].insert(u);
+        term_uses(&b.term, |u| {
+            if !contains(kill, u) {
+                insert(gen, u);
             }
-        }
+        });
     }
 
-    // Backward dataflow to fixpoint.
-    let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); n_blocks];
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n_blocks];
+    // Backward dataflow to fixpoint: out = ∪ in(succ), in = gen ∪ (out − kill).
+    let words = gen_sets.words;
+    let mut live_in = BitRows::new(n_blocks, f.vreg_count);
+    let mut live_out = BitRows::new(n_blocks, f.vreg_count);
+    let mut out = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for bi in (0..n_blocks).rev() {
-            let mut out = HashSet::new();
-            for s in successors(&f.blocks[bi].term) {
-                out.extend(live_in[s.0 as usize].iter().copied());
-            }
-            let mut inn: HashSet<VReg> = gen_sets[bi].clone();
-            for v in &out {
-                if !kill_sets[bi].contains(v) {
-                    inn.insert(*v);
+            out.fill(0);
+            successors(&f.blocks[bi].term, |s| {
+                for (o, i) in out.iter_mut().zip(live_in.row(s.0 as usize)) {
+                    *o |= i;
                 }
-            }
-            if out != live_out[bi] || inn != live_in[bi] {
-                live_out[bi] = out;
-                live_in[bi] = inn;
-                changed = true;
+            });
+            let (gen, kill) = (gen_sets.row(bi), kill_sets.row(bi));
+            let (inn, old_out) = (live_in.row_mut(bi), live_out.row_mut(bi));
+            for w in 0..words {
+                let new_in = gen[w] | (out[w] & !kill[w]);
+                if new_in != inn[w] || out[w] != old_out[w] {
+                    inn[w] = new_in;
+                    old_out[w] = out[w];
+                    changed = true;
+                }
             }
         }
     }
 
-    // Conservative single interval per vreg.
-    let mut range: HashMap<VReg, (u32, u32)> = HashMap::new();
-    let mut use_count: HashMap<VReg, u32> = HashMap::new();
+    // Conservative single interval per vreg: `range[v]` is
+    // `(u32::MAX, 0)` until `v` is first touched.
+    let n = f.vreg_count as usize;
+    let mut range = vec![(u32::MAX, 0u32); n];
+    let mut use_count = vec![0u32; n];
     let mut call_sites: Vec<u32> = Vec::new();
-    let touch = |v: VReg, at: u32, range: &mut HashMap<VReg, (u32, u32)>| {
-        let e = range.entry(v).or_insert((at, at));
-        e.0 = e.0.min(at);
-        e.1 = e.1.max(at);
+    let touch = |range: &mut [(u32, u32)], v: usize, at: u32| {
+        let r = &mut range[v];
+        r.0 = r.0.min(at);
+        r.1 = r.1.max(at);
     };
     // Parameters are live from index 0.
     for p in &f.params {
-        touch(*p, 0, &mut range);
+        touch(&mut range, p.0 as usize, 0);
     }
+    let mut b_start = 0u32;
     for (bi, b) in f.blocks.iter().enumerate() {
-        let b_start = starts[bi];
         let b_end = b_start + b.insts.len() as u32; // terminator index
-        for v in &live_in[bi] {
-            touch(*v, b_start, &mut range);
-        }
-        for v in &live_out[bi] {
-            touch(*v, b_end, &mut range);
-        }
+        members(live_in.row(bi), |v| touch(&mut range, v, b_start));
+        members(live_out.row(bi), |v| touch(&mut range, v, b_end));
         for (ii, inst) in b.insts.iter().enumerate() {
             let at = b_start + ii as u32;
-            let (uses, def) = inst_uses_defs(inst);
-            for u in uses {
-                touch(u, at, &mut range);
-                *use_count.entry(u).or_insert(0) += 1;
-            }
-            if let Some(d) = def {
-                touch(d, at, &mut range);
-                *use_count.entry(d).or_insert(0) += 1;
+            let mut touch_use = |v: VReg| {
+                touch(&mut range, v.0 as usize, at);
+                use_count[v.0 as usize] += 1;
+            };
+            if let Some(d) = inst_uses_def(inst, &mut touch_use) {
+                touch_use(d);
             }
             if matches!(inst, Inst::Call { .. }) {
                 call_sites.push(at);
             }
         }
-        for u in term_uses(&b.term) {
-            touch(u, b_end, &mut range);
-            *use_count.entry(u).or_insert(0) += 1;
-        }
+        term_uses(&b.term, |v| {
+            touch(&mut range, v.0 as usize, b_end);
+            use_count[v.0 as usize] += 1;
+        });
+        b_start = b_end + 1;
     }
-    let _ = total;
 
-    range
-        .into_iter()
-        .map(|(vreg, (start, end))| Interval {
-            vreg,
+    let intervals = range
+        .iter()
+        .zip(&use_count)
+        .enumerate()
+        .filter(|(_, (&(start, _), _))| start != u32::MAX)
+        .map(|(v, (&(start, end), &uses))| Interval {
+            vreg: VReg(v as u32),
             start,
             end,
             crosses_call: call_sites.iter().any(|&c| start <= c && c < end),
-            uses: use_count.get(&vreg).copied().unwrap_or(0),
+            uses,
         })
-        .collect()
+        .collect();
+    (intervals, !call_sites.is_empty())
 }
 
 /// Runs linear-scan allocation for `f` under `plan`.
 #[must_use]
 pub fn allocate(f: &Function, plan: &RegPlan) -> Allocation {
-    let mut intervals = live_intervals(f);
+    let (mut intervals, has_calls) = live_intervals(f);
     intervals.sort_by_key(|i| (i.start, i.vreg.0));
-    let has_calls =
-        f.blocks.iter().flat_map(|b| &b.insts).any(|i| matches!(i, Inst::Call { .. }));
 
-    let mut locs: HashMap<VReg, Loc> = HashMap::new();
+    // A vreg never touched (dead) keeps a throwaway slot-free location.
+    let mut locs = vec![Loc::Reg(plan.scratch0); f.vreg_count as usize];
     let mut active: Vec<(Interval, Reg)> = Vec::new();
     let mut free: Vec<Reg> = plan.allocatable.clone();
     let mut spill_slots = 0u32;
-    let mut used: HashSet<Reg> = HashSet::new();
+    let mut used = RegList::new();
 
     // Parameter preference: if a parameter's incoming register is
     // allocatable and the interval permits, try it first.
-    let param_pref: HashMap<VReg, Reg> = f
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (*p, Reg::new(i as u8)))
-        .collect();
+    let mut param_pref: Vec<Option<Reg>> = vec![None; f.vreg_count as usize];
+    for (i, p) in f.params.iter().enumerate() {
+        param_pref[p.0 as usize] = Some(Reg::new(i as u8));
+    }
 
     for interval in intervals {
         // Expire old intervals.
@@ -354,9 +400,8 @@ pub fn allocate(f: &Function, plan: &RegPlan) -> Allocation {
             }
         });
         // Pick a register: honour caller-saved restrictions.
-        let eligible = |r: &Reg| !(interval.crosses_call && plan.caller_saved.contains(r));
-        let pref = param_pref.get(&interval.vreg).copied();
-        let choice = match pref {
+        let eligible = |r: &Reg| !(interval.crosses_call && plan.caller_saved.contains(*r));
+        let choice = match param_pref[interval.vreg.0 as usize] {
             Some(p) if free.contains(&p) && eligible(&p) => {
                 free.retain(|r| *r != p);
                 Some(p)
@@ -366,9 +411,10 @@ pub fn allocate(f: &Function, plan: &RegPlan) -> Allocation {
                 pos.map(|i| free.remove(i))
             }
         };
+        let vreg = interval.vreg.0 as usize;
         match choice {
             Some(reg) => {
-                locs.insert(interval.vreg, Loc::Reg(reg));
+                locs[vreg] = Loc::Reg(reg);
                 used.insert(reg);
                 active.push((interval, reg));
             }
@@ -385,13 +431,13 @@ pub fn allocate(f: &Function, plan: &RegPlan) -> Allocation {
                 match candidate {
                     Some(i) if active[i].0.uses < interval.uses => {
                         let (victim, reg) = active.remove(i);
-                        locs.insert(victim.vreg, Loc::Spill(spill_slots));
+                        locs[victim.vreg.0 as usize] = Loc::Spill(spill_slots);
                         spill_slots += 1;
-                        locs.insert(interval.vreg, Loc::Reg(reg));
+                        locs[vreg] = Loc::Reg(reg);
                         active.push((interval, reg));
                     }
                     _ => {
-                        locs.insert(interval.vreg, Loc::Spill(spill_slots));
+                        locs[vreg] = Loc::Spill(spill_slots);
                         spill_slots += 1;
                     }
                 }
@@ -399,17 +445,7 @@ pub fn allocate(f: &Function, plan: &RegPlan) -> Allocation {
         }
     }
 
-    // Any vreg never touched (dead) gets a throwaway slot-free location.
-    for v in 0..f.vreg_count {
-        locs.entry(VReg(v)).or_insert(Loc::Reg(plan.scratch0));
-    }
-
-    let mut used_callee_saved: Vec<Reg> = used
-        .into_iter()
-        .filter(|r| !plan.caller_saved.contains(r))
-        .collect();
-    used_callee_saved.sort_by_key(|r| r.index());
-
+    let used_callee_saved = RegList::from_bits(used.bits() & !plan.caller_saved.bits());
     Allocation { locs, spill_slots, used_callee_saved, has_calls }
 }
 
@@ -514,7 +550,7 @@ mod tests {
         let plan = RegPlan::for_mode(IsaMode::T2);
         let a = allocate(&f, &plan);
         match a.loc(kept) {
-            Loc::Reg(r) => assert!(!plan.caller_saved.contains(&r), "{r} is caller-saved"),
+            Loc::Reg(r) => assert!(!plan.caller_saved.contains(r), "{r} is caller-saved"),
             Loc::Spill(_) => {}
         }
         assert!(a.has_calls);

@@ -3,9 +3,9 @@
 //! Performs iterative branch relaxation (narrow → wide → inverted-skip),
 //! literal-pool placement (deduplicated, at the end of the function) and
 //! jump-table emission. Sizes only ever grow between iterations, which
-//! guarantees termination.
-
-use std::collections::HashMap;
+//! guarantees termination. Each round recomputes the item offsets and the
+//! label table, a vector indexed by label id (ids are dense,
+//! `0..label_count`), into buffers reused across rounds.
 
 use alia_isa::{encode, Cond, Instr, IsaMode, Reg};
 use alia_tir::FuncId;
@@ -102,24 +102,19 @@ pub fn layout_function(
         };
     }
 
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut label_off = vec![u32::MAX; f.label_count as usize];
     let mut guard = 0;
     loop {
         guard += 1;
         if guard > 64 {
             return Err(err(f, mode, "layout failed to converge"));
         }
-        // Compute offsets with current sizes.
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + sizes[i];
-        }
+        // Compute offsets and label offsets with current sizes; `items`
+        // grows by one each time a `cbz` falls back to `cmp` + `b`.
+        place(&items, &sizes, &mut offsets, &mut label_off);
+        let n = items.len();
         let code_end = (offsets[n] + 3) & !3; // pool is word-aligned
-        let mut label_off: HashMap<u32, u32> = HashMap::new();
-        for (i, item) in items.iter().enumerate() {
-            if let Item::Label(l) = item {
-                label_off.insert(*l, offsets[i]);
-            }
-        }
         let pool_off = |v: u32| -> u32 {
             let idx = pool.iter().position(|&x| x == v).expect("pooled value") as u32;
             code_end + idx * 4
@@ -131,7 +126,7 @@ pub fn layout_function(
             let here = offsets[i];
             match item {
                 Item::Branch { cond, label } => {
-                    let target = label_off[label];
+                    let target = label_off[*label as usize];
                     let rel = target as i64 - i64::from(here);
                     let shape = branch_shape(mode, *cond, rel);
                     match shape {
@@ -153,7 +148,7 @@ pub fn layout_function(
                     }
                 }
                 Item::CbzBr { nonzero, rn, label } => {
-                    let target = label_off[label];
+                    let target = label_off[*label as usize];
                     let rel = target as i64 - i64::from(here);
                     if !(4..=130).contains(&rel) || rel % 2 != 0 {
                         // Fall back to cmp #0 + conditional branch.
@@ -189,7 +184,7 @@ pub fn layout_function(
                     // Verify entries are representable.
                     let table_base = here;
                     for l in labels {
-                        let rel = label_off[l] as i64 - i64::from(table_base);
+                        let rel = label_off[*l as usize] as i64 - i64::from(table_base);
                         if rel < 0 || rel / 2 > 255 || rel % 2 != 0 {
                             return Err(err(f, mode, format!("tbb entry out of range ({rel})")));
                         }
@@ -216,6 +211,21 @@ pub fn layout_function(
             return emit(f, mode, func_addr, &items, &sizes, &shapes, &pool);
         }
     }
+}
+
+/// Fills `offsets` with each item's byte offset (plus the end offset
+/// after the last) and `label_off` with each placed label's.
+fn place(items: &[Item], sizes: &[u32], offsets: &mut Vec<u32>, label_off: &mut [u32]) {
+    offsets.clear();
+    let mut at = 0u32;
+    for (item, size) in items.iter().zip(sizes) {
+        if let Item::Label(l) = item {
+            label_off[*l as usize] = at;
+        }
+        offsets.push(at);
+        at += size;
+    }
+    offsets.push(at);
 }
 
 fn branch_shape(mode: IsaMode, cond: Cond, rel: i64) -> Option<BranchShape> {
@@ -286,18 +296,10 @@ fn emit(
     shapes: &[BranchShape],
     pool: &[u32],
 ) -> Result<LaidOutFunction, CodegenError> {
-    let n = items.len();
-    let mut offsets = vec![0u32; n + 1];
-    for i in 0..n {
-        offsets[i + 1] = offsets[i] + sizes[i];
-    }
-    let code_end = (offsets[n] + 3) & !3;
-    let mut label_off: HashMap<u32, u32> = HashMap::new();
-    for (i, item) in items.iter().enumerate() {
-        if let Item::Label(l) = item {
-            label_off.insert(*l, offsets[i]);
-        }
-    }
+    let mut offsets = Vec::with_capacity(items.len() + 1);
+    let mut label_off = vec![u32::MAX; f.label_count as usize];
+    place(items, sizes, &mut offsets, &mut label_off);
+    let code_end = (offsets[items.len()] + 3) & !3;
     let mut bytes = Vec::with_capacity(code_end as usize + pool.len() * 4);
     let mut relocs = Vec::new();
     let mut instr_count = 0u32;
@@ -316,7 +318,7 @@ fn emit(
                 instr_count += 1;
             }
             Item::Branch { cond, label } => {
-                let target = label_off[label];
+                let target = label_off[*label as usize];
                 let rel = (target as i64 - i64::from(here)) as i32;
                 match shapes[i] {
                     BranchShape::Direct(_) => {
@@ -389,7 +391,7 @@ fn emit(
                 }
             }
             Item::CbzBr { nonzero, rn, label } => {
-                let target = label_off[label];
+                let target = label_off[*label as usize];
                 let rel = (target as i64 - i64::from(here)) as i32;
                 push(&mut bytes, &Instr::Cbz { nonzero: *nonzero, rn: *rn, offset: rel })?;
                 instr_count += 1;
@@ -410,7 +412,7 @@ fn emit(
             }
             Item::ByteTable { labels } => {
                 for l in labels {
-                    let rel = label_off[l] - here;
+                    let rel = label_off[*l as usize] - here;
                     bytes.push((rel / 2) as u8);
                 }
                 if labels.len() % 2 != 0 {
@@ -419,7 +421,7 @@ fn emit(
             }
             Item::WordTable { labels } => {
                 for l in labels {
-                    let abs = func_addr + label_off[l];
+                    let abs = func_addr + label_off[*l as usize];
                     bytes.extend_from_slice(&abs.to_le_bytes());
                 }
             }

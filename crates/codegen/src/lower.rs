@@ -1357,7 +1357,7 @@ impl Lowerer<'_> {
     // ---------------- prologue / epilogue / driver ----------------
 
     fn push_list(&self) -> RegList {
-        let mut list: RegList = self.alloc.used_callee_saved.iter().copied().collect();
+        let mut list = self.alloc.used_callee_saved;
         if self.alloc.has_calls {
             list.insert(Reg::LR);
         }

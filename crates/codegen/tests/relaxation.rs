@@ -35,13 +35,17 @@ fn long_if_module(filler: usize) -> Module {
 }
 
 fn check(filler: usize, args: [u32; 2]) {
-    let module = long_if_module(filler);
-    let (fid, _) = module.func_by_name("longif").unwrap();
-    let want =
-        Interpreter::new(&module, FlatMemory::new(0, 16)).run(fid, &args).expect("interp");
+    check_module(&long_if_module(filler), "longif", args, &format!("filler {filler}"));
+}
+
+/// Compiles `name` in `module` for every mode, runs it on `args` and
+/// compares the result with the interpreter's.
+fn check_module(module: &Module, name: &str, args: [u32; 2], what: &str) {
+    let (fid, _) = module.func_by_name(name).unwrap();
+    let want = Interpreter::new(module, FlatMemory::new(0, 16)).run(fid, &args).expect("interp");
     for mode in IsaMode::ALL {
-        let prog = compile(&module, mode, &CodegenOptions::default())
-            .unwrap_or_else(|e| panic!("compile {filler} for {mode}: {e}"));
+        let prog = compile(module, mode, &CodegenOptions::default())
+            .unwrap_or_else(|e| panic!("compile {what} for {mode}: {e}"));
         let mut m = match mode {
             IsaMode::T2 => Machine::m3_like(),
             _ => Machine::arm7_like(mode),
@@ -53,10 +57,10 @@ fn check(filler: usize, args: [u32; 2]) {
         m.cpu.regs[0] = args[0];
         m.cpu.regs[1] = args[1];
         m.cpu.set_sp(SRAM_BASE + 0x8000);
-        m.set_pc(prog.entry_address("longif"));
+        m.set_pc(prog.entry_address(name));
         let r = m.run(50_000_000);
-        assert_eq!(r.reason, StopReason::Bkpt(0), "{mode} filler {filler}");
-        assert_eq!(m.cpu.regs[0], want, "{mode} filler {filler}");
+        assert_eq!(r.reason, StopReason::Bkpt(0), "{mode} {what}");
+        assert_eq!(m.cpu.regs[0], want, "{mode} {what}");
     }
 }
 
@@ -68,6 +72,39 @@ fn conditional_branches_relax_over_every_span() {
         check(filler, [1, 2]); // then-path
         check(filler, [5, 2]); // else-path
     }
+}
+
+/// Two count-down loops whose back edges test a register against zero.
+/// On T2 each lowers to a `cbnz`, which cannot branch backwards, so
+/// layout replaces both with `cmp` + `bne`: the second replacement lays
+/// out the items the first one added.
+#[test]
+fn two_backward_zero_tests_fall_back_to_compare_and_branch() {
+    let mut b = FunctionBuilder::new("loops", 2);
+    let x = b.param(0);
+    let y = b.param(1);
+    let acc = b.imm(0);
+    let first = b.new_block();
+    let between = b.new_block();
+    let second = b.new_block();
+    let exit = b.new_block();
+    b.br(first);
+    b.switch_to(first);
+    b.bin_into(acc, BinOp::Add, acc, x);
+    b.bin_into(x, BinOp::Sub, x, 1u32);
+    b.cond_br(CmpKind::Ne, x, 0u32, first, between);
+    b.switch_to(between);
+    b.bin_into(acc, BinOp::Rotr, acc, 3u32);
+    b.br(second);
+    b.switch_to(second);
+    b.bin_into(acc, BinOp::Xor, acc, y);
+    b.bin_into(y, BinOp::Sub, y, 1u32);
+    b.cond_br(CmpKind::Ne, y, 0u32, second, exit);
+    b.switch_to(exit);
+    b.ret(Some(acc.into()));
+    let mut module = Module::new();
+    module.add_function(b.build());
+    check_module(&module, "loops", [5, 7], "two count-down loops");
 }
 
 #[test]

@@ -22,12 +22,18 @@
 //! `tbb`/`tbh`, `svc`, `bkpt`, `nop`, `wfi` or `cpsid`/`cpsie` is an
 //! error, never silently dropped: their [`Instr`] forms carry no
 //! condition, so this assembler cannot encode one (A32 itself defines
-//! conditional `bl`, `svc`, `nop` and `wfi`; they are not modelled).
+//! conditional `bl`, `svc`, `nop` and `wfi`; they are not modelled). An
+//! immediate outside its field's range is an error that names the
+//! value, never truncated: a shift amount (by immediate, or an address's
+//! `lsl`) above 31 in any mode, a bit-field `lsb` above 31 or `width`
+//! outside 1..=32, an `svc` or `bkpt` immediate above 255, an address
+//! offset whose magnitude does not fit an `i32` (`#0xFFFFFFFC` is not
+//! `#-4`).
 //!
 //! # One parse
 //!
 //! Guest firmware is assembled on every mission build (the E10 node
-//! images, the E13 kernel twice per lowering), so assembly is part of
+//! images, the E13 kernel once per lowering), so assembly is part of
 //! each mission's set-up cost. Each source line is scanned once, over its
 //! bytes, for its label colon, its comment, the end of its mnemonic and
 //! the top-level commas between its operands. Mnemonics, condition
@@ -51,7 +57,7 @@
 //! A source of `n` items and `b` branches costs O(n) to parse and emit
 //! plus O(n + b) per layout round, and allocates five vectors, the symbol
 //! table and one string per label. On a 2-core 2.1 GHz Xeon host the
-//! 399-line E13 kernel assembles in about 0.14 ms, 0.36 µs a line.
+//! 404-line E13 kernel assembles in about 0.11 ms, 0.28 µs a line.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -331,6 +337,40 @@ fn parse_imm_value(s: &str, line: usize) -> Result<u32, AsmError> {
     Ok(if neg { v.wrapping_neg() } else { v })
 }
 
+/// An immediate that must lie in `range` (it is stored in a `u8` field);
+/// `what` names it in the error.
+fn parse_imm_in(
+    s: &str,
+    line: usize,
+    what: &str,
+    range: std::ops::RangeInclusive<u8>,
+) -> Result<u8, AsmError> {
+    let v = parse_imm_value(s, line)?;
+    u8::try_from(v)
+        .ok()
+        .filter(|v| range.contains(v))
+        .ok_or_else(|| aerr(line, format!("{what} {v} out of range {range:?}")))
+}
+
+/// A signed address offset (`#-4`, `#0x10`). Its magnitude must fit an
+/// `i32`: a large unsigned value is an error, not a negative offset.
+fn parse_offset(s: &str, line: usize) -> Result<i32, AsmError> {
+    let s = s.trim().trim_start_matches('#');
+    let (sign, magnitude) = match s.strip_prefix('-') {
+        Some(rest) => ("-", rest),
+        None => ("", s),
+    };
+    let m = parse_imm_value(magnitude, line)?;
+    i32::try_from(m)
+        .map(|m| if sign.is_empty() { m } else { -m })
+        .map_err(|_| aerr(line, format!("offset {sign}{m} out of range")))
+}
+
+/// An immediate shift amount: 0..=31 in every mode.
+fn parse_shift_amount(s: &str, line: usize) -> Result<u8, AsmError> {
+    parse_imm_in(s, line, "shift amount", 0..=31)
+}
+
 /// A register name, given trimmed.
 fn parse_reg(s: &str, line: usize) -> Result<Reg, AsmError> {
     let alias = match s.as_bytes() {
@@ -399,7 +439,7 @@ fn parse_operand2(parts: &[&str], line: usize) -> Result<Operand2, AsmError> {
             .ok_or_else(|| aerr(line, format!("bad shift `{shift}`")))?;
             let rest = rest.trim();
             if rest.starts_with('#') {
-                Ok(Operand2::RegShiftImm(rm, op, parse_imm_value(rest, line)? as u8))
+                Ok(Operand2::RegShiftImm(rm, op, parse_shift_amount(rest, line)?))
             } else {
                 Ok(Operand2::RegShiftReg(rm, op, parse_reg(rest, line)?))
             }
@@ -415,15 +455,14 @@ fn parse_addr(s: &str, line: usize) -> Result<AddrMode, AsmError> {
         let rest = rest.trim();
         if let Some(offset_src) = rest.strip_prefix(',') {
             let base = parse_reg(inner, line)?;
-            let off = parse_imm_value(offset_src, line)? as i32;
-            return Ok(AddrMode::post(base, off));
+            return Ok(AddrMode::post(base, parse_offset(offset_src, line)?));
         }
         let pre = rest == "!";
         let mut parts = inner.split(',').map(str::trim);
         let base = parse_reg(parts.next().ok_or_else(|| aerr(line, "empty address"))?, line)?;
         let offset = match parts.next() {
             None => Offset::Imm(0),
-            Some(p) if p.starts_with('#') => Offset::Imm(parse_imm_value(p, line)? as i32),
+            Some(p) if p.starts_with('#') => Offset::Imm(parse_offset(p, line)?),
             Some(p) => {
                 let rm = parse_reg(p, line)?;
                 let sh = match parts.next() {
@@ -433,7 +472,7 @@ fn parse_addr(s: &str, line: usize) -> Result<AddrMode, AsmError> {
                         let amount = sh
                             .strip_prefix("lsl")
                             .ok_or_else(|| aerr(line, "only lsl allowed in addresses"))?;
-                        parse_imm_value(amount, line)? as u8
+                        parse_shift_amount(amount, line)?
                     }
                 };
                 Offset::Reg(rm, sh)
@@ -712,6 +751,8 @@ fn parse_instr<'a>(code: &Code<'a>, line: usize) -> Result<(Instr, Option<&'a st
     let op_err = || aerr(line, format!("bad operands for `{mn}`: `{rest}`"));
     let reg = |s: &str| parse_reg(s, line);
     let imm = |s: &str| parse_imm_value(s, line);
+    let lsb = |s: &str| parse_imm_in(s, line, "bit-field lsb", 0..=31);
+    let width = |s: &str| parse_imm_in(s, line, "bit-field width", 1..=32);
     let unknown = || aerr(line, format!("unknown mnemonic `{mn}`"));
     let Some((op, s, cond)) = split_mnemonic(mn) else {
         // `it` variants like `ite`/`itt` are not base mnemonics.
@@ -758,7 +799,7 @@ fn parse_instr<'a>(code: &Code<'a>, line: usize) -> Result<(Instr, Option<&'a st
         (Op::Shift(sh), [rd, rm, amt]) => {
             let (rd, rm) = (reg(rd)?, reg(rm)?);
             let op2 = if amt.starts_with('#') {
-                Operand2::RegShiftImm(rm, sh, imm(amt)? as u8)
+                Operand2::RegShiftImm(rm, sh, parse_shift_amount(amt, line)?)
             } else {
                 Operand2::RegShiftReg(rm, sh, reg(amt)?)
             };
@@ -782,30 +823,16 @@ fn parse_instr<'a>(code: &Code<'a>, line: usize) -> Result<(Instr, Option<&'a st
         }
         (Op::Sdiv, [rd, rn, rm]) => Instr::Sdiv { cond, rd: reg(rd)?, rn: reg(rn)?, rm: reg(rm)? },
         (Op::Udiv, [rd, rn, rm]) => Instr::Udiv { cond, rd: reg(rd)?, rn: reg(rn)?, rm: reg(rm)? },
-        (Op::Bfi, [rd, rn, lsb, width]) => Instr::Bfi {
-            cond,
-            rd: reg(rd)?,
-            rn: reg(rn)?,
-            lsb: imm(lsb)? as u8,
-            width: imm(width)? as u8,
-        },
-        (Op::Bfc, [rd, lsb, width]) => {
-            Instr::Bfc { cond, rd: reg(rd)?, lsb: imm(lsb)? as u8, width: imm(width)? as u8 }
+        (Op::Bfi, [rd, rn, l, w]) => {
+            Instr::Bfi { cond, rd: reg(rd)?, rn: reg(rn)?, lsb: lsb(l)?, width: width(w)? }
         }
-        (Op::Ubfx, [rd, rn, lsb, width]) => Instr::Ubfx {
-            cond,
-            rd: reg(rd)?,
-            rn: reg(rn)?,
-            lsb: imm(lsb)? as u8,
-            width: imm(width)? as u8,
-        },
-        (Op::Sbfx, [rd, rn, lsb, width]) => Instr::Sbfx {
-            cond,
-            rd: reg(rd)?,
-            rn: reg(rn)?,
-            lsb: imm(lsb)? as u8,
-            width: imm(width)? as u8,
-        },
+        (Op::Bfc, [rd, l, w]) => Instr::Bfc { cond, rd: reg(rd)?, lsb: lsb(l)?, width: width(w)? },
+        (Op::Ubfx, [rd, rn, l, w]) => {
+            Instr::Ubfx { cond, rd: reg(rd)?, rn: reg(rn)?, lsb: lsb(l)?, width: width(w)? }
+        }
+        (Op::Sbfx, [rd, rn, l, w]) => {
+            Instr::Sbfx { cond, rd: reg(rd)?, rn: reg(rn)?, lsb: lsb(l)?, width: width(w)? }
+        }
         (Op::Rbit, [rd, rm]) => Instr::Rbit { cond, rd: reg(rd)?, rm: reg(rm)? },
         (Op::Rev, [rd, rm]) => Instr::Rev { cond, rd: reg(rd)?, rm: reg(rm)? },
         (Op::Mem { load, size, signed }, [rt, _, ..]) => {
@@ -859,8 +886,8 @@ fn parse_instr<'a>(code: &Code<'a>, line: usize) -> Result<(Instr, Option<&'a st
             }
             _ => return Err(op_err()),
         },
-        (Op::Svc, [v]) => Instr::Svc { imm: imm(v)? as u8 },
-        (Op::Bkpt, [v]) => Instr::Bkpt { imm: imm(v)? as u8 },
+        (Op::Svc, [v]) => Instr::Svc { imm: parse_imm_in(v, line, "svc immediate", 0..=255)? },
+        (Op::Bkpt, [v]) => Instr::Bkpt { imm: parse_imm_in(v, line, "bkpt immediate", 0..=255)? },
         (Op::Nop, _) => Instr::Nop,
         (Op::Wfi, _) => Instr::Wfi,
         (Op::Cpsid, _) => Instr::Cpsid,

@@ -433,6 +433,25 @@ impl Instr {
         }
     }
 
+    /// The immediate shift amount of a shifted-register operand or a
+    /// register-offset address.
+    fn shift_amount(&self) -> Option<u8> {
+        match *self {
+            Instr::Dp { op2, .. }
+            | Instr::Mov { op2, .. }
+            | Instr::Mvn { op2, .. }
+            | Instr::Cmp { op2, .. } => match op2 {
+                Operand2::RegShiftImm(_, _, amt) => Some(amt),
+                _ => None,
+            },
+            Instr::Ldr { addr, .. } | Instr::Str { addr, .. } => match addr.offset {
+                Offset::Reg(_, amt) => Some(amt),
+                Offset::Imm(_) => None,
+            },
+            _ => None,
+        }
+    }
+
     /// Validates that the instruction is expressible in `mode`.
     ///
     /// # Errors
@@ -441,6 +460,12 @@ impl Instr {
     /// constraint (wide-only operation in `T16`, condition outside `A32`,
     /// immediate not encodable, offset out of range, ...).
     pub fn validate(&self, mode: IsaMode) -> Result<(), EncodeInstrError> {
+        // Immediate shift amounts: 5-bit fields in every encoding, and an
+        // amount of 0 executes as no shift, so 32 and above have no
+        // encoding (masking them would turn `lsr #32` into a move).
+        if let Some(amt) = self.shift_amount().filter(|&amt| amt > 31) {
+            return Err(self.err(mode, format!("shift amount {amt} out of range 0..=31")));
+        }
         // Conditions: A32 anywhere; T16/T2 only on B (IT predication is a
         // separate mechanism handled by the executor, and predicated
         // instructions still carry `Cond::Al` in semantic form).
@@ -527,7 +552,7 @@ impl Instr {
                     256 // halfword/signed forms have imm8 range
                 };
                 if let Offset::Imm(i) = addr.offset {
-                    if i.abs() >= max {
+                    if i.unsigned_abs() >= max {
                         return Err(self.err(mode, format!("offset {i} out of range")));
                     }
                 }
@@ -535,20 +560,20 @@ impl Instr {
             Instr::Str { addr, size, .. } => {
                 let max = if size == MemSize::Half { 256 } else { 4096 };
                 if let Offset::Imm(i) = addr.offset {
-                    if i.abs() >= max {
+                    if i.unsigned_abs() >= max {
                         return Err(self.err(mode, format!("offset {i} out of range")));
                     }
                 }
             }
             Instr::LdrLit { offset, .. }
-                if offset.abs() >= 4096 => {
+                if offset.unsigned_abs() >= 4096 => {
                     return Err(self.err(mode, "literal offset out of range"));
                 }
             Instr::B { offset, .. } | Instr::Bl { offset } => {
                 if offset % 4 != 0 {
                     return Err(self.err(mode, "branch offset must be word-aligned"));
                 }
-                if offset.abs() >= 32 * 1024 * 1024 {
+                if offset.unsigned_abs() >= 32 * 1024 * 1024 {
                     return Err(self.err(mode, "branch offset out of range"));
                 }
             }
@@ -587,7 +612,7 @@ impl Instr {
             Instr::Mov { op2: Operand2::RegShiftReg(..), .. } => {}
             Instr::Ldr { addr, .. } | Instr::Str { addr, .. } => {
                 if let Offset::Imm(i) = addr.offset {
-                    if i.abs() >= 1024 {
+                    if i.unsigned_abs() >= 1024 {
                         return Err(self.err(mode, format!("offset {i} exceeds wide imm range")));
                     }
                 }
@@ -598,7 +623,7 @@ impl Instr {
                 }
             }
             Instr::LdrLit { offset, .. }
-                if offset.abs() >= 16 * 1024 => {
+                if offset.unsigned_abs() >= 16 * 1024 => {
                     return Err(self.err(mode, "literal offset out of range"));
                 }
             Instr::B { offset, .. } => {
@@ -928,6 +953,57 @@ mod tests {
             addr: AddrMode::imm(Reg::SP, 1024),
         };
         assert!(!far.fits_narrow());
+    }
+
+    #[test]
+    fn shift_amounts_above_31_are_rejected_in_every_mode() {
+        use crate::ShiftOp;
+        let mov = |amt| Instr::Mov {
+            s: false,
+            cond: Cond::Al,
+            rd: Reg::R0,
+            op2: Operand2::RegShiftImm(Reg::R1, ShiftOp::Lsr, amt),
+        };
+        let ldr = |amt| Instr::Ldr {
+            cond: Cond::Al,
+            size: MemSize::Word,
+            signed: false,
+            rt: Reg::R0,
+            addr: AddrMode {
+                base: Reg::R1,
+                offset: Offset::Reg(Reg::R2, amt),
+                index: Index::Offset,
+            },
+        };
+        for mode in IsaMode::ALL {
+            assert!(mov(31).validate(mode).is_ok(), "{mode}");
+            for amt in [32, 40, 255] {
+                let err = mov(amt).validate(mode).unwrap_err();
+                assert_eq!(err.reason, format!("shift amount {amt} out of range 0..=31"), "{mode}");
+                assert!(ldr(amt).validate(mode).is_err(), "{mode} ldr lsl #{amt}");
+            }
+        }
+        assert!(ldr(31).validate(IsaMode::A32).is_ok());
+    }
+
+    #[test]
+    fn the_most_negative_offset_is_out_of_range_in_every_mode() {
+        // `i32::MIN.abs()` overflows: the range checks compare magnitudes.
+        let post = AddrMode::post(Reg::R1, i32::MIN);
+        let ldr = Instr::Ldr {
+            cond: Cond::Al,
+            size: MemSize::Word,
+            signed: false,
+            rt: Reg::R0,
+            addr: post,
+        };
+        let str = Instr::Str { cond: Cond::Al, size: MemSize::Half, rt: Reg::R0, addr: post };
+        let lit = Instr::LdrLit { cond: Cond::Al, rt: Reg::R0, offset: i32::MIN };
+        for mode in IsaMode::ALL {
+            for i in [ldr, str, lit] {
+                assert!(i.validate(mode).is_err(), "{mode}: {i}");
+            }
+        }
     }
 
     #[test]

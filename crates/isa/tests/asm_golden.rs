@@ -7,8 +7,11 @@
 //! `Instr` carries no condition (`bleq`, `nopeq`, `svceq`, `cbzeq`...:
 //! A32 defines some of these, the assembler does not encode them) is an
 //! error, `[pc, #off]` is a literal load for a word `ldr` only (in any
-//! case) and an error for every other load or store, and `ITE EQ`
-//! assembles as `ite eq` does.
+//! case) and an error for every other load or store, `ITE EQ`
+//! assembles as `ite eq` does, and an immediate outside its field's
+//! range (a shift amount above 31, a bit-field outside 0..=31 / 1..=32,
+//! an address offset beyond `i32`, an `svc`/`bkpt` immediate above 255)
+//! is an error in every mode rather than a truncated encoding.
 //!
 //! On a mismatch the test prints every row as it now assembles, in the
 //! table's own syntax.
@@ -257,6 +260,33 @@ const CASES: &[(&str, [&str; 3])] = &[
     ("BX LR", ["1eff2fe1", "e047", "e047"]),
     ("TBB [R0, R1]", ["error: line 1: cannot encode `tbb [r0, r1]` in A32: operation requires the T2 repertoire (ARMv6T2-era); the A32 profile models an ARM7-class core", "error: line 1: cannot encode `tbb [r0, r1]` in T16: wide-only operation unavailable in T16", "c0f10100"]),
     ("ldr r0, [r1, r2, LSL #0B1]", ["820091e7", "error: line 1: cannot encode `ldr r0, [r1, r2, lsl #1]` in T16: does not fit the 16-bit encoding", "00f34900"]),
+    // Immediates out of their field's range are errors, never truncated:
+    // shift amounts are 0..=31 in every mode, bit-field lsb 0..=31 and
+    // width 1..=32, address offsets fit an `i32` (so `#0xFFFFFFFC` is not
+    // `#-4`), `svc`/`bkpt` immediates 0..=255.
+    ("lsr r0, r1, #32", ["error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31"]),
+    ("lsl r0, r1, #32", ["error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31"]),
+    ("asr r0, r1, #40", ["error: line 1: shift amount 40 out of range 0..=31", "error: line 1: shift amount 40 out of range 0..=31", "error: line 1: shift amount 40 out of range 0..=31"]),
+    ("lsr r0, r1, #256", ["error: line 1: shift amount 256 out of range 0..=31", "error: line 1: shift amount 256 out of range 0..=31", "error: line 1: shift amount 256 out of range 0..=31"]),
+    ("ror r0, r1, #32", ["error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31"]),
+    ("lsr r0, r1, #31", ["a10fa0e1", "c80f", "c80f"]),
+    ("mov r0, r1, lsr #32", ["error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31"]),
+    ("add r0, r1, r2, lsl #32", ["error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31"]),
+    ("cmp r0, r1, asr #33", ["error: line 1: shift amount 33 out of range 0..=31", "error: line 1: shift amount 33 out of range 0..=31", "error: line 1: shift amount 33 out of range 0..=31"]),
+    ("ubfx r0, r1, #256, #8", ["error: line 1: bit-field lsb 256 out of range 0..=31", "error: line 1: bit-field lsb 256 out of range 0..=31", "error: line 1: bit-field lsb 256 out of range 0..=31"]),
+    ("ubfx r0, r1, #32, #1", ["error: line 1: bit-field lsb 32 out of range 0..=31", "error: line 1: bit-field lsb 32 out of range 0..=31", "error: line 1: bit-field lsb 32 out of range 0..=31"]),
+    ("sbfx r0, r1, #0, #33", ["error: line 1: bit-field width 33 out of range 1..=32", "error: line 1: bit-field width 33 out of range 1..=32", "error: line 1: bit-field width 33 out of range 1..=32"]),
+    ("bfi r0, r1, #4, #0", ["error: line 1: bit-field width 0 out of range 1..=32", "error: line 1: bit-field width 0 out of range 1..=32", "error: line 1: bit-field width 0 out of range 1..=32"]),
+    ("bfc r0, #0, #264", ["error: line 1: bit-field width 264 out of range 1..=32", "error: line 1: bit-field width 264 out of range 1..=32", "error: line 1: bit-field width 264 out of range 1..=32"]),
+    ("ldr r0, [r1, r2, lsl #258]", ["error: line 1: shift amount 258 out of range 0..=31", "error: line 1: shift amount 258 out of range 0..=31", "error: line 1: shift amount 258 out of range 0..=31"]),
+    ("ldr r0, [r1, r2, lsl #32]", ["error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31", "error: line 1: shift amount 32 out of range 0..=31"]),
+    ("str r0, [r1, r2, lsl #31]", ["820f81e7", "error: line 1: cannot encode `str r0, [r1, r2, lsl #31]` in T16: does not fit the 16-bit encoding", "error: line 1: cannot encode `str r0, [r1, r2, lsl #31]` in T2: register offset shift must be 0..=3"]),
+    ("ldr r0, [r1], #0x80000000", ["error: line 1: offset 2147483648 out of range", "error: line 1: offset 2147483648 out of range", "error: line 1: offset 2147483648 out of range"]),
+    ("ldr r0, [r1, #0xFFFFFFFC]", ["error: line 1: offset 4294967292 out of range", "error: line 1: offset 4294967292 out of range", "error: line 1: offset 4294967292 out of range"]),
+    ("str r0, [r1, #-2147483648]", ["error: line 1: offset -2147483648 out of range", "error: line 1: offset -2147483648 out of range", "error: line 1: offset -2147483648 out of range"]),
+    ("ldr r0, [r1, #-2147483647]", ["error: line 1: cannot encode `ldr r0, [r1, #-2147483647]` in A32: offset -2147483647 out of range", "error: line 1: cannot encode `ldr r0, [r1, #-2147483647]` in T16: does not fit the 16-bit encoding", "error: line 1: cannot encode `ldr r0, [r1, #-2147483647]` in T2: offset -2147483647 exceeds wide imm range"]),
+    ("svc #256", ["error: line 1: svc immediate 256 out of range 0..=255", "error: line 1: svc immediate 256 out of range 0..=255", "error: line 1: svc immediate 256 out of range 0..=255"]),
+    ("bkpt #256", ["error: line 1: bkpt immediate 256 out of range 0..=255", "error: line 1: bkpt immediate 256 out of range 0..=255", "error: line 1: bkpt immediate 256 out of range 0..=255"]),
     // Rejected input and its messages.
     ("frob r0", ["error: line 1: unknown mnemonic `frob`", "error: line 1: unknown mnemonic `frob`", "error: line 1: unknown mnemonic `frob`"]),
     ("b nowhere", ["error: line 1: undefined label `nowhere`", "error: line 1: undefined label `nowhere`", "error: line 1: undefined label `nowhere`"]),

@@ -13,11 +13,13 @@
 //!
 //! Absolute symbols (`task_entry`, `task_done`, `idle_entry` — needed
 //! as exception-frame PC values and as the wrapper return address) are
-//! resolved by assembling twice: `movw`/`movt` pairs are fixed 4-byte
-//! T2 encodings, so pass one (placeholder zeros) yields the same label
-//! offsets as pass two (real addresses).
+//! loaded by five labelled `movw`/`movt` pairs that the source emits
+//! with placeholder zeros. Both halves are fixed 4-byte T2 encodings
+//! whatever their immediates, so the source is formatted and assembled
+//! once, and each pair is then re-encoded in place with the symbol's
+//! address from the symbol table.
 
-use alia_isa::{Assembler, IsaMode};
+use alia_isa::{encode, Assembled, Assembler, Cond, Instr, IsaMode, Reg};
 use alia_sim::{EXC_RETURN_HW, MMIO_BASE, TIMER_BASE};
 
 use super::KSTATE;
@@ -84,6 +86,38 @@ fn mov32(reg: &str, val: u32) -> String {
     format!("movw {reg}, #0x{:X}\n movt {reg}, #0x{:X}\n", val & 0xFFFF, val >> 16)
 }
 
+/// The register every absolute-symbol fix-up loads.
+const FIXUP_REG: Reg = Reg::R12;
+
+/// Each labelled `movw`/`movt` pair that loads an absolute kernel
+/// symbol, with the symbol it loads.
+const FIXUPS: [(&str, &str); 5] = [
+    ("tk_fix_entry", "task_entry"),
+    ("tk_fix_idle", "idle_entry"),
+    ("sv_fix_entry", "task_entry"),
+    ("sv_fix_idle", "idle_entry"),
+    ("te_fix_done", "task_done"),
+];
+
+/// The fix-up pair labelled `label`: `movw`/`movt` of [`FIXUP_REG`]
+/// with placeholder zeros, re-encoded by [`resolve_fixups`].
+fn fixup(label: &str) -> String {
+    format!("{label}:\n{}", mov32(&FIXUP_REG.to_string(), 0))
+}
+
+/// The encoded `movw`/`movt` pair loading `value` into [`FIXUP_REG`].
+fn mov32_bytes(value: u32) -> Result<[u8; 8], String> {
+    let mut out = [0u8; 8];
+    let halves = [
+        Instr::MovW { cond: Cond::Al, rd: FIXUP_REG, imm16: value as u16 },
+        Instr::MovT { cond: Cond::Al, rd: FIXUP_REG, imm16: (value >> 16) as u16 },
+    ];
+    for (slot, instr) in out.chunks_exact_mut(4).zip(&halves) {
+        slot.copy_from_slice(encode(instr, IsaMode::T2).map_err(|e| e.to_string())?.as_bytes());
+    }
+    Ok(out)
+}
+
 /// Emits a trace record `kind << 28 | task << 24 | payload` to
 /// `MMIO_TRACE`; `task_reg` is OR-ed in shifted when given. Clobbers
 /// `r2` and `r3`.
@@ -108,7 +142,7 @@ fn trace(kind: u32, task_reg: Option<&str>, payload: u32) -> String {
 /// distinct label prefixes because SP may change mid-routine, ruling
 /// out a `bl` helper. Expects `r0` = KSTATE; clobbers `r1`-`r3`, `r12`
 /// and (on a switch) SP and `r4`-`r11`.
-fn schedule(p: &str, task_entry: u32, idle_entry: u32, idle_stack_top: u32) -> String {
+fn schedule(p: &str, idle_stack_top: u32) -> String {
     let mut s = String::new();
     // Scan: lowest index with state != 0 wins (index order = priority).
     s.push_str(&format!(
@@ -203,7 +237,7 @@ fn schedule(p: &str, task_entry: u32, idle_entry: u32, idle_stack_top: u32) -> S
         arg1 = off::ARG1,
         arg2 = off::ARG2,
     ));
-    s.push_str(&mov32("r12", task_entry));
+    s.push_str(&fixup(&format!("{p}_fix_entry")));
     s.push_str(&format!(
         "str r12, [r3, #24]
          mov r12, #2
@@ -242,7 +276,7 @@ fn schedule(p: &str, task_entry: u32, idle_entry: u32, idle_stack_top: u32) -> S
          str r12, [r3, #28]
 ",
     );
-    s.push_str(&mov32("r12", idle_entry));
+    s.push_str(&fixup(&format!("{p}_fix_idle")));
     s.push_str(
         "str r12, [r3, #24]
          mov sp, r3
@@ -259,8 +293,9 @@ fn schedule(p: &str, task_entry: u32, idle_entry: u32, idle_stack_top: u32) -> S
     s
 }
 
-/// Builds the full kernel source for one symbol-resolution pass.
-fn source(p: &KernelParams, task_entry: u32, task_done: u32, idle_entry: u32) -> String {
+/// Builds the full kernel source, absolute-symbol loads as placeholder
+/// fix-up pairs.
+pub(crate) fn source(p: &KernelParams) -> String {
     let mut s = String::new();
 
     // --- boot ---
@@ -332,7 +367,7 @@ fn source(p: &KernelParams, task_entry: u32, task_done: u32, idle_entry: u32) ->
         current = off::CURRENT,
         entry = off::ENTRY,
     ));
-    s.push_str(&mov32("r12", task_done));
+    s.push_str(&fixup("te_fix_done"));
     s.push_str(
         "mov lr, r12
          bx r3
@@ -492,7 +527,7 @@ fn source(p: &KernelParams, task_entry: u32, task_done: u32, idle_entry: u32) ->
          tk_sched:
 ",
     );
-    s.push_str(&schedule("tk", task_entry, idle_entry, p.idle_stack_top));
+    s.push_str(&schedule("tk", p.idle_stack_top));
     s.push_str(&trace(6, None, 0));
     s.push_str(&mov32("r3", EXC_RETURN_HW));
     s.push_str("bx r3\n");
@@ -501,7 +536,7 @@ fn source(p: &KernelParams, task_entry: u32, task_done: u32, idle_entry: u32) ->
     s.push_str("sched_handler:\n");
     s.push_str(&mov32("r0", KSTATE));
     s.push_str(&trace(7, None, 0));
-    s.push_str(&schedule("sv", task_entry, idle_entry, p.idle_stack_top));
+    s.push_str(&schedule("sv", p.idle_stack_top));
     s.push_str(&trace(8, None, 0));
     s.push_str(&mov32("r3", EXC_RETURN_HW));
     s.push_str("bx r3\n");
@@ -509,29 +544,42 @@ fn source(p: &KernelParams, task_entry: u32, task_done: u32, idle_entry: u32) ->
     s
 }
 
-/// Assembles the kernel at `p.base`, resolving the absolute symbols by
-/// running the assembler twice.
+/// Assembles the kernel at `p.base`: one assembly of the source, then
+/// each absolute-symbol pair re-encoded in place.
 pub(crate) fn assemble_kernel(p: &KernelParams) -> Result<AssembledKernel, String> {
-    let asm = Assembler::new(IsaMode::T2);
-    let pass1 = asm.assemble(&source(p, 0, 0, 0)).map_err(|e| e.to_string())?;
-    let sym = |name: &str| -> Result<u32, String> {
-        pass1
-            .symbols
-            .get(name)
-            .map(|o| p.base + o)
-            .ok_or_else(|| format!("kernel symbol `{name}` missing"))
-    };
-    let task_entry = sym("task_entry")?;
-    let task_done = sym("task_done")?;
-    let idle_entry = sym("idle_entry")?;
-    let pass2 = asm
-        .assemble(&source(p, task_entry, task_done, idle_entry))
-        .map_err(|e| e.to_string())?;
-    debug_assert_eq!(pass1.symbols, pass2.symbols, "two-pass layout must agree");
+    let mut out = Assembler::new(IsaMode::T2).assemble(&source(p)).map_err(|e| e.to_string())?;
+    resolve_fixups(&mut out, p.base)?;
+    let sym = |name: &str| p.base + out.symbols[name];
     Ok(AssembledKernel {
-        bytes: pass2.bytes,
-        main: p.base + pass2.symbols["main"],
-        tick_handler: p.base + pass2.symbols["tick_handler"],
-        sched_handler: p.base + pass2.symbols["sched_handler"],
+        main: sym("main"),
+        tick_handler: sym("tick_handler"),
+        sched_handler: sym("sched_handler"),
+        bytes: out.bytes,
     })
+}
+
+/// Re-encodes every [`FIXUPS`] pair in `out`, the kernel assembled to
+/// load at `base`, with its symbol's address.
+///
+/// # Errors
+///
+/// Fails when a label is missing or a site does not hold its
+/// placeholder pair.
+pub(crate) fn resolve_fixups(out: &mut Assembled, base: u32) -> Result<(), String> {
+    let placeholder = mov32_bytes(0)?;
+    for (site, target) in FIXUPS {
+        let sym = |name: &str| {
+            out.symbols.get(name).copied().ok_or_else(|| format!("kernel symbol `{name}` missing"))
+        };
+        let (at, value) = (sym(site)? as usize, base + sym(target)?);
+        let slot = out
+            .bytes
+            .get_mut(at..at + placeholder.len())
+            .filter(|slot| **slot == placeholder)
+            .ok_or_else(|| {
+                format!("fix-up `{site}` does not hold `movw`/`movt {FIXUP_REG}, #0`")
+            })?;
+        slot.copy_from_slice(&mov32_bytes(value)?);
+    }
+    Ok(())
 }

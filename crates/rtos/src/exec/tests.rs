@@ -186,31 +186,69 @@ fn stats_reject_foreign_machines() {
     assert!(ExecStats::from_machine(&foreign, &guest.layout).is_err());
 }
 
-/// The E13 guest kernel image at E13's parameters (a tick every 2000
-/// cycles; idle stack below the four-task in-network set and the
-/// three-task standalone set), pinned by length, FNV-1a and entry
-/// points: an assembler change must not move a byte of it.
+/// The E13 guest kernel image, pinned by length, FNV-1a and entry
+/// points: at E13's own parameters (a tick every 2000 cycles; idle stack
+/// below the four-task in-network set and the three-task standalone
+/// set), and at the extremes of both inputs the `movw`/`movt` fix-ups
+/// depend on (`tick_cycles` 100 and 65535; 1 and 8 tasks). An assembler
+/// or kernel-generator change must not move a byte of it.
 #[test]
 fn e13_kernel_image_is_pinned() {
     use super::kernel_asm::{assemble_kernel, KernelParams};
     use super::{KERNEL_BASE, STACK_BASE, STACK_STRIDE};
 
-    let expected: [(u32, usize, u64, [u32; 3]); 2] = [
-        (4, 0x454, 0x8bd1_4475_c57f_3667, [0x100, 0x1e4, 0x3e0]),
-        (3, 0x454, 0x0536_358e_578c_82e7, [0x100, 0x1e4, 0x3e0]),
+    // (tasks, tick_cycles, length, FNV-1a, [main, tick, sched])
+    let expected: [(u32, u32, usize, u64, [u32; 3]); 6] = [
+        (4, 2_000, 0x454, 0x8bd1_4475_c57f_3667, [0x100, 0x1e4, 0x3e0]),
+        (3, 2_000, 0x454, 0x0536_358e_578c_82e7, [0x100, 0x1e4, 0x3e0]),
+        (1, 2_000, 0x454, 0x0572_e199_f8d6_8fe7, [0x100, 0x1e4, 0x3e0]),
+        (8, 2_000, 0x454, 0xb5da_3ec2_8345_bee7, [0x100, 0x1e4, 0x3e0]),
+        (3, 100, 0x454, 0x7834_5a7a_057e_9b74, [0x100, 0x1e4, 0x3e0]),
+        (3, 65_535, 0x454, 0x57ac_30e8_e92e_c770, [0x100, 0x1e4, 0x3e0]),
     ];
-    for (tasks, len, hash, entries) in expected {
-        let k = assemble_kernel(&KernelParams {
-            base: KERNEL_BASE,
-            tick_cycles: 2_000,
-            idle_stack_top: STACK_BASE - tasks * STACK_STRIDE,
+    let actual: Vec<_> = expected
+        .iter()
+        .map(|&(tasks, tick_cycles, ..)| {
+            let k = assemble_kernel(&KernelParams {
+                base: KERNEL_BASE,
+                tick_cycles,
+                idle_stack_top: STACK_BASE - tasks * STACK_STRIDE,
+            })
+            .expect("kernel assembles");
+            let mut fnv = alia_obs::Fnv::default();
+            for &b in &k.bytes {
+                fnv.u64(u64::from(b));
+            }
+            (
+                tasks,
+                tick_cycles,
+                k.bytes.len(),
+                fnv.finish(),
+                [k.main, k.tick_handler, k.sched_handler],
+            )
         })
-        .expect("kernel assembles");
-        let mut fnv = alia_obs::Fnv::default();
-        for &b in &k.bytes {
-            fnv.u64(u64::from(b));
-        }
-        let actual = (k.bytes.len(), fnv.finish(), [k.main, k.tick_handler, k.sched_handler]);
-        assert_eq!(actual, (len, hash, entries), "{tasks}-task kernel: {actual:#x?}");
-    }
+        .collect();
+    assert_eq!(actual, expected, "{actual:#x?}");
+}
+
+/// A fix-up site must hold its placeholder pair: a corrupted one, or one
+/// already resolved, is an error rather than a silent overwrite.
+#[test]
+fn kernel_fixups_check_their_placeholder_pairs() {
+    use super::kernel_asm::{resolve_fixups, source, KernelParams};
+    use super::{KERNEL_BASE, STACK_BASE};
+    use alia_isa::{Assembler, IsaMode};
+
+    let params = KernelParams { base: KERNEL_BASE, tick_cycles: 2_000, idle_stack_top: STACK_BASE };
+    let assemble = || Assembler::new(IsaMode::T2).assemble(&source(&params)).unwrap();
+    let mut corrupted = assemble();
+    let at = corrupted.symbols["sv_fix_idle"] as usize;
+    corrupted.bytes[at + 5] ^= 1;
+    assert_eq!(
+        resolve_fixups(&mut corrupted, KERNEL_BASE),
+        Err("fix-up `sv_fix_idle` does not hold `movw`/`movt r12, #0`".to_string())
+    );
+    let mut resolved = assemble();
+    resolve_fixups(&mut resolved, KERNEL_BASE).unwrap();
+    assert!(resolve_fixups(&mut resolved, KERNEL_BASE).is_err(), "resolved twice");
 }
