@@ -37,22 +37,20 @@ fn main() {
     let mut cache = RunCache::new();
 
     let mut agg = PredecodeStats::default();
-    let (mut total_instrs, mut total_nanos) = (0u64, 0u64);
+    let mut total_instrs = 0u64;
     for kernel in autoindy() {
         let (run, blocks) =
             profile_kernel(&mut cache, &kernel, config.clone(), &opts, 7, 128).expect("kernel runs");
         let p = &run.predecode;
         agg.merge(p);
         total_instrs += run.instructions;
-        total_nanos += run.host_nanos;
 
         let t3 = p.threaded_instrs;
         let t1 = run.instructions.saturating_sub(t3);
         println!(
-            "\n{:<8} {:>9} instrs  {:>7.1} host MIPS   tier occupancy: t3 {:.1}%  t1 {:.1}%",
+            "\n{:<8} {:>9} instrs   tier occupancy: t3 {:.1}%  t1 {:.1}%",
             kernel.name,
             run.instructions,
-            if run.host_nanos == 0 { 0.0 } else { run.instructions as f64 * 1e3 / run.host_nanos as f64 },
             pct(t3, run.instructions),
             pct(t1, run.instructions),
         );
@@ -83,11 +81,9 @@ fn main() {
 
     let t3_pct = pct(agg.threaded_instrs, total_instrs);
     let t1_pct = (100.0 - t3_pct).max(0.0);
-    let host_mips =
-        if total_nanos == 0 { 0.0 } else { total_instrs as f64 * 1e3 / total_nanos as f64 };
     println!(
         "\nsuite aggregate: t3 {t3_pct:.1}% / t1 {t1_pct:.1}% occupancy, \
-         {} fused pairs over {} installed blocks, {host_mips:.1} host MIPS",
+         {} fused pairs over {} installed blocks",
         agg.fused_pairs, agg.blocks_promoted,
     );
 }

@@ -19,13 +19,12 @@ fn main() {
         for k in &r.kernels {
             let p = &k.predecode;
             println!(
-                "  {:<6} {:<8} {:>9} cycles {:>6} bytes  {:>7.1} host MIPS  \
+                "  {:<6} {:<8} {:>9} cycles {:>6} bytes  \
                  blocks {}/{} hits ({} fused), {} chained, {} splits, {} demoted",
                 r.mode,
                 k.kernel,
                 k.cycles,
                 k.code_size,
-                k.host_mips(),
                 p.blocks_promoted,
                 p.block_hits,
                 p.fused_pairs,
@@ -35,10 +34,6 @@ fn main() {
             );
         }
     }
-    println!(
-        "\nhost simulation throughput: {:.1} guest MIPS (instructions / wall second inside Machine::run)",
-        t.host_mips()
-    );
     let mut agg = alia_core::prelude::sim::PredecodeStats::default();
     for k in t.rows.iter().flat_map(|r| &r.kernels) {
         agg.merge(&k.predecode);

@@ -2,11 +2,11 @@
 //!
 //! Each binary regenerates one table or figure of the paper (see the
 //! experiment table in [`alia_core::experiments`]) and prints the
-//! measured rows next to the paper's reported values. The Criterion
-//! benches in `benches/` time the same experiments and print what they
-//! measure; they write no file. Host-performance claims are made with
-//! the mission benchmark in `perfbench/` (see its README), judged by a
-//! same-host A/B against the parent build.
+//! measured rows next to the paper's reported values; `profile` prints
+//! the block engine's work counters per kernel. None reads a clock or
+//! writes a file. Host-performance claims are made with the mission
+//! benchmark in `perfbench/` (see its README), judged by a same-host
+//! A/B against the parent build.
 //!
 //! ```text
 //! cargo run -p alia-bench --bin table1

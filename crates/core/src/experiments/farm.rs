@@ -321,8 +321,10 @@ mod tests {
     #[test]
     fn farm_campaign_is_worker_count_independent() {
         let one = farm_experiment(24, 16, 1).expect("runs");
-        let four = farm_experiment(24, 16, 4).expect("runs");
-        assert_eq!(one, four, "the merged summary must not depend on the worker pool");
+        for workers in [2, 4, 8] {
+            let e = farm_experiment(24, 16, workers).expect("runs");
+            assert_eq!(one, e, "the merged summary must not depend on the worker pool ({workers})");
+        }
     }
 
     #[test]

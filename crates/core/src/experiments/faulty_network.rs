@@ -46,7 +46,7 @@ use alia_sim::{
     SystemConfig, SystemStop, TimerConfig, CAN_BASE, TIMER_BASE,
 };
 
-use crate::{drive_system, CoreError};
+use crate::CoreError;
 
 use super::gateway::{
     asm_err, boot, build_gateway_topology, gateway_checksum, sink_machine, wire_streams,
@@ -262,8 +262,8 @@ impl fmt::Display for BabbleReport {
 
 /// Drives a built topology to completion and returns the sink checksum.
 fn drive_to_checksum(topo: &mut GatewayTopology) -> Result<u32, CoreError> {
-    let run = drive_system(&mut topo.system, 50_000_000);
-    if run.result.reason != SystemStop::AllHalted {
+    let run = topo.system.run(50_000_000);
+    if run.reason != SystemStop::AllHalted {
         return Err(CoreError::Run {
             what: format!(
                 "faulty topology hit the horizon: {:?}",
@@ -726,8 +726,8 @@ pub fn recovery_experiment_with(
     });
     wire.set_fault_plan(plan);
 
-    let run = drive_system(&mut system, 50_000_000);
-    if run.result.reason != SystemStop::AllHalted {
+    let run = system.run(50_000_000);
+    if run.reason != SystemStop::AllHalted {
         return Err(CoreError::Run {
             what: format!(
                 "recovery mission hit the horizon: {:?}",

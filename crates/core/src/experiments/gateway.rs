@@ -35,7 +35,7 @@ use alia_sim::{
     SRAM_BASE, TIMER_BASE,
 };
 
-use crate::{drive_system, CoreError};
+use crate::CoreError;
 
 /// Cycles per CAN bit on the sensor and actuator wires.
 pub(crate) const EDGE_CPB: u64 = 4;
@@ -547,8 +547,8 @@ pub fn gateway_experiment_traced(
         build_gateway_topology(frames, PERIOD_CYCLES, None, None, scheduler)?;
     system.set_trace_mask(trace_mask);
 
-    let run = drive_system(&mut system, 50_000_000);
-    if run.result.reason != SystemStop::AllHalted {
+    let run = system.run(50_000_000);
+    if run.reason != SystemStop::AllHalted {
         return Err(CoreError::Run {
             what: format!(
                 "gateway topology hit the horizon: {:?}",
@@ -636,7 +636,7 @@ pub fn gateway_experiment_traced(
             end_to_end,
             node_cycles: system.nodes().iter().map(Node::cycles).collect(),
             delivery_logs,
-            quanta: run.result.quanta,
+            quanta: run.quanta,
         },
         trace,
     ))

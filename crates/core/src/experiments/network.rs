@@ -16,7 +16,7 @@ use alia_sim::{
     TIMER_BASE, WATCHDOG_BASE,
 };
 
-use crate::{drive_system, CoreError};
+use crate::CoreError;
 
 /// The E8 result.
 #[derive(Debug, Clone, PartialEq)]
@@ -463,8 +463,8 @@ pub fn multi_ecu_exchange_with(
         // Never bites here: the timeout outlives the whole exchange.
         consumer_machine(frames, &wire, u32::MAX, &asm)?,
     );
-    let run = drive_system(&mut system, 10_000_000);
-    if run.result.reason != SystemStop::AllHalted {
+    let run = system.run(10_000_000);
+    if run.reason != SystemStop::AllHalted {
         return Err(CoreError::Run {
             what: format!(
                 "multi-ECU exchange hit the horizon: producer {:?}, consumer {:?}",
@@ -495,7 +495,7 @@ pub fn multi_ecu_exchange_with(
         producer_cycles: system.node(producer).cycles(),
         consumer_cycles: system.node(consumer).cycles(),
         bus_utilization: wire.utilization(),
-        quanta: run.result.quanta,
+        quanta: run.quanta,
         delivery_log: wire
             .delivery_log()
             .iter()
@@ -574,8 +574,8 @@ pub fn multi_ecu_watchdog(expected: u32, sent: u32) -> Result<MultiEcuWatchdog, 
     // Inter-frame gap is 600 cycles; 20k cycles of silence is a stall.
     let consumer =
         system.add_node("consumer", consumer_machine(expected, &wire, 20_000, &asm)?);
-    let run = drive_system(&mut system, 10_000_000);
-    if run.result.reason != SystemStop::AllHalted {
+    let run = system.run(10_000_000);
+    if run.reason != SystemStop::AllHalted {
         return Err(CoreError::Run {
             what: format!(
                 "watchdog scenario hit the horizon: producer {:?}, consumer {:?}",

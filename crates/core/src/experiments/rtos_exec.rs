@@ -41,7 +41,7 @@ use super::gateway::{
     asm_err, gateway_checksum, sensor_machine, gateway_machine, sink_machine, wire_report,
     wire_streams, WireReport, BACKBONE_CPB, EDGE_CPB, FWD_LATENCY, PERIOD_CYCLES, SENSOR_IDS,
 };
-use crate::{drive_system, CoreError};
+use crate::CoreError;
 
 /// CAN id of the RTOS ECU's TX task on the sensor wire — inside gw1's
 /// `0x100..=0x17F` route window, so its frames reach the sink as
@@ -262,8 +262,8 @@ pub fn rtos_exec_experiment_traced(
     let sink = system.add_node("sink", sink_machine(total, 0, None, &actuator, &asm)?);
     system.set_trace_mask(trace_mask);
 
-    let run = drive_system(&mut system, 50_000_000);
-    if run.result.reason != SystemStop::AllHalted {
+    let run = system.run(50_000_000);
+    if run.reason != SystemStop::AllHalted {
         return Err(CoreError::Run {
             what: format!(
                 "rtos topology hit the horizon: {:?}",
@@ -353,7 +353,7 @@ pub fn rtos_exec_experiment_traced(
                 .map_or(0, CanController::rx_count),
             wires,
             node_cycles: system.nodes().iter().map(Node::cycles).collect(),
-            quanta: run.result.quanta,
+            quanta: run.quanta,
         },
         trace,
     ))

@@ -24,22 +24,8 @@ pub struct KernelMeasurement {
     pub elems: u32,
     /// Program bytes.
     pub code_size: u32,
-    /// Host wall-clock nanoseconds spent simulating.
-    pub host_nanos: u64,
     /// Predecode / block-engine counters of the run.
     pub predecode: alia_sim::PredecodeStats,
-}
-
-impl KernelMeasurement {
-    /// Host-side simulation throughput in guest MIPS for this kernel run
-    /// (zero when the run was too short for the clock to resolve).
-    #[must_use]
-    pub fn host_mips(&self) -> f64 {
-        if self.host_nanos == 0 {
-            return 0.0;
-        }
-        self.instructions as f64 * 1e3 / self.host_nanos as f64
-    }
 }
 
 /// One configuration row of Table 1.
@@ -70,26 +56,6 @@ pub struct Table1 {
     pub seed: u64,
     /// Elements per kernel.
     pub elems: u32,
-}
-
-impl Table1 {
-    /// Host-side simulation throughput over the whole experiment, in
-    /// guest MIPS (million retired guest instructions per wall second of
-    /// `Machine::run` time).
-    #[must_use]
-    pub fn host_mips(&self) -> f64 {
-        let (mut instrs, mut nanos) = (0u64, 0u64);
-        for r in &self.rows {
-            for k in &r.kernels {
-                instrs += k.instructions;
-                nanos += k.host_nanos;
-            }
-        }
-        if nanos == 0 {
-            return 0.0;
-        }
-        instrs as f64 * 1e3 / nanos as f64
-    }
 }
 
 impl fmt::Display for Table1 {
@@ -139,7 +105,6 @@ pub fn table1(seed: u64, elems: u32) -> Result<Table1, CoreError> {
                 instructions: run.instructions,
                 elems,
                 code_size: run.code_size,
-                host_nanos: run.host_nanos,
                 predecode: run.predecode,
             });
         }
@@ -238,6 +203,13 @@ mod tests {
         // Render.
         let s = t.to_string();
         assert!(s.contains("Table 1"));
+    }
+
+    #[test]
+    fn table1_is_deterministic() {
+        // Every field is a simulation outcome: no host measurement may
+        // make two runs of one seed compare unequal.
+        assert_eq!(table1(1, 16).expect("runs"), table1(1, 16).expect("runs"));
     }
 
     #[test]

@@ -14,8 +14,8 @@ mod runner;
 use std::fmt;
 
 pub use runner::{
-    compile_kernel, drive_system, geometric_mean, machine_for, profile_kernel, run_kernel,
-    run_kernel_cached, BlockProfileRow, KernelRun, RunCache, SystemRun, STACK_TOP, TRAMPOLINE,
+    compile_kernel, geometric_mean, machine_for, profile_kernel, run_kernel, run_kernel_cached,
+    BlockProfileRow, KernelRun, RunCache, STACK_TOP, TRAMPOLINE,
 };
 
 /// Re-exports of the component crates for one-stop usage.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use alia_codegen::{compile, CodegenOptions, CompiledProgram};
 use alia_isa::IsaMode;
-use alia_sim::{Machine, MachineConfig, StopReason, System, SystemRunResult};
+use alia_sim::{Machine, MachineConfig, StopReason};
 use alia_workloads::Kernel;
 
 use crate::CoreError;
@@ -20,8 +20,9 @@ pub const STACK_TOP: u32 = alia_sim::SRAM_BASE + 0x8_0000;
 /// The measured outcome of one kernel execution.
 ///
 /// Equality compares the *simulation* outcome (checksum, cycles,
-/// instructions, code size) and deliberately ignores `host_nanos`, which
-/// is host measurement metadata and varies run to run.
+/// instructions, code size) and deliberately ignores the block-engine
+/// counters, which describe how the host executed the run, not what it
+/// computed.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRun {
     /// The kernel's checksum (cross-checked against the interpreter).
@@ -32,11 +33,8 @@ pub struct KernelRun {
     pub instructions: u64,
     /// Program image size in bytes (code + pools).
     pub code_size: u32,
-    /// Wall-clock nanoseconds the host spent inside `Machine::run`
-    /// (simulation only — compile and interpreter verification excluded).
-    pub host_nanos: u64,
-    /// Predecode / block-engine counters of the run (host metadata,
-    /// ignored by equality like `host_nanos`).
+    /// Predecode / block-engine counters of the run (engine metadata,
+    /// ignored by equality).
     pub predecode: alia_sim::PredecodeStats,
 }
 
@@ -50,19 +48,6 @@ impl PartialEq for KernelRun {
 }
 
 impl Eq for KernelRun {}
-
-impl KernelRun {
-    /// Host-side simulation throughput in guest MIPS (million retired
-    /// instructions per wall-clock second). Zero when the run was too
-    /// short for the clock to resolve.
-    #[must_use]
-    pub fn host_mips(&self) -> f64 {
-        if self.host_nanos == 0 {
-            return 0.0;
-        }
-        self.instructions as f64 * 1e3 / self.host_nanos as f64
-    }
-}
 
 /// Compiles `kernel` for `mode` with `opts`.
 ///
@@ -219,12 +204,10 @@ fn run_kernel_inner(
 ) -> Result<(KernelRun, Machine), CoreError> {
     let prog = cache.compiled(kernel, config.mode, opts)?;
     let mut m = machine_for(config, &prog, kernel, seed, elems);
-    let host_start = std::time::Instant::now();
     // Unbounded run, not `run_until`: a kernel that deadlocks in WFI
     // should fail fast with `WfiIdle` at its true cycle count, not park
     // until the 2e9-cycle horizon.
     let result = m.run(2_000_000_000);
-    let host_nanos = host_start.elapsed().as_nanos() as u64;
     if result.reason != StopReason::Bkpt(0) {
         return Err(CoreError::Run {
             what: format!(
@@ -247,7 +230,6 @@ fn run_kernel_inner(
         cycles: result.cycles,
         instructions: result.instructions,
         code_size: prog.code_size(),
-        host_nanos,
         predecode: m.predecode_stats(),
     };
     Ok((run, m))
@@ -269,8 +251,7 @@ pub struct BlockProfileRow {
     /// Estimated instructions retired inside the block
     /// (`dispatches × insts` — an attribution weight, not an exact
     /// count: early block exits retire fewer). No host time is
-    /// attributed per block: the run's only clock is
-    /// [`KernelRun::host_nanos`].
+    /// attributed per block.
     pub est_instructions: u64,
 }
 
@@ -304,35 +285,6 @@ pub fn profile_kernel(
         })
         .collect();
     Ok((run, rows))
-}
-
-/// The measured outcome of driving a multi-ECU [`System`].
-///
-/// Equality deliberately ignores `host_nanos` (host measurement
-/// metadata), mirroring [`KernelRun`].
-#[derive(Debug, Clone, Copy)]
-pub struct SystemRun {
-    /// The scheduler's outcome (stop reason, global time, quanta).
-    pub result: SystemRunResult,
-    /// Wall-clock nanoseconds the host spent inside [`System::run`].
-    pub host_nanos: u64,
-}
-
-impl PartialEq for SystemRun {
-    fn eq(&self, other: &SystemRun) -> bool {
-        self.result == other.result
-    }
-}
-
-impl Eq for SystemRun {}
-
-/// Drives `system` until every node halts or `horizon` cycles elapse,
-/// timing the host — the multi-node analogue of the kernel runner's
-/// `Machine::run_until` call.
-pub fn drive_system(system: &mut System, horizon: u64) -> SystemRun {
-    let host_start = std::time::Instant::now();
-    let result = system.run(horizon);
-    SystemRun { result, host_nanos: host_start.elapsed().as_nanos() as u64 }
 }
 
 /// Geometric mean of positive values.

@@ -79,9 +79,8 @@
 //!   or fork copies only the pages written so far
 //!   ([`Machine::resident_pages`]), whatever the configured sizes.
 //!
-//! `cargo bench -p alia-bench --bench sim_throughput` prints guest
-//! MIPS; the `table1` bench times the full experiment pipeline. Host
-//! performance is judged with the mission benchmark in `perfbench/`.
+//! Host performance is judged with the mission benchmark in
+//! `perfbench/`.
 //!
 //! # Examples
 //!

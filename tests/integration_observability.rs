@@ -3,7 +3,8 @@
 //! — IRQ, WFI, wire, error, DMA, RTOS) must be bit-identical across
 //! scheduler configurations, for the plain
 //! gateway mission (E10), the fault-injected burst (E11), and the
-//! executed-RTOS network (E13); the exporters must round-trip a real
+//! executed-RTOS network (E13); with the category mask empty the same
+//! missions must record nothing; the exporters must round-trip a real
 //! mission trace; and campaign metrics must merge to the same snapshot
 //! at any worker count.
 
@@ -227,6 +228,36 @@ fn rtos_exec_trace_is_bit_identical_across_the_sweep() {
     for cfg in sweep_configs() {
         let (_, t) = rtos_exec_experiment_traced(8, cfg, category::ALL).expect("completes");
         assert_eq!(t.fnv_hash(category::SEMANTIC), hash, "config {cfg:?}");
+    }
+}
+
+#[test]
+fn mask_zero_missions_record_no_events() {
+    // With the category mask empty every tracing site must stay silent:
+    // node streams (CPU, IRQ, CAN and the DMA gateways' events) and the
+    // scheduler's. Wire streams and "rtos.kernel" are synthesized from
+    // the wire and kernel logs whatever the mask, so they are not
+    // recordings and are skipped.
+    let synthesized = ["sensor", "backbone", "actuator", "rtos.kernel"];
+    let cfg = SystemConfig::default();
+    let missions = [
+        ("E10", gateway_experiment_traced(16, cfg, 0).expect("completes").1),
+        ("E11", error_burst_experiment_traced(8, 11, cfg, 0).expect("completes").1),
+        ("E13", rtos_exec_experiment_traced(8, cfg, 0).expect("completes").1),
+    ];
+    for (mission, set) in &missions {
+        let recorded: Vec<_> =
+            set.streams.iter().filter(|s| !synthesized.contains(&s.label.as_str())).collect();
+        let labels: Vec<&str> = recorded.iter().map(|s| s.label.as_str()).collect();
+        assert!(labels.contains(&"gw1") && labels.contains(&"scheduler"), "{mission}: {labels:?}");
+        for s in recorded {
+            assert!(
+                s.events.is_empty(),
+                "{mission}: stream {} recorded {} events with the category mask empty",
+                s.label,
+                s.events.len()
+            );
+        }
     }
 }
 
