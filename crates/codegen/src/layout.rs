@@ -1,11 +1,16 @@
-//! Layout: turns symbolic [`Item`]s into bytes.
+//! Layout: turns symbolic [`Item`]s into bytes, in two steps.
 //!
-//! Performs iterative branch relaxation (narrow → wide → inverted-skip),
-//! literal-pool placement (deduplicated, at the end of the function) and
-//! jump-table emission. Sizes only ever grow between iterations, which
+//! [`size_function`] performs iterative branch relaxation (narrow → wide
+//! → inverted-skip) and literal-pool placement (deduplicated, at the end
+//! of the function). Sizes only ever grow between iterations, which
 //! guarantees termination. Each round recomputes the item offsets and the
 //! label table, a vector indexed by label id (ids are dense,
-//! `0..label_count`), into buffers reused across rounds.
+//! `0..label_count`), into buffers reused across rounds. No size depends
+//! on the function's address, so a function is relaxed once.
+//!
+//! [`SizedFunction::emit`] then encodes the bytes at the function's
+//! placed address: only absolute jump tables and `T16` synthesized long
+//! jumps read it.
 
 use alia_isa::{encode, Cond, Instr, IsaMode, Reg};
 use alia_tir::FuncId;
@@ -55,21 +60,49 @@ fn err(f: &LoweredFunction, mode: IsaMode, msg: impl Into<String>) -> CodegenErr
     CodegenError { func: f.name.clone(), mode, msg: msg.into() }
 }
 
-/// Lays out one function for `mode`. `base_addr` is the address the whole
-/// program will be loaded at (used for absolute jump tables); `func_addr`
-/// is this function's address.
+/// One function relaxed for a mode: its items (with any `cbz` fallbacks
+/// expanded), their final sizes and branch shapes, and its literal pool.
+/// Everything but the address-dependent bytes is fixed; place it with
+/// [`SizedFunction::size`] and encode it with [`SizedFunction::emit`].
+#[derive(Debug, Clone)]
+pub struct SizedFunction {
+    f: LoweredFunction,
+    mode: IsaMode,
+    sizes: Vec<u32>,
+    shapes: Vec<BranchShape>,
+    pool: Vec<u32>,
+}
+
+impl SizedFunction {
+    /// Size in bytes, a multiple of 4: code, word-alignment padding and
+    /// literal pool.
+    #[must_use]
+    pub fn size(&self) -> u32 {
+        let code: u32 = self.sizes.iter().sum();
+        ((code + 3) & !3) + self.pool.len() as u32 * 4
+    }
+
+    /// Encodes the function placed at `func_addr` (absolute jump tables
+    /// and `T16` synthesized jumps embed it); calls stay unresolved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodegenError`] when an instruction cannot be encoded.
+    pub fn emit(&self, func_addr: u32) -> Result<LaidOutFunction, CodegenError> {
+        emit(&self.f, self.mode, func_addr, &self.sizes, &self.shapes, &self.pool)
+    }
+}
+
+/// Relaxes one function for `mode`: branch shapes, literal-pool offsets
+/// and `cbz` fallbacks are settled; the bytes are encoded later, at the
+/// function's placed address, by [`SizedFunction::emit`].
 ///
 /// # Errors
 ///
 /// Returns [`CodegenError`] when a branch or literal cannot be encoded even
 /// after relaxation.
-#[allow(clippy::too_many_lines)]
-pub fn layout_function(
-    f: &LoweredFunction,
-    mode: IsaMode,
-    func_addr: u32,
-) -> Result<LaidOutFunction, CodegenError> {
-    let mut items = f.items.clone();
+pub fn size_function(mut f: LoweredFunction, mode: IsaMode) -> Result<SizedFunction, CodegenError> {
+    let mut items = std::mem::take(&mut f.items);
 
     // Collect literal pool values (deduplicated, insertion order).
     let mut pool: Vec<u32> = Vec::new();
@@ -92,7 +125,7 @@ pub fn layout_function(
             Item::Label(_) => 0,
             Item::Fixed(instr) => instr
                 .size(mode)
-                .map_err(|e| err(f, mode, e.to_string()))?,
+                .map_err(|e| err(&f, mode, e.to_string()))?,
             Item::Branch { .. } => mode.min_instr_size(),
             Item::CbzBr { .. } => 2,
             Item::Call { .. } => 4,
@@ -108,7 +141,7 @@ pub fn layout_function(
     loop {
         guard += 1;
         if guard > 64 {
-            return Err(err(f, mode, "layout failed to converge"));
+            return Err(err(&f, mode, "layout failed to converge"));
         }
         // Compute offsets and label offsets with current sizes; `items`
         // grows by one each time a `cbz` falls back to `cmp` + `b`.
@@ -144,7 +177,7 @@ pub fn layout_function(
                                 shapes[i] = s;
                             }
                         }
-                        None => return Err(err(f, mode, format!("branch out of range ({rel})"))),
+                        None => return Err(err(&f, mode, format!("branch out of range ({rel})"))),
                     }
                 }
                 Item::CbzBr { nonzero, rn, label } => {
@@ -174,7 +207,7 @@ pub fn layout_function(
                     let base = (here + mode.pc_bias()) & !3;
                     let off = lit as i64 - i64::from(base);
                     let sz = lit_load_size(mode, *rt, off)
-                        .ok_or_else(|| err(f, mode, format!("literal out of range ({off})")))?;
+                        .ok_or_else(|| err(&f, mode, format!("literal out of range ({off})")))?;
                     if sz > sizes[i] {
                         sizes[i] = sz;
                         changed = true;
@@ -186,7 +219,7 @@ pub fn layout_function(
                     for l in labels {
                         let rel = label_off[*l as usize] as i64 - i64::from(table_base);
                         if rel < 0 || rel / 2 > 255 || rel % 2 != 0 {
-                            return Err(err(f, mode, format!("tbb entry out of range ({rel})")));
+                            return Err(err(&f, mode, format!("tbb entry out of range ({rel})")));
                         }
                     }
                 }
@@ -201,14 +234,14 @@ pub fn layout_function(
             // re-enter the loop with fresh sizing for the new items
             for (k, item) in items.iter().enumerate() {
                 if let Item::Fixed(instr) = item {
-                    sizes[k] = instr.size(mode).map_err(|e| err(f, mode, e.to_string()))?;
+                    sizes[k] = instr.size(mode).map_err(|e| err(&f, mode, e.to_string()))?;
                 }
             }
             continue;
         }
         if !changed {
-            // Emit.
-            return emit(f, mode, func_addr, &items, &sizes, &shapes, &pool);
+            f.items = items;
+            return Ok(SizedFunction { f, mode, sizes, shapes, pool });
         }
     }
 }
@@ -291,11 +324,11 @@ fn emit(
     f: &LoweredFunction,
     mode: IsaMode,
     func_addr: u32,
-    items: &[Item],
     sizes: &[u32],
     shapes: &[BranchShape],
     pool: &[u32],
 ) -> Result<LaidOutFunction, CodegenError> {
+    let items = &f.items;
     let mut offsets = Vec::with_capacity(items.len() + 1);
     let mut label_off = vec![u32::MAX; f.label_count as usize];
     place(items, sizes, &mut offsets, &mut label_off);

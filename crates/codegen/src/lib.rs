@@ -46,7 +46,7 @@ use std::fmt;
 use alia_isa::IsaMode;
 
 pub use alloc::{allocate, Allocation, Loc, RegPlan};
-pub use layout::{layout_function, CallReloc, LaidOutFunction};
+pub use layout::{size_function, CallReloc, LaidOutFunction, SizedFunction};
 pub use lower::{lower_function, Item, LoweredFunction};
 pub use program::{compile, CompiledProgram, FuncStats};
 pub use softops::{lower_soft_ops, RuntimeFuncs, TargetFeatures};

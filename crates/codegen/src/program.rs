@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use alia_isa::{encode, Instr, IsaMode};
 use alia_tir::Module;
 
-use crate::layout::layout_function;
+use crate::layout::size_function;
 use crate::lower::lower_function;
 use crate::softops::{lower_soft_ops, TargetFeatures};
 use crate::{CodegenError, CodegenOptions};
@@ -97,45 +97,42 @@ pub fn compile(
     };
     let (module, _) = lower_soft_ops(module, features);
 
-    // Lower and lay out every function (first pass at address 0). A
-    // function whose literal pool lands beyond PC-relative range is
-    // retried with synthesized constants instead of pool loads.
+    // Lower every function, then relax each once. A function whose
+    // literal pool lands beyond PC-relative range is retried with
+    // synthesized constants instead of pool loads.
     let mut lowered = Vec::with_capacity(module.funcs.len());
     for f in &module.funcs {
         lowered.push(lower_function(f, mode, opts)?);
     }
-    let mut laid = Vec::with_capacity(lowered.len());
-    #[allow(clippy::needless_range_loop)] // `lowered[fi]` is also written in the retry arm
-    for fi in 0..lowered.len() {
-        match layout_function(&lowered[fi], mode, 0) {
-            Ok(l) => laid.push(l),
+    let mut sized = Vec::with_capacity(lowered.len());
+    for (f, lf) in module.funcs.iter().zip(lowered) {
+        sized.push(match size_function(lf, mode) {
+            Ok(s) => s,
             Err(e) if e.msg.contains("literal out of range") => {
                 let retry_opts = CodegenOptions { synthesize_consts: true, ..*opts };
-                let relowered = lower_function(&module.funcs[fi], mode, &retry_opts)?;
-                laid.push(layout_function(&relowered, mode, 0)?);
-                lowered[fi] = relowered;
+                size_function(lower_function(f, mode, &retry_opts)?, mode)?
             }
             Err(e) => return Err(e),
-        }
+        });
     }
-    // Place functions, then re-lay out with real addresses (sizes are
-    // address-independent; only absolute jump tables change).
-    let mut offsets = Vec::with_capacity(laid.len());
+    // Place functions (sizes are address-independent), then emit each
+    // once at its address: only absolute jump tables read it.
+    let mut offsets = Vec::with_capacity(sized.len());
     let mut at = 0u32;
-    for lof in &laid {
+    for s in &sized {
         offsets.push(at);
-        at += (lof.bytes.len() as u32 + 3) & !3;
+        at += s.size();
     }
-    let mut final_laid = Vec::with_capacity(lowered.len());
-    for (lf, off) in lowered.iter().zip(&offsets) {
-        final_laid.push(layout_function(lf, mode, opts.base_addr + off)?);
+    let mut laid = Vec::with_capacity(sized.len());
+    for (s, off) in sized.iter().zip(&offsets) {
+        laid.push(s.emit(opts.base_addr + off)?);
     }
 
     // Concatenate and patch calls.
     let mut bytes = vec![0u8; at as usize];
     let mut symbols = HashMap::new();
     let mut funcs = Vec::new();
-    for (lof, off) in final_laid.iter().zip(&offsets) {
+    for (lof, off) in laid.iter().zip(&offsets) {
         let o = *off as usize;
         bytes[o..o + lof.bytes.len()].copy_from_slice(&lof.bytes);
         symbols.insert(lof.name.clone(), *off);
@@ -147,7 +144,7 @@ pub fn compile(
             instr_count: lof.instr_count,
         });
     }
-    for (lof, off) in final_laid.iter().zip(&offsets) {
+    for (lof, off) in laid.iter().zip(&offsets) {
         for reloc in &lof.relocs {
             let callee_off = offsets[reloc.func.0 as usize];
             let site = off + reloc.offset;

@@ -96,7 +96,8 @@ pub struct GuestCanExchange {
     pub irqs_taken: u64,
     /// Guest cycles for the whole exchange.
     pub cycles: u64,
-    /// CAN wire utilization over the run.
+    /// CAN wire utilization over the active window (first enqueue to
+    /// last completion).
     pub bus_utilization: f64,
 }
 
@@ -127,7 +128,8 @@ pub fn guest_can_exchange_checksum(frames: u32) -> u32 {
 /// Runs a guest program that exchanges `frames` CAN frames with itself
 /// (loopback test mode) and paces transmission on a periodic timer —
 /// every device interaction is a guest load or store; the host only
-/// builds the machine and reads the result.
+/// builds the machine, alone on its wire in a one-node [`System`], and
+/// reads the result.
 ///
 /// The timer IRQ handler stages and submits one frame per compare
 /// match; the CAN RX IRQ handler drains the FIFO, accumulating the
@@ -144,17 +146,16 @@ pub fn guest_can_exchange_checksum(frames: u32) -> u32 {
 /// immediates).
 pub fn guest_can_exchange(frames: u32) -> Result<GuestCanExchange, CoreError> {
     assert!(frames > 0 && frames <= 200, "frame count must fit an 8-bit immediate");
+    // One node alone on its wire: only the scheduler advances a wire.
+    let mut system = System::new();
+    let wire = system.add_wire("can", 4);
     let mut config = MachineConfig::m3_like();
     config.devices = vec![
         DeviceSpec::Timer(TimerConfig { base: TIMER_BASE, irq: 0, compare: 1_000 }),
-        DeviceSpec::Can(CanConfig {
-            base: CAN_BASE,
-            irq: 1,
-            node: 0,
-            cycles_per_bit: 4,
-            loopback: true,
-            ..CanConfig::default()
-        }),
+        DeviceSpec::SharedCan(
+            CanConfig { base: CAN_BASE, irq: 1, node: 0, loopback: true, ..CanConfig::default() },
+            wire.clone(),
+        ),
     ];
     let asm = |src: &str| {
         Assembler::new(config.mode)
@@ -222,26 +223,33 @@ pub fn guest_can_exchange(frames: u32) -> Result<GuestCanExchange, CoreError> {
     m.load_flash(4, &0x300u32.to_le_bytes()); // vector: CAN RX (irq 1)
     m.set_pc(0x100);
     m.cpu.set_sp(SRAM_BASE + 0x8000);
-    let r = m.run(10_000_000);
-    let StopReason::MmioExit(checksum) = r.reason else {
+    let node = system.add_node("ecu", m);
+    system.run(10_000_000);
+    let node = system.node(node);
+    let Some(StopReason::MmioExit(checksum)) = node.halted() else {
         return Err(CoreError::Run {
-            what: format!("exchange stopped with {:?} after {} cycles", r.reason, r.cycles),
+            what: format!(
+                "exchange stopped with {:?} after {} cycles",
+                node.halted(),
+                node.cycles()
+            ),
         });
     };
+    let m = node.machine();
     let timer_fires = m.bus.device::<Timer>().expect("timer attached").fires();
     let can = m.bus.device::<CanController>().expect("CAN controller attached");
     // Settle the wire before reading utilization so frames the guest
     // enqueued through TX_GO are accounted for even if some were still
     // queued when the machine halted.
-    can.wire().settle();
+    wire.settle();
     Ok(GuestCanExchange {
         frames_sent: can.tx_count(),
         frames_received: can.rx_count(),
         checksum,
         timer_fires,
         irqs_taken: m.irq.taken,
-        cycles: r.cycles,
-        bus_utilization: can.wire().utilization(),
+        cycles: node.cycles(),
+        bus_utilization: wire.span_utilization().unwrap_or(0.0),
     })
 }
 
@@ -267,7 +275,8 @@ pub struct MultiEcuExchange {
     pub producer_cycles: u64,
     /// Consumer guest cycles at halt.
     pub consumer_cycles: u64,
-    /// Shared-wire utilization over the run (guest traffic included).
+    /// Shared-wire utilization over the active window (first enqueue to
+    /// last completion), independent of the schedule.
     pub bus_utilization: f64,
     /// Scheduler quanta executed.
     pub quanta: u64,
@@ -494,7 +503,7 @@ pub fn multi_ecu_exchange_with(
         checksum,
         producer_cycles: system.node(producer).cycles(),
         consumer_cycles: system.node(consumer).cycles(),
-        bus_utilization: wire.utilization(),
+        bus_utilization: wire.span_utilization().unwrap_or(0.0),
         quanta: run.quanta,
         delivery_log: wire
             .delivery_log()
@@ -645,8 +654,9 @@ mod tests {
     fn multi_ecu_schedule_is_deterministic() {
         // The same system under different quantum sizes and node
         // service orders must produce bit-identical per-node cycle
-        // counts, checksums and delivery logs. Quanta above the wire
-        // lookahead are clamped, so the oversized request is safe too.
+        // counts, checksums, delivery logs and wire utilization. Quanta
+        // above the wire lookahead are clamped, so the oversized request
+        // is safe too.
         let baseline = multi_ecu_exchange(24).expect("completes");
         for (quantum, rotate) in [
             (None, true),
@@ -672,6 +682,11 @@ mod tests {
             );
             assert_eq!(run.delivery_log, baseline.delivery_log, "q={quantum:?} r={rotate}");
             assert_eq!(run.frames_received, baseline.frames_received);
+            assert_eq!(
+                run.bus_utilization.to_bits(),
+                baseline.bus_utilization.to_bits(),
+                "q={quantum:?} r={rotate}"
+            );
         }
     }
 

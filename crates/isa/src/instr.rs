@@ -264,21 +264,6 @@ impl Instr {
         }
     }
 
-    /// Whether this is a branch-like instruction (changes control flow).
-    #[must_use]
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Instr::B { .. }
-                | Instr::Bl { .. }
-                | Instr::Bx { .. }
-                | Instr::Cbz { .. }
-                | Instr::Tbb { .. }
-                | Instr::Tbh { .. }
-        ) || matches!(self, Instr::Pop { regs, .. } if regs.contains(Reg::PC))
-            || matches!(self, Instr::Ldm { regs, .. } if regs.contains(Reg::PC))
-    }
-
     /// Whether the instruction fits the narrow 16-bit encoding shared by
     /// `T16` and `T2`.
     ///

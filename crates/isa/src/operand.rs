@@ -235,12 +235,6 @@ impl AddrMode {
     pub fn post(base: Reg, imm: i32) -> AddrMode {
         AddrMode { base, offset: Offset::Imm(imm), index: Index::PostIndex }
     }
-
-    /// Whether the base register is written back.
-    #[must_use]
-    pub fn writes_back(&self) -> bool {
-        !matches!(self.index, Index::Offset)
-    }
 }
 
 impl fmt::Display for AddrMode {

@@ -144,15 +144,6 @@ impl Registry {
         }
     }
 
-    /// Reads a counter's value (`None` when absent or not a counter).
-    #[must_use]
-    pub fn get_counter(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Counter(c)) => Some(*c),
-            _ => None,
-        }
-    }
-
     /// Takes a key-ordered snapshot.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {

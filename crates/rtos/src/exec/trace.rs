@@ -109,33 +109,6 @@ pub struct ExecStats {
     pub trace_hash: u64,
 }
 
-impl ExecStats {
-    /// Publishes the mission's distilled statistics into a metrics
-    /// registry under `prefix` (e.g. `"rtos."`): per-task activation /
-    /// completion / overrun / preemption counters and worst-case
-    /// gauges, handler aggregates, and the trace fingerprint inputs.
-    pub fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
-        reg.counter(&format!("{prefix}trace_len"), self.trace_len as u64);
-        reg.counter(&format!("{prefix}ticks"), self.tick_fires.len() as u64);
-        reg.gauge(&format!("{prefix}irq_overhead_max"), self.irq_overhead_max as f64);
-        for (label, h) in [("tick", &self.tick), ("sched", &self.sched)] {
-            reg.counter(&format!("{prefix}{label}.invocations"), u64::from(h.invocations));
-            reg.counter(&format!("{prefix}{label}.total_span"), h.total_span);
-            reg.gauge(&format!("{prefix}{label}.max_span"), h.max_span as f64);
-        }
-        for t in &self.tasks {
-            let p = format!("{prefix}task.{}.", t.name);
-            reg.counter(&format!("{p}activations"), u64::from(t.activations));
-            reg.counter(&format!("{p}completions"), u64::from(t.completions));
-            reg.counter(&format!("{p}overruns"), u64::from(t.overruns));
-            reg.counter(&format!("{p}preemptions"), u64::from(t.preemptions));
-            reg.counter(&format!("{p}total_response"), t.total_response);
-            reg.gauge(&format!("{p}wcet_measured"), t.wcet_measured as f64);
-            reg.gauge(&format!("{p}worst_response"), t.worst_response as f64);
-        }
-    }
-}
-
 /// One row of the executed-vs-analytic comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundReport {

@@ -165,8 +165,8 @@ impl Clone for Box<dyn Device> {
 /// A memory-mapped bus device. See the module docs for the contract
 /// (timing, ticking, IRQ signaling, revision counters).
 ///
-/// `Send + Sync` are supertraits so a prepared [`crate::System`]
-/// snapshot — devices included — can be *shared by reference* across
+/// `Send + Sync` are supertraits so a prepared [`crate::System`] —
+/// devices included — can be *shared by reference* across
 /// campaign workers that each [`crate::System::fork`] it and run the
 /// fork on their own thread. Mutation
 /// always happens through `&mut` (one worker owns one fork); shared

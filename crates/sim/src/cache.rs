@@ -176,15 +176,6 @@ impl Cache {
         self.sets[set].iter().any(|l| l.valid && l.tag == tag && !l.poisoned && !l.tag_poisoned)
     }
 
-    /// Invalidates everything.
-    pub fn invalidate_all(&mut self) {
-        for l in self.sets.iter_mut().flatten() {
-            l.valid = false;
-            l.poisoned = false;
-            l.tag_poisoned = false;
-        }
-    }
-
     /// Marks the line holding `addr` (if any) as having a data-RAM soft
     /// error. Returns whether a valid line was poisoned.
     pub fn inject_data_error(&mut self, addr: u32) -> bool {

@@ -6,12 +6,10 @@
 //! with loads and stores, and receive their events as interrupts — no
 //! host-side calls are involved once the machine runs.
 //!
-//! A CAN controller always transmits on a [`SharedCanBus`]. Built with
-//! [`CanController::new`] it gets a **private** one-station wire that it
-//! advances itself (loopback and host-injected traffic on a lone
-//! machine); built with [`CanController::attached`] it joins a wire that
-//! several machines' controllers arbitrate on and that only
-//! [`crate::System`] advances. The register map is the same either way.
+//! A CAN controller ([`CanController::attached`]) transmits on a
+//! [`SharedCanBus`] that only [`crate::System::run`] advances: even a
+//! lone machine exchanging loopback frames with itself is a one-node
+//! system.
 //!
 //! # Timer register map (word offsets from [`crate::TIMER_BASE`])
 //!
@@ -205,9 +203,7 @@ impl Device for Timer {
 /// advanced only at scheduler quantum boundaries ([`crate::System`]),
 /// never by an attached controller, so arbitration sees every node's
 /// enqueues for a window before deciding a winner and results are
-/// independent of host iteration order. (The one exception is the
-/// private wire a standalone [`CanController::new`] builds for itself:
-/// no other station is on it, and the controller advances it.)
+/// independent of host iteration order.
 ///
 /// Time on the wire is in CAN bit times; `cycles_per_bit` fixes the
 /// core-clock ratio for *every* attached controller (a shared wire has
@@ -294,13 +290,10 @@ impl SharedCanBus {
         (u64::from(MIN_WIRE_BITS) - 1).saturating_mul(self.cycles_per_bit).saturating_add(1)
     }
 
-    /// Runs arbitration/transmission up to core cycle `cycle`.
-    pub fn run_to_cycle(&self, cycle: u64) {
-        self.advance(cycle);
-    }
-
-    /// [`SharedCanBus::run_to_cycle`], returning the wire's
-    /// [`WireView`] read under the same lock.
+    /// Runs arbitration and transmission up to core cycle `cycle` and
+    /// returns the wire's [`WireView`], read under the same lock. Only
+    /// [`crate::System::run`] calls it (and in-crate tests that play the
+    /// scheduler).
     pub(crate) fn advance(&self, cycle: u64) -> WireView {
         let mut bus = self.inner.lock().unwrap();
         bus.run(cycle / self.cycles_per_bit);
@@ -347,12 +340,6 @@ impl SharedCanBus {
         self.inner.lock().unwrap().deliveries().to_vec()
     }
 
-    /// Wire utilization over elapsed bus time.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.inner.lock().unwrap().utilization()
-    }
-
     /// Worst observed queue-to-completion latency for `id`, bit times.
     #[must_use]
     pub fn worst_latency(&self, id: CanId) -> Option<u64> {
@@ -369,7 +356,8 @@ impl SharedCanBus {
 
     /// Utilization over the active window (first enqueue to last
     /// completion) — comparable to the analytic steady-state utilization
-    /// of the offered load. `None` before the first delivery.
+    /// of the offered load, and independent of where the scheduler's
+    /// quantum boundaries fell. `None` before the first delivery.
     #[must_use]
     pub fn span_utilization(&self) -> Option<f64> {
         self.inner.lock().unwrap().span_utilization()
@@ -415,12 +403,6 @@ impl SharedCanBus {
     #[must_use]
     pub fn rec(&self, node: usize) -> u32 {
         self.inner.lock().unwrap().rec(node)
-    }
-
-    /// Number of error-state transitions logged so far.
-    #[must_use]
-    pub fn state_log_len(&self) -> usize {
-        self.inner.lock().unwrap().state_log().len()
     }
 
     /// The `i`-th error-state transition, if logged.
@@ -508,8 +490,6 @@ pub struct CanConfig {
     pub irq: u32,
     /// This controller's node id on the bus.
     pub node: usize,
-    /// CPU cycles per CAN bit time (clock-domain ratio).
-    pub cycles_per_bit: u64,
     /// Whether the controller receives its own transmissions (loopback
     /// test mode — lets a single machine exchange frames with itself).
     pub loopback: bool,
@@ -538,7 +518,6 @@ impl Default for CanConfig {
             base: crate::CAN_BASE,
             irq: 1,
             node: 0,
-            cycles_per_bit: 40,
             loopback: false,
             rx_capacity: 16,
             err_irq: 4,
@@ -552,21 +531,13 @@ impl Default for CanConfig {
 /// stage and submit TX frames, wire deliveries land in an RX FIFO and
 /// raise the RX interrupt at the cycle the frame completes on the wire.
 ///
-/// Cloning follows the wire's binding: a clone of a controller on a
-/// private wire ([`CanController::new`]) gets a deep copy of that wire
-/// ([`SharedCanBus::fork_detached`]), so a cloned, snapshotted or
-/// restored machine never shares traffic with the original; a clone of
-/// an attached controller stays on the same shared wire (see
-/// [`crate::System::fork`] for forking a whole topology).
-#[derive(Debug)]
+/// A clone stays on the same wire (the handle is the attachment, not
+/// the wire state); [`crate::System::fork`] forks a whole topology onto
+/// detached wire copies.
+#[derive(Debug, Clone)]
 pub struct CanController {
     config: CanConfig,
     wire: SharedCanBus,
-    /// Whether `wire` is this controller's private one-station wire
-    /// (fixed by the constructor): the controller then advances the
-    /// wire itself, reports no scheduler attachment, and a clone
-    /// deep-copies the wire.
-    private_wire: bool,
     tx_id: u32,
     tx_dlc: u32,
     tx_data: [u32; 2],
@@ -575,7 +546,9 @@ pub struct CanController {
     rx_count: u64,
     rx_overflows: u64,
     deliveries_seen: usize,
-    /// Next cycle the controller wants a tick (`u64::MAX` = idle).
+    /// Next cycle the controller wants a tick (`u64::MAX` = idle): the
+    /// arrival of the first wire event not yet examined, armed by
+    /// [`Device::note_wire_progress`].
     poll_at: u64,
     /// Guest-writable acceptance filter (ACC_ID / ACC_MASK).
     filter_id: u32,
@@ -592,32 +565,16 @@ pub struct CanController {
 }
 
 impl CanController {
-    /// Builds an idle controller on a private one-station wire that it
-    /// advances itself when ticked (loopback and host-injected traffic
-    /// on a lone machine; no scheduler involved).
+    /// Builds an idle controller attached to `wire`, whose bit rate it
+    /// runs at. `config.node` must be unique among the wire's stations.
     #[must_use]
-    pub fn new(config: CanConfig) -> CanController {
-        let wire = SharedCanBus::named("can", config.cycles_per_bit);
-        CanController::with_wire(config, wire, true)
-    }
-
-    /// Builds a controller attached to a shared wire. The wire's bit
-    /// rate overrides `config.cycles_per_bit` (one wire, one bit rate);
-    /// `config.node` must be unique among the wire's controllers.
-    #[must_use]
-    pub fn attached(mut config: CanConfig, wire: &SharedCanBus) -> CanController {
-        config.cycles_per_bit = wire.cycles_per_bit();
-        CanController::with_wire(config, wire.clone(), false)
-    }
-
-    fn with_wire(config: CanConfig, wire: SharedCanBus, private_wire: bool) -> CanController {
+    pub fn attached(config: CanConfig, wire: &SharedCanBus) -> CanController {
         // Register the station on its wire so REC tracks observed errors
         // from time zero (mirrors then agree with the bus counters).
         wire.register_node(config.node);
         CanController {
             config,
-            wire,
-            private_wire,
+            wire: wire.clone(),
             tx_id: 0,
             tx_dlc: 0,
             tx_data: [0; 2],
@@ -687,21 +644,19 @@ impl CanController {
         self.rec_mirror
     }
 
-    /// The controller's wire: its private one-station wire, or the
-    /// shared wire it is attached to (utilization, latencies, delivery
-    /// and state logs, fault plans).
+    /// The wire the controller is attached to (utilization, latencies,
+    /// delivery and state logs, fault plans).
     #[must_use]
     pub fn wire(&self) -> &SharedCanBus {
         &self.wire
     }
 
     /// Host-side traffic injection: enqueues `frame` from remote node
-    /// `node` at bus bit-time `at_bits`. Call
-    /// [`crate::Bus::refresh_next_event`] afterwards if the machine is
-    /// mid-run.
-    pub fn host_enqueue(&mut self, at_bits: u64, node: usize, frame: CanFrame) {
+    /// `node` on the controller's wire at bit time `at_bits`. The frame
+    /// is transmitted, and reaches the FIFO, when
+    /// [`crate::System::run`] next runs the wire.
+    pub fn host_enqueue(&self, at_bits: u64, node: usize, frame: CanFrame) {
         self.wire.enqueue(at_bits, node, frame);
-        self.poll_at = self.poll_at.min(at_bits.saturating_mul(self.config.cycles_per_bit));
     }
 
     /// Absorbs wire state-log entries stamped at or before `up_to`
@@ -710,7 +665,7 @@ impl CanController {
     /// active recovery clears the counter mirrors (the wire cleared the
     /// real ones at the same stamp).
     fn absorb_state_changes(&mut self, up_to: u64, ctx: &mut DeviceCtx<'_>) {
-        let cpb = self.config.cycles_per_bit.max(1);
+        let cpb = self.wire.cycles_per_bit();
         while let Some(c) = self.wire.state_change(self.state_seen) {
             let at = c.at.saturating_mul(cpb);
             if at > up_to {
@@ -760,15 +715,12 @@ impl CanController {
         })
     }
 
-    /// Advances the controller to `now`: on a private wire, runs the
-    /// wire first; on a shared wire, only collects (the scheduler runs
-    /// the wire at quantum boundaries). Completed deliveries whose
-    /// completion cycle has been reached land in the RX FIFO.
+    /// Advances the controller to `now`, collecting what the wire has
+    /// logged (the scheduler runs the wire at quantum boundaries):
+    /// deliveries whose completion cycle has been reached land in the
+    /// RX FIFO.
     fn advance(&mut self, now: u64, ctx: &mut DeviceCtx<'_>) {
-        let cpb = self.config.cycles_per_bit.max(1);
-        if self.private_wire {
-            self.wire.run_to_cycle(now);
-        }
+        let cpb = self.wire.cycles_per_bit();
         self.poll_at = u64::MAX;
         while let Some(d) = self.wire.delivery(self.deliveries_seen) {
             let arrival = d.completed_at.saturating_mul(cpb);
@@ -821,13 +773,6 @@ impl CanController {
             }
         }
         self.absorb_state_changes(now, ctx);
-        if self.private_wire && self.poll_at == u64::MAX && self.wire.pending() > 0 {
-            // Frames are queued but not yet transmitted (arbitration or
-            // future enqueue times): poll again next bit time. On a
-            // shared wire the scheduler re-arms us via
-            // `note_wire_progress` instead.
-            self.poll_at = now.saturating_add(cpb);
-        }
     }
 }
 
@@ -868,15 +813,10 @@ impl Device for CanController {
             8 => self.tx_data[0] = value,
             12 => self.tx_data[1] = value,
             16 => {
+                // The controller only enqueues: the scheduler runs the
+                // wire and re-arms the tick for the delivery.
                 let frame = self.staged_frame();
-                let cpb = self.config.cycles_per_bit.max(1);
-                self.wire.enqueue(ctx.now / cpb, self.config.node, frame);
-                if self.private_wire {
-                    // Transmission progress needs ticks from now on. (On
-                    // a shared wire the scheduler runs the wire and
-                    // re-arms ticks; the controller only enqueues.)
-                    self.poll_at = self.poll_at.min(ctx.now.saturating_add(cpb));
-                }
+                self.wire.enqueue(ctx.now / self.wire.cycles_per_bit(), self.config.node, frame);
                 self.tx_count += 1;
             }
             40 => {
@@ -908,23 +848,15 @@ impl Device for CanController {
     }
 
     fn wire_attachments(&self) -> Vec<(SharedCanBus, usize)> {
-        if self.private_wire {
-            Vec::new()
-        } else {
-            vec![(self.wire.clone(), self.config.node)]
-        }
+        vec![(self.wire.clone(), self.config.node)]
     }
 
     /// Re-arms the tick at the arrival cycle of the first delivery — or
     /// own-node error-state transition — not yet examined, so frame
     /// reception and error IRQs stay cycle-accurate without the
-    /// controller ever running a shared wire. A private wire is the
-    /// controller's own business: nothing to do.
+    /// controller ever running its wire.
     fn note_wire_progress(&mut self) {
-        if self.private_wire {
-            return;
-        }
-        let cpb = self.config.cycles_per_bit.max(1);
+        let cpb = self.wire.cycles_per_bit();
         if let Some(d) = self.wire.delivery(self.deliveries_seen) {
             self.poll_at = self.poll_at.min(d.completed_at.saturating_mul(cpb));
         }
@@ -961,13 +893,6 @@ impl Device for CanController {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-impl Clone for CanController {
-    fn clone(&self) -> CanController {
-        let wire = if self.private_wire { self.wire.fork_detached() } else { self.wire.clone() };
-        CanController { wire, rx_fifo: self.rx_fifo.clone(), ..*self }
     }
 }
 
@@ -1140,35 +1065,35 @@ mod tests {
         assert_eq!(t.read32(0, &mut ctx(100, &mut s)), 0, "disarmed after firing");
     }
 
+    /// Plays the scheduler for a lone attached controller: runs its
+    /// wire to `wire_to`, then ticks the controller at guest time `now`.
+    fn run_and_tick(c: &mut CanController, wire_to: u64, now: u64, s: &mut BusSignals) {
+        c.wire().advance(wire_to);
+        c.tick(&mut ctx(now, s));
+    }
+
     #[test]
     fn can_loopback_round_trip() {
-        let mut c = CanController::new(CanConfig {
-            loopback: true,
-            cycles_per_bit: 10,
-            ..CanConfig::default()
-        });
+        let wire = SharedCanBus::named("can", 10);
+        let mut c =
+            CanController::attached(CanConfig { loopback: true, ..CanConfig::default() }, &wire);
         let mut s = BusSignals::default();
         c.write32(0, 0x123, &mut ctx(0, &mut s)); // TX_ID
         c.write32(4, 4, &mut ctx(0, &mut s)); // TX_DLC
         c.write32(8, 0xAABB_CCDD, &mut ctx(0, &mut s)); // TX_DATA0
         c.write32(16, 1, &mut ctx(0, &mut s)); // TX_GO
         assert_eq!(c.tx_count(), 1);
-        let due = c.next_event().expect("transmission pending");
-        // Tick until the frame completes on the wire.
-        let mut now = due;
-        while c.rx_count() == 0 {
-            c.tick(&mut ctx(now, &mut s));
-            now = c.next_event().unwrap_or(now + 10);
-            assert!(now < 100_000, "frame never delivered");
-        }
+        assert_eq!(c.next_event(), None, "the controller never polls its wire");
+        wire.advance(100_000);
+        c.note_wire_progress();
+        let now = c.next_event().expect("the delivery re-armed the tick");
+        c.tick(&mut ctx(now, &mut s));
+        assert_eq!(c.rx_count(), 1, "loopback receives its own frame");
         assert_eq!(c.read32(20, &mut ctx(now, &mut s)), 1, "RX_STATUS");
         assert_eq!(c.read32(24, &mut ctx(now, &mut s)), 0x123, "RX_ID");
         assert_eq!(c.read32(28, &mut ctx(now, &mut s)), 4, "RX_DLC");
         assert_eq!(c.read32(32, &mut ctx(now, &mut s)), 0xAABB_CCDD, "RX_DATA0");
-        assert_eq!(s.timed_irqs.len(), 1);
-        let (irq, at) = s.timed_irqs[0];
-        assert_eq!(irq, c.config().irq);
-        assert!(at <= now, "IRQ stamped at completion, not in the future");
+        assert_eq!(s.timed_irqs, vec![(c.config().irq, now)], "IRQ stamped at completion");
         c.write32(40, 1, &mut ctx(now, &mut s)); // RX_POP
         assert_eq!(c.read32(20, &mut ctx(now, &mut s)), 0);
     }
@@ -1186,7 +1111,7 @@ mod tests {
         tx.write32(8, 0xBEEF, &mut ctx(0, &mut s)); // TX_DATA0
         tx.write32(16, 1, &mut ctx(0, &mut s)); // TX_GO
         assert_eq!(tx.next_event(), None, "shared TX does not self-poll");
-        wire.run_to_cycle(wire.min_quantum_cycles());
+        wire.advance(wire.min_quantum_cycles());
         rx.note_wire_progress();
         let arrival = rx.next_event().expect("delivery scheduled");
         rx.tick(&mut ctx(arrival, &mut s));
@@ -1198,7 +1123,7 @@ mod tests {
         let own = tx.next_event().expect("own delivery examined");
         tx.tick(&mut ctx(own, &mut s));
         assert_eq!(tx.rx_count(), 0, "no loopback on the shared wire");
-        assert!(wire.utilization() > 0.0);
+        assert!(wire.span_utilization().is_some_and(|u| u > 0.0));
     }
 
     #[test]
@@ -1239,16 +1164,14 @@ mod tests {
         // land (oldest preserved), the last two are dropped and counted,
         // and only the landed frames raise RX interrupts. Draining one
         // slot then makes the next delivery land again.
-        let mut c = CanController::new(CanConfig {
-            cycles_per_bit: 1,
-            rx_capacity: 2,
-            ..CanConfig::default()
-        });
+        let wire = SharedCanBus::named("can", 1);
+        let mut c =
+            CanController::attached(CanConfig { rx_capacity: 2, ..CanConfig::default() }, &wire);
         let mut s = BusSignals::default();
         for k in 0..4u16 {
             c.host_enqueue(u64::from(k) * 200, 7, CanFrame::new(CanId::Standard(0x40 + k), &[k as u8]));
         }
-        c.tick(&mut ctx(10_000, &mut s));
+        run_and_tick(&mut c, 10_000, 10_000, &mut s);
         assert_eq!(c.read32(20, &mut ctx(10_000, &mut s)), 2, "RX_STATUS capped at capacity");
         assert_eq!(c.rx_count(), 2, "only the landed frames count as received");
         assert_eq!(c.rx_overflows(), 2);
@@ -1259,17 +1182,15 @@ mod tests {
         assert_eq!(c.read32(24, &mut ctx(10_000, &mut s)), 0x41, "FIFO order intact");
         // Room again: a fifth frame lands instead of overflowing.
         c.host_enqueue(10_100, 7, CanFrame::new(CanId::Standard(0x50), &[9]));
-        c.tick(&mut ctx(20_000, &mut s));
+        run_and_tick(&mut c, 20_000, 20_000, &mut s);
         assert_eq!(c.rx_count(), 3);
         assert_eq!(c.rx_overflows(), 2, "no further drops once drained");
     }
 
     #[test]
     fn acceptance_filter_rejects_and_counts() {
-        let mut c = CanController::new(CanConfig {
-            cycles_per_bit: 1,
-            ..CanConfig::default()
-        });
+        let wire = SharedCanBus::named("can", 1);
+        let mut c = CanController::attached(CanConfig::default(), &wire);
         let mut s = BusSignals::default();
         // Accept only ids matching 0x100 under mask 0x700.
         c.write32(64, 0x100, &mut ctx(0, &mut s)); // ACC_ID
@@ -1277,7 +1198,7 @@ mod tests {
         c.host_enqueue(0, 7, CanFrame::new(CanId::Standard(0x123), &[1]));
         c.host_enqueue(200, 7, CanFrame::new(CanId::Standard(0x300), &[2]));
         c.host_enqueue(400, 7, CanFrame::new(CanId::Standard(0x155), &[3]));
-        c.tick(&mut ctx(10_000, &mut s));
+        run_and_tick(&mut c, 10_000, 10_000, &mut s);
         assert_eq!(c.rx_count(), 2, "0x123 and 0x155 match the filter");
         assert_eq!(c.rx_filtered(), 1, "0x300 was rejected");
         assert_eq!(c.read32(72, &mut ctx(10_000, &mut s)), 1, "RX_FILTERED");
@@ -1285,7 +1206,7 @@ mod tests {
         // Clearing the mask accepts everything again.
         c.write32(68, 0, &mut ctx(10_000, &mut s));
         c.host_enqueue(10_100, 7, CanFrame::new(CanId::Standard(0x300), &[4]));
-        c.tick(&mut ctx(20_000, &mut s));
+        run_and_tick(&mut c, 20_000, 20_000, &mut s);
         assert_eq!(c.rx_count(), 3);
         assert_eq!(c.rx_filtered(), 1);
     }
@@ -1293,18 +1214,19 @@ mod tests {
     #[test]
     fn error_registers_mirror_the_wire_at_guest_time() {
         use alia_can::FaultPlan;
-        let mut c = CanController::new(CanConfig {
-            cycles_per_bit: 1,
-            ..CanConfig::default()
-        });
+        let wire = SharedCanBus::named("can", 1);
+        let mut c = CanController::attached(CanConfig::default(), &wire);
         let mut plan = FaultPlan::new();
         plan.inject_bit_error(10); // corrupts the guest's first TX
-        c.wire().set_fault_plan(plan);
+        wire.set_fault_plan(plan);
         let mut s = BusSignals::default();
         c.write32(0, 0x123, &mut ctx(0, &mut s)); // TX_ID
         c.write32(4, 1, &mut ctx(0, &mut s)); // TX_DLC
         c.write32(16, 1, &mut ctx(0, &mut s)); // TX_GO
-        c.tick(&mut ctx(5, &mut s));
+        // The wire has already run past the error and the retransmission,
+        // but the guest at cycle 5 must not see either.
+        run_and_tick(&mut c, 10_000, 5, &mut s);
+        assert!(wire.error_frames() == 1 && wire.tec(0) == 7, "the wire is ahead of the guest");
         assert_eq!(c.read32(52, &mut ctx(5, &mut s)), 0, "error still ahead");
         c.tick(&mut ctx(10_000, &mut s));
         // One error (+8) then the successful retransmission (−1).
@@ -1317,20 +1239,17 @@ mod tests {
 
     #[test]
     fn can_ignores_own_frames_without_loopback() {
-        let mut c = CanController::new(CanConfig {
-            loopback: false,
-            cycles_per_bit: 1,
-            ..CanConfig::default()
-        });
+        let wire = SharedCanBus::named("can", 1);
+        let mut c =
+            CanController::attached(CanConfig { loopback: false, ..CanConfig::default() }, &wire);
         let mut s = BusSignals::default();
         c.write32(0, 0x10, &mut ctx(0, &mut s));
         c.write32(4, 1, &mut ctx(0, &mut s));
         c.write32(16, 1, &mut ctx(0, &mut s));
         // Remote traffic from node 7 interleaves.
         c.host_enqueue(0, 7, CanFrame::new(CanId::Standard(0x20), &[9]));
-        for now in (0..2000).step_by(50) {
-            c.tick(&mut ctx(now, &mut s));
-        }
+        run_and_tick(&mut c, 2000, 2000, &mut s);
+        assert_eq!(wire.deliveries_len(), 2, "both frames crossed the wire");
         assert_eq!(c.rx_count(), 1, "only the remote frame is received");
         assert_eq!(c.read32(24, &mut ctx(2000, &mut s)), 0x20);
     }

@@ -562,7 +562,7 @@ mod tests {
         src.write32(16, 1, &mut ctx(0, &mut s)); // TX_GO
         // Scheduler boundary: wire A arbitrates, the engine is armed at
         // the delivery's arrival cycle.
-        wa.run_to_cycle(wa.min_quantum_cycles());
+        wa.advance(wa.min_quantum_cycles());
         dma.note_wire_progress();
         let arrival = dma.next_event().expect("delivery to examine");
         dma.tick(&mut ctx(arrival, &mut s));
@@ -571,7 +571,7 @@ mod tests {
         assert_eq!(dma.dropped(), 0);
         assert_eq!(wb.pending(), 1, "forward enqueued on wire B");
         // Next boundary: wire B transmits the forward.
-        wb.run_to_cycle(arrival + 100 + wb.min_quantum_cycles() + wb.cycles_per_bit());
+        wb.advance(arrival + 100 + wb.min_quantum_cycles() + wb.cycles_per_bit());
         let fwd = wb.delivery(0).expect("forward transmitted");
         assert_eq!(fwd.frame.id.raw(), 0x305, "rewritten: 0x300 + (0x105 - 0x100)");
         assert_eq!(fwd.node, 6, "sent as the engine's wire-B node");
@@ -609,19 +609,19 @@ mod tests {
         dma.write32(0, 1, &mut ctx(0, &mut s));
         // An A-side frame in that range matches nothing (wrong side).
         wa.enqueue(0, 0, CanFrame::new(CanId::Standard(0x210), &[1]));
-        wa.run_to_cycle(200);
+        wa.advance(200);
         dma.note_wire_progress();
         dma.tick(&mut ctx(dma.next_event().unwrap(), &mut s));
         assert_eq!(dma.dropped(), 1);
         assert_eq!(dma.forwarded(), 0);
         // A B-side frame in range forwards to A without rewrite.
         wb.enqueue(0, 0, CanFrame::new(CanId::Standard(0x210), &[2]));
-        wb.run_to_cycle(200);
+        wb.advance(200);
         dma.note_wire_progress();
         dma.tick(&mut ctx(dma.next_event().unwrap(), &mut s));
         assert_eq!(dma.forwarded(), 1);
         assert_eq!(wa.pending(), 1);
-        wa.run_to_cycle(400);
+        wa.advance(400);
         let fwd = wa.delivery(1).expect("forwarded onto wire A");
         assert_eq!(fwd.frame.id.raw(), 0x210, "no rewrite configured");
         assert_eq!(fwd.node, 5);
@@ -636,7 +636,7 @@ mod tests {
         program_route(&mut dma, 0, 0b001, 0, 0x7FF, 0);
         // Global enable left off.
         wa.enqueue(0, 1, CanFrame::new(CanId::Standard(0x100), &[3]));
-        wa.run_to_cycle(200);
+        wa.advance(200);
         dma.note_wire_progress();
         dma.tick(&mut ctx(dma.next_event().unwrap(), &mut s));
         assert_eq!(dma.forwarded(), 0);
@@ -658,7 +658,7 @@ mod tests {
         program_route(&mut dma, 0, 0b101, 0, 0x7FF, 0); // enable | A->B | irq
         dma.write32(0, 1, &mut ctx(0, &mut s));
         wa.enqueue(0, 1, CanFrame::new(CanId::Standard(0x42), &[4]));
-        wa.run_to_cycle(200);
+        wa.advance(200);
         dma.note_wire_progress();
         let arrival = dma.next_event().unwrap();
         dma.tick(&mut ctx(arrival, &mut s));
@@ -686,7 +686,7 @@ mod tests {
         for (k, id) in [0x100u16, 0x101, 0x102, 0x400].iter().enumerate() {
             wa.enqueue(k as u64 * 200, 0, CanFrame::new(CanId::Standard(*id), &[k as u8]));
         }
-        wa.run_to_cycle(2_000);
+        wa.advance(2_000);
         dma.note_wire_progress();
         dma.tick(&mut ctx(2_000, &mut s));
         assert_eq!(dma.forwarded(), 1, "one in flight");
@@ -698,10 +698,10 @@ mod tests {
         assert_eq!(dma.read32(0x0C, &mut ctx(2_000, &mut s)), 2, "legacy DROPPED = sum");
         assert_eq!(wb.pending(), 1, "one forward in flight on B while the next waits queued");
         // The in-flight forward completes on B; the queued one follows.
-        wb.run_to_cycle(4_000);
+        wb.advance(4_000);
         dma.note_wire_progress();
         dma.tick(&mut ctx(4_000, &mut s));
-        wb.run_to_cycle(8_000);
+        wb.advance(8_000);
         assert_eq!(dma.forwarded(), 2, "queued forward dispatched after the first");
         let ids: Vec<u32> = (0..2).map(|i| wb.delivery(i).unwrap().frame.id.raw()).collect();
         assert_eq!(ids, vec![0x100, 0x101], "0x102 was the one lost");
@@ -727,14 +727,14 @@ mod tests {
         for (k, id) in [0x300u16, 0x180, 0x110, 0x200].iter().enumerate() {
             wa.enqueue(k as u64 * 200, 0, CanFrame::new(CanId::Standard(*id), &[k as u8]));
         }
-        wa.run_to_cycle(2_000);
+        wa.advance(2_000);
         dma.note_wire_progress();
         dma.tick(&mut ctx(2_000, &mut s));
         assert_eq!(dma.queue_overflows(), 2, "0x180 evicted, 0x200 rejected");
-        wb.run_to_cycle(4_000);
+        wb.advance(4_000);
         dma.note_wire_progress();
         dma.tick(&mut ctx(4_000, &mut s));
-        wb.run_to_cycle(8_000);
+        wb.advance(8_000);
         assert_eq!(dma.forwarded(), 2);
         let ids: Vec<u32> = (0..2).map(|i| wb.delivery(i).unwrap().frame.id.raw()).collect();
         assert_eq!(ids, vec![0x300, 0x110], "the high-priority newcomer survived");

@@ -102,11 +102,6 @@ impl IrqController {
         self.timing
     }
 
-    /// Overrides the timing parameters.
-    pub fn set_timing(&mut self, timing: IrqTiming) {
-        self.timing = timing;
-    }
-
     /// Number of interrupt lines.
     #[must_use]
     pub fn lines(&self) -> usize {

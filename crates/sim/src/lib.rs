@@ -23,12 +23,12 @@
 //! classification is a table lookup instead of a range-compare chain.
 //! Non-RAM regions are serviced through the pluggable [`Device`] trait;
 //! machines always carry the instrumentation [`Mmio`] block and can
-//! attach a compare-match [`Timer`] and a memory-mapped
-//! [`CanController`] (wrapping `alia_can`) via
-//! [`MachineConfig::devices`] — guest programs drive them purely with
-//! loads and stores and receive their events as interrupts. See
-//! `ARCHITECTURE.md` for the full contract (timing, ticking, IRQ
-//! signaling, revision counters).
+//! attach a compare-match [`Timer`], a countdown [`Watchdog`], a
+//! [`Dma`] gateway engine and a memory-mapped [`CanController`]
+//! (wrapping `alia_can`) via [`MachineConfig::devices`] — guest
+//! programs drive them purely with loads and stores and receive their
+//! events as interrupts. See `ARCHITECTURE.md` for the full contract
+//! (timing, ticking, IRQ signaling, revision counters).
 //!
 //! # Multi-ECU systems and the network subsystem
 //!
@@ -40,9 +40,10 @@
 //! routing tables (id-range match, rewrite, store-and-forward latency —
 //! no per-frame CPU work), and a deterministic quantum scheduler whose
 //! results are independent of quantum size and node service order even
-//! across multi-hop gateway paths. A countdown [`Watchdog`] device
-//! (NMI-style expiry IRQ, guest-kickable) covers the classic
-//! stalled-peer detection scenario.
+//! across multi-hop gateway paths. Only [`System::run`] advances a
+//! wire: a CAN controller on a lone machine is a one-node system. A
+//! countdown [`Watchdog`] device (NMI-style expiry IRQ, guest-kickable)
+//! covers the classic stalled-peer detection scenario.
 //!
 //! # Host performance
 //!
@@ -75,8 +76,9 @@
 //!   inline [`ItQueue`], and the IRQ drain is allocation-free.
 //! * **Sparse paged memory arrays**: flash, SRAM and TCM are tables of
 //!   4 KiB pages, each allocated on its first write; absent pages read
-//!   as zero. [`Machine::new`] allocates no guest memory, and a snapshot
-//!   or fork copies only the pages written so far
+//!   as zero. [`Machine::new`] allocates no guest memory, and a
+//!   machine's `clone()` or a [`System::fork`] copies only the pages
+//!   written so far
 //!   ([`Machine::resident_pages`]), whatever the configured sizes.
 //!
 //! Host performance is judged with the mission benchmark in
@@ -139,8 +141,7 @@ pub use devices::{
 pub use dma::{Dma, DmaConfig, DMA_ROUTES};
 pub use irq::{IrqController, IrqStyle, IrqTiming};
 pub use machine::{
-    DeviceSpec, IrqLatency, Machine, MachineConfig, MachineSnapshot, RunResult, StopReason,
-    MMIO_IRQ_ACTIVE,
+    DeviceSpec, IrqLatency, Machine, MachineConfig, RunResult, StopReason, MMIO_IRQ_ACTIVE,
 };
 pub use predecode::PredecodeStats;
 pub use system::{Node, System, SystemConfig, SystemRunResult, SystemStop};

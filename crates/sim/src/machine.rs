@@ -85,14 +85,10 @@ pub struct IrqLatency {
 pub enum DeviceSpec {
     /// A compare-match [`Timer`].
     Timer(TimerConfig),
-    /// A memory-mapped [`CanController`] on a private one-station wire
-    /// that it advances itself (loopback / host-injected traffic on a
-    /// lone machine; no [`crate::System`] involved).
-    Can(CanConfig),
-    /// A memory-mapped [`CanController`] attached to a shared wire:
-    /// several machines' controllers arbitrate on one
-    /// [`SharedCanBus`], scheduled by [`crate::System`]. The wire's
-    /// bit rate overrides the config's `cycles_per_bit`.
+    /// A memory-mapped [`CanController`] attached to a wire: every
+    /// controller on one [`SharedCanBus`] arbitrates there, and only
+    /// [`crate::System::run`] advances it (a lone machine exchanging
+    /// loopback frames is a one-node system).
     SharedCan(CanConfig, SharedCanBus),
     /// A countdown [`Watchdog`] (NMI-style IRQ on expiry).
     Watchdog(WatchdogConfig),
@@ -258,28 +254,17 @@ fn never_in_block(instr: &Instr) -> bool {
     matches!(instr, Instr::Wfi | Instr::Bkpt { .. })
 }
 
-/// A frozen copy of a [`Machine`] taken by [`Machine::snapshot`]:
-/// restore it into the source machine ([`Machine::restore`]) or fork
-/// any number of independent machines from it
-/// ([`MachineSnapshot::to_machine`]). Cloning a snapshot copies only the
-/// memory pages the machine wrote ([`Machine::resident_pages`]), so
-/// fanning a warmed-up machine across a campaign costs microseconds per
-/// fork, not copies of the address space.
-#[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    state: Box<Machine>,
-}
-
-impl MachineSnapshot {
-    /// Materializes an independent machine from the snapshot. Each call
-    /// yields a fresh fork; the snapshot is unchanged.
-    #[must_use]
-    pub fn to_machine(&self) -> Machine {
-        self.state.as_ref().clone()
-    }
-}
-
 /// A complete simulated machine.
+///
+/// `clone()` is how a machine is copied: CPU, memories, devices, IRQ
+/// state, block cache and WFI-park state, so the copy runs
+/// bit-identically to the original from that point, even when taken
+/// mid-block or inside a parked WFI sleep. It copies only the memory
+/// pages the machine wrote ([`Machine::resident_pages`]), so fanning a
+/// warmed-up machine across a campaign costs microseconds per copy. A
+/// CAN controller or DMA engine in the copy stays on the *same*
+/// [`SharedCanBus`] (the handle is the attachment, not the wire state);
+/// [`crate::System::fork`] forks a whole topology onto detached wires.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Static configuration.
@@ -370,9 +355,6 @@ impl Machine {
             match spec {
                 DeviceSpec::Timer(c) => {
                     bus.attach(c.base, 0x100, Box::new(Timer::new(*c)));
-                }
-                DeviceSpec::Can(c) => {
-                    bus.attach(c.base, 0x100, Box::new(CanController::new(*c)));
                 }
                 DeviceSpec::SharedCan(c, wire) => {
                     bus.attach(c.base, 0x100, Box::new(CanController::attached(*c, wire)));
@@ -466,31 +448,6 @@ impl Machine {
         Machine::new(MachineConfig::high_end_like())
     }
 
-    /// A point-in-time copy of the whole machine: CPU, memories (only
-    /// the [`Machine::resident_pages`] are copied — cost proportional to
-    /// the written footprint, not the address-space size), devices, IRQ
-    /// state, block cache, WFI-park state. Restoring
-    /// ([`Machine::restore`]) or materializing
-    /// ([`MachineSnapshot::to_machine`]) yields a machine that runs
-    /// bit-identically to the original from the snapshot point —
-    /// including snapshots taken mid-block or inside a parked WFI sleep.
-    ///
-    /// A controller on a private wire ([`DeviceSpec::Can`]) gets a deep
-    /// copy of it, so the snapshot shares no traffic with the original.
-    /// A controller on a [`crate::SharedCanBus`] keeps its binding to
-    /// the *same* shared wire (the handle is the attachment, not the
-    /// state); use [`crate::System::fork`] to fork a whole topology onto
-    /// detached wire copies.
-    #[must_use]
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot { state: Box::new(self.clone()) }
-    }
-
-    /// Restores the machine to `snapshot` (see [`Machine::snapshot`]).
-    pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        *self = snapshot.state.as_ref().clone();
-    }
-
     /// Cycles consumed so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -513,18 +470,6 @@ impl Machine {
     #[must_use]
     pub fn latencies(&self) -> &[IrqLatency] {
         &self.latencies
-    }
-
-    /// Soft-error recoveries performed by the instruction cache.
-    #[must_use]
-    pub fn icache_recoveries(&self) -> u64 {
-        self.icache_recoveries
-    }
-
-    /// Soft-error recoveries performed on the data side.
-    #[must_use]
-    pub fn dcache_recoveries(&self) -> u64 {
-        self.dcache_recoveries
     }
 
     /// Enables or disables the host-side block engine at runtime
@@ -596,8 +541,8 @@ impl Machine {
 
     /// Guest-memory pages the machine holds: the 4 KiB pages of flash,
     /// SRAM and TCM (RAM and ECC shadow) that an image load or a store
-    /// has written. A fresh machine holds none; [`Machine::snapshot`]
-    /// copies exactly these.
+    /// has written. A fresh machine holds none; `clone()` copies exactly
+    /// these.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
         self.flash.resident_pages()
@@ -2270,10 +2215,10 @@ mod tests {
 
     #[test]
     fn snapshot_mid_block_restores_bit_identically() {
-        // Snapshot taken at a bound landing inside the hot loop's basic
-        // block (warm block cache, recording in flight):
-        // the original, a restored machine, and a materialized fork
-        // must all finish with identical cycles/instret/registers.
+        // A clone taken at a bound landing inside the hot loop's basic
+        // block (warm block cache, recording in flight): the original,
+        // a machine restored from the clone, and the clone itself must
+        // all finish with identical cycles/instret/registers.
         let src = "mov r0, #0
              movw r1, #40000
              loop: add r0, r0, #1
@@ -2283,9 +2228,9 @@ mod tests {
              bkpt #0";
         let mut m = asm_machine(IsaMode::T2, src);
         let r = m.run_until(12_345);
-        assert_eq!(r.reason, StopReason::CycleLimit, "snapshot point is mid-run");
-        let snap = m.snapshot();
-        let mut fork = snap.to_machine();
+        assert_eq!(r.reason, StopReason::CycleLimit, "the clone point is mid-run");
+        let snap = m.clone();
+        let mut fork = snap.clone();
         let r_orig = m.run(10_000_000);
         let r_fork = fork.run(10_000_000);
         assert_eq!(r_orig.reason, StopReason::Bkpt(0));
@@ -2293,10 +2238,10 @@ mod tests {
         assert_eq!(fork.cycles(), m.cycles());
         assert_eq!(fork.instructions(), m.instructions());
         assert_eq!(fork.cpu.regs, m.cpu.regs);
-        // Restoring rewinds the finished machine to the snapshot point
-        // and the rerun is bit-identical again.
-        m.restore(&snap);
-        assert_eq!(m.cycles(), snap.to_machine().cycles());
+        // Assigning the kept copy back rewinds the finished machine to
+        // the clone point, and the rerun is bit-identical again.
+        m = snap.clone();
+        assert_eq!(m.cycles(), snap.cycles());
         let r_again = m.run(10_000_000);
         assert_eq!(r_again, r_orig);
         assert_eq!(m.cpu.regs, fork.cpu.regs);
@@ -2304,7 +2249,7 @@ mod tests {
 
     #[test]
     fn snapshot_forks_diverge_on_divergent_inputs() {
-        // Two forks of one snapshot, one of them with a poked SRAM cell
+        // Two clones of one machine, one of them with a poked SRAM cell
         // the guest reads *after* the fork point: results must differ —
         // the forks share no storage (the page copy is a real copy).
         let src = "movw r0, #0x0040
@@ -2319,9 +2264,8 @@ mod tests {
              bkpt #0";
         let mut m = asm_machine(IsaMode::T2, src);
         m.run_until(500);
-        let snap = m.snapshot();
-        let mut a = snap.to_machine();
-        let mut b = snap.to_machine();
+        let mut a = m.clone();
+        let mut b = m.clone();
         b.sram.write(0x40, 4, 1000);
         a.run(1_000_000);
         b.run(1_000_000);
@@ -2334,8 +2278,8 @@ mod tests {
 
     #[test]
     fn snapshot_of_wfi_parked_machine_resumes_exactly() {
-        // Park a timer-paced sleep at a bounded-run boundary, snapshot
-        // the parked machine, and check the fork wakes at the same
+        // Park a timer-paced sleep at a bounded-run boundary, clone the
+        // parked machine, and check the clone wakes at the same
         // cycle with the same IRQ latency stamps as the original.
         let main = "movw r0, #0x1000
              movt r0, #0x4000
@@ -2366,9 +2310,8 @@ mod tests {
         let r = m.run_until(1_000);
         assert_eq!(r.reason, StopReason::CycleLimit);
         assert!(m.wfi_parked(), "the bound split the sleep");
-        let snap = m.snapshot();
-        let mut fork = snap.to_machine();
-        assert!(fork.wfi_parked(), "park state travels with the snapshot");
+        let mut fork = m.clone();
+        assert!(fork.wfi_parked(), "park state travels with the clone");
         let r_orig = m.run(1_000_000);
         let r_fork = fork.run(1_000_000);
         assert_eq!(r_orig.reason, StopReason::Bkpt(0));

@@ -22,7 +22,7 @@
 //! its first write, and an absent page reads as zero. A machine holds
 //! only the pages its image loads and guest stores touched
 //! ([`crate::Machine::resident_pages`]), so building one allocates no
-//! guest memory, and [`crate::Machine::snapshot`] and
+//! guest memory, and a machine's `clone()` and
 //! [`crate::System::fork`] copy just those pages.
 
 use std::collections::BTreeSet;
@@ -39,7 +39,7 @@ const PAGE: usize = 1 << PAGE_SHIFT;
 /// A page is allocated, zeroed, on its first write; an absent page reads
 /// as zero. A fresh store therefore holds no guest memory, the derived
 /// `Clone` copies only the pages written so far, and drop just frees
-/// them — so building, snapshotting and forking a machine cost what its
+/// them — so building, cloning and forking a machine cost what its
 /// guest wrote, not the size of its address space.
 ///
 /// Accesses take one table index: an access inside one page reads or
@@ -309,12 +309,6 @@ impl Flash {
     #[must_use]
     pub fn stats(&self) -> FlashStats {
         self.stats
-    }
-
-    /// Resets streaming state and counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = FlashStats::default();
-        self.stream_next = None;
     }
 
     /// Performs an access of `len` bytes at byte offset `off`, returning

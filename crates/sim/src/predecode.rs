@@ -187,8 +187,8 @@ struct Block {
     /// pointer.
     start: u32,
     /// The threaded lowering. Shared (`Arc`) so the dispatcher can run
-    /// it while the machine is mutably borrowed, and so snapshots copy
-    /// a pointer, not the code.
+    /// it while the machine is mutably borrowed, and so a machine's
+    /// clone copies a pointer, not the code.
     code: Arc<ThreadedBlock>,
     /// Chain hints: `(exit pc, successor slot)`. A hint is only a
     /// shortcut — [`BlockCache::follow`] re-verifies the successor's

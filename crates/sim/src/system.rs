@@ -13,7 +13,7 @@
 //!    ([`Machine::run_until`] — WFI sleeps park at the boundary instead
 //!    of overshooting it);
 //! 2. every wire arbitrates and transmits everything enqueued up
-//!    to the boundary ([`SharedCanBus::run_to_cycle`]);
+//!    to the boundary — nothing else ever advances a wire;
 //! 3. the clients — CAN controllers and DMA gateways — of every wire
 //!    that logged something new are re-armed at the arrival cycle of
 //!    their next delivery ([`crate::Device::note_wire_progress`]), so
@@ -442,14 +442,6 @@ impl System {
         self.config
     }
 
-    /// Replaces the scheduler configuration. Any configuration yields
-    /// bit-identical results (that is the scheduling contract), so a
-    /// forked system may freely change quantum, ordering or
-    /// boundary policy between runs.
-    pub fn set_config(&mut self, config: SystemConfig) {
-        self.config = config;
-    }
-
     /// Sets the tracing category bitmask on the scheduler's own tracer
     /// and on every node's machine (which propagates to its DMA
     /// gateways). Pass [`alia_obs::category::ALL`] to record
@@ -526,7 +518,9 @@ impl System {
     /// `node.<name>.*` for each machine (see
     /// [`Machine::publish_metrics`]) and `wire.<name>.*` counters and
     /// gauges for each CAN wire (deliveries, error frames, rejected /
-    /// purged transmissions, utilization).
+    /// purged transmissions, and utilization over the active window,
+    /// [`SharedCanBus::span_utilization`], 0 before the first delivery:
+    /// independent of where quantum boundaries fell).
     pub fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry) {
         for node in &self.nodes {
             node.machine.publish_metrics(reg, &format!("node.{}.", node.name()));
@@ -537,13 +531,13 @@ impl System {
             reg.counter(&format!("{p}error_frames"), wire.error_frames());
             reg.counter(&format!("{p}rejected_tx"), wire.rejected_tx());
             reg.counter(&format!("{p}purged_tx"), wire.purged_tx());
-            reg.gauge(&format!("{p}utilization"), wire.utilization());
+            reg.gauge(&format!("{p}utilization"), wire.span_utilization().unwrap_or(0.0));
         }
     }
 
     /// A fully independent deep copy of the whole topology: every node
-    /// is forked (machine copies of the written memory pages only — see
-    /// [`Machine::snapshot`]),
+    /// is cloned (a machine's clone copies only the memory pages it
+    /// wrote — see [`Machine::resident_pages`]),
     /// every wire is deep-copied onto a new identity
     /// ([`SharedCanBus::fork_detached`]), and each forked node's shared
     /// CAN controllers and DMA gateway engines are rebound to the

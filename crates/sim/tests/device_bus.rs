@@ -5,8 +5,8 @@
 
 use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
-    CanConfig, CanController, DeviceSpec, Machine, MachineConfig, PatchKind, StopReason, Timer,
-    TimerConfig, BITBAND_BASE, CAN_BASE, SRAM_BASE, TIMER_BASE,
+    CanConfig, CanController, DeviceSpec, Machine, MachineConfig, PatchKind, StopReason, System,
+    SystemStop, Timer, TimerConfig, BITBAND_BASE, SRAM_BASE, TIMER_BASE,
 };
 
 fn machine_with_devices(devices: Vec<DeviceSpec>, src: &str) -> Machine {
@@ -18,6 +18,21 @@ fn machine_with_devices(devices: Vec<DeviceSpec>, src: &str) -> Machine {
     m.set_pc(0x100);
     m.cpu.set_sp(SRAM_BASE + 0x8000);
     m
+}
+
+/// A one-node system: a machine running `src` whose CAN controller
+/// (`config`) sits alone on a wire with `cycles_per_bit`. Only the
+/// system advances the wire, so a lone controller still needs one.
+fn can_node(config: CanConfig, cycles_per_bit: u64, src: &str) -> System {
+    let mut sys = System::new();
+    let wire = sys.add_wire("can", cycles_per_bit);
+    sys.add_node("ecu", machine_with_devices(vec![DeviceSpec::SharedCan(config, wire)], src));
+    sys
+}
+
+/// Node 0's CAN controller.
+fn can(sys: &System) -> &CanController {
+    sys.node(0).machine().bus.device::<CanController>().expect("controller attached")
 }
 
 #[test]
@@ -102,36 +117,26 @@ fn guest_loopback_can_frame_round_trip() {
          str r2, [r0, #40]
          ldr r7, [r0, #20]
          bkpt #0";
-    let mut m = machine_with_devices(
-        vec![DeviceSpec::Can(CanConfig {
-            base: CAN_BASE,
-            irq: 1,
-            node: 0,
-            cycles_per_bit: 3,
-            loopback: true,
-            ..CanConfig::default()
-        })],
-        src,
-    );
-    let r = m.run(1_000_000);
-    assert_eq!(r.reason, StopReason::Bkpt(0));
+    let config = CanConfig { loopback: true, ..CanConfig::default() };
+    let mut sys = can_node(config, 3, src);
+    assert_eq!(sys.run(1_000_000).reason, SystemStop::AllHalted);
+    assert_eq!(sys.node(0).halted(), Some(StopReason::Bkpt(0)));
+    let m = sys.node(0).machine();
     assert_eq!(m.cpu.regs[3], 0x234, "RX_ID");
     assert_eq!(m.cpu.regs[4], 8, "RX_DLC");
     assert_eq!(m.cpu.regs[5], 0x1234_5678, "RX_DATA0");
     assert_eq!(m.cpu.regs[6], 0xDDCC_BBAA, "RX_DATA1");
     assert_eq!(m.cpu.regs[7], 0, "FIFO drained after RX_POP");
-    let can = m.bus.device::<CanController>().expect("controller attached");
-    assert_eq!(can.tx_count(), 1);
-    assert_eq!(can.rx_count(), 1);
+    assert_eq!((can(&sys).tx_count(), can(&sys).rx_count()), (1, 1));
 }
 
 #[test]
-fn forks_of_a_standalone_controller_share_no_wire() {
+fn forks_of_a_one_node_loopback_system_share_no_wire() {
     // A loopback guest exchanges one frame, then waits for the host to
-    // put a TX id in r5 and sends a frame with it. Snapshotted in that
-    // wait, two forks with different ids must each receive exactly their
-    // own frame: the controller's private wire is deep-copied with the
-    // machine, so one fork's traffic never reaches the other.
+    // put a TX id in r5 and sends a frame with it. Forked in that wait,
+    // two systems with different ids must each receive exactly their
+    // own frame: `System::fork` deep-copies the wire and rebinds the
+    // controller, so one fork's traffic never reaches the other.
     let src = "cpsid
          movw r0, #0x2000
          movt r0, #0x4000
@@ -160,43 +165,32 @@ fn forks_of_a_standalone_controller_share_no_wire() {
         alia_can::CanFrame::new(alia_can::CanId::Standard(id as u16), &[]).wire_bits()
     };
     assert_eq!(bits(id_a), bits(id_b), "equal frame lengths, so equal cycle counts");
-    let mut m = machine_with_devices(
-        vec![DeviceSpec::Can(CanConfig {
-            base: CAN_BASE,
-            irq: 1,
-            node: 0,
-            cycles_per_bit: 3,
-            loopback: true,
-            ..CanConfig::default()
-        })],
-        src,
-    );
-    let r = m.run(5_000);
-    assert_eq!(r.reason, StopReason::CycleLimit, "parked in the id wait, before TX_GO");
-    assert_eq!(m.bus.device::<CanController>().unwrap().rx_count(), 1, "warm-up frame received");
-    let snap = m.snapshot();
-    let mut a = snap.to_machine();
-    m.restore(&snap);
-    let mut b = m;
-    a.cpu.regs[5] = id_a;
-    b.cpu.regs[5] = id_b;
-    let ra = a.run(1_000_000);
-    let rb = b.run(1_000_000);
-    for (fork, r, id) in [(&a, ra, id_a), (&b, rb, id_b)] {
-        assert_eq!(r.reason, StopReason::Bkpt(0));
-        assert_eq!(fork.cpu.regs[3], id, "received a frame it never sent");
-        assert_eq!(fork.cpu.regs[7], 0, "nothing else in the FIFO");
-        let can = fork.bus.device::<CanController>().unwrap();
-        assert_eq!((can.tx_count(), can.rx_count()), (2, 2));
+    let config = CanConfig { loopback: true, ..CanConfig::default() };
+    let mut sys = can_node(config, 3, src);
+    assert_eq!(sys.run(5_000).reason, SystemStop::Horizon, "parked in the id wait, before TX_GO");
+    assert_eq!(can(&sys).rx_count(), 1, "warm-up frame received");
+    let mut a = sys.fork();
+    let mut b = sys;
+    a.node_mut(0).machine_mut().cpu.regs[5] = id_a;
+    b.node_mut(0).machine_mut().cpu.regs[5] = id_b;
+    for (fork, id) in [(&mut a, id_a), (&mut b, id_b)] {
+        assert_eq!(fork.run(1_000_000).reason, SystemStop::AllHalted);
+        assert_eq!(fork.node(0).halted(), Some(StopReason::Bkpt(0)));
+        let m = fork.node(0).machine();
+        assert_eq!(m.cpu.regs[3], id, "received a frame it never sent");
+        assert_eq!(m.cpu.regs[7], 0, "nothing else in the FIFO");
+        assert_eq!((can(fork).tx_count(), can(fork).rx_count()), (2, 2));
+        let log = can(fork).wire().delivery_log();
+        let ids: Vec<u32> = log.iter().map(|d| d.frame.id.raw()).collect();
+        assert_eq!(ids, vec![0x100, id], "the wire carried only this fork's frames");
     }
-    assert_eq!(a.cycles(), b.cycles());
+    assert_eq!(a.node(0).cycles(), b.node(0).cycles());
 }
 
 #[test]
 fn host_injected_remote_frame_interrupts_the_guest() {
     // The host enqueues a frame from a remote node before the run; the
     // guest sleeps in a spin loop until the RX IRQ fires.
-    let src = "spin: b spin";
     let handler = Assembler::new(IsaMode::T2)
         .assemble(
             "movw r0, #0x2000
@@ -205,27 +199,15 @@ fn host_injected_remote_frame_interrupts_the_guest() {
              bkpt #1",
         )
         .unwrap();
-    let mut m = machine_with_devices(
-        vec![DeviceSpec::Can(CanConfig {
-            base: CAN_BASE,
-            irq: 1,
-            node: 0,
-            cycles_per_bit: 5,
-            loopback: false,
-            ..CanConfig::default()
-        })],
-        src,
-    );
+    let config = CanConfig { loopback: false, ..CanConfig::default() };
+    let mut sys = can_node(config, 5, "spin: b spin");
+    let m = sys.node_mut(0).machine_mut();
     m.load_flash(0x300, &handler.bytes);
     m.load_flash(4, &0x300u32.to_le_bytes()); // vector for irq 1
-    {
-        let can = m.bus.device_mut::<CanController>().expect("controller attached");
-        can.host_enqueue(10, 3, alia_can::CanFrame::new(alia_can::CanId::Standard(0x77), &[1]));
-    }
-    m.bus.refresh_next_event();
-    let r = m.run(1_000_000);
-    assert_eq!(r.reason, StopReason::Bkpt(1));
-    assert_eq!(m.cpu.regs[1], 0x77, "handler read the remote frame's id");
+    can(&sys).host_enqueue(10, 3, alia_can::CanFrame::new(alia_can::CanId::Standard(0x77), &[1]));
+    assert_eq!(sys.run(1_000_000).reason, SystemStop::AllHalted);
+    assert_eq!(sys.node(0).halted(), Some(StopReason::Bkpt(1)));
+    assert_eq!(sys.node(0).machine().cpu.regs[1], 0x77, "handler read the remote frame's id");
 }
 
 #[test]

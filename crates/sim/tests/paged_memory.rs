@@ -99,7 +99,7 @@ fn a_fresh_machine_holds_no_guest_memory() {
     ] {
         let m = Machine::new(config);
         assert_eq!(m.resident_pages(), 0);
-        assert_eq!(m.snapshot().to_machine().resident_pages(), 0);
+        assert_eq!(m.clone().resident_pages(), 0);
     }
     // A TCM load fills the RAM page and its ECC shadow page.
     let mut m = Machine::high_end_like();
@@ -121,7 +121,7 @@ fn untouched_pages_read_as_zero_after_a_fork() {
     let mut m = asm_machine(COPY_FLASH_TO_SRAM);
     m.load_flash(0x800, &0x1111_1111u32.to_le_bytes());
     assert_eq!(m.run(10_000).reason, StopReason::Bkpt(0));
-    let fork = m.snapshot().to_machine();
+    let fork = m.clone();
     assert_eq!(fork.resident_pages(), m.resident_pages());
     assert_eq!(fork.resident_pages(), 2, "flash page 0 and SRAM page 1");
     assert_eq!(fork.flash.peek(0x800, 4), 0x1111_1111);

@@ -11,8 +11,8 @@
 
 use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
-    CanConfig, DeviceSpec, Machine, MachineConfig, MemFault, Region, StopReason, TimerConfig,
-    BITBAND_BASE, CAN_BASE, FLASH_BASE, MMIO_BASE, SRAM_BASE, TCM_BASE, TIMER_BASE,
+    CanConfig, DeviceSpec, Machine, MachineConfig, MemFault, Region, SharedCanBus, StopReason,
+    TimerConfig, BITBAND_BASE, CAN_BASE, FLASH_BASE, MMIO_BASE, SRAM_BASE, TCM_BASE, TIMER_BASE,
 };
 
 /// The seed's region classes (the instrumentation block was a dedicated
@@ -273,7 +273,10 @@ fn attached_device_windows_classify_as_devices() {
     let mut config = MachineConfig::m3_like();
     config.devices = vec![
         DeviceSpec::Timer(TimerConfig::default()),
-        DeviceSpec::Can(CanConfig { irq: 1, loopback: true, ..CanConfig::default() }),
+        DeviceSpec::SharedCan(
+            CanConfig { irq: 1, loopback: true, ..CanConfig::default() },
+            SharedCanBus::named("can", 4),
+        ),
     ];
     let m = Machine::new(config.clone());
     assert_eq!(m.classify(TIMER_BASE), Region::Device(1));

@@ -98,12 +98,6 @@ impl FunctionBuilder {
         self.current = idx;
     }
 
-    /// The currently selected block.
-    #[must_use]
-    pub fn current_block(&self) -> BlockId {
-        self.blocks[self.current].id
-    }
-
     fn push(&mut self, inst: Inst) {
         let b = &mut self.blocks[self.current];
         assert!(b.term.is_none(), "block {} already terminated", b.id);
