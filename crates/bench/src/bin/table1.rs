@@ -40,7 +40,7 @@ fn main() {
     }
     println!(
         "block engine over the suite: {} blocks installed ({} pairs fused), {} dispatched \
-         ({} via chain links), {} budget splits, {} demotions",
+         ({} chained from the previous block), {} budget splits, {} demotions",
         agg.blocks_promoted,
         agg.fused_pairs,
         agg.block_hits,

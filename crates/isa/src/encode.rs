@@ -405,6 +405,9 @@ pub(crate) fn it_field_encode(firstcond: Cond, mask: u8, count: u8) -> u16 {
     field
 }
 
+/// The `(mask, count)` of an IT block's mask field, or `None` for a
+/// field with no slots, or for an AL block with an else slot (AL has no
+/// inverse; ARM makes that form UNPREDICTABLE).
 pub(crate) fn it_field_decode(firstcond: Cond, field: u16) -> Option<(u8, u8)> {
     if field == 0 {
         return None;
@@ -417,6 +420,9 @@ pub(crate) fn it_field_decode(firstcond: Cond, field: u16) -> Option<(u8, u8)> {
         if field >> (3 - i) & 1 == c0 {
             mask |= 1 << i;
         }
+    }
+    if firstcond == Cond::Al && mask != (1 << (count - 1)) - 1 {
+        return None;
     }
     Some((mask, count))
 }

@@ -631,6 +631,11 @@ impl Instr {
                 if (!(1..=4).contains(&count) || mask >> (count - 1) != 0) => {
                     return Err(self.err(mode, "malformed IT block"));
                 }
+            // AL has no inverse for an else slot (ARM: UNPREDICTABLE).
+            Instr::It { firstcond: Cond::Al, mask, count }
+                if mask != (1 << (count - 1)) - 1 => {
+                    return Err(self.err(mode, "IT AL cannot have an else slot"));
+                }
             Instr::Bfi { lsb, width, .. }
             | Instr::Bfc { lsb, width, .. }
             | Instr::Ubfx { lsb, width, .. }

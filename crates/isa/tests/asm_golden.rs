@@ -8,7 +8,8 @@
 //! A32 defines some of these, the assembler does not encode them) is an
 //! error, `[pc, #off]` is a literal load for a word `ldr` only (in any
 //! case) and an error for every other load or store, `ITE EQ`
-//! assembles as `ite eq` does, and an immediate outside its field's
+//! assembles as `ite eq` does, an AL `it` with an else slot (`ite al`,
+//! UNPREDICTABLE in ARM) is an error, and an immediate outside its field's
 //! range (a shift amount above 31, a bit-field outside 0..=31 / 1..=32,
 //! an address offset beyond `i32`, an `svc`/`bkpt` immediate above 255)
 //! is an error in every mode rather than a truncated encoding.
@@ -309,6 +310,7 @@ const CASES: &[(&str, [&str; 3])] = &[
     (": nop", ["error: line 1: bad label ``", "error: line 1: bad label ``", "error: line 1: bad label ``"]),
     ("movw r0, #70000", ["error: line 1: imm16 overflow", "error: line 1: imm16 overflow", "error: line 1: imm16 overflow"]),
     ("it zz", ["error: line 1: bad IT condition", "error: line 1: bad IT condition", "error: line 1: bad IT condition"]),
+    ("ite al", ["error: line 1: cannot encode `ite Al` in A32: cbz/it require T2", "error: line 1: cannot encode `ite Al` in T16: cbz/it require T2", "error: line 1: cannot encode `ite Al` in T2: IT AL cannot have an else slot"]),
     ("itx eq", ["error: line 1: unknown mnemonic `itx`", "error: line 1: unknown mnemonic `itx`", "error: line 1: unknown mnemonic `itx`"]),
     ("iteq eq", ["error: line 1: bad IT pattern", "error: line 1: bad IT pattern", "error: line 1: bad IT pattern"]),
     ("ittee eq", ["error: line 1: unknown mnemonic `ittee`", "error: line 1: unknown mnemonic `ittee`", "error: line 1: unknown mnemonic `ittee`"]),

@@ -19,6 +19,10 @@
 //! * **Timing** — every device access costs one bus cycle on the machine
 //!   side (plus the core's internal load/store cycles). Devices model
 //!   time through [`Device::tick`], never by stalling the bus.
+//! * **Widths** — a load of any width reads the whole register word
+//!   through [`Device::read32`], unmasked; a store of any width writes
+//!   its value to the whole register word through [`Device::write32`].
+//!   Either way the device sees the word-aligned offset.
 //! * **Ticking** — the machine calls [`Device::tick`] whenever the cycle
 //!   counter reaches [`Device::next_event`]. A device with no timed
 //!   behaviour returns `None` and is only touched by loads and stores.
@@ -26,13 +30,13 @@
 //!   [`BusSignals::raise_irq`] for "pend at the next step boundary"
 //!   (matching the legacy instrumentation semantics) and
 //!   [`BusSignals::raise_irq_at`] for events with a precise assertion
-//!   cycle (latency accounting measures from that cycle).
-//!   [`Device::pending_irq`] exposes level-style state for
-//!   introspection; the machine drains edge events from the signals.
-//! * **Revisions** — [`Device::revision`] must change whenever the
-//!   device mutates state that can alter *instruction fetch* results
-//!   (e.g. a device that remaps code). It participates in the block
-//!   cache's generation stamp; plain data devices leave it at zero.
+//!   cycle (latency accounting measures from that cycle). These edge
+//!   events are all the machine reads of a device's interrupts.
+//! * **Code** — no device can change what instruction fetches return
+//!   (a fetch from a device window faults, and a device reaches no
+//!   memory), so the block cache's generation stamp has no device
+//!   term. The flash-patch unit, the one remapper of code, is part of
+//!   the machine and keeps its own term.
 //! * **Wire clients** — devices on a [`crate::System`]'s scheduler-run
 //!   CAN wires (shared CAN controllers, DMA gateway engines) implement
 //!   [`Device::wire_attachments`], [`Device::note_wire_progress`] and
@@ -41,6 +45,8 @@
 //!   [`Device::tracer`] and [`Device::publish_metrics`]. Every one
 //!   defaults to a no-op, so the scheduler and the machine reach these
 //!   devices through the trait and never name a device type.
+//! * **Typed access** — [`Any`] is a supertrait, so [`Bus::device`] and
+//!   [`Bus::device_mut`] downcast an attached device to its type.
 
 use std::any::Any;
 use std::fmt;
@@ -163,7 +169,7 @@ impl Clone for Box<dyn Device> {
 }
 
 /// A memory-mapped bus device. See the module docs for the contract
-/// (timing, ticking, IRQ signaling, revision counters).
+/// (timing, access widths, ticking, IRQ signaling).
 ///
 /// `Send + Sync` are supertraits so a prepared [`crate::System`] —
 /// devices included — can be *shared by reference* across
@@ -171,46 +177,13 @@ impl Clone for Box<dyn Device> {
 /// fork on their own thread. Mutation
 /// always happens through `&mut` (one worker owns one fork); shared
 /// state such as [`crate::SharedCanBus`] sits behind `Arc<Mutex<..>>`.
-pub trait Device: fmt::Debug + DeviceClone + Send + Sync {
-    /// Short device name (diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Reads the register word containing byte offset `off` (the offset
-    /// is *not* word-aligned by the bus; implementations align as their
-    /// register file requires).
+pub trait Device: Any + fmt::Debug + DeviceClone + Send + Sync {
+    /// Reads the register word at the word-aligned byte offset `off`.
     fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32;
 
-    /// Writes a word to the register containing byte offset `off`.
+    /// Writes `value` to the register word at the word-aligned byte
+    /// offset `off`.
     fn write32(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>);
-
-    /// Writes a halfword; the default routes to [`Device::write32`] of
-    /// the containing word (legacy instrumentation-block semantics).
-    fn write16(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
-        self.write32(off & !3, value, ctx);
-    }
-
-    /// Writes a byte; the default routes to [`Device::write32`] of the
-    /// containing word.
-    fn write8(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
-        self.write32(off & !3, value, ctx);
-    }
-
-    /// Width-dispatching read used by the bus. The default reproduces
-    /// the legacy instrumentation behaviour: every width reads the
-    /// containing register word unmasked.
-    fn read(&mut self, off: u32, len: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
-        let _ = len;
-        self.read32(off & !3, ctx)
-    }
-
-    /// Width-dispatching write used by the bus.
-    fn write(&mut self, off: u32, len: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
-        match len {
-            1 => self.write8(off, value, ctx),
-            2 => self.write16(off, value, ctx),
-            _ => self.write32(off & !3, value, ctx),
-        }
-    }
 
     /// Advances device time to `ctx.now`, raising any due IRQ events
     /// through `ctx.signals`. Called when the machine's cycle counter
@@ -223,18 +196,6 @@ pub trait Device: fmt::Debug + DeviceClone + Send + Sync {
     /// or `None` for purely reactive devices.
     fn next_event(&self) -> Option<u64> {
         None
-    }
-
-    /// Level-style pending-interrupt state, for introspection (edge
-    /// events travel through [`BusSignals`] instead).
-    fn pending_irq(&self) -> Option<u32> {
-        None
-    }
-
-    /// Revision counter over device state that can change instruction
-    /// fetch results; participates in the block cache's generation stamp.
-    fn revision(&self) -> u64 {
-        0
     }
 
     /// The scheduler-advanced wires this device is a client of, as
@@ -282,12 +243,6 @@ pub trait Device: fmt::Debug + DeviceClone + Send + Sync {
     fn publish_metrics(&self, reg: &mut alia_obs::metrics::Registry, prefix: &str) {
         let _ = (reg, prefix);
     }
-
-    /// Upcast for typed access via [`Bus::device`].
-    fn as_any(&self) -> &dyn Any;
-
-    /// Upcast for typed access via [`Bus::device_mut`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A device attached to the bus at a window of the device nibble.
@@ -325,10 +280,6 @@ pub struct Bus {
     /// Cached minimum of the attached devices' [`Device::next_event`]
     /// (`u64::MAX` when no device has a timed event).
     next_event: u64,
-    /// Cached sum of the attached devices' [`Device::revision`]
-    /// counters (refreshed with `next_event`; read by the block
-    /// cache's generation stamp and the block executor's safety check).
-    rev_sum: u64,
 }
 
 impl Bus {
@@ -342,7 +293,6 @@ impl Bus {
             windows: Vec::new(),
             signals: BusSignals::default(),
             next_event: u64::MAX,
-            rev_sum: 0,
         };
         bus.add_region(FLASH_BASE, flash_size, SlotKind::Flash);
         if let Some(sz) = tcm_size {
@@ -495,19 +445,19 @@ impl Bus {
 
     /// Typed access to the first attached device of type `T`.
     #[must_use]
-    pub fn device<T: Device + 'static>(&self) -> Option<&T> {
-        self.devices.iter().find_map(|d| d.dev.as_any().downcast_ref::<T>())
+    pub fn device<T: Device>(&self) -> Option<&T> {
+        self.devices.iter().find_map(|d| (&*d.dev as &dyn Any).downcast_ref::<T>())
     }
 
     /// Typed mutable access to the first attached device of type `T`.
     /// Host-side mutation that (re)arms timed behaviour must be followed
     /// by [`Bus::refresh_next_event`].
-    pub fn device_mut<T: Device + 'static>(&mut self) -> Option<&mut T> {
-        self.devices.iter_mut().find_map(|d| d.dev.as_any_mut().downcast_mut::<T>())
+    pub fn device_mut<T: Device>(&mut self) -> Option<&mut T> {
+        self.devices.iter_mut().find_map(|d| (&mut *d.dev as &mut dyn Any).downcast_mut::<T>())
     }
 
-    /// Recomputes the cached next-event cycle and device-revision sum;
-    /// call after host-side device mutation through [`Bus::device_mut`].
+    /// Recomputes the cached next-event cycle; call after host-side
+    /// device mutation through [`Bus::device_mut`].
     pub fn refresh_next_event(&mut self) {
         self.next_event = self
             .devices
@@ -515,10 +465,6 @@ impl Bus {
             .filter_map(|d| d.dev.next_event())
             .min()
             .unwrap_or(u64::MAX);
-        self.rev_sum = self
-            .devices
-            .iter()
-            .fold(0u64, |acc, d| acc.wrapping_add(d.dev.revision()));
     }
 
     /// The earliest cycle any device needs a tick (`u64::MAX` if none) —
@@ -529,31 +475,25 @@ impl Bus {
         self.next_event
     }
 
-    /// Performs a device read of `len` bytes at `addr` (resolved against
-    /// the window of device `idx`).
-    pub fn device_read(&mut self, idx: u8, addr: u32, len: u32, now: u64, active_irq: u32) -> u32 {
+    /// Performs a device load at `addr` (resolved against the window of
+    /// device `idx`): every width reads the register word holding
+    /// `addr`.
+    pub fn device_read(&mut self, idx: u8, addr: u32, now: u64, active_irq: u32) -> u32 {
         let d = &mut self.devices[idx as usize];
-        let off = addr - d.base;
+        let off = (addr - d.base) & !3;
         let mut ctx = DeviceCtx { now, active_irq, signals: &mut self.signals };
-        let v = d.dev.read(off, len, &mut ctx);
+        let v = d.dev.read32(off, &mut ctx);
         self.refresh_next_event();
         v
     }
 
-    /// Performs a device write of `len` bytes at `addr`.
-    pub fn device_write(
-        &mut self,
-        idx: u8,
-        addr: u32,
-        len: u32,
-        value: u32,
-        now: u64,
-        active_irq: u32,
-    ) {
+    /// Performs a device store at `addr`: every width writes `value` to
+    /// the register word holding `addr`.
+    pub fn device_write(&mut self, idx: u8, addr: u32, value: u32, now: u64, active_irq: u32) {
         let d = &mut self.devices[idx as usize];
-        let off = addr - d.base;
+        let off = (addr - d.base) & !3;
         let mut ctx = DeviceCtx { now, active_irq, signals: &mut self.signals };
-        d.dev.write(off, len, value, &mut ctx);
+        d.dev.write32(off, value, &mut ctx);
         self.refresh_next_event();
     }
 
@@ -568,21 +508,8 @@ impl Bus {
         }
         self.refresh_next_event();
     }
-
-    /// Sum of the attached devices' [`Device::revision`] counters —
-    /// folded into the block cache's generation stamp (cached bus-side;
-    /// refreshed on every device access and tick).
-    #[must_use]
-    #[inline]
-    pub fn device_revisions(&self) -> u64 {
-        self.rev_sum
-    }
 }
 
-/// Default window base of the instrumentation MMIO block
-/// (same as [`MMIO_BASE`]; re-exported for symmetry with the other
-/// device windows).
-pub const MMIO_WINDOW_BASE: u32 = MMIO_BASE;
 /// Default window base of the compare-match timer device.
 pub const TIMER_BASE: u32 = MMIO_BASE + 0x1000;
 /// Default window base of the memory-mapped CAN controller.
@@ -623,11 +550,11 @@ mod tests {
     #[test]
     fn device_windows_resolve_by_index() {
         let mut bus = Bus::new(1 << 20, 1 << 20, None, false);
-        let m = bus.attach(MMIO_WINDOW_BASE, 0x1000, Box::new(Mmio::new()));
+        let m = bus.attach(MMIO_BASE, 0x1000, Box::new(Mmio::new()));
         let c = bus.attach(CAN_BASE, 0x100, Box::new(Mmio::new()));
         assert_eq!(m, 0);
         assert_eq!(c, 1);
-        assert_eq!(bus.classify(MMIO_WINDOW_BASE + 8), Region::Device(0));
+        assert_eq!(bus.classify(MMIO_BASE + 8), Region::Device(0));
         assert_eq!(bus.classify(CAN_BASE + 4), Region::Device(1));
         // The hole between the two windows is unmapped even though the
         // DeviceSpace slot spans their union.
@@ -643,7 +570,7 @@ mod tests {
         // out of base order to exercise the sorted insert.
         let mut bus = Bus::new(1 << 20, 1 << 20, None, false);
         let bases: [u32; 9] = [
-            MMIO_WINDOW_BASE,
+            MMIO_BASE,
             MMIO_BASE + 0x7000,
             MMIO_BASE + 0x1000,
             MMIO_BASE + 0x5000,
@@ -662,7 +589,7 @@ mod tests {
             assert_eq!(bus.classify(base + 0xFF), Region::Device(idx), "top {base:#x}");
             assert_eq!(bus.classify(base + 0x100), Region::Unmapped, "past {base:#x}");
         }
-        assert_eq!(bus.classify(MMIO_WINDOW_BASE - 4), Region::Unmapped);
+        assert_eq!(bus.classify(MMIO_BASE - 4), Region::Unmapped);
         assert_eq!(bus.classify(MMIO_BASE + 0x8100), Region::Unmapped);
     }
 
@@ -670,8 +597,8 @@ mod tests {
     #[should_panic(expected = "device windows must not overlap")]
     fn overlapping_windows_are_rejected() {
         let mut bus = Bus::new(1 << 20, 1 << 20, None, false);
-        bus.attach(MMIO_WINDOW_BASE, 0x1000, Box::new(Mmio::new()));
-        bus.attach(MMIO_WINDOW_BASE + 0x800, 0x1000, Box::new(Mmio::new()));
+        bus.attach(MMIO_BASE, 0x1000, Box::new(Mmio::new()));
+        bus.attach(MMIO_BASE + 0x800, 0x1000, Box::new(Mmio::new()));
     }
 
     #[test]

@@ -73,7 +73,13 @@ pub enum Lookup {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set by set: set `s` is `lines[s * ways..][..ways]`.
+    lines: Vec<Line>,
+    /// `log2(line size)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(set count)`: a line number's set is its low `set_shift`
+    /// bits, its tag the rest.
+    set_shift: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -83,17 +89,24 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if geometry is inconsistent (size not divisible by
-    /// `line * ways`).
+    /// Panics if the geometry is inconsistent (size not divisible by
+    /// `line * ways`), or if the line size or the set count is not a
+    /// power of two (set and tag are a shift and a mask of the address).
     #[must_use]
     pub fn new(config: CacheConfig) -> Cache {
         let n_lines = config.size / config.line;
         assert!(n_lines.is_multiple_of(config.ways), "bad cache geometry");
-        let n_sets = (n_lines / config.ways) as usize;
+        let n_sets = n_lines / config.ways;
+        assert!(
+            config.line.is_power_of_two() && n_sets.is_power_of_two(),
+            "cache line size and set count must be powers of two"
+        );
         let line = Line { valid: false, tag: 0, lru: 0, poisoned: false, tag_poisoned: false };
         Cache {
             config,
-            sets: vec![vec![line; config.ways as usize]; n_sets],
+            lines: vec![line; n_lines as usize],
+            line_shift: config.line.trailing_zeros(),
+            set_shift: n_sets.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -114,14 +127,15 @@ impl Cache {
     /// Number of valid lines (for tests and occupancy reporting).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 
-    fn set_and_tag(&self, addr: u32) -> (usize, u32) {
-        let line_addr = addr / self.config.line;
-        let set = (line_addr as usize) % self.sets.len();
-        let tag = line_addr / self.sets.len() as u32;
-        (set, tag)
+    /// The ways of the set `addr` maps to, and the address's tag.
+    fn set_and_tag(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & ((1 << self.set_shift) - 1)) as usize;
+        let ways = self.config.ways as usize;
+        (set * ways..(set + 1) * ways, line_addr >> self.set_shift)
     }
 
     /// Looks up `addr`, updating LRU/miss state, returning the outcome and
@@ -130,7 +144,7 @@ impl Cache {
         self.tick += 1;
         let parity = self.config.parity;
         let (set, tag) = self.set_and_tag(addr);
-        let lines = &mut self.sets[set];
+        let lines = &mut self.lines[set];
         if let Some(l) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
             if parity && l.tag_poisoned {
                 // TAG RAM error: treated as a miss (paper §3.1.3).
@@ -173,14 +187,14 @@ impl Cache {
     #[must_use]
     pub fn probe(&self, addr: u32) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag && !l.poisoned && !l.tag_poisoned)
+        self.lines[set].iter().any(|l| l.valid && l.tag == tag && !l.poisoned && !l.tag_poisoned)
     }
 
     /// Marks the line holding `addr` (if any) as having a data-RAM soft
     /// error. Returns whether a valid line was poisoned.
     pub fn inject_data_error(&mut self, addr: u32) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        for l in &mut self.sets[set] {
+        for l in &mut self.lines[set] {
             if l.valid && l.tag == tag {
                 l.poisoned = true;
                 return true;
@@ -193,7 +207,7 @@ impl Cache {
     /// error. Returns whether a valid line was poisoned.
     pub fn inject_tag_error(&mut self, addr: u32) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        for l in &mut self.sets[set] {
+        for l in &mut self.lines[set] {
             if l.valid && l.tag == tag {
                 l.tag_poisoned = true;
                 return true;
@@ -205,26 +219,20 @@ impl Cache {
     /// Poisons the `n`-th valid line (deterministic campaign helper).
     /// Returns the line's reconstructed base address, if any.
     pub fn inject_error_in_nth_valid_line(&mut self, n: usize, tag_ram: bool) -> Option<u32> {
-        let line = self.config.line;
-        let n_sets = self.sets.len() as u32;
-        let mut count = 0;
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            for l in set.iter_mut() {
-                if l.valid {
-                    if count == n {
-                        if tag_ram {
-                            l.tag_poisoned = true;
-                        } else {
-                            l.poisoned = true;
-                        }
-                        let line_addr = l.tag * n_sets + set_idx as u32;
-                        return Some(line_addr * line);
-                    }
-                    count += 1;
-                }
-            }
+        let ways = self.config.ways as usize;
+        let (idx, l) = self
+            .lines
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, l)| l.valid)
+            .nth(n)?;
+        if tag_ram {
+            l.tag_poisoned = true;
+        } else {
+            l.poisoned = true;
         }
-        None
+        let line_addr = l.tag << self.set_shift | (idx / ways) as u32;
+        Some(line_addr << self.line_shift)
     }
 }
 
@@ -306,6 +314,19 @@ mod tests {
         let mut c = small();
         assert!(!c.inject_data_error(0xF00));
         assert!(!c.inject_tag_error(0xF00));
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        // 3 sets of 4 ways: the set index would need a division.
+        let _ = Cache::new(CacheConfig { size: 384, ..CacheConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_line_size_is_rejected() {
+        let _ = Cache::new(CacheConfig { size: 384, line: 48, ..CacheConfig::default() });
     }
 
     #[test]

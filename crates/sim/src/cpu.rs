@@ -1,6 +1,6 @@
 //! Architectural CPU state and ALU helpers.
 
-use alia_isa::{Cond, Flags, Operand2, Reg, ShiftOp};
+use alia_isa::{Cond, Flags, Operand2, Reg};
 use std::collections::VecDeque;
 
 /// Magic link-register value marking a hardware-stacked exception return.
@@ -208,15 +208,10 @@ pub fn expand_it(firstcond: Cond, mask: u8, count: u8) -> VecDeque<Cond> {
     q
 }
 
-/// Applies a barrel-shift explicitly (exposed for tests and tools).
-#[must_use]
-pub fn barrel_shift(sh: ShiftOp, value: u32, amount: u32, carry_in: bool) -> (u32, bool) {
-    sh.apply(value, amount, carry_in)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alia_isa::ShiftOp;
 
     #[test]
     fn add_with_carry_flag_semantics() {

@@ -53,7 +53,6 @@
 //! scheduler quantum sizes. A state transition of this controller's node
 //! raises `err_irq` at its exact wire stamp.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -125,12 +124,8 @@ impl Timer {
 }
 
 impl Device for Timer {
-    fn name(&self) -> &'static str {
-        "timer"
-    }
-
     fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
-        match off & !3 {
+        match off {
             0 => u32::from(self.enabled) | u32::from(self.periodic) << 1,
             4 => self.compare,
             8 if self.enabled => self.next_fire.saturating_sub(ctx.now) as u32,
@@ -140,7 +135,7 @@ impl Device for Timer {
     }
 
     fn write32(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
-        match off & !3 {
+        match off {
             0 => {
                 let enable = value & 1 != 0;
                 self.periodic = value & 2 != 0;
@@ -173,19 +168,6 @@ impl Device for Timer {
 
     fn next_event(&self) -> Option<u64> {
         self.enabled.then_some(self.next_fire)
-    }
-
-    // The timer is a pure edge source: compare matches travel through
-    // `BusSignals::raise_irq_at`, and an armed-but-unfired timer has no
-    // level state to report — so the default `pending_irq` (None)
-    // applies.
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -777,13 +759,9 @@ impl CanController {
 }
 
 impl Device for CanController {
-    fn name(&self) -> &'static str {
-        "can"
-    }
-
     fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
         let _ = ctx;
-        match off & !3 {
+        match off {
             0 => self.tx_id,
             4 => self.tx_dlc,
             8 => self.tx_data[0],
@@ -807,7 +785,7 @@ impl Device for CanController {
     }
 
     fn write32(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
-        match off & !3 {
+        match off {
             0 => self.tx_id = value,
             4 => self.tx_dlc = value,
             8 => self.tx_data[0] = value,
@@ -841,10 +819,6 @@ impl Device for CanController {
 
     fn next_event(&self) -> Option<u64> {
         (self.poll_at != u64::MAX).then_some(self.poll_at)
-    }
-
-    fn pending_irq(&self) -> Option<u32> {
-        (!self.rx_fifo.is_empty()).then_some(self.config.irq)
     }
 
     fn wire_attachments(&self) -> Vec<(SharedCanBus, usize)> {
@@ -885,14 +859,6 @@ impl Device for CanController {
         // totals: gauges, so campaign merges keep the worst case.
         reg.gauge(&format!("{prefix}can.tec"), f64::from(self.tec_mirror));
         reg.gauge(&format!("{prefix}can.rec"), f64::from(self.rec_mirror));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -969,12 +935,8 @@ impl Watchdog {
 }
 
 impl Device for Watchdog {
-    fn name(&self) -> &'static str {
-        "watchdog"
-    }
-
     fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
-        match off & !3 {
+        match off {
             0 => u32::from(self.enabled),
             4 => self.timeout,
             12 if self.enabled => self.deadline.saturating_sub(ctx.now) as u32,
@@ -984,7 +946,7 @@ impl Device for Watchdog {
     }
 
     fn write32(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
-        match off & !3 {
+        match off {
             0 => {
                 let enable = value & 1 != 0;
                 if enable {
@@ -1014,14 +976,6 @@ impl Device for Watchdog {
 
     fn next_event(&self) -> Option<u64> {
         self.enabled.then_some(self.deadline)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -67,7 +67,6 @@
 //! gateway node driven to bus-off stalls its direction until recovery
 //! (its in-flight forward was purged with the node's queue).
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use alia_can::{CanFrame, CanId, DeliveryKind};
@@ -398,13 +397,9 @@ impl Dma {
 }
 
 impl Device for Dma {
-    fn name(&self) -> &'static str {
-        "dma"
-    }
-
     fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
         let _ = ctx;
-        match off & !3 {
+        match off {
             0x00 => u32::from(self.enabled),
             0x04 => self.latency as u32,
             0x08 => self.forwarded as u32,
@@ -430,7 +425,7 @@ impl Device for Dma {
 
     fn write32(&mut self, off: u32, value: u32, ctx: &mut DeviceCtx<'_>) {
         let _ = ctx;
-        match off & !3 {
+        match off {
             0x00 => self.enabled = value & 1 != 0,
             0x04 => self.latency = u64::from(value),
             0x18 => self.fwd_capacity = value.max(1),
@@ -505,14 +500,6 @@ impl Device for Dma {
                 reg.counter(&format!("{prefix}dma.route{i}.count"), r.count);
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -28,7 +28,7 @@
 //! (wrapping `alia_can`) via [`MachineConfig::devices`] — guest
 //! programs drive them purely with loads and stores and receive their
 //! events as interrupts. See `ARCHITECTURE.md` for the full contract
-//! (timing, ticking, IRQ signaling, revision counters).
+//! (timing, access widths, ticking, IRQ signaling).
 //!
 //! # Multi-ECU systems and the network subsystem
 //!
@@ -54,7 +54,8 @@
 //!   straight-line runs the per-step path records are lowered to
 //!   threaded code (pre-resolved handlers, fused instruction pairs,
 //!   planned fetch timing) when installed, and [`Machine::run`]
-//!   dispatches them whole and chains their exits. Hot code never
+//!   dispatches them whole and, at each exit, probes for the successor
+//!   block and dispatches it in turn. Hot code never
 //!   re-reads instruction bytes or re-runs the table decoder; only the
 //!   *timing* side of each fetch (flash streaming, I-cache, TCM repair,
 //!   MPU) is replayed. IT blocks lower too: covered instructions keep
@@ -129,11 +130,11 @@ mod timing;
 
 pub use bus::{
     AttachedDevice, Bus, BusSignals, Device, DeviceClone, DeviceCtx, Region, CAN_BASE,
-    DMA_BASE, MMIO_WINDOW_BASE, TIMER_BASE, WATCHDOG_BASE,
+    DMA_BASE, TIMER_BASE, WATCHDOG_BASE,
 };
 pub use cache::{Cache, CacheConfig, CacheStats, Lookup};
 pub use cpu::{
-    add_with_carry, barrel_shift, expand_it, Cpu, ItQueue, EXC_RETURN_HW, EXC_RETURN_SW,
+    add_with_carry, expand_it, Cpu, ItQueue, EXC_RETURN_HW, EXC_RETURN_SW,
 };
 pub use devices::{
     CanConfig, CanController, SharedCanBus, Timer, TimerConfig, Watchdog, WatchdogConfig,

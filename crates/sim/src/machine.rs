@@ -783,7 +783,7 @@ impl Machine {
         }
         let region = self.bus.classify_access(addr, len);
         if let Region::Device(idx) = region {
-            let v = self.bus.device_read(idx, addr, len, self.cycles, self.active_irq);
+            let v = self.bus.device_read(idx, addr, self.cycles, self.active_irq);
             return Ok((v, 1));
         }
         if region == Region::BitBand {
@@ -849,8 +849,7 @@ impl Machine {
         }
         match self.bus.classify_access(addr, len) {
             Region::Device(idx) => {
-                self.bus
-                    .device_write(idx, addr, len, value, self.cycles, self.active_irq);
+                self.bus.device_write(idx, addr, value, self.cycles, self.active_irq);
                 Ok(1)
             }
             Region::BitBand => {
@@ -899,9 +898,7 @@ impl Machine {
 
     /// The block cache's generation stamp: the sum of the per-region
     /// revision counters — any change to what instruction bytes decode
-    /// to moves this value. Devices participate through
-    /// [`crate::Device::revision`] (cached bus-side, so plain data
-    /// devices cost nothing here). The top two bits say whether an
+    /// to moves this value. The top two bits say whether an
     /// I-cache and an MPU are fitted: installed fetch plans assume
     /// neither (see `crates/sim/src/threaded.rs`), so fitting or
     /// removing one between runs drops every block. See
@@ -915,7 +912,6 @@ impl Machine {
             .wrapping_add(self.patch.revision())
             .wrapping_add(self.sram.revision())
             .wrapping_add(self.tcm.as_ref().map_or(0, Tcm::revision))
-            .wrapping_add(self.bus.device_revisions())
             .wrapping_add(self.code_write_gen)
             .wrapping_add(fitted)
     }
@@ -1000,8 +996,8 @@ impl Machine {
     /// * undrained device signals (a store/load that made a device
     ///   raise an IRQ) — split; the next step's drain pends them at the
     ///   same boundary stepping would;
-    /// * a guest-reachable generation-stamp change (a store inside a
-    ///   cache watermark, a device revision bump) — split before the
+    /// * a guest-reachable generation-stamp change (a store inside the
+    ///   cache watermark or the open recording) — split before the
     ///   next, possibly stale, op could issue;
     /// * the cycle budget: a due scheduled interrupt, a due device
     ///   event ([`crate::Bus::next_event`], read live because a guest
@@ -1009,11 +1005,12 @@ impl Machine {
     ///   — split, so interrupt latency and quantum boundaries land on
     ///   the same instruction boundary stepping would put them on.
     ///
-    /// Chained dispatch (block exit straight into the successor block)
-    /// is gated on the same checks, so a chain hop is exactly a block
-    /// entry whose drain would have been a no-op. Every dispatch also
-    /// passes the IT/exit-code gate in `threaded::dispatch`; when it
-    /// is closed the per-step path takes the next instruction.
+    /// Chained dispatch (a block exit probes for its successor and runs
+    /// it straight away) is gated on the same checks, so a chain hop is
+    /// exactly a block entry whose drain would have been a no-op. Every
+    /// dispatch also passes the IT/exit-code gate in
+    /// `threaded::dispatch`; when it is closed the per-step path takes
+    /// the next instruction.
     fn exec_blocks(
         &mut self,
         mut slot: usize,
@@ -1027,11 +1024,9 @@ impl Machine {
         // components cannot move while the guest runs.
         let sched_due = self.irq_schedule.last().map_or(u64::MAX, |&(c, _)| c);
         let cwg = self.code_write_gen;
-        let revs = self.bus.device_revisions();
         loop {
             let instret0 = self.instret;
-            let (exit, rounds) =
-                threaded::dispatch(self, &code, cycle_limit, sched_due, cwg, revs);
+            let (exit, rounds) = threaded::dispatch(self, &code, cycle_limit, sched_due, cwg);
             // Self-loop rounds inside the dispatch stand for
             // dispatch-follow-redispatch passes of this chain loop:
             // charge the stats those passes would have charged.
@@ -1052,14 +1047,11 @@ impl Machine {
                 }
                 BlockExit::Chain => {}
             }
-            // Block exit (taken branch or fall-through): follow the
-            // chain hint, or probe-and-link, or record the successor.
+            // Block exit (taken branch or fall-through): dispatch the
+            // cached successor, or record it.
             let target = self.cpu.pc;
-            if let Some(next) = self.blocks.follow(slot, target) {
+            if let Some(next) = self.blocks.probe(target) {
                 self.blocks.stats.chain_follows += 1;
-                (slot, code) = next;
-            } else if let Some(next) = self.blocks.probe(target) {
-                self.blocks.link(slot, target, next.0);
                 (slot, code) = next;
             } else {
                 self.ensure_record(target, stamp);
@@ -1071,12 +1063,11 @@ impl Machine {
     /// The block engine's safety conditions, checked by the dispatcher
     /// after every impure op (pure ops provably cannot change any input
     /// of this check). `false` means split back to the per-step path.
-    pub(crate) fn threaded_safety_ok(&self, cwg: u64, revs: u64) -> bool {
-        !(self.irq.any_pending()
-            || !self.bus.signals.irq_requests.is_empty()
-            || !self.bus.signals.timed_irqs.is_empty()
-            || self.code_write_gen != cwg
-            || self.bus.device_revisions() != revs)
+    pub(crate) fn threaded_safety_ok(&self, cwg: u64) -> bool {
+        !self.irq.any_pending()
+            && self.bus.signals.irq_requests.is_empty()
+            && self.bus.signals.timed_irqs.is_empty()
+            && self.code_write_gen == cwg
     }
 
     /// Starts recording a block at `pc` under generation `stamp` —

@@ -597,12 +597,8 @@ impl Mmio {
 }
 
 impl crate::bus::Device for Mmio {
-    fn name(&self) -> &'static str {
-        "mmio"
-    }
-
     fn read32(&mut self, off: u32, ctx: &mut crate::bus::DeviceCtx<'_>) -> u32 {
-        match MMIO_BASE + (off & !3) {
+        match MMIO_BASE + off {
             MMIO_CYCLES => ctx.now as u32,
             crate::MMIO_IRQ_ACTIVE => ctx.active_irq,
             _ => 0,
@@ -610,20 +606,12 @@ impl crate::bus::Device for Mmio {
     }
 
     fn write32(&mut self, off: u32, value: u32, ctx: &mut crate::bus::DeviceCtx<'_>) {
-        match MMIO_BASE + (off & !3) {
+        match MMIO_BASE + off {
             MMIO_EXIT => ctx.signals.request_exit(value),
             MMIO_TRACE => self.trace.push((value, ctx.now)),
             MMIO_IRQ_SET => ctx.signals.raise_irq(value),
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

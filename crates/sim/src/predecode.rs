@@ -7,8 +7,9 @@
 //! `Entry`s up to the next control transfer, and installs each
 //! finished run in the `BlockCache`, lowered to threaded code
 //! (`crates/sim/src/threaded.rs`). `Machine::run` dispatches those
-//! blocks whole and chains block exits, so hot loops run block to block
-//! without re-reading instruction bytes or re-running the decoder. The
+//! blocks whole and, at a block exit, probes for the successor and
+//! dispatches it too, so hot loops run block to block without
+//! re-reading instruction bytes or re-running the decoder. The
 //! block cache is the only code cache; the module and the switch keep
 //! their historical `predecode` names.
 //!
@@ -32,10 +33,10 @@
 //! counters on everything that can change what bytes decode to:
 //!
 //! * [`crate::Flash::revision`] — flash image loads / host mutation,
-//! * [`crate::FlashPatch::revision`] — patch slot programming,
+//! * [`crate::FlashPatch::revision`] — patch slot programming (the patch
+//!   unit is the one part of the machine that remaps code),
 //! * [`crate::Sram::revision`] / [`crate::Tcm::revision`] — host-side RAM
 //!   mutation (bulk loads, fault injection),
-//! * [`crate::Device::revision`] — devices that remap code,
 //! * the machine's *code-write generation*, bumped when a simulated store
 //!   (including bit-band aliases) lands inside the cache's **watermark**
 //!   — the address interval covered by installed blocks — or inside the
@@ -88,8 +89,9 @@ pub struct PredecodeStats {
     /// Block executions (entry probes, chain follows and self-loop
     /// rounds all count — one per pass through a block).
     pub block_hits: u64,
-    /// Block exits that entered their successor through a verified
-    /// chain link (or a self-loop restart) instead of a fresh probe.
+    /// Block exits that entered their successor without leaving the
+    /// block engine: a successor found by a probe inside the chain
+    /// loop, or a self-loop restart.
     pub chain_follows: u64,
     /// Mid-block splits back to the per-step slow path because the
     /// cycle budget ran out (a due scheduled interrupt, a device event
@@ -167,17 +169,8 @@ pub(crate) const MAX_BLOCK_LEN: usize = 64;
 
 const _: () = assert!(MAX_BLOCK_LEN <= 64);
 
-/// Chain links kept per block: `(exit pc, successor slot)` hints. Two
-/// cover the common conditional-branch shape (taken target and
-/// fall-through).
-const BLOCK_LINKS: usize = 2;
-
-/// Marker for an unset chain link (instruction addresses are even, so
-/// an odd exit pc can never match a real PC).
-const LINK_EMPTY: (u32, u16) = (1, u16::MAX);
-
-/// A cached block handed to the dispatcher: its slot (for chain links
-/// and profile counts) and its threaded code.
+/// A cached block handed to the dispatcher: its slot (for profile
+/// counts) and its threaded code.
 pub(crate) type Resident = (usize, Arc<ThreadedBlock>);
 
 /// One cached basic block, lowered to threaded code.
@@ -190,11 +183,6 @@ struct Block {
     /// it while the machine is mutably borrowed, and so a machine's
     /// clone copies a pointer, not the code.
     code: Arc<ThreadedBlock>,
-    /// Chain hints: `(exit pc, successor slot)`. A hint is only a
-    /// shortcut — [`BlockCache::follow`] re-verifies the successor's
-    /// start tag, so stale hints (evicted or cleared successors) fail
-    /// safe.
-    links: [(u32, u16); BLOCK_LINKS],
     /// Passes through this block (self-loop rounds included) — the
     /// profiler's per-block heat.
     dispatches: u64,
@@ -256,15 +244,12 @@ impl BlockCache {
     }
 
     /// Probes for the block starting at `pc` without stamp validation
-    /// (the caller has already validated this pass's stamp).
+    /// (the caller has already validated this pass's stamp): one slot
+    /// index plus a start-tag compare, so an evicted or aliasing block
+    /// never answers for `pc`.
     #[inline]
     pub(crate) fn probe(&self, pc: u32) -> Option<Resident> {
-        self.resident(BlockCache::slot(pc), pc)
-    }
-
-    /// The block in `slot`, if it starts at `pc`.
-    #[inline]
-    fn resident(&self, slot: usize, pc: u32) -> Option<Resident> {
+        let slot = BlockCache::slot(pc);
         match self.blocks.get(slot) {
             Some(Some(b)) if b.start == pc => Some((slot, Arc::clone(&b.code))),
             _ => None,
@@ -294,34 +279,9 @@ impl BlockCache {
         *slot = Some(Block {
             start: pc,
             code: Arc::new(code),
-            links: [LINK_EMPTY; BLOCK_LINKS],
             dispatches: 0,
         });
         true
-    }
-
-    /// Follows `slot`'s chain hint for an exit at `pc`, verifying that
-    /// the hinted successor still starts there.
-    #[inline]
-    pub(crate) fn follow(&self, slot: usize, pc: u32) -> Option<Resident> {
-        let b = self.blocks[slot].as_ref()?;
-        let &(_, succ) = b.links.iter().find(|&&(exit, _)| exit == pc)?;
-        self.resident(succ as usize, pc)
-    }
-
-    /// Records the chain hint `exit pc -> successor slot` on `slot`,
-    /// evicting the older hint when both are taken.
-    pub(crate) fn link(&mut self, slot: usize, pc: u32, succ: usize) {
-        let Some(b) = &mut self.blocks[slot] else { return };
-        let links = &mut b.links;
-        let pos = links
-            .iter()
-            .position(|&(exit, _)| exit == pc || exit == LINK_EMPTY.0)
-            .unwrap_or(BLOCK_LINKS - 1);
-        // Keep the most recent hint in front so `follow` finds the hot
-        // exit first.
-        links[pos] = links[0];
-        links[0] = (pc, succ as u16);
     }
 
     /// Whether a write of `len` bytes at `addr` overlaps any cached
@@ -418,33 +378,15 @@ mod tests {
         let mut b = block_cache(1);
         install(&mut b, 1, &[(0x100, 4)]);
         install(&mut b, 1, &[(0x200, 4)]);
-        let a = b.probe(0x100).unwrap().0;
-        let c = b.probe(0x200).unwrap().0;
-        assert!(b.follow(a, 0x200).is_none(), "no hint yet");
-        b.link(a, 0x200, c);
-        assert_eq!(b.follow(a, 0x200).map(|r| r.0), Some(c));
-        // Evict the successor's slot with an aliasing block: the stale
-        // hint must fail the start-tag verify instead of dispatching it.
+        let succ = b.probe(0x200).expect("successor cached").0;
+        assert!(b.probe(0x100).is_some_and(|r| r.0 != succ));
+        // Evict the successor's slot with an aliasing block: the probe
+        // must fail the start-tag compare instead of dispatching the
+        // alias, and the alias answers only for its own start.
         let alias = 0x200 + 2 * BLOCK_SLOTS as u32;
         install(&mut b, 1, &[(alias, 4)]);
-        assert!(b.follow(a, 0x200).is_none(), "stale link fails safe");
-    }
-
-    #[test]
-    fn block_links_keep_the_two_hottest_exits() {
-        let mut b = block_cache(1);
-        for pc in [0x100, 0x200, 0x300, 0x400] {
-            install(&mut b, 1, &[(pc, 4)]);
-        }
-        let slot = |b: &BlockCache, pc| b.probe(pc).unwrap().0;
-        let a = slot(&b, 0x100);
-        b.link(a, 0x200, slot(&b, 0x200));
-        b.link(a, 0x300, slot(&b, 0x300));
-        assert!(b.follow(a, 0x200).is_some());
-        assert!(b.follow(a, 0x300).is_some());
-        b.link(a, 0x400, slot(&b, 0x400));
-        assert!(b.follow(a, 0x400).is_some(), "newest hint kept");
-        assert!(b.follow(a, 0x300).is_some(), "previous front demoted, kept");
-        assert!(b.follow(a, 0x200).is_none(), "oldest hint evicted");
+        assert!(b.probe(0x200).is_none(), "evicted successor fails safe");
+        assert_eq!(b.probe(alias).map(|r| r.0), Some(succ), "alias took the slot");
+        assert_eq!(b.stats.demotions, 1, "the eviction counts as a demotion");
     }
 }

@@ -907,7 +907,9 @@ mod tests {
                 .devices()
                 .iter()
                 .enumerate()
-                .find_map(|(i, d)| d.dev.as_any().downcast_ref::<CanController>().map(|c| (i, c)))
+                .find_map(|(i, d)| {
+                    (&*d.dev as &dyn std::any::Any).downcast_ref::<CanController>().map(|c| (i, c))
+                })
                 .expect("node has a CAN controller")
         };
         let (pi, producer_can) = find_can(0);

@@ -69,8 +69,8 @@
 //! stamps, flash/patch statistics and stop reasons are bit-identical
 //! with the block engine on or off (`predecode` off is the uncached
 //! per-step reference). After every *impure* op — one that can pend an
-//! interrupt, raise a device signal, move a revision counter, touch
-//! `next_event` or set the exit code — the dispatch loop re-checks
+//! interrupt, raise a device signal, move the code-write generation,
+//! touch `next_event` or set the exit code — the dispatch loop re-checks
 //! everything the per-step dispatch could react to at that boundary
 //! (see `Machine::exec_blocks`). After a *pure* op those re-checks are
 //! vacuous, so only the cycle budget is compared (against a bound
@@ -80,7 +80,7 @@
 //!
 //! Invalidation is the block cache's: threaded code lives in
 //! `BlockCache` slots and dies with them (generation stamps, watermark
-//! stores, device revisions), counted as demotions.
+//! stores, evictions), counted as demotions.
 
 use alia_isa::{AddrMode, Cond, DpOp, Index, Instr, IsaMode, Offset, Operand2, Reg, ShiftOp};
 
@@ -139,8 +139,6 @@ pub(crate) struct ExecCtx {
     pub(crate) sched_due: u64,
     /// Code-write generation snapshot the chain entered with.
     pub(crate) cwg: u64,
-    /// Device-revision snapshot the chain entered with.
-    pub(crate) revs: u64,
     /// `min(cycle_limit, sched_due, bus.next_event())`, recomputed
     /// after every impure op — the single compare pure ops make.
     pub(crate) bound: u64,
@@ -280,8 +278,8 @@ pub(crate) struct Op {
     /// handler issues it; every handler charges its patch accounting.
     pub(crate) entry: Entry,
     /// Whether the whole op (both halves when fused) is pure: cannot
-    /// pend an interrupt, raise a device signal, move a revision,
-    /// change `next_event`, or set the exit code. Pure ops get a
+    /// pend an interrupt, raise a device signal, move the code-write
+    /// generation, change `next_event`, or set the exit code. Pure ops get a
     /// single budget compare after execution instead of the full
     /// boundary check sequence.
     pub(crate) pure: bool,
@@ -375,13 +373,11 @@ pub(crate) fn dispatch(
     cycle_limit: u64,
     sched_due: u64,
     cwg: u64,
-    revs: u64,
 ) -> (BlockExit, u64) {
     let mut ctx = ExecCtx {
         cycle_limit,
         sched_due,
         cwg,
-        revs,
         bound: cycle_limit.min(sched_due).min(m.bus.next_event()),
         window: tb.window,
         flen: tb.flen,
@@ -407,7 +403,7 @@ pub(crate) fn dispatch(
                             return (BlockExit::SplitBudget, rounds);
                         }
                     } else {
-                        if !m.threaded_safety_ok(cwg, revs) {
+                        if !m.threaded_safety_ok(cwg) {
                             return (BlockExit::Split, rounds);
                         }
                         ctx.bound = cycle_limit.min(sched_due).min(m.bus.next_event());
@@ -427,7 +423,7 @@ pub(crate) fn dispatch(
                             continue 'round;
                         }
                     } else {
-                        if !m.threaded_safety_ok(cwg, revs) {
+                        if !m.threaded_safety_ok(cwg) {
                             return (BlockExit::Split, rounds);
                         }
                         if m.cycles >= cycle_limit.min(sched_due).min(m.bus.next_event()) {
@@ -679,7 +675,7 @@ fn impure_boundary(m: &mut Machine, ctx: &mut ExecCtx) -> Option<Ctl> {
     if let Some(code) = m.bus.signals.exit_code {
         return Some(Ctl::Stop(StopReason::MmioExit(code)));
     }
-    if !m.threaded_safety_ok(ctx.cwg, ctx.revs) {
+    if !m.threaded_safety_ok(ctx.cwg) {
         return Some(Ctl::Split);
     }
     ctx.bound = ctx.cycle_limit.min(ctx.sched_due).min(m.bus.next_event());
@@ -1090,8 +1086,8 @@ fn classify(e: &Entry, pc: u32, bias: u32) -> Micro {
 }
 
 /// Whether `instr` is *pure*: it cannot pend an interrupt, raise a
-/// device signal, bump a revision counter or the code-write
-/// generation, change `Bus::next_event`, or set the MMIO exit code.
+/// device signal, bump the code-write generation, change
+/// `Bus::next_event`, or set the MMIO exit code.
 /// After a pure op the safety re-checks are provably no-ops,
 /// so the dispatch loop compares only the cycle budget. Conservative:
 /// everything that touches memory or might exception-return is impure.

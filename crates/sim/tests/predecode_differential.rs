@@ -601,7 +601,7 @@ fn randomized_alu_programs_identical() {
 #[test]
 fn blocks_branchy_programs_identical_across_presets() {
     // Nested loops, calls and returns, conditional forward branches:
-    // plenty of block exits, chain links and partial blocks.
+    // plenty of block exits, chain hops and partial blocks.
     let src = "mov r0, #0
          mov r5, #8
          outer: mov r6, #6
@@ -941,8 +941,7 @@ fn predecode_stats_report_hits() {
     );
 
     // `run`: the loop body is recorded once, then dispatched
-    // block-to-block through its chain link, retiring almost every
-    // instruction threaded.
+    // block-to-block, retiring almost every instruction threaded.
     let mut m = machine_with(&config, src);
     let r2 = m.run(1_000_000);
     assert_eq!(r2, r, "block engine changed the run result");

@@ -13,16 +13,15 @@
 //! landing mid-IT), self-modifying code rewriting the inside of a fused
 //! pair of an installed block, `run_until` bounds splitting blocks
 //! mid-flight, flash-patch toggles dropping installed blocks, and
-//! device-revision stamps moving between a block's recording and its
-//! chained successor dispatch. A seeded corpus of the specialized
-//! shift, multiply and register-offset load/store forms runs on all
-//! four presets, compared at every bound of a `run_until` walk, next to
-//! directed cases for those handlers (a register-offset store raising
-//! an IRQ or rewriting code mid-block) and for the fetch plans (the
-//! fetch after a literal-pool load or an SRAM access, an I-cache or
-//! deny-all MPU fitted under installed blocks).
-
-use std::any::Any;
+//! device loads and stores inside chained blocks. A seeded corpus of
+//! the specialized shift, multiply and register-offset load/store forms
+//! runs on all four presets, compared at every bound of a `run_until`
+//! walk, next to directed cases for those handlers (a register-offset
+//! store raising an IRQ or rewriting code mid-block) and for the fetch
+//! plans (the fetch after a literal-pool load or an SRAM access, an
+//! I-cache or deny-all MPU fitted under installed blocks). Random flash
+//! bytes run the same walk on every preset, and must end in a
+//! `StopReason`, never a host panic.
 
 use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
@@ -559,63 +558,42 @@ fn toggling_threaded_mid_run_matches_disabled() {
 }
 
 // ---------------------------------------------------------------------
-// Device-revision stamps vs block chaining (satellite regression)
+// Device loads and stores inside chained blocks
 // ---------------------------------------------------------------------
 
-/// A device whose revision counter moves on every register write — the
-/// stand-in for any device state that can change what instruction
-/// fetches observe.
+/// A plain data register: it latches the last word written and counts
+/// the writes.
 #[derive(Debug, Clone, Default)]
-struct RevDevice {
-    rev: u64,
+struct DataDevice {
     last: u32,
     writes: u64,
 }
 
-const REV_DEVICE_BASE: u32 = MMIO_BASE + 0x8000;
+const DATA_DEVICE_BASE: u32 = MMIO_BASE + 0x8000;
 
-impl Device for RevDevice {
-    fn name(&self) -> &'static str {
-        "revdev"
-    }
+impl Device for DataDevice {
     fn read32(&mut self, _off: u32, _ctx: &mut DeviceCtx<'_>) -> u32 {
         self.last
     }
     fn write32(&mut self, _off: u32, value: u32, _ctx: &mut DeviceCtx<'_>) {
         self.last = value;
         self.writes += 1;
-        self.rev = self.rev.wrapping_add(1);
-    }
-    fn revision(&self) -> u64 {
-        self.rev
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
-fn rev_device_machine(src: &str) -> Machine {
-    let out = Assembler::new(IsaMode::T2).assemble(src).unwrap();
-    let mut m = Machine::new(MachineConfig::m3_like());
-    m.bus.attach(REV_DEVICE_BASE, 0x100, Box::new(RevDevice::default()));
-    m.bus.refresh_next_event();
-    m.load_flash(0x100, &out.bytes);
-    m.set_pc(0x100);
-    m.cpu.set_sp(SRAM_BASE + 0x8000);
+fn data_device_machine(src: &str) -> Machine {
+    let mut m = machine_with(&MachineConfig::m3_like(), src);
+    m.bus.attach(DATA_DEVICE_BASE, 0x100, Box::new(DataDevice::default()));
     m
 }
 
 #[test]
 fn device_revision_bump_between_record_and_chained_dispatch_identical() {
-    // The guest bumps a device revision on every loop pass: each
-    // chained successor dispatch happens under a stamp older than the
-    // one its block was recorded with, so the chain hint must be
-    // re-validated (split + re-record), never followed into a stale
-    // block. Engine and reference must agree bit-for-bit, including the
-    // device's own observed write stream.
+    // The guest stores to and loads from a data device on every loop
+    // pass. Device accesses are impure ops inside the block, re-checked
+    // after each; the loop must still run threaded, and the engine and
+    // the reference must agree bit-for-bit, including the device's own
+    // observed write stream.
     let src = format!(
         "movw r1, #{lo}
          movt r1, #{hi}
@@ -627,66 +605,15 @@ fn device_revision_bump_between_record_and_chained_dispatch_identical() {
          cmp r0, #40
          bne loop
          bkpt #0",
-        lo = REV_DEVICE_BASE & 0xFFFF,
-        hi = REV_DEVICE_BASE >> 16,
+        lo = DATA_DEVICE_BASE & 0xFFFF,
+        hi = DATA_DEVICE_BASE >> 16,
     );
-    let (r, on) = run_both(&|| rev_device_machine(&src), 1_000_000, "revdev");
+    let (r, on) = run_both(&|| data_device_machine(&src), 1_000_000, "data device");
     assert_eq!(r.reason, StopReason::Bkpt(0));
-    let dev = on.bus.device::<RevDevice>().expect("device attached");
+    let dev = on.bus.device::<DataDevice>().expect("device attached");
     assert_eq!(dev.writes, 40, "every pass must reach the device");
     assert_eq!(on.cpu.regs[6], (0..40).sum::<u32>(), "read-back checksum");
-    // The revision moves mid-block, so every pass clears the cache and
-    // re-records: each installed block is dropped before its next
-    // dispatch could chain into it.
-    let stats = on.predecode_stats();
-    assert!(stats.blocks_promoted > 2, "revision churn must force re-records");
-    assert_eq!(
-        stats.block_hits, 0,
-        "a block whose stamp moves every pass must never be dispatched"
-    );
-}
-
-#[test]
-fn host_side_revision_bump_demotes_promoted_block_identical() {
-    // Host-side variant: the loop touches no device and runs threaded,
-    // and *then* the host moves the device revision between steps —
-    // exactly the window between a block's recording and its next
-    // chained dispatch. The installed block must be invalidated, not
-    // chained.
-    let src = "mov r0, #0
-         mov r2, #400
-         loop: add r0, r0, #1
-         cmp r0, r2
-         bne loop
-         bkpt #0";
-    let build = || rev_device_machine(src);
-    let mut on = build();
-    let mut off = reference(&build);
-    let bump = |m: &mut Machine| {
-        let d = m.bus.device_mut::<RevDevice>().expect("device attached");
-        d.rev = d.rev.wrapping_add(1);
-        m.bus.refresh_next_event();
-    };
-    let mut stop = None;
-    for chunk in 0..10_000u64 {
-        // Long quiet stretches let the loop dispatch; each bump then
-        // lands between a recording and its next chained dispatch.
-        let bound = 449 * (chunk + 1);
-        let a = on.run_until(bound);
-        let b = off.run_until(bound);
-        assert_eq!(a, b, "diverged at chunk {chunk}");
-        assert_state_eq(&on, &off, &format!("chunk {chunk}"));
-        if a.reason != StopReason::CycleLimit {
-            stop = Some(a.reason);
-            break;
-        }
-        bump(&mut on);
-        bump(&mut off);
-    }
-    assert_eq!(stop, Some(StopReason::Bkpt(0)));
-    let stats = on.predecode_stats();
-    assert!(stats.block_hits > 0, "loop must dispatch before the first bump");
-    assert!(stats.demotions > 0, "every bump must drop the installed blocks");
+    assert!(on.predecode_stats().block_hits > 0, "the device loop must run threaded");
 }
 
 // ---------------------------------------------------------------------
@@ -732,6 +659,67 @@ fn matrix_randomized_programs_identical() {
             "{what}: 12 passes must dispatch the body"
         );
     }
+}
+
+#[test]
+fn matrix_random_flash_bytes_identical() {
+    // Random bytes at the entry point on every preset: whatever they
+    // decode to (undefined encodings, faulting accesses, wild branches,
+    // device stores), the engine and the per-step reference must agree
+    // at every `run_until` bound, and every run must end in a
+    // `StopReason`, never a host panic.
+    const PROGRAMS: u64 = 128;
+    const STRIDE: u64 = 97;
+    const HORIZON: u64 = 300 * STRIDE;
+    let (mut decode_errors, mut faults, mut block_hits) = (0, 0, 0);
+    for (name, config) in presets() {
+        for seed in 1..=PROGRAMS {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let bytes: Vec<u8> = (0..1024).map(|_| rng.next() as u8).collect();
+            let build = || {
+                let mut m = Machine::new(config.clone());
+                m.load_flash(0x100, &bytes);
+                m.set_pc(0x100);
+                m.cpu.set_sp(SRAM_BASE + 0x8000);
+                m
+            };
+            let what = format!("random flash {seed} on {name}");
+            let mut on = build();
+            let mut off = reference(&build);
+            let mut bound = 0;
+            while bound < HORIZON {
+                bound += STRIDE;
+                let got = on.run_until(bound);
+                let want = off.run_until(bound);
+                assert_eq!(got, want, "{what}: bound {bound}: RunResult diverged");
+                assert_state_eq(&on, &off, &format!("{what}: bound {bound}"));
+                match want.reason {
+                    StopReason::CycleLimit => continue,
+                    StopReason::DecodeError { .. } => decode_errors += 1,
+                    StopReason::Fault(_) => faults += 1,
+                    _ => {}
+                }
+                break;
+            }
+            block_hits += on.predecode_stats().block_hits;
+        }
+    }
+    assert!(decode_errors > 0 && faults > 0, "the corpus must reach both error stops");
+    assert!(block_hits > 0, "some random code must run threaded");
+}
+
+#[test]
+fn it_al_with_an_else_slot_stops_with_a_decode_error() {
+    // `ite al` (EC BF) then `nop`s and `bkpt`: AL has no inverse for the
+    // else slot, so the form is UNPREDICTABLE and must not decode.
+    let build = || {
+        let mut m = Machine::m3_like();
+        m.load_flash(0x100, &[0xEC, 0xBF, 0x00, 0xBF, 0x00, 0xBF, 0x00, 0xBE]);
+        m.set_pc(0x100);
+        m
+    };
+    let (r, _) = run_both(&build, 1_000, "ite al");
+    assert_eq!(r.reason, StopReason::DecodeError { addr: 0x100 });
 }
 
 // ---------------------------------------------------------------------
