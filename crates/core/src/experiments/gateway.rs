@@ -580,16 +580,15 @@ pub fn gateway_experiment_traced(
 
     // End-to-end: correlate each actuator delivery back to its
     // sensor-wire enqueue by (stream, payload word).
+    let (sensor_log, actuator_log) = (sensor.delivery_log(), actuator.delivery_log());
     let mut end_to_end = Vec::new();
     for (s, id) in SENSOR_IDS.iter().enumerate() {
         for k in 0..frames {
-            let src = sensor
-                .delivery_log()
+            let src = sensor_log
                 .iter()
                 .find(|d| d.frame.id.raw() == *id && u32::from(d.frame.data[0]) == k % 256)
                 .map(|d| d.enqueued_at * EDGE_CPB);
-            let dst = actuator
-                .delivery_log()
+            let dst = actuator_log
                 .iter()
                 .find(|d| d.frame.id.raw() == id + 0x400 && u32::from(d.frame.data[0]) == k % 256)
                 .map(|d| d.completed_at * EDGE_CPB);
@@ -723,6 +722,47 @@ mod tests {
             (30, 0xca81_c45e_520c_dde4),
         ];
         assert_eq!(images.into_inner(), expected);
+    }
+
+    /// E10 with the block engine off on every node (the per-step
+    /// reference) against the engine on: the run result (quanta
+    /// included), the semantic trace hash, each node's clock, halt
+    /// reason, instruction count and IRQ latencies, and every wire's
+    /// delivery log must be identical.
+    #[test]
+    fn e10_is_identical_with_the_engine_off() {
+        let run = |engine: bool| {
+            let mut topo =
+                build_gateway_topology(16, PERIOD_CYCLES, None, None, SystemConfig::default())
+                    .expect("topology builds");
+            let system = &mut topo.system;
+            for i in 0..system.nodes().len() {
+                system.node_mut(i).machine_mut().set_predecode_enabled(engine);
+            }
+            system.set_trace_mask(alia_obs::category::ALL);
+            let result = system.run(50_000_000);
+            assert_eq!(result.reason, SystemStop::AllHalted, "engine {engine}");
+            (result, topo.system)
+        };
+        let (r_on, on) = run(true);
+        let (r_off, off) = run(false);
+        assert_eq!(r_on, r_off, "run result");
+        let semantic = |s: &System| s.trace_set().fnv_hash(alia_obs::category::SEMANTIC);
+        assert_eq!(semantic(&on), semantic(&off), "semantic trace hash");
+        for (a, b) in on.nodes().iter().zip(off.nodes()) {
+            let what = a.name();
+            assert_eq!(a.cycles(), b.cycles(), "{what}: cycles");
+            assert_eq!(a.halted(), b.halted(), "{what}: halt reason");
+            let (ma, mb) = (a.machine(), b.machine());
+            assert_eq!(ma.instructions(), mb.instructions(), "{what}: instructions");
+            assert_eq!(ma.latencies(), mb.latencies(), "{what}: IRQ latencies");
+            assert_eq!(mb.predecode_stats().block_hits, 0, "{what}: reference dispatched blocks");
+        }
+        let hits: u64 = on.nodes().iter().map(|n| n.machine().predecode_stats().block_hits).sum();
+        assert!(hits > 0, "the engine-on run must dispatch blocks");
+        for (a, b) in on.wires().iter().zip(off.wires()) {
+            assert_eq!(a.delivery_log(), b.delivery_log(), "wire {}: delivery log", a.name());
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 
 use std::fmt;
 
-use alia_isa::{Assembler, IsaMode};
+use alia_isa::IsaMode;
 use alia_sim::{IrqStyle, Machine, StopReason, SRAM_BASE};
 
+use super::gateway::asm_err;
 use crate::CoreError;
 
 /// Results for one interrupt scheme.
@@ -72,12 +73,7 @@ fn build_machine(style: IrqStyle) -> Result<Machine, CoreError> {
         IrqStyle::HardwareStacking => Machine::m3_like(),
     };
     let mode = m.config.mode;
-    let asm = |src: &str| -> Result<Vec<u8>, CoreError> {
-        Ok(Assembler::new(mode)
-            .assemble(src)
-            .map_err(|e| CoreError::Run { what: format!("asm: {e}") })?
-            .bytes)
-    };
+    let asm = asm_err(mode);
     // Main program: spin on an add loop (so interrupts land mid-stream).
     let main = asm("main: add r4, r4, #1\n b main")?;
     // Handler: the *useful work* is incrementing a counter in SRAM and

@@ -9,13 +9,13 @@
 use std::fmt;
 
 use alia_can::{allocate, body_task_set, fleet, AllocationReport, Placement};
-use alia_isa::Assembler;
 use alia_sim::{
     CanConfig, CanController, DeviceSpec, Machine, MachineConfig, StopReason, System,
     SystemConfig, SystemStop, Timer, TimerConfig, Watchdog, WatchdogConfig, CAN_BASE, SRAM_BASE,
     TIMER_BASE, WATCHDOG_BASE,
 };
 
+use super::gateway::asm_err;
 use crate::CoreError;
 
 /// The E8 result.
@@ -157,12 +157,7 @@ pub fn guest_can_exchange(frames: u32) -> Result<GuestCanExchange, CoreError> {
             wire.clone(),
         ),
     ];
-    let asm = |src: &str| {
-        Assembler::new(config.mode)
-            .assemble(src)
-            .map(|o| o.bytes)
-            .map_err(|e| CoreError::Run { what: format!("asm: {e}") })
-    };
+    let asm = asm_err(config.mode);
     // Main: program the timer (COMPARE then CTRL = enable | periodic),
     // spin until the RX handler has counted all frames, exit with the
     // checksum.
@@ -437,15 +432,6 @@ fn consumer_machine(
     Ok(m)
 }
 
-fn ecu_asm(mode: alia_isa::IsaMode) -> impl Fn(&str) -> Result<Vec<u8>, CoreError> {
-    move |src: &str| {
-        Assembler::new(mode)
-            .assemble(src)
-            .map(|o| o.bytes)
-            .map_err(|e| CoreError::Run { what: format!("asm: {e}") })
-    }
-}
-
 /// Runs the two-ECU exchange with explicit scheduler knobs — the
 /// determinism tests sweep quantum sizes and node orderings and assert
 /// bit-identical results.
@@ -463,7 +449,7 @@ pub fn multi_ecu_exchange_with(
     scheduler: SystemConfig,
 ) -> Result<MultiEcuExchange, CoreError> {
     assert!(frames > 0 && frames <= 200, "frame count must fit an 8-bit immediate");
-    let asm = ecu_asm(MachineConfig::m3_like().mode);
+    let asm = asm_err(MachineConfig::m3_like().mode);
     let mut system = System::with_config(scheduler);
     let wire = system.add_wire("can0", 4);
     let producer = system.add_node("producer", producer_machine(frames, &wire, &asm)?);
@@ -575,7 +561,7 @@ impl fmt::Display for MultiEcuWatchdog {
 pub fn multi_ecu_watchdog(expected: u32, sent: u32) -> Result<MultiEcuWatchdog, CoreError> {
     assert!(expected > 0 && expected <= 200, "frame count must fit an 8-bit immediate");
     assert!(sent <= expected, "the producer cannot send more than expected");
-    let asm = ecu_asm(MachineConfig::m3_like().mode);
+    let asm = asm_err(MachineConfig::m3_like().mode);
     let mut system = System::new();
     let wire = system.add_wire("can0", 4);
     // The producer is built to ship only `sent` frames and halt.

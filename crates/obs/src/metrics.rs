@@ -112,7 +112,7 @@ impl Registry {
     /// # Panics
     /// If `name` already holds a non-counter metric.
     pub fn counter(&mut self, name: &str, v: u64) {
-        match self.metrics.entry(name.to_string()).or_insert(MetricValue::Counter(0)) {
+        match self.slot(name, || MetricValue::Counter(0)) {
             MetricValue::Counter(c) => *c += v,
             other => panic!("metric {name} is not a counter: {other:?}"),
         }
@@ -123,7 +123,7 @@ impl Registry {
     /// # Panics
     /// If `name` already holds a non-gauge metric.
     pub fn gauge(&mut self, name: &str, v: f64) {
-        match self.metrics.entry(name.to_string()).or_insert(MetricValue::Gauge(v)) {
+        match self.slot(name, || MetricValue::Gauge(v)) {
             MetricValue::Gauge(g) => *g = v,
             other => panic!("metric {name} is not a gauge: {other:?}"),
         }
@@ -134,14 +134,19 @@ impl Registry {
     /// # Panics
     /// If `name` already holds a non-histogram metric.
     pub fn observe(&mut self, name: &str, v: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(Box::default()))
-        {
+        match self.slot(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => h.observe(v),
             other => panic!("metric {name} is not a histogram: {other:?}"),
         }
+    }
+
+    /// The metric `name`, inserted as `init()` when absent. The name is
+    /// looked up first, so only an insert allocates its key.
+    fn slot(&mut self, name: &str, init: impl FnOnce() -> MetricValue) -> &mut MetricValue {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), init());
+        }
+        self.metrics.get_mut(name).expect("inserted above")
     }
 
     /// Takes a key-ordered snapshot.

@@ -1,7 +1,7 @@
 //! End-to-end tests of the executed RTOS tier on a bare machine.
 
 use alia_obs::{EventKind, RtosEventKind, TraceEvent};
-use alia_sim::{Machine, StopReason};
+use alia_sim::{Machine, StopReason, MMIO_TRACE};
 
 use super::{build_guest_rtos, decode_trace, ExecStats, GuestRtos, GuestRtosConfig, GuestTask};
 
@@ -88,6 +88,30 @@ fn repeat_runs_are_bit_identical() {
     let (_, b) = mission(&three_task_set(), 2_000, 40);
     assert_eq!(a, b);
     assert!(a.trace_len > 0);
+}
+
+#[test]
+fn mission_is_identical_with_the_engine_off() {
+    // The per-step reference (the block engine off) against the engine
+    // on: the run result, every IRQ latency and the distilled stats,
+    // trace hash included, must be identical.
+    let config = GuestRtosConfig { tick_cycles: 2_000, total_ticks: 40, can: None };
+    let run = |engine: bool| {
+        let mut guest = build_guest_rtos(&three_task_set(), &config).expect("build");
+        guest.machine.set_predecode_enabled(engine);
+        let result = guest.machine.run(1_000_000);
+        assert_eq!(result.reason, StopReason::MmioExit(guest.layout.expected_exit));
+        let stats =
+            ExecStats::from_machine(&guest.machine, &guest.layout).expect("trace consistent");
+        (result, stats, guest.machine)
+    };
+    let (r_on, stats_on, on) = run(true);
+    let (r_off, stats_off, off) = run(false);
+    assert_eq!(r_on, r_off, "run result");
+    assert_eq!(on.latencies(), off.latencies(), "IRQ latencies");
+    assert_eq!(stats_on, stats_off, "exec stats");
+    assert!(on.predecode_stats().block_hits > 0, "the engine-on run must dispatch blocks");
+    assert_eq!(off.predecode_stats().block_hits, 0, "the reference dispatched blocks");
 }
 
 #[test]
@@ -182,7 +206,7 @@ fn stats_reject_foreign_machines() {
     // stats (no activations) — not an error — but a machine with a
     // garbage trace word must be rejected.
     let mut foreign = Machine::m3_like();
-    foreign.mmio_mut().trace.push((0xF000_0000, 7));
+    foreign.bus_write(MMIO_TRACE, 4, 0xF000_0000).expect("MMIO trace register is mapped");
     assert!(ExecStats::from_machine(&foreign, &guest.layout).is_err());
 }
 

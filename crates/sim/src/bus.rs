@@ -23,10 +23,17 @@
 //!   through [`Device::read32`], unmasked; a store of any width writes
 //!   its value to the whole register word through [`Device::write32`].
 //!   Either way the device sees the word-aligned offset.
+//! * **Reads cannot act** — [`Device::read32`] takes `&self`, the cycle
+//!   and the IRQ being serviced, and nothing else: a register read
+//!   changes no device state, raises no signal and cannot move
+//!   [`Device::next_event`]. So the bus refreshes its cached next event
+//!   only after a write, a tick or a scheduler-side notification, and
+//!   the block engine runs a load as a pure op.
 //! * **Ticking** — the machine calls [`Device::tick`] whenever the cycle
 //!   counter reaches [`Device::next_event`]. A device with no timed
 //!   behaviour returns `None` and is only touched by loads and stores.
-//! * **IRQs** — devices raise interrupts through [`DeviceCtx::signals`]:
+//! * **IRQs** — [`Device::write32`] and [`Device::tick`] raise
+//!   interrupts through [`DeviceCtx::signals`]:
 //!   [`BusSignals::raise_irq`] for "pend at the next step boundary"
 //!   (matching the legacy instrumentation semantics) and
 //!   [`BusSignals::raise_irq_at`] for events with a precise assertion
@@ -45,8 +52,11 @@
 //!   [`Device::tracer`] and [`Device::publish_metrics`]. Every one
 //!   defaults to a no-op, so the scheduler and the machine reach these
 //!   devices through the trait and never name a device type.
-//! * **Typed access** — [`Any`] is a supertrait, so [`Bus::device`] and
-//!   [`Bus::device_mut`] downcast an attached device to its type.
+//! * **Typed access** — [`Any`] is a supertrait, so [`Bus::device`]
+//!   downcasts an attached device to its type. There is no typed
+//!   mutable access: the guest changes a device through its stores, and
+//!   the scheduler through the trait's wire hooks, each followed by a
+//!   refresh of the cached next event inside this crate.
 
 use std::any::Any;
 use std::fmt;
@@ -138,8 +148,9 @@ impl BusSignals {
     }
 }
 
-/// Context handed to device callbacks: the machine-side state a device
-/// may observe or signal through.
+/// Context handed to [`Device::write32`] and [`Device::tick`]: the
+/// machine-side state a device may observe or signal through. A read
+/// gets only the cycle and the active IRQ (see [`Device::read32`]).
 #[derive(Debug)]
 pub struct DeviceCtx<'a> {
     /// The machine's cycle counter at the access/tick.
@@ -178,8 +189,10 @@ impl Clone for Box<dyn Device> {
 /// always happens through `&mut` (one worker owns one fork); shared
 /// state such as [`crate::SharedCanBus`] sits behind `Arc<Mutex<..>>`.
 pub trait Device: Any + fmt::Debug + DeviceClone + Send + Sync {
-    /// Reads the register word at the word-aligned byte offset `off`.
-    fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32;
+    /// Reads the register word at the word-aligned byte offset `off`,
+    /// at cycle `now` while the machine services IRQ `active_irq`. A
+    /// read has no side effects (see the module docs).
+    fn read32(&self, off: u32, now: u64, active_irq: u32) -> u32;
 
     /// Writes `value` to the register word at the word-aligned byte
     /// offset `off`.
@@ -213,7 +226,7 @@ pub trait Device: Any + fmt::Debug + DeviceClone + Send + Sync {
     /// a quantum boundary, and once when the device's node joins a wire
     /// that already has a log: the device re-arms its tick at the
     /// arrival cycle of the first wire event it has not examined yet.
-    /// The caller follows up with [`Bus::refresh_next_event`]. The
+    /// The caller then refreshes the bus's cached next event. The
     /// default does nothing.
     fn note_wire_progress(&mut self) {}
 
@@ -432,14 +445,14 @@ impl Bus {
         &self.devices
     }
 
-    /// Mutable access to the attached devices themselves (multi-node
-    /// schedulers use this to notify every shared-bus controller after
-    /// a wire advance). Deliberately yields only the devices, not their
+    /// Mutable access to the attached devices themselves (the scheduler
+    /// uses this to notify every shared-bus controller after a wire
+    /// advance). Deliberately yields only the devices, not their
     /// windows — window geometry is mirrored in the sorted resolution
-    /// index and must stay immutable after [`Bus::attach`]. Host-side
-    /// mutation that (re)arms timed behaviour must be followed by
+    /// index and must stay immutable after [`Bus::attach`]. Mutation
+    /// that (re)arms timed behaviour must be followed by
     /// [`Bus::refresh_next_event`].
-    pub fn devices_mut(&mut self) -> impl Iterator<Item = &mut dyn Device> + '_ {
+    pub(crate) fn devices_mut(&mut self) -> impl Iterator<Item = &mut dyn Device> + '_ {
         self.devices.iter_mut().map(|d| &mut *d.dev as &mut dyn Device)
     }
 
@@ -449,16 +462,9 @@ impl Bus {
         self.devices.iter().find_map(|d| (&*d.dev as &dyn Any).downcast_ref::<T>())
     }
 
-    /// Typed mutable access to the first attached device of type `T`.
-    /// Host-side mutation that (re)arms timed behaviour must be followed
-    /// by [`Bus::refresh_next_event`].
-    pub fn device_mut<T: Device>(&mut self) -> Option<&mut T> {
-        self.devices.iter_mut().find_map(|d| (&mut *d.dev as &mut dyn Any).downcast_mut::<T>())
-    }
-
-    /// Recomputes the cached next-event cycle; call after host-side
-    /// device mutation through [`Bus::device_mut`].
-    pub fn refresh_next_event(&mut self) {
+    /// Recomputes the cached next-event cycle; call after mutating a
+    /// device through [`Bus::devices_mut`].
+    pub(crate) fn refresh_next_event(&mut self) {
         self.next_event = self
             .devices
             .iter()
@@ -477,14 +483,11 @@ impl Bus {
 
     /// Performs a device load at `addr` (resolved against the window of
     /// device `idx`): every width reads the register word holding
-    /// `addr`.
-    pub fn device_read(&mut self, idx: u8, addr: u32, now: u64, active_irq: u32) -> u32 {
-        let d = &mut self.devices[idx as usize];
-        let off = (addr - d.base) & !3;
-        let mut ctx = DeviceCtx { now, active_irq, signals: &mut self.signals };
-        let v = d.dev.read32(off, &mut ctx);
-        self.refresh_next_event();
-        v
+    /// `addr`. A read changes nothing, so nothing is refreshed.
+    #[must_use]
+    pub fn device_read(&self, idx: u8, addr: u32, now: u64, active_irq: u32) -> u32 {
+        let d = &self.devices[idx as usize];
+        d.dev.read32((addr - d.base) & !3, now, active_irq)
     }
 
     /// Performs a device store at `addr`: every width writes `value` to

@@ -124,11 +124,11 @@ impl Timer {
 }
 
 impl Device for Timer {
-    fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
+    fn read32(&self, off: u32, now: u64, _active_irq: u32) -> u32 {
         match off {
             0 => u32::from(self.enabled) | u32::from(self.periodic) << 1,
             4 => self.compare,
-            8 if self.enabled => self.next_fire.saturating_sub(ctx.now) as u32,
+            8 if self.enabled => self.next_fire.saturating_sub(now) as u32,
             12 => self.fires as u32,
             _ => 0,
         }
@@ -759,8 +759,7 @@ impl CanController {
 }
 
 impl Device for CanController {
-    fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
-        let _ = ctx;
+    fn read32(&self, off: u32, _now: u64, _active_irq: u32) -> u32 {
         match off {
             0 => self.tx_id,
             4 => self.tx_dlc,
@@ -935,11 +934,11 @@ impl Watchdog {
 }
 
 impl Device for Watchdog {
-    fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
+    fn read32(&self, off: u32, now: u64, _active_irq: u32) -> u32 {
         match off {
             0 => u32::from(self.enabled),
             4 => self.timeout,
-            12 if self.enabled => self.deadline.saturating_sub(ctx.now) as u32,
+            12 if self.enabled => self.deadline.saturating_sub(now) as u32,
             16 => self.bites as u32,
             _ => 0,
         }
@@ -1016,7 +1015,7 @@ mod tests {
         t.tick(&mut ctx(100, &mut s));
         assert_eq!(s.timed_irqs, vec![(0, 20)]);
         assert_eq!(t.next_event(), None);
-        assert_eq!(t.read32(0, &mut ctx(100, &mut s)), 0, "disarmed after firing");
+        assert_eq!(t.read32(0, 100, 0), 0, "disarmed after firing");
     }
 
     /// Plays the scheduler for a lone attached controller: runs its
@@ -1043,13 +1042,13 @@ mod tests {
         let now = c.next_event().expect("the delivery re-armed the tick");
         c.tick(&mut ctx(now, &mut s));
         assert_eq!(c.rx_count(), 1, "loopback receives its own frame");
-        assert_eq!(c.read32(20, &mut ctx(now, &mut s)), 1, "RX_STATUS");
-        assert_eq!(c.read32(24, &mut ctx(now, &mut s)), 0x123, "RX_ID");
-        assert_eq!(c.read32(28, &mut ctx(now, &mut s)), 4, "RX_DLC");
-        assert_eq!(c.read32(32, &mut ctx(now, &mut s)), 0xAABB_CCDD, "RX_DATA0");
+        assert_eq!(c.read32(20, now, 0), 1, "RX_STATUS");
+        assert_eq!(c.read32(24, now, 0), 0x123, "RX_ID");
+        assert_eq!(c.read32(28, now, 0), 4, "RX_DLC");
+        assert_eq!(c.read32(32, now, 0), 0xAABB_CCDD, "RX_DATA0");
         assert_eq!(s.timed_irqs, vec![(c.config().irq, now)], "IRQ stamped at completion");
         c.write32(40, 1, &mut ctx(now, &mut s)); // RX_POP
-        assert_eq!(c.read32(20, &mut ctx(now, &mut s)), 0);
+        assert_eq!(c.read32(20, now, 0), 0);
     }
 
     #[test]
@@ -1070,8 +1069,8 @@ mod tests {
         let arrival = rx.next_event().expect("delivery scheduled");
         rx.tick(&mut ctx(arrival, &mut s));
         assert_eq!(rx.rx_count(), 1);
-        assert_eq!(rx.read32(24, &mut ctx(arrival, &mut s)), 0x155, "RX_ID");
-        assert_eq!(rx.read32(32, &mut ctx(arrival, &mut s)), 0xBEEF, "RX_DATA0");
+        assert_eq!(rx.read32(24, arrival, 0), 0x155, "RX_ID");
+        assert_eq!(rx.read32(32, arrival, 0), 0xBEEF, "RX_DATA0");
         // The sender sees its own frame pass without receiving it.
         tx.note_wire_progress();
         let own = tx.next_event().expect("own delivery examined");
@@ -1092,7 +1091,7 @@ mod tests {
         assert_eq!(w.next_event(), Some(150));
         w.tick(&mut ctx(149, &mut s));
         assert!(s.timed_irqs.is_empty());
-        assert_eq!(w.read32(12, &mut ctx(149, &mut s)), 1, "COUNT");
+        assert_eq!(w.read32(12, 149, 0), 1, "COUNT");
         w.tick(&mut ctx(200, &mut s));
         assert_eq!(s.timed_irqs, vec![(2, 150)], "stamped at the deadline");
         assert_eq!(w.bites(), 1);
@@ -1126,14 +1125,14 @@ mod tests {
             c.host_enqueue(u64::from(k) * 200, 7, CanFrame::new(CanId::Standard(0x40 + k), &[k as u8]));
         }
         run_and_tick(&mut c, 10_000, 10_000, &mut s);
-        assert_eq!(c.read32(20, &mut ctx(10_000, &mut s)), 2, "RX_STATUS capped at capacity");
+        assert_eq!(c.read32(20, 10_000, 0), 2, "RX_STATUS capped at capacity");
         assert_eq!(c.rx_count(), 2, "only the landed frames count as received");
         assert_eq!(c.rx_overflows(), 2);
-        assert_eq!(c.read32(44, &mut ctx(10_000, &mut s)), 2, "RX_OVERFLOW register");
+        assert_eq!(c.read32(44, 10_000, 0), 2, "RX_OVERFLOW register");
         assert_eq!(s.timed_irqs.len(), 2, "dropped frames raise no RX IRQ");
-        assert_eq!(c.read32(24, &mut ctx(10_000, &mut s)), 0x40, "oldest frame preserved at the head");
+        assert_eq!(c.read32(24, 10_000, 0), 0x40, "oldest frame preserved at the head");
         c.write32(40, 1, &mut ctx(10_000, &mut s)); // RX_POP
-        assert_eq!(c.read32(24, &mut ctx(10_000, &mut s)), 0x41, "FIFO order intact");
+        assert_eq!(c.read32(24, 10_000, 0), 0x41, "FIFO order intact");
         // Room again: a fifth frame lands instead of overflowing.
         c.host_enqueue(10_100, 7, CanFrame::new(CanId::Standard(0x50), &[9]));
         run_and_tick(&mut c, 20_000, 20_000, &mut s);
@@ -1155,7 +1154,7 @@ mod tests {
         run_and_tick(&mut c, 10_000, 10_000, &mut s);
         assert_eq!(c.rx_count(), 2, "0x123 and 0x155 match the filter");
         assert_eq!(c.rx_filtered(), 1, "0x300 was rejected");
-        assert_eq!(c.read32(72, &mut ctx(10_000, &mut s)), 1, "RX_FILTERED");
+        assert_eq!(c.read32(72, 10_000, 0), 1, "RX_FILTERED");
         assert_eq!(s.timed_irqs.len(), 2, "filtered frames raise no RX IRQ");
         // Clearing the mask accepts everything again.
         c.write32(68, 0, &mut ctx(10_000, &mut s));
@@ -1181,12 +1180,12 @@ mod tests {
         // but the guest at cycle 5 must not see either.
         run_and_tick(&mut c, 10_000, 5, &mut s);
         assert!(wire.error_frames() == 1 && wire.tec(0) == 7, "the wire is ahead of the guest");
-        assert_eq!(c.read32(52, &mut ctx(5, &mut s)), 0, "error still ahead");
+        assert_eq!(c.read32(52, 5, 0), 0, "error still ahead");
         c.tick(&mut ctx(10_000, &mut s));
         // One error (+8) then the successful retransmission (−1).
-        assert_eq!(c.read32(52, &mut ctx(10_000, &mut s)), 7, "TEC");
-        assert_eq!(c.read32(56, &mut ctx(10_000, &mut s)), 0, "REC");
-        assert_eq!(c.read32(48, &mut ctx(10_000, &mut s)), 0, "still error-active");
+        assert_eq!(c.read32(52, 10_000, 0), 7, "TEC");
+        assert_eq!(c.read32(56, 10_000, 0), 0, "REC");
+        assert_eq!(c.read32(48, 10_000, 0), 0, "still error-active");
         assert_eq!(c.tec(), 7);
         assert_eq!(c.error_state(), ErrorState::Active);
     }
@@ -1205,6 +1204,6 @@ mod tests {
         run_and_tick(&mut c, 2000, 2000, &mut s);
         assert_eq!(wire.deliveries_len(), 2, "both frames crossed the wire");
         assert_eq!(c.rx_count(), 1, "only the remote frame is received");
-        assert_eq!(c.read32(24, &mut ctx(2000, &mut s)), 0x20);
+        assert_eq!(c.read32(24, 2000, 0), 0x20);
     }
 }

@@ -397,8 +397,7 @@ impl Dma {
 }
 
 impl Device for Dma {
-    fn read32(&mut self, off: u32, ctx: &mut DeviceCtx<'_>) -> u32 {
-        let _ = ctx;
+    fn read32(&self, off: u32, _now: u64, _active_irq: u32) -> u32 {
         match off {
             0x00 => u32::from(self.enabled),
             0x04 => self.latency as u32,
@@ -572,8 +571,8 @@ mod tests {
         let at = sink.next_event().expect("sink armed");
         sink.tick(&mut ctx(at, &mut s));
         assert_eq!(sink.rx_count(), 1);
-        assert_eq!(sink.read32(24, &mut ctx(at, &mut s)), 0x305);
-        assert_eq!(sink.read32(32, &mut ctx(at, &mut s)), 0xBEEF);
+        assert_eq!(sink.read32(24, at, 0), 0x305);
+        assert_eq!(sink.read32(32, at, 0), 0xBEEF);
         dma.note_wire_progress();
         let own = dma.next_event().expect("own forward to consume");
         dma.tick(&mut ctx(own, &mut s));
@@ -667,7 +666,7 @@ mod tests {
         program_route(&mut dma, 0, 0b001, 0x100, 0x1FF, 0);
         dma.write32(0, 1, &mut ctx(0, &mut s));
         dma.write32(0x18, 1, &mut ctx(0, &mut s)); // FWD_CAPACITY = 1
-        assert_eq!(dma.read32(0x18, &mut ctx(0, &mut s)), 1);
+        assert_eq!(dma.read32(0x18, 0, 0), 1);
         // Three route matches back to back (dispatch one, queue one,
         // overflow one — drop-newest) plus one unroutable id.
         for (k, id) in [0x100u16, 0x101, 0x102, 0x400].iter().enumerate() {
@@ -680,9 +679,9 @@ mod tests {
         assert_eq!(dma.no_route(), 1, "0x400 matched no route");
         assert_eq!(dma.queue_overflows(), 1, "0x102 hit the full queue");
         assert_eq!(dma.dropped(), 2);
-        assert_eq!(dma.read32(0x10, &mut ctx(2_000, &mut s)), 1, "NO_ROUTE");
-        assert_eq!(dma.read32(0x14, &mut ctx(2_000, &mut s)), 1, "QUEUE_OVERFLOW");
-        assert_eq!(dma.read32(0x0C, &mut ctx(2_000, &mut s)), 2, "legacy DROPPED = sum");
+        assert_eq!(dma.read32(0x10, 2_000, 0), 1, "NO_ROUTE");
+        assert_eq!(dma.read32(0x14, 2_000, 0), 1, "QUEUE_OVERFLOW");
+        assert_eq!(dma.read32(0x0C, 2_000, 0), 2, "legacy DROPPED = sum");
         assert_eq!(wb.pending(), 1, "one forward in flight on B while the next waits queued");
         // The in-flight forward completes on B; the queued one follows.
         wb.advance(4_000);

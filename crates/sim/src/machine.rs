@@ -425,11 +425,6 @@ impl Machine {
         self.bus.device::<Mmio>().expect("instrumentation MMIO always attached")
     }
 
-    /// Mutable access to the instrumentation MMIO block.
-    pub fn mmio_mut(&mut self) -> &mut Mmio {
-        self.bus.device_mut::<Mmio>().expect("instrumentation MMIO always attached")
-    }
-
     /// Shorthand: [`MachineConfig::arm7_like`].
     #[must_use]
     pub fn arm7_like(mode: IsaMode) -> Machine {
@@ -527,8 +522,9 @@ impl Machine {
         reg.counter(&format!("{prefix}plans.window"), s.plans_window);
         reg.counter(&format!("{prefix}plans.slow"), s.plans_slow);
         reg.counter(&format!("{prefix}irq.taken"), self.latencies.len() as u64);
+        let latency = format!("{prefix}irq.latency");
         for l in &self.latencies {
-            reg.observe(&format!("{prefix}irq.latency"), l.entry_cycle - l.pend_cycle);
+            reg.observe(&latency, l.entry_cycle - l.pend_cycle);
         }
         reg.counter(&format!("{prefix}icache.recoveries"), self.icache_recoveries);
         reg.counter(&format!("{prefix}dcache.recoveries"), self.dcache_recoveries);
@@ -993,9 +989,9 @@ impl Machine {
     /// * a pending interrupt (uncovered by `cpsie`, raised mid-`ldm`,
     ///   left by an exception return) — split; the slow path owns
     ///   interrupt entry;
-    /// * undrained device signals (a store/load that made a device
-    ///   raise an IRQ) — split; the next step's drain pends them at the
-    ///   same boundary stepping would;
+    /// * undrained device signals (a store that made a device raise an
+    ///   IRQ; a load cannot) — split; the next step's drain pends them
+    ///   at the same boundary stepping would;
     /// * a guest-reachable generation-stamp change (a store inside the
     ///   cache watermark or the open recording) — split before the
     ///   next, possibly stale, op could issue;

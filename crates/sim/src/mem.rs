@@ -597,10 +597,10 @@ impl Mmio {
 }
 
 impl crate::bus::Device for Mmio {
-    fn read32(&mut self, off: u32, ctx: &mut crate::bus::DeviceCtx<'_>) -> u32 {
+    fn read32(&self, off: u32, now: u64, active_irq: u32) -> u32 {
         match MMIO_BASE + off {
-            MMIO_CYCLES => ctx.now as u32,
-            crate::MMIO_IRQ_ACTIVE => ctx.active_irq,
+            MMIO_CYCLES => now as u32,
+            crate::MMIO_IRQ_ACTIVE => active_irq,
             _ => 0,
         }
     }
@@ -713,9 +713,8 @@ mod tests {
         m.write32(MMIO_IRQ_SET - MMIO_BASE, 3, &mut ctx);
         m.write32(MMIO_EXIT - MMIO_BASE, 7, &mut ctx);
         assert_eq!(m.trace, vec![(42, 9)]);
-        assert_eq!(m.read32(crate::MMIO_IRQ_ACTIVE - MMIO_BASE, &mut ctx), 2);
-        let mut ctx = DeviceCtx { now: 1234, active_irq: 0, signals: &mut signals };
-        assert_eq!(m.read32(MMIO_CYCLES - MMIO_BASE, &mut ctx), 1234);
+        assert_eq!(m.read32(crate::MMIO_IRQ_ACTIVE - MMIO_BASE, 9, 2), 2);
+        assert_eq!(m.read32(MMIO_CYCLES - MMIO_BASE, 1234, 0), 1234);
         assert_eq!(signals.irq_requests, vec![3]);
         assert_eq!(signals.exit_code, Some(7));
     }

@@ -29,9 +29,10 @@
 //!   `ldr`+`alu` with any addressing form, and any two adjacent
 //!   register-only ops — shift chains, shift+ALU, `mov`+`mul`...) are
 //!   fused into single handlers, halving dispatch count on loop-shaped
-//!   code. A fused handler re-checks the split conditions *between*
-//!   its two halves, so interrupts and `run_until` bounds land on
-//!   exactly the instruction boundary the per-step path puts them on.
+//!   code. Both halves of every pair are pure, so a fused handler
+//!   compares the cycle budget *between* its two halves, and interrupts
+//!   and `run_until` bounds land on exactly the instruction boundary
+//!   the per-step path puts them on.
 //!   The register-pair handler runs both halves through one `match`
 //!   on [`RegOp`]; one instantiation per pair of kinds measured
 //!   slower (more code for the same dispatches).
@@ -43,7 +44,10 @@
 //!   window is [`FetchPlan::Window`], which refills the window unless
 //!   the buffer already holds it — exactly what `fetch_timing` does for
 //!   such a fetch, so it needs no knowledge of the buffered window and
-//!   also covers block entry and the fetch after a load or store.
+//!   also covers block entry and the fetch after a load or store (the
+//!   lowering's fetch model forgets the buffered window after every
+//!   data access: a literal-pool load breaks the flash stream, and so
+//!   does an SRAM access on a unified bus).
 //!   Only a fetch spanning windows from an unknown buffer state, or
 //!   code the plans do not apply to, runs `fetch_timing` in full
 //!   ([`FetchPlan::Slow`]). Plans assume no I-cache and no MPU; which
@@ -75,8 +79,9 @@
 //! (see `Machine::exec_blocks`). After a *pure* op those re-checks are
 //! vacuous, so only the cycle budget is compared (against a bound
 //! recomputed after every impure op). Purity is classified
-//! conservatively at build time; anything that touches memory, a
-//! device, or might exception-return is impure.
+//! conservatively at build time. A single load is pure, since a device
+//! register read has no side effects; a store, a multi-register load,
+//! or anything that might exception-return is impure.
 //!
 //! Invalidation is the block cache's: threaded code lives in
 //! `BlockCache` slots and dies with them (generation stamps, watermark
@@ -92,7 +97,7 @@ use crate::predecode::{Entry, MAX_BLOCK_LEN};
 /// A handler: executes one [`Op`] (one instruction or one fused pair)
 /// against the machine and reports how the dispatch loop should
 /// proceed.
-pub(crate) type Handler = fn(&mut Machine, &Op, &mut ExecCtx) -> Ctl;
+pub(crate) type Handler = fn(&mut Machine, &Op, &ExecCtx) -> Ctl;
 
 /// Handler outcome, consumed by [`dispatch`].
 #[derive(Debug)]
@@ -102,10 +107,8 @@ pub(crate) enum Ctl {
     /// Control transfer (or conditional fall-through past a terminal
     /// branch): leave the block and chain at the current PC.
     Exit,
-    /// A safety condition tripped mid-op (fused pairs check between
-    /// halves): split to the per-step path, no budget stat.
-    Split,
-    /// The cycle budget tripped mid-op: split, counting a budget split.
+    /// The cycle budget tripped between the halves of a fused pair:
+    /// split, counting a budget split.
     SplitBudget,
     /// Execution stopped (fault, breakpoint, MMIO exit...).
     Stop(StopReason),
@@ -130,15 +133,10 @@ pub(crate) enum BlockExit {
     Stop(StopReason),
 }
 
-/// Per-dispatch context shared between the loop and the handlers.
+/// Per-dispatch context: the dispatch loop updates it, the handlers
+/// only read it.
 #[derive(Debug)]
 pub(crate) struct ExecCtx {
-    /// `run`/`run_until` cycle bound for this dispatch.
-    pub(crate) cycle_limit: u64,
-    /// Earliest scheduled-interrupt cycle (stable across the chain).
-    pub(crate) sched_due: u64,
-    /// Code-write generation snapshot the chain entered with.
-    pub(crate) cwg: u64,
     /// `min(cycle_limit, sched_due, bus.next_event())`, recomputed
     /// after every impure op — the single compare pure ops make.
     pub(crate) bound: u64,
@@ -323,8 +321,8 @@ pub(crate) struct ThreadedBlock {
     /// `ops[0]` except its fetch plans assume the streaming window the
     /// block itself leaves buffered at its taken backedge (a `Free`
     /// plan where the unknown entry state needs a `Window` check). Only
-    /// reached after a *pure* terminal exit, which provably cannot
-    /// disturb the fetch stream.
+    /// reached after a *pure* terminal exit: a branch, which accesses
+    /// no data and so provably cannot disturb the fetch stream.
     pub(crate) loop_head: Op,
     /// Flash streaming-window size the fetch plans were built for.
     pub(crate) window: u32,
@@ -375,9 +373,6 @@ pub(crate) fn dispatch(
     cwg: u64,
 ) -> (BlockExit, u64) {
     let mut ctx = ExecCtx {
-        cycle_limit,
-        sched_due,
-        cwg,
         bound: cycle_limit.min(sched_due).min(m.bus.next_event()),
         window: tb.window,
         flen: tb.flen,
@@ -396,7 +391,7 @@ pub(crate) fn dispatch(
             // Self-loop rounds enter with a statically known streaming
             // window: swap in the steady-state first op.
             let op = if rounds > 1 && idx == 0 { &tb.loop_head } else { block_op };
-            match (op.run)(m, op, &mut ctx) {
+            match (op.run)(m, op, &ctx) {
                 Ctl::Next => {
                     if op.pure {
                         if m.cycles >= ctx.bound {
@@ -432,7 +427,6 @@ pub(crate) fn dispatch(
                     }
                     return (BlockExit::Chain, rounds);
                 }
-                Ctl::Split => return (BlockExit::Split, rounds),
                 Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds),
                 Ctl::Stop(r) => return (BlockExit::Stop(r), rounds),
             }
@@ -666,25 +660,6 @@ fn branch_half(m: &mut Machine, op: &Op, pc: u32) {
     }
 }
 
-/// The boundary check after an impure first half, mid-pair: exit-code
-/// stop, safety split, budget recompute + split — in exactly the order
-/// the per-step path reacts between two instructions (`exec`'s
-/// exit-code stop, then the next step's IRQ drain and budget).
-#[inline(always)]
-fn impure_boundary(m: &mut Machine, ctx: &mut ExecCtx) -> Option<Ctl> {
-    if let Some(code) = m.bus.signals.exit_code {
-        return Some(Ctl::Stop(StopReason::MmioExit(code)));
-    }
-    if !m.threaded_safety_ok(ctx.cwg) {
-        return Some(Ctl::Split);
-    }
-    ctx.bound = ctx.cycle_limit.min(ctx.sched_due).min(m.bus.next_event());
-    if m.cycles >= ctx.bound {
-        return Some(Ctl::SplitBudget);
-    }
-    None
-}
-
 // ---------------------------------------------------------------------
 // Handlers
 // ---------------------------------------------------------------------
@@ -701,7 +676,7 @@ macro_rules! try_ctl {
 /// Fallback: plan-replayed fetch plus the shared issue sequence
 /// (live predication, full executor). Anything the specializer skips
 /// lands here, so the lowering never needs to be complete.
-fn h_generic(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_generic(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     let fc = try_ctl!(fetch_instr(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     let next_pc = pc.wrapping_add(op.entry.size);
@@ -713,7 +688,7 @@ fn h_generic(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Specialized unconditional ALU reg/imm (`add`/`sub`/`and`/`orr`/
 /// `eor`/`bic`, optional `s`, no PC operands).
-fn h_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_alu(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     alu_half(m, &op.a);
@@ -722,7 +697,7 @@ fn h_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 }
 
 /// Specialized unconditional `mov`/`movw` reg/imm (no PC operands).
-fn h_mov(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_mov(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     mov_half(m, &op.a);
@@ -732,7 +707,7 @@ fn h_mov(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Any other register-only [`RegOp`] (shifted-register moves, `mul`,
 /// `ubfx`, `bfi`), unconditional, no PC operands.
-fn h_reg(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_reg(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     reg_half(m, &op.a);
@@ -741,7 +716,7 @@ fn h_reg(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 }
 
 /// Specialized unconditional `cmp` reg/imm.
-fn h_cmp(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_cmp(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     cmp_half(m, &op.a);
@@ -751,7 +726,7 @@ fn h_cmp(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Specialized direct branch (`b`, any condition, static non-EXC
 /// target).
-fn h_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     branch_half(m, op, pc);
@@ -759,7 +734,7 @@ fn h_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 }
 
 /// Specialized `cbz`/`cbnz`.
-fn h_cbz(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_cbz(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     m.cycles += 1;
@@ -775,22 +750,20 @@ fn h_cbz(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Specialized unconditional `ldr` (unsigned, any [`Ea`] form: an
 /// immediate or a shifted register offset with no PC operand, or a
-/// word literal-pool load). Impure: the load may touch a device.
-fn h_ldr(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+/// word literal-pool load). Pure: even a device read has no side
+/// effects.
+fn h_ldr(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     try_ctl!(ldr_half(m, &op.a));
     m.cpu.pc = pc.wrapping_add(op.size);
-    if let Some(code) = m.bus.signals.exit_code {
-        return Ctl::Stop(StopReason::MmioExit(code));
-    }
     Ctl::Next
 }
 
 /// Specialized unconditional `str` (an immediate or a shifted register
 /// offset, no PC operands). Impure: the store may touch a device or
 /// code bytes.
-fn h_str(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_str(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     let ea = mem_ea(m, &op.a);
@@ -809,7 +782,7 @@ fn h_str(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Fused ALU + `cmp` (the `add`+`cmp` loop-counter idiom). Both halves
 /// pure; the mid-pair boundary needs only the budget compare.
-fn h_fused_alu_cmp(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_fused_alu_cmp(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     alu_half(m, &op.a);
@@ -825,7 +798,7 @@ fn h_fused_alu_cmp(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 }
 
 /// Fused `cmp` + conditional branch (the compare-and-loop backedge).
-fn h_fused_cmp_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_fused_cmp_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     cmp_half(m, &op.a);
@@ -841,7 +814,7 @@ fn h_fused_cmp_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 
 /// Fused flag-setting ALU + conditional branch (the `subs`+`bne`
 /// countdown backedge).
-fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     alu_half(m, &op.a);
@@ -856,17 +829,16 @@ fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 }
 
 /// Fused `ldr` (any [`Ea`] form) + ALU (pointer-chase, table lookup,
-/// constant use, accumulate). The first half is impure, so the
-/// mid-pair boundary runs the full check sequence before the second
-/// half issues.
-fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+/// constant use, accumulate). Both halves pure; the mid-pair boundary
+/// needs only the budget compare.
+fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     try_ctl!(ldr_half(m, &op.a));
     let pc2 = pc.wrapping_add(op.size1);
     m.cpu.pc = pc2;
-    if let Some(ctl) = impure_boundary(m, ctx) {
-        return ctl;
+    if m.cycles >= ctx.bound {
+        return Ctl::SplitBudget;
     }
     try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
     alu_half(m, &op.b);
@@ -877,7 +849,7 @@ fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 /// Fused pair of register-only ops of any [`RegOp`]s (shift chains,
 /// shift + ALU, ALU + ALU, `mov` + `mul`...). Both halves pure; the
 /// mid-pair boundary needs only the budget compare.
-fn h_fused_reg2(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
+fn h_fused_reg2(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     reg_half(m, &op.a);
@@ -902,7 +874,7 @@ fn h_fused_reg2(m: &mut Machine, op: &Op, ctx: &mut ExecCtx) -> Ctl {
 struct FetchSim {
     window: u32,
     /// Statically known buffered window (`None` at block entry and
-    /// after any impure op — data accesses may clobber the stream).
+    /// after any data access or impure op — see [`breaks_stream`]).
     cur: Option<u32>,
     /// Whether planning applies at all: uncached, MPU-less flash code.
     plannable: bool,
@@ -920,7 +892,7 @@ impl FetchSim {
         // After the walk the final window is buffered, whatever came
         // before.
         let Some(mut cur) = self.cur.replace(fin) else {
-            // Unknown buffer state (block entry, after an impure op): a
+            // Unknown buffer state (block entry, after a data access): a
             // fetch inside one window refills it unless it is already
             // buffered — the `Window` check at run time.
             return if first == fin { FetchPlan::Window(fin) } else { FetchPlan::Slow };
@@ -948,8 +920,8 @@ impl FetchSim {
         }
     }
 
-    /// Forgets the buffered window (called after impure ops: a data
-    /// access may break the fetch stream).
+    /// Forgets the buffered window (called after every op that
+    /// [`breaks_stream`]).
     fn invalidate(&mut self) {
         self.cur = None;
     }
@@ -1089,11 +1061,18 @@ fn classify(e: &Entry, pc: u32, bias: u32) -> Micro {
 /// device signal, bump the code-write generation, change
 /// `Bus::next_event`, or set the MMIO exit code.
 /// After a pure op the safety re-checks are provably no-ops,
-/// so the dispatch loop compares only the cycle budget. Conservative:
-/// everything that touches memory or might exception-return is impure.
+/// so the dispatch loop compares only the cycle budget. A single load
+/// that cannot write the PC is pure: a device register read has no
+/// side effects (`Device::read32` takes `&self`). Conservative
+/// otherwise: stores, multi-register loads and anything that might
+/// exception-return are impure.
 fn is_pure(instr: &Instr, pc: u32) -> bool {
     match *instr {
         Instr::Dp { rd, .. } | Instr::Mov { rd, .. } => rd != Reg::PC,
+        Instr::Ldr { rt, addr, .. } => {
+            rt != Reg::PC && (addr.index == Index::Offset || addr.base != Reg::PC)
+        }
+        Instr::LdrLit { rt, .. } => rt != Reg::PC,
         Instr::Mvn { .. }
         | Instr::Cmp { .. }
         | Instr::MovW { .. }
@@ -1116,11 +1095,19 @@ fn is_pure(instr: &Instr, pc: u32) -> bool {
         Instr::B { offset, .. } | Instr::Bl { offset } | Instr::Cbz { offset, .. } => {
             !exc_target(pc.wrapping_add(offset as u32))
         }
-        // Ldr/Str/LdrLit/Ldm/Stm/Push/Pop (memory), Bx (dynamic
-        // target), Tbb/Tbh (memory), Bkpt/Wfi (never in blocks), and
+        // Stores, Ldm/Pop (interruptible; the PC can be in the list),
+        // Bx (dynamic target), Tbb/Tbh, Bkpt/Wfi (never in blocks), and
         // anything future: impure.
         _ => false,
     }
+}
+
+/// Whether the fetch-plan model must forget the buffered window after
+/// `instr`: after every impure op, and after every load even though a
+/// load is pure (a literal-pool load breaks the flash stream, and so
+/// does an SRAM load on a unified bus).
+fn breaks_stream(instr: &Instr, pc: u32) -> bool {
+    !is_pure(instr, pc) || matches!(instr, Instr::Ldr { .. } | Instr::LdrLit { .. })
 }
 
 /// A selected fusion: handler plus the pieces the [`Op`] needs.
@@ -1252,12 +1239,12 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         let pc2 = pc.wrapping_add(size1);
         let next = (i + 1 < n).then(|| lower(i + 1, pc2));
         let (f1, f1b) = plan(&mut sim, i, pc);
-        if !pure {
+        if breaks_stream(&entries[i].instr, pc) {
             sim.invalidate();
         }
         if let Some((fu, pure2)) = next.and_then(|(m2, p2)| Some((fuse(micro, m2)?, p2))) {
             let (f2, f2b) = plan(&mut sim, i + 1, pc2);
-            if !pure2 {
+            if breaks_stream(&entries[i + 1].instr, pc2) {
                 sim.invalidate();
             }
             let size2 = entries[i + 1].size;
@@ -1315,14 +1302,15 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     // first op's fetches assuming the window the block leaves buffered
     // at its end (`sim.cur` — statically known whenever plannable and
     // the final planned call ran under a valid model). The dispatch
-    // loop only uses these after a *pure* terminal exit, which cannot
-    // disturb the stream, so the assumed window is exact at runtime.
+    // loop only uses these after a *pure* terminal exit (a branch: a
+    // pure load never leaves the block), which cannot disturb the
+    // stream, so the assumed window is exact at runtime.
     let mut loop_head = ops[0].clone();
     let mut lsim = FetchSim { window, cur: sim.cur, plannable };
     (loop_head.f1, loop_head.f1b) = plan(&mut lsim, 0, start);
     // A fused first op carries the second instruction's plans too.
     if loop_head.size != loop_head.size1 {
-        if !is_pure(&entries[0].instr, start) {
+        if breaks_stream(&entries[0].instr, start) {
             lsim.invalidate();
         }
         (loop_head.f2, loop_head.f2b) = plan(&mut lsim, 1, start.wrapping_add(loop_head.size1));

@@ -12,8 +12,9 @@
 //! carried through the lowering (covered entries, splits and interrupts
 //! landing mid-IT), self-modifying code rewriting the inside of a fused
 //! pair of an installed block, `run_until` bounds splitting blocks
-//! mid-flight, flash-patch toggles dropping installed blocks, and
-//! device loads and stores inside chained blocks. A seeded corpus of
+//! mid-flight, flash-patch toggles dropping installed blocks, device
+//! loads and stores inside chained blocks, and cycle-dependent device
+//! loads (pure ops) under a periodic timer. A seeded corpus of
 //! the specialized shift, multiply and register-offset load/store forms
 //! runs on all four presets, compared at every bound of a `run_until`
 //! walk, next to directed cases for those handlers (a register-offset
@@ -25,8 +26,9 @@
 
 use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
-    Cache, CacheConfig, Device, DeviceCtx, Machine, MachineConfig, MemFault, Mpu, MpuKind,
-    PatchKind, RunResult, StopReason, MMIO_BASE, MMIO_IRQ_SET, SRAM_BASE,
+    Cache, CacheConfig, Device, DeviceCtx, DeviceSpec, Machine, MachineConfig, MemFault, Mpu,
+    MpuKind, PatchKind, RunResult, StopReason, TimerConfig, MMIO_BASE, MMIO_CYCLES, MMIO_IRQ_SET,
+    SRAM_BASE, TIMER_BASE,
 };
 
 /// Asserts both machines are architecturally identical right now,
@@ -572,7 +574,7 @@ struct DataDevice {
 const DATA_DEVICE_BASE: u32 = MMIO_BASE + 0x8000;
 
 impl Device for DataDevice {
-    fn read32(&mut self, _off: u32, _ctx: &mut DeviceCtx<'_>) -> u32 {
+    fn read32(&self, _off: u32, _now: u64, _active_irq: u32) -> u32 {
         self.last
     }
     fn write32(&mut self, _off: u32, value: u32, _ctx: &mut DeviceCtx<'_>) {
@@ -588,12 +590,14 @@ fn data_device_machine(src: &str) -> Machine {
 }
 
 #[test]
-fn device_revision_bump_between_record_and_chained_dispatch_identical() {
+fn device_store_and_load_in_a_threaded_loop_identical() {
     // The guest stores to and loads from a data device on every loop
-    // pass. Device accesses are impure ops inside the block, re-checked
-    // after each; the loop must still run threaded, and the engine and
-    // the reference must agree bit-for-bit, including the device's own
-    // observed write stream.
+    // pass. The store is an impure op inside the block, re-checked
+    // after it runs; the load is pure (a device read has no side
+    // effects), so only the cycle budget is compared after it. The loop
+    // must still run threaded, and the engine and the reference must
+    // agree bit-for-bit, including the device's own observed write
+    // stream.
     let src = format!(
         "movw r1, #{lo}
          movt r1, #{hi}
@@ -614,6 +618,57 @@ fn device_revision_bump_between_record_and_chained_dispatch_identical() {
     assert_eq!(dev.writes, 40, "every pass must reach the device");
     assert_eq!(on.cpu.regs[6], (0..40).sum::<u32>(), "read-back checksum");
     assert!(on.predecode_stats().block_hits > 0, "the device loop must run threaded");
+}
+
+#[test]
+fn matrix_device_loads_under_a_periodic_timer_identical() {
+    // Pure loads from device registers whose value depends on the
+    // cycle of the access: the timer's COUNT, MMIO_CYCLES through an
+    // immediate and a register offset, next to a stacked SRAM word,
+    // each folded into r6. A periodic timer interrupts the loop, so its
+    // next event bounds every dispatch: interrupts and `run_until`
+    // bounds must land after the same load on the engine as on the
+    // reference, and the fetch after each load must be timed alike. The
+    // four-instruction prologue word-aligns the loop, so in T16 each
+    // load shares a flash window with the `add` after it: on arm7's
+    // unified bus the SRAM load breaks the stream inside that window.
+    let src = "mov r6, #0
+         mov r2, #3
+         str r2, [r0, #0]
+         push {r2}
+         loop: ldr r3, [r0, #8]
+         add r6, r6, r3
+         ldr r3, [r5, #4]
+         add r6, r6, r3
+         ldr r3, [r5, r1]
+         add r6, r6, r3
+         ldr r3, [sp, #0]
+         add r6, r6, r3
+         sub r7, r7, #1
+         cmp r7, #0
+         bne loop
+         bkpt #0";
+    for (name, mut config) in presets() {
+        let timer = TimerConfig { base: TIMER_BASE, irq: 0, compare: 53 };
+        config.devices = vec![DeviceSpec::Timer(timer)];
+        let handler = Assembler::new(config.mode).assemble("add r4, r4, #1\n bx lr").unwrap();
+        let build = || {
+            let mut m = machine_with(&config, src);
+            m.load_flash(0x300, &handler.bytes);
+            m.load_flash(0, &0x300u32.to_le_bytes());
+            m.cpu.regs[0] = TIMER_BASE;
+            m.cpu.regs[1] = MMIO_CYCLES - MMIO_BASE;
+            m.cpu.regs[5] = MMIO_BASE;
+            m.cpu.regs[7] = 400;
+            m
+        };
+        let what = format!("device loads on {name}");
+        run_both_bounded(&build, 31, 0.7, &what);
+        let (_, on) = run_both(&build, 2_000_000, &what);
+        assert!(on.latencies().len() >= 20, "{what}: the timer must interrupt the loop");
+        let splits = on.predecode_stats().budget_splits;
+        assert!(splits > 0, "{what}: timer events must split dispatches");
+    }
 }
 
 // ---------------------------------------------------------------------
