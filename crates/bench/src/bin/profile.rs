@@ -4,8 +4,10 @@
 //! Runs the AutoIndy-6 suite on the M3-class (T2) preset and prints,
 //! per kernel: the occupancy of the two tiers (what fraction of retired
 //! guest instructions ran as threaded blocks, t3, and on the per-step
-//! path, t1), the fusion and fetch-plan mix of the threaded code, and
-//! the hottest resident blocks with each one's share of the
+//! path, t1), the fusion and fetch-plan mix of the threaded code, the
+//! share of instructions retired in whole segments (register-only runs
+//! whose fetch timing is charged once per run), and the hottest
+//! resident blocks with each one's share of the
 //! instructions estimated to have retired in blocks (a weight from
 //! dispatch counts, not a clock), then the suite aggregate. Nothing is
 //! written to disk.
@@ -57,13 +59,15 @@ fn main() {
         let plans = p.plans_free + p.plans_window + p.plans_slow;
         println!(
             "         {} installed, {} fused pairs ({:.2} per block), \
-             fetch plans: {:.1}% Free / {:.1}% Window / {:.1}% Slow",
+             fetch plans: {:.1}% Free / {:.1}% Window / {:.1}% Slow, \
+             {:.1}% of instrs in whole segments",
             p.blocks_promoted,
             p.fused_pairs,
             if p.blocks_promoted == 0 { 0.0 } else { p.fused_pairs as f64 / p.blocks_promoted as f64 },
             pct(p.plans_free, plans),
             pct(p.plans_window, plans),
             pct(p.plans_slow, plans),
+            pct(p.segment_instrs, run.instructions),
         );
         let block_est: u64 = blocks.iter().map(|b| b.est_instructions).sum();
         for b in blocks.iter().take(TOP_BLOCKS) {

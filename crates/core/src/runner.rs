@@ -347,6 +347,45 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_on_every_core_is_identical_with_the_engine_off() {
+        // The block engine's fetch plans and whole-segment dispatch are
+        // host-only: every suite kernel on all four core profiles ends
+        // with the same checksum, cycles, instructions, flash streaming
+        // statistics and cache statistics as the per-step reference.
+        let opts = CodegenOptions::default();
+        let mut cache = RunCache::new();
+        let profiles = [
+            MachineConfig::arm7_like(IsaMode::A32),
+            MachineConfig::arm7_like(IsaMode::T16),
+            MachineConfig::m3_like(),
+            MachineConfig::high_end_like(),
+        ];
+        let caches = |m: &Machine| {
+            let stats = |c: &Option<alia_sim::Cache>| c.as_ref().map(|c| (c.stats(), c.valid_lines()));
+            (stats(&m.icache), stats(&m.dcache))
+        };
+        for config in profiles {
+            let mut segment_instrs = 0;
+            for kernel in all_kernels() {
+                let mut run = |predecode| {
+                    let config = MachineConfig { predecode, ..config.clone() };
+                    run_kernel_inner(&mut cache, &kernel, config, &opts, 5, 40).unwrap()
+                };
+                let (on, m_on) = run(true);
+                let (off, m_off) = run(false);
+                let what = format!("{} on {}", kernel.name, config.mode);
+                assert_eq!(on, off, "{what}: checksum, cycles or instructions diverged");
+                assert_eq!(m_on.flash.stats(), m_off.flash.stats(), "{what}: flash stats diverged");
+                assert_eq!(caches(&m_on), caches(&m_off), "{what}: cache stats diverged");
+                assert!(on.predecode.threaded_instrs > 0, "{what}: the engine never ran");
+                assert_eq!(off.predecode.threaded_instrs, 0, "{what}: the reference ran blocks");
+                segment_instrs += on.predecode.segment_instrs;
+            }
+            assert!(segment_instrs > 0, "{}: no segment ran whole", config.mode);
+        }
+    }
+
+    #[test]
     fn divide_heavy_kernel_shows_t2_advantage() {
         // a2time does one divide per element; hardware divide plus better
         // load timing should put T2/M3 clearly ahead of A32/ARM7.

@@ -155,8 +155,6 @@ impl BusSignals {
 pub struct DeviceCtx<'a> {
     /// The machine's cycle counter at the access/tick.
     pub now: u64,
-    /// The IRQ number currently being serviced (for dispatch registers).
-    pub active_irq: u32,
     /// Signal sinks (exit requests, IRQ events).
     pub signals: &'a mut BusSignals,
 }
@@ -492,20 +490,20 @@ impl Bus {
 
     /// Performs a device store at `addr`: every width writes `value` to
     /// the register word holding `addr`.
-    pub fn device_write(&mut self, idx: u8, addr: u32, value: u32, now: u64, active_irq: u32) {
+    pub fn device_write(&mut self, idx: u8, addr: u32, value: u32, now: u64) {
         let d = &mut self.devices[idx as usize];
         let off = (addr - d.base) & !3;
-        let mut ctx = DeviceCtx { now, active_irq, signals: &mut self.signals };
+        let mut ctx = DeviceCtx { now, signals: &mut self.signals };
         d.dev.write32(off, value, &mut ctx);
         self.refresh_next_event();
     }
 
     /// Ticks every device whose [`Device::next_event`] is due at `now`
     /// and refreshes the cached next-event cycle.
-    pub fn tick_devices(&mut self, now: u64, active_irq: u32) {
+    pub fn tick_devices(&mut self, now: u64) {
         for d in &mut self.devices {
             if d.dev.next_event().is_some_and(|at| at <= now) {
-                let mut ctx = DeviceCtx { now, active_irq, signals: &mut self.signals };
+                let mut ctx = DeviceCtx { now, signals: &mut self.signals };
                 d.dev.tick(&mut ctx);
             }
         }

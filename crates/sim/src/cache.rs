@@ -81,6 +81,8 @@ pub struct Cache {
     /// bits, its tag the rest.
     set_shift: u32,
     tick: u64,
+    /// Index in `lines` of the line the last access hit or filled.
+    last: usize,
     stats: CacheStats,
 }
 
@@ -108,6 +110,7 @@ impl Cache {
             line_shift: config.line.trailing_zeros(),
             set_shift: n_sets.trailing_zeros(),
             tick: 0,
+            last: 0,
             stats: CacheStats::default(),
         }
     }
@@ -130,6 +133,13 @@ impl Cache {
         self.lines.iter().filter(|l| l.valid).count()
     }
 
+    /// `log2(line size)`: two addresses share a line iff they agree
+    /// above this many bits.
+    #[must_use]
+    pub(crate) fn line_shift(&self) -> u32 {
+        self.line_shift
+    }
+
     /// The ways of the set `addr` maps to, and the address's tag.
     fn set_and_tag(&self, addr: u32) -> (std::ops::Range<usize>, u32) {
         let line_addr = addr >> self.line_shift;
@@ -144,8 +154,10 @@ impl Cache {
         self.tick += 1;
         let parity = self.config.parity;
         let (set, tag) = self.set_and_tag(addr);
+        let base = set.start;
         let lines = &mut self.lines[set];
-        if let Some(l) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(way) = lines.iter().position(|l| l.valid && l.tag == tag) {
+            let l = &mut lines[way];
             if parity && l.tag_poisoned {
                 // TAG RAM error: treated as a miss (paper §3.1.3).
                 l.valid = false;
@@ -162,6 +174,7 @@ impl Cache {
             } else {
                 l.lru = self.tick;
                 self.stats.hits += 1;
+                self.last = base + way;
                 return (Lookup::Hit, 1);
             }
         }
@@ -170,10 +183,12 @@ impl Cache {
             parity && lines.iter().any(|l| !l.valid && l.tag == tag && l.tag_poisoned);
         self.stats.misses += 1;
         let tick = self.tick;
-        let victim = lines
+        let (way, victim) = lines
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
+            .enumerate()
+            .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
             .expect("cache has at least one way");
+        self.last = base + way;
         victim.valid = true;
         victim.tag = tag;
         victim.lru = tick;
@@ -181,6 +196,26 @@ impl Cache {
         victim.tag_poisoned = false;
         let fill = self.config.miss_penalty + self.config.line / 4;
         (if was_tag_error { Lookup::TagError } else { Lookup::Miss }, 1 + fill)
+    }
+
+    /// Charges `n` hits on the line the last access hit or filled,
+    /// exactly as `n` successive [`Cache::access`] calls inside that
+    /// line would: the tick advances by `n`, the line's LRU stamp
+    /// becomes the final tick. The block engine's fetch plans use it
+    /// for the fetches it proves stay on the line of the fetch before.
+    pub(crate) fn hit_last(&mut self, addr: u32, n: u64) {
+        debug_assert!(
+            {
+                let (set, tag) = self.set_and_tag(addr);
+                let l = &self.lines[self.last];
+                let clean = !self.config.parity || !l.poisoned && !l.tag_poisoned;
+                set.contains(&self.last) && l.valid && l.tag == tag && clean
+            },
+            "line hit planned at {addr:#x}, off the last line"
+        );
+        self.tick += n;
+        self.lines[self.last].lru = self.tick;
+        self.stats.hits += n;
     }
 
     /// Whether `addr` currently hits (no state change).

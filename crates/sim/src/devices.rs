@@ -984,7 +984,7 @@ mod tests {
     use crate::bus::BusSignals;
 
     fn ctx(now: u64, signals: &mut BusSignals) -> DeviceCtx<'_> {
-        DeviceCtx { now, active_irq: 0, signals }
+        DeviceCtx { now, signals }
     }
 
     #[test]

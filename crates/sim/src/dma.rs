@@ -509,7 +509,7 @@ mod tests {
     use crate::devices::{CanConfig, CanController};
 
     fn ctx(now: u64, signals: &mut BusSignals) -> DeviceCtx<'_> {
-        DeviceCtx { now, active_irq: 0, signals }
+        DeviceCtx { now, signals }
     }
 
     /// Programs route `i` host-side through the register file.

@@ -57,8 +57,13 @@
 //!   dispatches them whole and, at each exit, probes for the successor
 //!   block and dispatches it in turn. Hot code never
 //!   re-reads instruction bytes or re-runs the table decoder; only the
-//!   *timing* side of each fetch (flash streaming, I-cache, TCM repair,
-//!   MPU) is replayed. IT blocks lower too: covered instructions keep
+//!   *timing* side of each fetch (flash streaming, I-cache, TCM repair)
+//!   is replayed, by plans precomputed per fetch, and the MPU's execute
+//!   check runs once per dispatch over the block's code range. Runs of
+//!   register-only instructions whose fetches are static after the
+//!   first are charged their fetch timing once per run, not once per
+//!   fetch, whenever the run's worst case fits under the cycle budget
+//!   (whole-segment dispatch). IT blocks lower too: covered instructions keep
 //!   the per-step issue sequence, and a block only runs with an empty
 //!   IT queue. The cache invalidates on flash loads, flash-patch
 //!   programming, host-side RAM mutation and self-modifying stores
@@ -67,8 +72,9 @@
 //! * **Per-step interpreter**: `Machine::step` fetches and decodes
 //!   every instruction. It records blocks, takes interrupts, runs
 //!   `wfi`/`bkpt` and resumes after splits; with the engine off it runs
-//!   everything and is the reference: cycle counts, `FlashPatch::hits`
-//!   and `StopReason`s are bit-identical with the engine on or off
+//!   everything and is the reference: cycle counts, `FlashPatch::hits`,
+//!   flash and cache statistics and `StopReason`s are bit-identical
+//!   with the engine on or off
 //!   ([`Machine::set_predecode_enabled`], the one host-only switch).
 //! * **Zero-allocation hot loop**: `Machine::step` performs no heap
 //!   allocation apart from a guest store's first write to a memory page

@@ -604,7 +604,7 @@ impl Machine {
         // completions) tick only when due — one compare per step
         // otherwise.
         if now >= self.bus.next_event() {
-            self.bus.tick_devices(now, self.active_irq);
+            self.bus.tick_devices(now);
         }
         // Index loops instead of drain().collect(): no per-step
         // allocation. Step-boundary requests pend at the drain cycle
@@ -685,6 +685,7 @@ impl Machine {
     /// other regions.
     #[inline]
     pub(crate) fn fetch_timing(&mut self, addr: u32, len: u32) -> Result<(u32, Region, u32), MemFault> {
+        debug_assert!(self.window_streams(), "buffered window off the flash stream");
         if let Some(mpu) = &mut self.mpu {
             if !mpu.check_execute(addr) {
                 return Err(MemFault::MpuViolation { addr, write: false });
@@ -698,17 +699,9 @@ impl Machine {
                 Ok((c, Region::Tcm, v))
             }
             Region::Flash => {
-                let off = addr - FLASH_BASE;
                 let mut cycles = 0;
-                if let Some(ic) = &mut self.icache {
-                    let (lookup, c) = ic.access(off);
-                    cycles += c;
-                    if lookup == Lookup::DataError {
-                        // §3.1.3: invalidate + refetch, transparently.
-                        self.icache_recoveries += 1;
-                        let (_, c2) = ic.access(off);
-                        cycles += c2;
-                    }
+                if self.icache.is_some() {
+                    cycles += self.line_fetch(addr - FLASH_BASE);
                 } else {
                     // Streaming fetch through the window buffer.
                     let window = self.flash.config().width.max(2);
@@ -730,6 +723,31 @@ impl Machine {
                 Err(MemFault::Unmapped { addr })
             }
         }
+    }
+
+    /// One I-cache lookup for the fetch at flash offset `off`, with the
+    /// parity recovery: a data-RAM error invalidates the line and
+    /// refetches it, transparently (§3.1.3). Returns the cycles (zero
+    /// with no I-cache fitted; callers only use it with one). The
+    /// block engine's `Line` fetch plans call it directly.
+    pub(crate) fn line_fetch(&mut self, off: u32) -> u32 {
+        let Some(ic) = &mut self.icache else { return 0 };
+        let (lookup, c) = ic.access(off);
+        if lookup != Lookup::DataError {
+            return c;
+        }
+        self.icache_recoveries += 1;
+        c + ic.access(off).1
+    }
+
+    /// The invariant the block engine's `Seq` fetch plans rest on: a
+    /// buffered streaming window was the flash stream's last fetch, so
+    /// the stream continues right after it. Every writer of either
+    /// field keeps it (`fetch_timing`'s walk, the flash literal load,
+    /// `break_fetch_stream`, and the plans themselves).
+    fn window_streams(&self) -> bool {
+        let window = self.flash.config().width.max(2);
+        self.fetch_window.is_none_or(|w| self.flash.stream_next() == Some(w + window - FLASH_BASE))
     }
 
     /// Fetches `len` instruction bytes at `addr`. Returns
@@ -845,7 +863,7 @@ impl Machine {
         }
         match self.bus.classify_access(addr, len) {
             Region::Device(idx) => {
-                self.bus.device_write(idx, addr, value, self.cycles, self.active_irq);
+                self.bus.device_write(idx, addr, value, self.cycles);
                 Ok(1)
             }
             Region::BitBand => {
@@ -894,15 +912,17 @@ impl Machine {
 
     /// The block cache's generation stamp: the sum of the per-region
     /// revision counters — any change to what instruction bytes decode
-    /// to moves this value. The top two bits say whether an
-    /// I-cache and an MPU are fitted: installed fetch plans assume
-    /// neither (see `crates/sim/src/threaded.rs`), so fitting or
-    /// removing one between runs drops every block. See
+    /// to moves this value. The top bits hold the fitted I-cache's
+    /// `log2(line size) + 1` (zero with none): installed fetch plans
+    /// track streaming windows without an I-cache and cache lines with
+    /// one (see `crates/sim/src/threaded.rs`), so fitting, removing or
+    /// regeometrying one between runs drops every block. An MPU takes
+    /// no part: a dispatch checks the block's whole code range against
+    /// the live MPU before any op runs (`Mpu::executes`). See
     /// [`crate::predecode`].
     #[inline]
     fn code_stamp(&self) -> u64 {
-        let fitted =
-            u64::from(self.icache.is_some()) << 62 | u64::from(self.mpu.is_some()) << 63;
+        let fitted = self.icache.as_ref().map_or(0, |c| u64::from(c.line_shift()) + 1) << 56;
         self.flash
             .revision()
             .wrapping_add(self.patch.revision())
@@ -1022,7 +1042,8 @@ impl Machine {
         let cwg = self.code_write_gen;
         loop {
             let instret0 = self.instret;
-            let (exit, rounds) = threaded::dispatch(self, &code, cycle_limit, sched_due, cwg);
+            let (exit, rounds, seg_instrs) =
+                threaded::dispatch(self, &code, cycle_limit, sched_due, cwg);
             // Self-loop rounds inside the dispatch stand for
             // dispatch-follow-redispatch passes of this chain loop:
             // charge the stats those passes would have charged.
@@ -1030,6 +1051,7 @@ impl Machine {
             stats.block_hits += rounds;
             stats.chain_follows += rounds.saturating_sub(1);
             stats.threaded_instrs += self.instret - instret0;
+            stats.segment_instrs += seg_instrs;
             self.blocks.note_dispatch(slot, rounds);
             match exit {
                 BlockExit::Gate => return self.step_predrained(),

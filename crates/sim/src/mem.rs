@@ -358,6 +358,30 @@ impl Flash {
         cycles
     }
 
+    /// Charges `beats` one-beat fetches that each continue the stream,
+    /// the last at byte offset `last`: exactly what as many
+    /// [`Flash::access_timing`] fetches of one interface width do when
+    /// the caller has proved that each continues the stream (the block
+    /// engine's `Seq` fetch plans). The caller charges the cycles,
+    /// `seq_cycles` per beat.
+    pub(crate) fn stream_beats(&mut self, beats: u64, last: u32) {
+        let width = self.config.width;
+        debug_assert!(width >= 2 && beats >= 1, "a streamed window is one beat");
+        debug_assert_eq!(
+            self.stream_next,
+            Some(last + width - beats as u32 * width),
+            "planned sequential fetch off the stream"
+        );
+        self.stats.sequential += beats;
+        self.stream_next = Some(last + width);
+    }
+
+    /// Where the next fetch continues the stream (`None` after a data
+    /// access or a stream break).
+    pub(crate) fn stream_next(&self) -> Option<u32> {
+        self.stream_next
+    }
+
     /// Forces the next access to be non-sequential (a foreign bus
     /// transaction occurred on a unified bus).
     pub fn break_stream(&mut self) {
@@ -708,7 +732,7 @@ mod tests {
         use crate::bus::{BusSignals, Device, DeviceCtx};
         let mut m = Mmio::new();
         let mut signals = BusSignals::default();
-        let mut ctx = DeviceCtx { now: 9, active_irq: 2, signals: &mut signals };
+        let mut ctx = DeviceCtx { now: 9, signals: &mut signals };
         m.write32(MMIO_TRACE - MMIO_BASE, 42, &mut ctx);
         m.write32(MMIO_IRQ_SET - MMIO_BASE, 3, &mut ctx);
         m.write32(MMIO_EXIT - MMIO_BASE, 7, &mut ctx);

@@ -262,6 +262,26 @@ impl Mpu {
         }
         allowed
     }
+
+    /// Whether [`Mpu::check_execute`] passes for every address in
+    /// `[start, end)`, so that those checks may be skipped (a passing
+    /// check records nothing). Conservative and side-effect free: a
+    /// region that overlaps the range only in part answers `false`
+    /// unless a higher-priority region covers the whole range first.
+    #[must_use]
+    pub fn executes(&self, start: u32, end: u32) -> bool {
+        let (start, end) = (u64::from(start), u64::from(end));
+        for r in self.regions.iter().rev() {
+            let (base, top) = (u64::from(r.base), u64::from(r.base) + u64::from(r.size));
+            if base <= start && end <= top {
+                return r.perms.execute;
+            }
+            if start < top && base < end {
+                return false;
+            }
+        }
+        self.background_allowed
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +353,36 @@ mod tests {
         mpu.add_region(0x2000_0000, 1024, Perms::RW).unwrap();
         assert!(mpu.check_execute(0x100));
         assert!(!mpu.check_execute(0x2000_0100)); // data is not executable
+    }
+
+    #[test]
+    fn range_execute_check_is_exact_or_conservative() {
+        let mut mpu = Mpu::new(MpuKind::FineGrain);
+        mpu.add_region(0, 0x400, Perms::RX).unwrap();
+        mpu.add_region(0x200, 0x40, Perms::RW).unwrap(); // no-execute carve-out
+        mpu.add_region(0x300, 0x20, Perms::RX).unwrap(); // re-allowed inside RX
+        // Every range that answers true passes every per-address check
+        // and records nothing.
+        for start in (0..0x500).step_by(0x10) {
+            for len in [2, 0x10, 0x40, 0x100] {
+                let end = start + len;
+                if mpu.executes(start, end) {
+                    let mut probe = mpu.clone();
+                    assert!((start..end).all(|a| probe.check_execute(a)), "{start:#x}+{len:#x}");
+                    assert_eq!(probe.violations(), 0);
+                }
+            }
+        }
+        assert!(mpu.executes(0x100, 0x140));
+        assert!(mpu.executes(0x300, 0x320));
+        assert!(!mpu.executes(0x210, 0x220)); // denied in full
+        assert!(!mpu.executes(0x1f0, 0x210)); // straddles the carve-out
+        assert!(!mpu.executes(0x2f0, 0x310)); // allowed throughout, but in part
+        assert!(mpu.executes(0x600, 0x700)); // background allowed
+        mpu.background_allowed = false;
+        assert!(!mpu.executes(0x600, 0x700));
+        assert!(!mpu.executes(0x3f0, 0x410));
+        assert_eq!(mpu.violations(), 0, "the range check records nothing");
     }
 
     #[test]

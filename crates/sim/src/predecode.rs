@@ -19,8 +19,9 @@
 //! observes is replayed by every threaded op:
 //!
 //! * fetch **timing** (flash streaming/prefetch state, I-cache lookups and
-//!   parity recoveries, TCM hold-and-repair, MPU execute checks) — only
-//!   the byte extraction and decode are skipped,
+//!   parity recoveries, TCM hold-and-repair) — only the byte extraction
+//!   and decode are skipped; the MPU execute check runs once per
+//!   dispatch over the block's whole code range,
 //! * **flash-patch accounting** — each entry remembers how many patch
 //!   hits its fetch contributed, so `FlashPatch::hits` is identical; a
 //!   patch breakpoint stops the per-step path before it is recorded,
@@ -41,7 +42,9 @@
 //!   (including bit-band aliases) lands inside the cache's **watermark**
 //!   — the address interval covered by installed blocks — or inside the
 //!   run being recorded. Stores elsewhere (the overwhelmingly common
-//!   case: data is data) cost a few compares.
+//!   case: data is data) cost a few compares,
+//! * plus the fitted I-cache's line size, which decides what the
+//!   lowered fetch plans track (flash windows or cache lines).
 //!
 //! A stamp mismatch clears the whole table on the next lookup. This is
 //! deliberately coarse: correct first, cheap second — invalidation events
@@ -107,14 +110,21 @@ pub struct PredecodeStats {
     /// Instructions retired inside block dispatches (the occupancy
     /// numerator; everything else retired on the per-step path).
     pub threaded_instrs: u64,
+    /// The part of `threaded_instrs` retired in whole-segment
+    /// dispatches: runs of register-only ops whose fetch timing is
+    /// charged once per run (see `crates/sim/src/threaded.rs`).
+    pub segment_instrs: u64,
     /// Always 0: the entry-at-a-time block tier this counted is gone.
     /// Kept so reports that print a middle tier read an empty one.
     pub block_instrs: u64,
     /// Statically-free fetch plans across all installed blocks (fetch
-    /// plan mix: the op's fetch is window-resident, zero cycles).
+    /// plan mix: the op's fetch is window-resident, zero cycles, or a
+    /// hit on the I-cache line of the fetch before it).
     pub plans_free: u64,
     /// Window fetch plans across all installed blocks (one checked
-    /// streaming refill replaces the full timing walk).
+    /// streaming refill replaces the full timing walk, one sequential
+    /// beat refills the window after the buffered one, or one live
+    /// I-cache lookup serves a fetch to a new line).
     pub plans_window: u64,
     /// Slow fetch plans across all installed blocks (unplannable —
     /// replay `fetch_timing` in full).
@@ -134,6 +144,7 @@ impl PredecodeStats {
             fused_pairs,
             demotions,
             threaded_instrs,
+            segment_instrs,
             block_instrs,
             plans_free,
             plans_window,
@@ -146,6 +157,7 @@ impl PredecodeStats {
         self.fused_pairs += fused_pairs;
         self.demotions += demotions;
         self.threaded_instrs += threaded_instrs;
+        self.segment_instrs += segment_instrs;
         self.block_instrs += block_instrs;
         self.plans_free += plans_free;
         self.plans_window += plans_window;

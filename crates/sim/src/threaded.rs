@@ -8,7 +8,7 @@
 //! path: it fills blocks, takes interrupts, runs `wfi`/`bkpt` and
 //! resumes after splits.
 //!
-//! Three mechanisms carry the speed:
+//! Four mechanisms carry the speed:
 //!
 //! * **Handler specialization** — the dominant single instructions get
 //!   dedicated handlers that touch exactly the state the instruction
@@ -36,24 +36,38 @@
 //!   The register-pair handler runs both halves through one `match`
 //!   on [`RegOp`]; one instantiation per pair of kinds measured
 //!   slower (more code for the same dispatches).
-//! * **Fetch-timing replay by plan** — in uncached, MPU-less flash
-//!   every fetch of a block gets a [`FetchPlan`] that replaces the
-//!   streaming-buffer walk of `Machine::fetch_timing`: a fetch the
-//!   builder proves window-resident is [`FetchPlan::Free`] (zero
-//!   cycles, no state change); any other fetch that stays inside one
-//!   window is [`FetchPlan::Window`], which refills the window unless
-//!   the buffer already holds it — exactly what `fetch_timing` does for
-//!   such a fetch, so it needs no knowledge of the buffered window and
-//!   also covers block entry and the fetch after a load or store (the
+//! * **Fetch-timing replay by plan** — in flash every fetch of a block
+//!   gets a [`FetchPlan`] that replaces `Machine::fetch_timing`.
+//!   Without an I-cache the plans replay the streaming-buffer walk: a
+//!   fetch the builder proves window-resident is [`FetchPlan::Free`]
+//!   (zero cycles, no state change); the refill of the window right
+//!   after a known buffered one is [`FetchPlan::Seq`] (one sequential
+//!   beat, no check); any other fetch that stays inside one window is
+//!   [`FetchPlan::Window`], which refills the window unless the buffer
+//!   already holds it — exactly what `fetch_timing` does for such a
+//!   fetch, so it needs no knowledge of the buffered window and also
+//!   covers block entry and the fetch after a load or store (the
 //!   lowering's fetch model forgets the buffered window after every
 //!   data access: a literal-pool load breaks the flash stream, and so
-//!   does an SRAM access on a unified bus).
-//!   Only a fetch spanning windows from an unknown buffer state, or
-//!   code the plans do not apply to, runs `fetch_timing` in full
-//!   ([`FetchPlan::Slow`]). Plans assume no I-cache and no MPU; which
-//!   of the two are fitted is part of the block cache's generation
-//!   stamp, so fitting either (or removing it) drops every installed
-//!   block before a stale plan could run.
+//!   does an SRAM access on a unified bus). With an I-cache they track
+//!   its lines: a fetch to a new line, and the first fetch of every
+//!   dispatch, is one live lookup ([`FetchPlan::Line`]); a fetch to the
+//!   line of the fetch before it is a hit on the line the cache last
+//!   touched ([`FetchPlan::LineHit`]). Only a fetch spanning windows
+//!   from an unknown buffer state, or non-flash code, runs
+//!   `fetch_timing` in full ([`FetchPlan::Slow`]). Which model a block
+//!   was planned with (the I-cache's line size, or none) is part of
+//!   the block cache's generation stamp. The plans skip the MPU's
+//!   per-fetch execute check: [`dispatch`] checks the block's whole
+//!   code range once instead (`Mpu::executes`), and hands a block it
+//!   cannot prove executable to the per-step path.
+//! * **Whole-segment dispatch** — the builder cuts each block into
+//!   [`Segment`]s: runs of register-only ops whose every fetch but the
+//!   head's first is static. When a segment's worst case fits under
+//!   the cycle budget, [`dispatch`] runs it as one piece: the head's
+//!   first fetch live, a precomputed summary of every other fetch once,
+//!   then the ops' register halves. Otherwise the ops run one at a
+//!   time, so a budget split still lands on the exact instruction.
 //!
 //! # IT blocks
 //!
@@ -70,7 +84,8 @@
 //! # Bit-identity contract
 //!
 //! The lowering is host-only: cycles, checksums, IRQ pend/entry
-//! stamps, flash/patch statistics and stop reasons are bit-identical
+//! stamps, flash/patch statistics, cache statistics, MPU violations and
+//! stop reasons are bit-identical
 //! with the block engine on or off (`predecode` off is the uncached
 //! per-step reference). After every *impure* op — one that can pend an
 //! interrupt, raise a device signal, move the code-write generation,
@@ -89,6 +104,7 @@
 
 use alia_isa::{AddrMode, Cond, DpOp, Index, Instr, IsaMode, Offset, Operand2, Reg, ShiftOp};
 
+use crate::cache::Cache;
 use crate::cpu::{add_with_carry, EXC_RETURN_HW, EXC_RETURN_SW};
 use crate::machine::{width_mask, Machine, StopReason};
 use crate::mem::{Access, FLASH_BASE};
@@ -158,9 +174,21 @@ pub(crate) enum FetchPlan {
     /// resident): refill it with one live `Flash::access_timing` fetch
     /// unless `fetch_window` already holds it, then leave it buffered.
     Window(u32),
-    /// Unplannable (non-flash code, I-cache or MPU fitted, a fetch
-    /// spanning windows from an unknown buffer state): run
-    /// `fetch_timing` in full.
+    /// The refill of the given window base, provably the window right
+    /// after the buffered one: one sequential beat (the flash is at
+    /// least 2 bytes wide, so a window is one beat), with no check and
+    /// no `Flash::access_timing` call.
+    Seq(u32),
+    /// With an I-cache: a fetch on a line other than the previous
+    /// fetch's, or the first fetch of a dispatch. One live
+    /// `Cache::access`, plus the parity refetch `fetch_timing` makes.
+    Line,
+    /// With an I-cache: a fetch on the line of the fetch before it in
+    /// the same dispatch, which that fetch left valid and clean. A hit
+    /// on the line the cache last touched: 1 cycle.
+    LineHit,
+    /// Unplannable (non-flash code, a fetch spanning windows from an
+    /// unknown buffer state): run `fetch_timing` in full.
     Slow,
 }
 
@@ -201,6 +229,8 @@ pub(crate) enum RegOp {
     Ubfx,
     /// `bfi`: `rd = rd & !len | rn << imm & len`.
     Bfi,
+    /// `cmp`: the flags of `rn - op2`.
+    Cmp,
 }
 
 /// The addressing form of a memory [`Half`] (offset addressing, no
@@ -307,6 +337,63 @@ pub(crate) struct Op {
     pub(crate) nonzero: bool,
     /// Flash-patch hit count of the fused second instruction.
     pub(crate) patch2: u8,
+    /// Index in [`ThreadedBlock::segs`] of the segment this op heads
+    /// ([`NO_SEGMENT`] for every other op).
+    seg: u8,
+}
+
+/// [`Op::seg`] of an op that heads no segment.
+const NO_SEGMENT: u8 = u8::MAX;
+
+/// How a [`Segment`] ends, and (as `Option<Tail>` at build time) how an
+/// op may join one: `Fall` for register-only ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// Register-only to the end: fall through to the next op.
+    Fall,
+    /// The block's terminal `b`.
+    B,
+    /// The block's terminal fused `cmp`/ALU + `b`: a register half,
+    /// then the branch.
+    RegB,
+    /// The block's terminal `cbz`/`cbnz`.
+    Cbz,
+}
+
+/// A straight-line run of at least two register-only ops (the block's
+/// terminal branch may close it) whose every fetch but the head's first
+/// is static: `Free`, `Seq` or `LineHit`. [`dispatch`] runs it whole
+/// when its worst case fits under the cycle budget: the head's first
+/// fetch live, this summary of every other fetch once, then the ops'
+/// register halves. Such a run touches at most one I-cache line, so its
+/// LRU touches apply in bulk exactly.
+#[derive(Debug)]
+struct Segment {
+    /// One past the index of the segment's last op.
+    end: usize,
+    /// How the last op ends the segment.
+    tail: Tail,
+    /// Byte length: the head's PC plus this is the fall-through PC.
+    bytes: u32,
+    /// Cycles of the head instruction's second fetch call.
+    head_b: u32,
+    /// Fetch-overlap charge (`fc.saturating_sub(1)`) of every other
+    /// instruction.
+    fetch: u32,
+    /// Instructions retired (a fused op counts two).
+    instrs: u32,
+    /// Flash-patch hits of all of them.
+    patch_hits: u32,
+    /// [`FetchPlan::Seq`] refills after the head's first fetch.
+    seq: u32,
+    /// The window the last of them leaves buffered.
+    last_window: u32,
+    /// [`FetchPlan::LineHit`] fetches after the head's first fetch.
+    line_hits: u32,
+    /// Upper bound on the cycles the segment charges: the head's first
+    /// fetch at its dearest, every static charge, the issue cycles and
+    /// a taken branch.
+    worst: u64,
 }
 
 /// The threaded lowering of one recorded block (one `BlockCache` slot).
@@ -314,15 +401,21 @@ pub(crate) struct Op {
 pub(crate) struct ThreadedBlock {
     /// The ops, in program order (never empty).
     pub(crate) ops: Vec<Op>,
+    /// The block's segments, in program order (see [`Segment`]).
+    segs: Vec<Segment>,
     /// The block's start PC — the self-loop fast path in [`dispatch`]
     /// compares the exit PC against it.
     pub(crate) start: u32,
+    /// One past the block's last code byte: `[start, end)` is what
+    /// [`dispatch`] checks against a fitted MPU.
+    end: u32,
     /// Alternate first op for self-loop iterations: identical to
-    /// `ops[0]` except its fetch plans assume the streaming window the
-    /// block itself leaves buffered at its taken backedge (a `Free`
-    /// plan where the unknown entry state needs a `Window` check). Only
-    /// reached after a *pure* terminal exit: a branch, which accesses
-    /// no data and so provably cannot disturb the fetch stream.
+    /// `ops[0]` except its first fetch plan assumes the streaming window
+    /// or I-cache line the block itself leaves at its taken backedge (a
+    /// `Free` or `LineHit` plan where the unknown entry state needs a
+    /// `Window` check or a `Line` lookup). Only reached after a *pure*
+    /// terminal exit: a branch, which accesses no data and so provably
+    /// cannot disturb the fetch stream.
     pub(crate) loop_head: Op,
     /// Flash streaming-window size the fetch plans were built for.
     pub(crate) window: u32,
@@ -350,6 +443,15 @@ impl ThreadedBlock {
 // Dispatch loop
 // ---------------------------------------------------------------------
 
+macro_rules! try_ctl {
+    ($e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(stop) => return Ctl::Stop(stop),
+        }
+    };
+}
+
 /// Executes one block. The caller (`Machine::exec_blocks`) owns
 /// chaining, stats and the per-chain snapshots; the loop owns the
 /// dispatch gate and the per-op boundary checks (see the module docs
@@ -364,46 +466,90 @@ impl ThreadedBlock {
 /// limits are chain-constant). Every round, the first included, starts
 /// at the dispatch gate, so a closed gate returns [`BlockExit::Gate`]
 /// after zero rounds on entry. The caller charges one hit per round and
-/// one chain follow per restart, matching the unrolled accounting.
+/// one chain follow per restart, matching the unrolled accounting. The
+/// third value counts the instructions retired in whole segments.
+///
+/// At a segment head whose worst case stays under `ctx.bound`, the
+/// whole segment runs as one piece ([`run_segment`]): none of the
+/// budget compares inside it could trip, so splits and interrupt
+/// latencies land where the per-op path puts them. Otherwise its ops
+/// run one at a time, splitting on the exact instruction.
 pub(crate) fn dispatch(
     m: &mut Machine,
     tb: &ThreadedBlock,
     cycle_limit: u64,
     sched_due: u64,
     cwg: u64,
-) -> (BlockExit, u64) {
+) -> (BlockExit, u64, u64) {
     let mut ctx = ExecCtx {
         bound: cycle_limit.min(sched_due).min(m.bus.next_event()),
         window: tb.window,
         flen: tb.flen,
     };
+    // One execute check over the whole code range replaces the per-fetch
+    // MPU checks the plans skip. When it cannot prove every fetch
+    // allowed, the per-step path takes the next instruction, faulting
+    // and counting the violation at the same fetch as the reference.
+    if let Some(mpu) = &m.mpu {
+        if !mpu.executes(tb.start, tb.end) {
+            return (BlockExit::Gate, 0, 0);
+        }
+    }
     let last = tb.ops.len() - 1;
     let mut rounds = 0u64;
+    let mut seg_instrs = 0u64;
     'round: loop {
         // The dispatch gate. Specialized handlers skip the IT-queue pop
         // and pure ones never look at the exit code, so both must be
         // clear before any op runs.
         if !m.cpu.it_queue.is_empty() || m.bus.signals.exit_code.is_some() {
-            return (BlockExit::Gate, rounds);
+            return (BlockExit::Gate, rounds, seg_instrs);
         }
         rounds += 1;
-        for (idx, block_op) in tb.ops.iter().enumerate() {
-            // Self-loop rounds enter with a statically known streaming
-            // window: swap in the steady-state first op.
+        let mut ops = tb.ops.iter().enumerate();
+        while let Some((idx, block_op)) = ops.next() {
+            // Self-loop rounds enter with a statically known fetch
+            // state: swap in the steady-state first op.
             let op = if rounds > 1 && idx == 0 { &tb.loop_head } else { block_op };
+            if op.seg != NO_SEGMENT {
+                let seg = &tb.segs[usize::from(op.seg)];
+                if m.cycles + seg.worst < ctx.bound {
+                    // Every op is pure and the budget cannot trip, so the
+                    // boundary checks reduce to the self-loop test.
+                    match run_segment(m, &tb.ops[idx..seg.end], op.f1, seg, &ctx) {
+                        Ctl::Next => {
+                            seg_instrs += u64::from(seg.instrs);
+                            // Resume after the segment's last op.
+                            ops.nth(seg.end - idx - 2);
+                            continue;
+                        }
+                        Ctl::Exit => {
+                            seg_instrs += u64::from(seg.instrs);
+                            // A branch closes a segment only as the
+                            // block's last op.
+                            if m.cpu.pc == tb.start {
+                                continue 'round;
+                            }
+                            return (BlockExit::Chain, rounds, seg_instrs);
+                        }
+                        Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds, seg_instrs),
+                        Ctl::Stop(r) => return (BlockExit::Stop(r), rounds, seg_instrs),
+                    }
+                }
+            }
             match (op.run)(m, op, &ctx) {
                 Ctl::Next => {
                     if op.pure {
                         if m.cycles >= ctx.bound {
-                            return (BlockExit::SplitBudget, rounds);
+                            return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                     } else {
                         if !m.threaded_safety_ok(cwg) {
-                            return (BlockExit::Split, rounds);
+                            return (BlockExit::Split, rounds, seg_instrs);
                         }
                         ctx.bound = cycle_limit.min(sched_due).min(m.bus.next_event());
                         if m.cycles >= ctx.bound {
-                            return (BlockExit::SplitBudget, rounds);
+                            return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                     }
                 }
@@ -411,7 +557,7 @@ pub(crate) fn dispatch(
                     // Same boundary checks as Next, then chain.
                     if op.pure {
                         if m.cycles >= ctx.bound {
-                            return (BlockExit::SplitBudget, rounds);
+                            return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                         // Self-loop fast path (see the function docs).
                         if idx == last && m.cpu.pc == tb.start {
@@ -419,20 +565,64 @@ pub(crate) fn dispatch(
                         }
                     } else {
                         if !m.threaded_safety_ok(cwg) {
-                            return (BlockExit::Split, rounds);
+                            return (BlockExit::Split, rounds, seg_instrs);
                         }
                         if m.cycles >= cycle_limit.min(sched_due).min(m.bus.next_event()) {
-                            return (BlockExit::SplitBudget, rounds);
+                            return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                     }
-                    return (BlockExit::Chain, rounds);
+                    return (BlockExit::Chain, rounds, seg_instrs);
                 }
-                Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds),
-                Ctl::Stop(r) => return (BlockExit::Stop(r), rounds),
+                Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds, seg_instrs),
+                Ctl::Stop(r) => return (BlockExit::Stop(r), rounds, seg_instrs),
             }
         }
-        return (BlockExit::Chain, rounds);
+        return (BlockExit::Chain, rounds, seg_instrs);
     }
+}
+
+/// Runs the segment `ops` (its head first) as one piece: the head's
+/// first fetch `f1` live (the self-loop round's steady-state plan, when
+/// that is the head), the summary of every other fetch once, then the
+/// ops' register halves in program order and the closing branch. The
+/// caller has checked that the worst case fits under the budget.
+fn run_segment(m: &mut Machine, ops: &[Op], f1: FetchPlan, seg: &Segment, ctx: &ExecCtx) -> Ctl {
+    let pc = m.cpu.pc;
+    let c = try_ctl!(plan_cycles(m, f1, pc, ctx.flen, ctx.window));
+    m.cycles += u64::from((c + seg.head_b).saturating_sub(1) + seg.fetch);
+    m.instret += u64::from(seg.instrs);
+    m.patch.hits += u64::from(seg.patch_hits);
+    if seg.seq > 0 {
+        debug_assert_eq!(m.fetch_window, Some(seg.last_window - seg.seq * ctx.window));
+        m.flash.stream_beats(u64::from(seg.seq), seg.last_window - FLASH_BASE);
+        m.fetch_window = Some(seg.last_window);
+    }
+    if seg.line_hits > 0 {
+        if let Some(ic) = &mut m.icache {
+            ic.hit_last(pc - FLASH_BASE, u64::from(seg.line_hits));
+        }
+    }
+    let (body, tail) = ops.split_at(ops.len() - usize::from(seg.tail != Tail::Fall));
+    for op in body {
+        reg_half(m, &op.a);
+        if op.size != op.size1 {
+            reg_half(m, &op.b);
+        }
+    }
+    let next = pc.wrapping_add(seg.bytes);
+    match (seg.tail, tail.first()) {
+        (Tail::B, Some(op)) => branch_half(m, op, next),
+        (Tail::RegB, Some(op)) => {
+            reg_half(m, &op.a);
+            branch_half(m, op, next);
+        }
+        (Tail::Cbz, Some(op)) => cbz_half(m, op, next),
+        _ => {
+            m.cpu.pc = next;
+            return Ctl::Next;
+        }
+    }
+    Ctl::Exit
 }
 
 // ---------------------------------------------------------------------
@@ -471,6 +661,19 @@ fn plan_cycles(
             let c = m.flash.access_timing(w - FLASH_BASE, window, Access::Fetch);
             m.fetch_window = Some(w);
             Ok(c)
+        }
+        FetchPlan::Seq(w) => {
+            debug_assert_eq!(m.fetch_window, Some(w - window), "Seq fetch plan off the stream");
+            m.flash.stream_beats(1, w - FLASH_BASE);
+            m.fetch_window = Some(w);
+            Ok(m.flash.config().seq_cycles)
+        }
+        FetchPlan::Line => Ok(m.line_fetch(addr - FLASH_BASE)),
+        FetchPlan::LineHit => {
+            if let Some(ic) = &mut m.icache {
+                ic.hit_last(addr - FLASH_BASE, 1);
+            }
+            Ok(1)
         }
         FetchPlan::Slow => match m.fetch_timing(addr, len) {
             Ok((c, _, _)) => Ok(c),
@@ -643,35 +846,51 @@ fn reg_half(m: &mut Machine, h: &Half) {
             m.cpu.write_reg(h.rd, old & !h.len | v);
             m.cycles += 1;
         }
+        RegOp::Cmp => cmp_half(m, h),
+    }
+}
+
+/// The issue cycles [`reg_half`] charges for `h`, at most (a segment's
+/// worst case).
+fn reg_cycles(h: &Half, mul_cycles: u32) -> u64 {
+    match h.op {
+        RegOp::ShiftReg => 2,
+        RegOp::Mul => 1 + u64::from(mul_cycles.wrapping_sub(1)),
+        _ => 1,
     }
 }
 
 /// The terminal direct-branch step: evaluates the (possibly `AL`)
 /// condition live, charging the skip/taken cycles the generic path
-/// charges. The caller has already retired the fetch.
+/// charges, and falls through to `next`. The caller has already
+/// retired the fetch.
 #[inline(always)]
-fn branch_half(m: &mut Machine, op: &Op, pc: u32) {
+fn branch_half(m: &mut Machine, op: &Op, next: u32) {
     m.cycles += 1;
     if op.cond2.eval(m.cpu.flags) {
         m.cycles += u64::from(m.config.timing.branch_taken_penalty);
         m.cpu.pc = op.target;
     } else {
-        m.cpu.pc = pc.wrapping_add(op.size);
+        m.cpu.pc = next;
+    }
+}
+
+/// The `cbz`/`cbnz` step, falling through to `next`.
+#[inline(always)]
+fn cbz_half(m: &mut Machine, op: &Op, next: u32) {
+    m.cycles += 1;
+    let v = m.cpu.read_reg(op.a.rn, 0);
+    if (v == 0) != op.nonzero {
+        m.cycles += u64::from(m.config.timing.branch_taken_penalty);
+        m.cpu.pc = op.target;
+    } else {
+        m.cpu.pc = next;
     }
 }
 
 // ---------------------------------------------------------------------
 // Handlers
 // ---------------------------------------------------------------------
-
-macro_rules! try_ctl {
-    ($e:expr) => {
-        match $e {
-            Ok(v) => v,
-            Err(stop) => return Ctl::Stop(stop),
-        }
-    };
-}
 
 /// Fallback: plan-replayed fetch plus the shared issue sequence
 /// (live predication, full executor). Anything the specializer skips
@@ -729,7 +948,7 @@ fn h_cmp(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
 fn h_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    branch_half(m, op, pc);
+    branch_half(m, op, pc.wrapping_add(op.size));
     Ctl::Exit
 }
 
@@ -737,14 +956,7 @@ fn h_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
 fn h_cbz(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    m.cycles += 1;
-    let v = m.cpu.read_reg(op.a.rn, 0);
-    if (v == 0) != op.nonzero {
-        m.cycles += u64::from(m.config.timing.branch_taken_penalty);
-        m.cpu.pc = op.target;
-    } else {
-        m.cpu.pc = pc.wrapping_add(op.size);
-    }
+    cbz_half(m, op, pc.wrapping_add(op.size));
     Ctl::Exit
 }
 
@@ -808,7 +1020,7 @@ fn h_fused_cmp_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
         return Ctl::SplitBudget;
     }
     try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    branch_half(m, op, pc2.wrapping_sub(op.size1));
+    branch_half(m, op, pc.wrapping_add(op.size));
     Ctl::Exit
 }
 
@@ -824,7 +1036,7 @@ fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
         return Ctl::SplitBudget;
     }
     try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    branch_half(m, op, pc);
+    branch_half(m, op, pc.wrapping_add(op.size));
     Ctl::Exit
 }
 
@@ -868,15 +1080,24 @@ fn h_fused_reg2(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
 // Builder
 // ---------------------------------------------------------------------
 
-/// Static model of the flash streaming buffer, used to plan each
-/// `fetch_timing` call at build time. `cur` tracks the buffered window
-/// the machine will hold at that point in the block, when provable.
+/// Static model of the fetch path, used to plan each `fetch_timing`
+/// call at build time. Without an I-cache `cur` tracks the flash
+/// streaming window the machine will hold at that point in the block,
+/// when provable; with one it tracks the I-cache line of the previous
+/// fetch.
 struct FetchSim {
     window: u32,
+    /// `log2` of the I-cache line size when an I-cache is fitted.
+    line_shift: Option<u32>,
+    /// Whether a refill may plan [`FetchPlan::Seq`]: a window is one
+    /// flash beat.
+    seq: bool,
     /// Statically known buffered window (`None` at block entry and
-    /// after any data access or impure op — see [`breaks_stream`]).
+    /// after any data access or impure op — see [`breaks_stream`]), or
+    /// the line of the previous fetch (`None` at block entry only:
+    /// nothing but a fetch touches the I-cache).
     cur: Option<u32>,
-    /// Whether planning applies at all: uncached, MPU-less flash code.
+    /// Whether planning applies at all: the block is flash code.
     plannable: bool,
 }
 
@@ -885,6 +1106,15 @@ impl FetchSim {
     fn call(&mut self, addr: u32, len: u32) -> FetchPlan {
         if !self.plannable {
             return FetchPlan::Slow;
+        }
+        if let Some(shift) = self.line_shift {
+            // `fetch_timing` looks up the line of the first byte only.
+            let line = addr >> shift;
+            return if self.cur.replace(line) == Some(line) {
+                FetchPlan::LineHit
+            } else {
+                FetchPlan::Line
+            };
         }
         let wm = self.window - 1;
         let first = addr & !wm;
@@ -898,6 +1128,7 @@ impl FetchSim {
             return if first == fin { FetchPlan::Window(fin) } else { FetchPlan::Slow };
         };
         // Replicate the fetch_timing window walk statically.
+        let prev = cur;
         let mut w = first;
         let end = addr + len;
         let mut refills = 0u32;
@@ -914,16 +1145,24 @@ impl FetchSim {
             0 => FetchPlan::Free,
             // A single refill whose window is also the final buffered
             // window collapses to one live access_timing call (the
-            // run-time check finds it unbuffered).
+            // run-time check finds it unbuffered), or to one sequential
+            // beat when it continues the stream of the buffered window
+            // (`Machine::window_streams`).
+            1 if refill_at == fin && self.seq && prev.wrapping_add(self.window) == fin => {
+                FetchPlan::Seq(fin)
+            }
             1 if refill_at == fin => FetchPlan::Window(fin),
             _ => FetchPlan::Slow,
         }
     }
 
     /// Forgets the buffered window (called after every op that
-    /// [`breaks_stream`]).
+    /// [`breaks_stream`]). A data access never touches the I-cache, so
+    /// the line model keeps its line.
     fn invalidate(&mut self) {
-        self.cur = None;
+        if self.line_shift.is_none() {
+            self.cur = None;
+        }
     }
 }
 
@@ -1040,7 +1279,7 @@ fn classify(e: &Entry, pc: u32, bias: u32) -> Micro {
             Micro::Reg(Half { op: RegOp::Bfi, rd, rn, imm, len, ..Half::NONE })
         }
         Instr::Cmp { op: alia_isa::CmpOp::Cmp, rn, op2, .. } if rn != Reg::PC => {
-            let h = Half { kind: AluKind::Sub, s: true, rn, ..Half::NONE };
+            let h = Half { op: RegOp::Cmp, s: true, rn, ..Half::NONE };
             with_op2(h, op2).map_or(Micro::Generic, Micro::Cmp)
         }
         Instr::Ldr { size, signed: false, rt, addr, .. } => {
@@ -1117,6 +1356,8 @@ struct Fusion {
     b: Half,
     cond2: Cond,
     target: u32,
+    /// How the pair may join a segment.
+    joins: Option<Tail>,
 }
 
 /// Whether a register half is an [`AluKind`] op (the ALU patterns).
@@ -1128,19 +1369,137 @@ fn is_alu(h: &Half) -> bool {
 /// `cmp`+branch, ALU+branch (the `subs`+`bne` backedge), ALU+`cmp`,
 /// `ldr`+ALU, then any two register-only ops.
 fn fuse(m1: Micro, m2: Micro) -> Option<Fusion> {
-    let fusion = |run, a, b, cond2, target| Some(Fusion { run, a, b, cond2, target });
+    let fusion = |run, a, b, cond2, target, joins| Some(Fusion { run, a, b, cond2, target, joins });
+    let (fall, reg_b) = (Some(Tail::Fall), Some(Tail::RegB));
     match (m1, m2) {
         (Micro::Cmp(a), Micro::B { cond, target }) => {
-            fusion(h_fused_cmp_b, a, Half::NONE, cond, target)
+            fusion(h_fused_cmp_b, a, Half::NONE, cond, target, reg_b)
         }
         (Micro::Reg(a), Micro::B { cond, target }) if is_alu(&a) => {
-            fusion(h_fused_alu_b, a, Half::NONE, cond, target)
+            fusion(h_fused_alu_b, a, Half::NONE, cond, target, reg_b)
         }
-        (Micro::Reg(a), Micro::Cmp(b)) if is_alu(&a) => fusion(h_fused_alu_cmp, a, b, Cond::Al, 0),
-        (Micro::Ldr(a), Micro::Reg(b)) if is_alu(&b) => fusion(h_fused_ldr_alu, a, b, Cond::Al, 0),
-        (Micro::Reg(a), Micro::Reg(b)) => fusion(h_fused_reg2, a, b, Cond::Al, 0),
+        (Micro::Reg(a), Micro::Cmp(b)) if is_alu(&a) => {
+            fusion(h_fused_alu_cmp, a, b, Cond::Al, 0, fall)
+        }
+        (Micro::Ldr(a), Micro::Reg(b)) if is_alu(&b) => {
+            fusion(h_fused_ldr_alu, a, b, Cond::Al, 0, None)
+        }
+        (Micro::Reg(a), Micro::Reg(b)) => fusion(h_fused_reg2, a, b, Cond::Al, 0, fall),
         _ => None,
     }
+}
+
+/// How a single unfused op may join a segment.
+fn joins(micro: &Micro) -> Option<Tail> {
+    match micro {
+        Micro::Reg(_) | Micro::Cmp(_) => Some(Tail::Fall),
+        Micro::B { .. } => Some(Tail::B),
+        Micro::Cbz { .. } => Some(Tail::Cbz),
+        Micro::Ldr(_) | Micro::Str(_) | Micro::Generic => None,
+    }
+}
+
+/// Cuts the block's ops into [`Segment`]s and marks each head's
+/// [`Op::seg`]; `joins[k]` says how op `k` may join one. Allocates only
+/// when the block has a segment.
+fn segments(ops: &mut [Op], joins: &[Option<Tail>], m: &Machine, window: u32) -> Vec<Segment> {
+    use FetchPlan::{Free, LineHit, None as NoCall, Seq, Slow};
+    let fixed = |p: FetchPlan| matches!(p, NoCall | Free | Seq(_) | LineHit);
+    // Maximal runs `[head, end)` of at least two ops: each op joins
+    // (the branch only as the block's last op) and has static fetches
+    // after its first; an op whose first fetch is dynamic (but not
+    // `Slow`) may only head a run.
+    let last = ops.len() - 1;
+    let mut runs = [(0usize, 0usize); MAX_BLOCK_LEN / 2];
+    let mut count = 0;
+    let mut close = |head: Option<usize>, end: usize| {
+        if let Some(h) = head.filter(|&h| end - h >= 2) {
+            runs[count] = (h, end);
+            count += 1;
+        }
+    };
+    let mut head = None;
+    for (k, op) in ops.iter().enumerate() {
+        let member = joins[k].is_some_and(|t| t == Tail::Fall || k == last)
+            && [op.f1b, op.f2, op.f2b].into_iter().all(fixed);
+        if member && fixed(op.f1) {
+            head = head.or(Some(k));
+        } else {
+            close(head, k);
+            head = (member && op.f1 != Slow).then_some(k);
+        }
+    }
+    close(head, ops.len());
+
+    let flash = m.flash.config();
+    let timing = &m.config.timing;
+    // The head's first fetch at its dearest: an I-cache data-parity
+    // error, then the refetch's miss and fill; or one window refill off
+    // the stream.
+    let head_fetch = match &m.icache {
+        Some(ic) => 2 + ic.config().miss_penalty + ic.config().line / 4,
+        None => {
+            let beats = window.div_ceil(flash.width);
+            flash.nonseq_cycles.max(flash.seq_cycles) + (beats - 1) * flash.seq_cycles
+        }
+    };
+    let cost = |p: FetchPlan| match p {
+        Seq(_) => flash.seq_cycles,
+        LineHit => 1,
+        _ => 0,
+    };
+    let taken = 1 + u64::from(timing.branch_taken_penalty);
+    let mut segs = Vec::with_capacity(count);
+    for &(h, end) in &runs[..count] {
+        let mut seg = Segment {
+            end,
+            tail: Tail::Fall,
+            bytes: 0,
+            head_b: cost(ops[h].f1b),
+            fetch: 0,
+            instrs: 0,
+            patch_hits: 0,
+            seq: 0,
+            last_window: 0,
+            line_hits: 0,
+            worst: 0,
+        };
+        let mut issue = 0u64;
+        for (k, op) in ops[h..end].iter().enumerate() {
+            let fused = op.size != op.size1;
+            seg.bytes += op.size;
+            seg.instrs += 1 + u32::from(fused);
+            seg.patch_hits += u32::from(op.entry.patch_hits) + u32::from(op.patch2);
+            if k > 0 {
+                seg.fetch += (cost(op.f1) + cost(op.f1b)).saturating_sub(1);
+            }
+            if fused {
+                seg.fetch += (cost(op.f2) + cost(op.f2b)).saturating_sub(1);
+            }
+            for plan in &[op.f1, op.f1b, op.f2, op.f2b][usize::from(k == 0)..] {
+                match *plan {
+                    Seq(w) => {
+                        seg.seq += 1;
+                        seg.last_window = w;
+                    }
+                    LineHit => seg.line_hits += 1,
+                    _ => {}
+                }
+            }
+            let half = |h: &Half| reg_cycles(h, timing.mul_cycles);
+            seg.tail = joins[h + k].unwrap_or(Tail::Fall);
+            issue += match seg.tail {
+                Tail::Fall if fused => half(&op.a) + half(&op.b),
+                Tail::Fall => half(&op.a),
+                Tail::RegB => half(&op.a) + taken,
+                Tail::B | Tail::Cbz => taken,
+            };
+        }
+        seg.worst = u64::from(head_fetch + seg.head_b + seg.fetch) + issue;
+        ops[h].seg = segs.len() as u8;
+        segs.push(seg);
+    }
+    segs
 }
 
 /// Selects the specialized handler (and operand half) for a single
@@ -1168,8 +1527,9 @@ fn single(micro: Micro) -> (Handler, Half, Cond, u32, bool) {
 
 /// Lowers a recorded block to threaded code. Returns `None` only for an
 /// empty run: any other block lowers, with unspecialized entries on the
-/// generic handler. Runs once per installed block, so it makes one
-/// allocation (the op list).
+/// generic handler. Runs once per installed block, so it makes at most
+/// two allocations (the op list and, when the block has any, its
+/// segments).
 pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<ThreadedBlock> {
     let n = entries.len();
     if n == 0 {
@@ -1183,18 +1543,18 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     let flash_cfg = m.flash.config();
     let window = flash_cfg.width.max(2);
     let end = entries.iter().fold(start, |pc, e| pc.wrapping_add(e.size));
-    // Fetch plans only apply to streaming flash code with no I-cache
-    // and no MPU (both would run per-fetch logic the plan elides; the
-    // code stamp covers which are fitted, so the assumption cannot go
-    // stale under an installed block); everything else replays
-    // fetch_timing in full, which is always correct.
+    // Fetch plans apply to flash code: with an I-cache they track its
+    // lines, without one the streaming window (the code stamp covers
+    // the I-cache geometry, so the model cannot go stale under an
+    // installed block). `dispatch` checks the whole code range against
+    // a fitted MPU before any op runs. Other code replays fetch_timing
+    // in full, which is always correct.
     // (Flash occupies the bottom of the address space at FLASH_BASE =
     // 0, so `start` is in-region iff `end` stays under the flash top.)
-    let plannable = m.icache.is_none()
-        && m.mpu.is_none()
-        && end <= FLASH_BASE.wrapping_add(flash_cfg.size)
-        && end >= start;
-    let mut sim = FetchSim { window, cur: None, plannable };
+    let plannable = end <= FLASH_BASE.wrapping_add(flash_cfg.size) && end >= start;
+    let line_shift = m.icache.as_ref().map(Cache::line_shift);
+    let seq = flash_cfg.width >= 2;
+    let mut sim = FetchSim { window, line_shift, seq, cur: None, plannable };
 
     // Entries an `it` covers, one bit each. A covered `it` reloads the
     // queue, so its count replaces whatever the outer one had left.
@@ -1229,6 +1589,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     };
 
     let mut ops = Vec::with_capacity(n);
+    let mut tails = [None; MAX_BLOCK_LEN];
     let mut fused = 0u32;
     let mut pc = start;
     let mut cur = lower(0, start);
@@ -1248,6 +1609,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
                 sim.invalidate();
             }
             let size2 = entries[i + 1].size;
+            tails[ops.len()] = fu.joins;
             ops.push(Op {
                 run: fu.run,
                 entry: entries[i],
@@ -1264,6 +1626,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
                 target: fu.target,
                 nonzero: false,
                 patch2: entries[i + 1].patch_hits,
+                seg: NO_SEGMENT,
             });
             fused += 1;
             i += 2;
@@ -1274,6 +1637,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
             continue;
         }
         let (run, a, cond2, target, nonzero) = single(micro);
+        tails[ops.len()] = joins(&micro);
         ops.push(Op {
             run,
             entry: entries[i],
@@ -1290,6 +1654,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
             target,
             nonzero,
             patch2: 0,
+            seg: NO_SEGMENT,
         });
         i += 1;
         pc = pc2;
@@ -1298,23 +1663,18 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         }
     }
 
-    // Steady-state entry plans for the self-loop fast path: replan the
-    // first op's fetches assuming the window the block leaves buffered
-    // at its end (`sim.cur` — statically known whenever plannable and
-    // the final planned call ran under a valid model). The dispatch
-    // loop only uses these after a *pure* terminal exit (a branch: a
-    // pure load never leaves the block), which cannot disturb the
-    // stream, so the assumed window is exact at runtime.
+    let segs = segments(&mut ops, &tails[..n], m, window);
+    // The steady-state entry plan for the self-loop fast path: replan
+    // the first fetch assuming the window or line the block leaves at
+    // its end (`sim.cur` — statically known whenever plannable and the
+    // final planned call ran under a valid model). The dispatch loop
+    // only uses it after a *pure* terminal exit (a branch: a pure load
+    // never leaves the block), which cannot disturb the stream, so the
+    // assumed state is exact at runtime. Every later plan of the op
+    // depends only on the address of the fetch before it, so it stays
+    // `ops[0]`'s (and so does the op's segment summary).
     let mut loop_head = ops[0].clone();
-    let mut lsim = FetchSim { window, cur: sim.cur, plannable };
-    (loop_head.f1, loop_head.f1b) = plan(&mut lsim, 0, start);
-    // A fused first op carries the second instruction's plans too.
-    if loop_head.size != loop_head.size1 {
-        if breaks_stream(&entries[0].instr, start) {
-            lsim.invalidate();
-        }
-        (loop_head.f2, loop_head.f2b) = plan(&mut lsim, 1, start.wrapping_add(loop_head.size1));
-    }
+    loop_head.f1 = FetchSim { cur: sim.cur, ..sim }.call(start, flen);
     // Fetch-plan mix over the block's ops (every planned call: first
     // and second-halfword fetches of both halves of a fused pair).
     let (mut plans_free, mut plans_window, mut plans_slow) = (0u32, 0u32, 0u32);
@@ -1322,15 +1682,17 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         for plan in [op.f1, op.f1b, op.f2, op.f2b] {
             match plan {
                 FetchPlan::None => {}
-                FetchPlan::Free => plans_free += 1,
-                FetchPlan::Window(_) => plans_window += 1,
+                FetchPlan::Free | FetchPlan::LineHit => plans_free += 1,
+                FetchPlan::Window(_) | FetchPlan::Seq(_) | FetchPlan::Line => plans_window += 1,
                 FetchPlan::Slow => plans_slow += 1,
             }
         }
     }
     Some(ThreadedBlock {
         ops,
+        segs,
         start,
+        end,
         loop_head,
         window,
         flen,

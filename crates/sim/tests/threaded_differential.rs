@@ -5,7 +5,8 @@
 //! default) and off (`predecode` disabled: the uncached per-step
 //! interpreter) and asserts bit-identical architectural outcomes:
 //! `StopReason`, cycles, instruction counts, registers, flags, flash
-//! streaming statistics, flash-patch accounting and the exact
+//! streaming statistics, flash-patch accounting, I-cache and D-cache
+//! statistics and occupancy, MPU violations and the exact
 //! per-interrupt pend/entry cycle stamps. Scenarios target the engine's
 //! sharp edges specifically: superinstruction fusion patterns, IRQ
 //! storms landing *between* the two halves of fused pairs, IT blocks
@@ -27,8 +28,8 @@
 use alia_isa::{Assembler, IsaMode};
 use alia_sim::{
     Cache, CacheConfig, Device, DeviceCtx, DeviceSpec, Machine, MachineConfig, MemFault, Mpu,
-    MpuKind, PatchKind, RunResult, StopReason, TimerConfig, MMIO_BASE, MMIO_CYCLES, MMIO_IRQ_SET,
-    SRAM_BASE, TIMER_BASE,
+    MpuKind, PatchKind, Perms, RunResult, StopReason, TimerConfig, MMIO_BASE, MMIO_CYCLES,
+    MMIO_IRQ_SET, SRAM_BASE, TIMER_BASE,
 };
 
 /// Asserts both machines are architecturally identical right now,
@@ -43,6 +44,11 @@ fn assert_state_eq(on: &Machine, off: &Machine, what: &str) {
     assert_eq!(on.flash.stats(), off.flash.stats(), "{what}: flash stats diverged");
     assert_eq!(on.svc_count(), off.svc_count(), "{what}: svc count diverged");
     assert_eq!(on.latencies(), off.latencies(), "{what}: IRQ stamps diverged");
+    let cache = |c: &Option<Cache>| c.as_ref().map(|c| (c.stats(), c.valid_lines()));
+    assert_eq!(cache(&on.icache), cache(&off.icache), "{what}: I-cache diverged");
+    assert_eq!(cache(&on.dcache), cache(&off.dcache), "{what}: D-cache diverged");
+    let violations = |m: &Machine| m.mpu.as_ref().map(Mpu::violations);
+    assert_eq!(violations(on), violations(off), "{what}: MPU violations diverged");
 }
 
 /// The per-step reference: `build()` with the execution engine off.
@@ -1023,8 +1029,14 @@ fn seeded_machine(config: &MachineConfig, src: &str, seed: u64, passes: u32) -> 
 /// Runs `build` unbounded against the reference (asserting a threaded
 /// share of at least `min_share`), then again under `run_until` bounds
 /// every `stride` cycles, comparing the whole state at every bound so
-/// flag and register values are checked mid-block too.
-fn run_both_bounded(build: &dyn Fn() -> Machine, stride: u64, min_share: f64, what: &str) {
+/// flag and register values are checked mid-block too. Returns the
+/// engine-on machine of the bounded walk.
+fn run_both_bounded(
+    build: &dyn Fn() -> Machine,
+    stride: u64,
+    min_share: f64,
+    what: &str,
+) -> Machine {
     let (r, on) = run_both(build, 2_000_000, what);
     assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
     assert!(on.predecode_stats().block_hits > 0, "{what}: block engine never ran");
@@ -1044,6 +1056,7 @@ fn run_both_bounded(build: &dyn Fn() -> Machine, stride: u64, min_share: f64, wh
         }
     }
     assert!(on.predecode_stats().budget_splits > 0, "{what}: bounds must split dispatches");
+    on
 }
 
 #[test]
@@ -1235,20 +1248,25 @@ fn matrix_fetch_after_sram_store_identical() {
 // Fitting an I-cache or MPU between runs
 // ---------------------------------------------------------------------
 
-/// Runs the ALU loop to cycle 1500 on the engine and the reference,
-/// applies `fit` to both, then runs both to the end.
-fn fit_between_runs(fit: &dyn Fn(&mut Machine), what: &str) -> (RunResult, Machine) {
-    let src = "mov r0, #0
-         mov r2, #500
-         loop: add r0, r0, #1
-         cmp r0, r2
-         bne loop
-         bkpt #0";
-    let config = MachineConfig::m3_like();
-    let build = || machine_with(&config, src);
+/// The ALU loop the fitting tests run on the M3 preset.
+const FIT_SRC: &str = "mov r0, #0
+     mov r2, #500
+     loop: add r0, r0, #1
+     cmp r0, r2
+     bne loop
+     bkpt #0";
+
+/// Runs `build` to cycle `at` on the engine and the reference, applies
+/// `fit` to both, then runs both to the end.
+fn fit_between_runs(
+    build: &dyn Fn() -> Machine,
+    at: u64,
+    fit: &dyn Fn(&mut Machine),
+    what: &str,
+) -> (RunResult, Machine) {
     let mut on = build();
-    let mut off = reference(&build);
-    assert_eq!(on.run_until(1500), off.run_until(1500), "{what}: first leg diverged");
+    let mut off = reference(build);
+    assert_eq!(on.run_until(at), off.run_until(at), "{what}: first leg diverged");
     assert!(on.predecode_stats().block_hits > 0, "{what}: blocks must be installed first");
     fit(&mut on);
     fit(&mut off);
@@ -1256,11 +1274,6 @@ fn fit_between_runs(fit: &dyn Fn(&mut Machine), what: &str) -> (RunResult, Machi
     let want = off.run(1_000_000);
     assert_eq!(got, want, "{what}: RunResult diverged");
     assert_state_eq(&on, &off, what);
-    assert_eq!(
-        on.icache.as_ref().map(|c| c.stats()),
-        off.icache.as_ref().map(|c| c.stats()),
-        "{what}: I-cache stats diverged"
-    );
     (want, on)
 }
 
@@ -1268,7 +1281,10 @@ fn fit_between_runs(fit: &dyn Fn(&mut Machine), what: &str) -> (RunResult, Machi
 fn fitting_icache_between_runs_matches_reference() {
     // Blocks installed without an I-cache must not keep replaying
     // uncached flash timing once one is fitted.
+    let build = || machine_with(&MachineConfig::m3_like(), FIT_SRC);
     let (r, _) = fit_between_runs(
+        &build,
+        1500,
         &|m| m.icache = Some(Cache::new(CacheConfig::default())),
         "icache fitted",
     );
@@ -1279,7 +1295,10 @@ fn fitting_icache_between_runs_matches_reference() {
 fn fitting_deny_all_mpu_between_runs_matches_reference() {
     // A deny-all MPU fitted under installed blocks must fault the very
     // next fetch, as it does on the per-step path.
+    let build = || machine_with(&MachineConfig::m3_like(), FIT_SRC);
     let (r, _) = fit_between_runs(
+        &build,
+        1500,
         &|m| {
             let mut mpu = Mpu::new(MpuKind::FineGrain);
             mpu.background_allowed = false;
@@ -1292,4 +1311,185 @@ fn fitting_deny_all_mpu_between_runs_matches_reference() {
         "the first fetch after fitting must fault: {:?}",
         r.reason
     );
+}
+
+// ---------------------------------------------------------------------
+// Whole-segment dispatch and the cached core's line plans
+// ---------------------------------------------------------------------
+
+/// A long register-only loop for `mode`, each line the first candidate
+/// the mode encodes (lines no candidate encodes are left out): shifts
+/// by an immediate and by a register (r4), `mul`, a fused ALU + `cmp`,
+/// and the T2 `ubfx` (label `w0`) and `bfi` (label `w1`), always wide,
+/// at the two halfword alignments. The handler counter r6 feeds the
+/// loop, so an interrupt taken one instruction off shows in the
+/// result. The prologue stores 3 through r0: the periodic timer's CTRL
+/// register, or a scratch word. r7 counts the passes.
+fn segment_loop_src(mode: IsaMode) -> String {
+    let lines: &[&[&str]] = &[
+        &["w0: ubfx r2, r1, #3, #7"],
+        &["mov r5, r1"],
+        &["w1: bfi r0, r2, #8, #4"],
+        &["lsl r1, r3, #3"],
+        &["lsr r2, r1, r4", "lsr r2, r2, r4"],
+        &["mul r3, r3, r1", "mul r3, r1, r3"],
+        &["add r1, r1, r2"],
+        &["cmp r1, r2"],
+        &["eor r0, r0, r3"],
+        &["ror r3, r3, r4"],
+        &["asr r2, r0, #5"],
+        &["orr r3, r3, r6"],
+        &["movw r5, #4321", "mov r5, #201"],
+        &["sub r5, r5, r2"],
+        &["add r3, r3, r5"],
+        &["lsl r0, r0, #1"],
+        &["eor r0, r0, r1"],
+        &["add r2, r2, #77"],
+    ];
+    let body: Vec<&str> = lines
+        .iter()
+        .filter_map(|cands| {
+            cands.iter().copied().find(|l| encodes(mode, l.split(": ").last().unwrap_or(l)))
+        })
+        .collect();
+    format!(
+        "mov r2, #3
+         str r2, [r0, #0]
+         mov r0, #1
+         loop: {}
+         sub r7, r7, #1
+         cmp r7, #0
+         bne loop
+         bkpt #0",
+        body.join("\n")
+    )
+}
+
+/// A machine running [`segment_loop_src`] for `passes` passes, with
+/// the timer handler `add r6, r6, #1; bx lr` at 0x300 when `config`
+/// attaches a timer (r0 then points at its CTRL register).
+fn segment_machine(config: &MachineConfig, passes: u32) -> Machine {
+    let src = segment_loop_src(config.mode);
+    let mut m = machine_with(config, &src);
+    let timer = config.devices.iter().any(|d| matches!(d, DeviceSpec::Timer(_)));
+    if timer {
+        let handler = Assembler::new(config.mode).assemble("add r6, r6, #1\n bx lr").unwrap();
+        m.load_flash(0x300, &handler.bytes);
+        m.load_flash(0, &0x300u32.to_le_bytes());
+    }
+    m.cpu.regs[0] = if timer { TIMER_BASE } else { BUF };
+    m.cpu.regs[1] = 0x1234_5678;
+    m.cpu.regs[3] = 0x9E37_79B9;
+    m.cpu.regs[4] = 5;
+    m.cpu.regs[7] = passes;
+    m
+}
+
+#[test]
+fn matrix_register_segments_identical_at_every_bound() {
+    // Long register-only loops under a periodic timer, compared with
+    // the per-step reference at every bound of `run_until` walks with
+    // prime strides, so bounds and timer events fall inside segments:
+    // those must replay per op and split on the exact instruction,
+    // while the segments clear of every bound run whole. On T2 the
+    // loop body crosses a 32-byte I-cache line.
+    let t2 = Assembler::new(IsaMode::T2).assemble(&segment_loop_src(IsaMode::T2)).unwrap();
+    let (w0, w1) = (t2.symbols["w0"], t2.symbols["w1"]);
+    assert_eq!((w0 ^ w1) & 2, 2, "the wide ops must sit at both halfword alignments");
+    let (start, end) = (0x100 + t2.symbols["loop"], 0x100 + t2.bytes.len() as u32);
+    assert_ne!(start >> 5, (end - 1) >> 5, "the T2 loop must cross an I-cache line");
+    for (name, mut config) in presets() {
+        let timer = TimerConfig { base: TIMER_BASE, irq: 0, compare: 97 };
+        config.devices = vec![DeviceSpec::Timer(timer)];
+        let build = || segment_machine(&config, 150);
+        let what = format!("register segments on {name}");
+        let (r, whole) = run_both(&build, 2_000_000, &what);
+        assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
+        assert!(whole.latencies().len() >= 10, "{what}: the timer must interrupt the loop");
+        let whole_seg = whole.predecode_stats().segment_instrs;
+        assert!(whole_seg > 0, "{what}: no segment ran whole");
+        for stride in [37, 41] {
+            let what = format!("{what}, stride {stride}");
+            let walked = run_both_bounded(&build, stride, 0.8, &what).predecode_stats();
+            assert!(
+                walked.segment_instrs > 0 && walked.segment_instrs < whole_seg,
+                "{what}: {} of {whole_seg} instructions in whole segments: bounds must \
+                 make some segments replay per op and leave others whole",
+                walked.segment_instrs
+            );
+        }
+    }
+}
+
+#[test]
+fn high_end_icache_parity_errors_under_installed_blocks_identical() {
+    // Data-RAM and tag-RAM parity errors injected into the I-cache lines
+    // of installed blocks between `run_until` bounds: the first fetch of
+    // every dispatch and every fetch to a new line look the cache up
+    // live, so the engine meets each error at the same fetch as the
+    // per-step reference, recovers alike and leaves the same lines.
+    let build = || segment_machine(&MachineConfig::high_end_like(), 200);
+    let mut on = build();
+    let mut off = reference(&build);
+    let (mut bound, mut k) = (0u64, 0usize);
+    loop {
+        bound += 43;
+        let got = on.run_until(bound);
+        let want = off.run_until(bound);
+        assert_eq!(got, want, "bound {bound}: RunResult diverged");
+        assert_state_eq(&on, &off, &format!("parity errors, bound {bound}"));
+        if want.reason != StopReason::CycleLimit {
+            break;
+        }
+        let (n, tag_ram) = (k % 3, k % 2 == 1);
+        k += 1;
+        let poisoned = on.icache.as_mut().unwrap().inject_error_in_nth_valid_line(n, tag_ram);
+        let want = off.icache.as_mut().unwrap().inject_error_in_nth_valid_line(n, tag_ram);
+        assert_eq!(poisoned, want, "bound {bound}: the caches hold different lines");
+    }
+    let stats = on.icache.as_ref().unwrap().stats();
+    assert!(stats.parity_errors > 20, "only {} parity errors met", stats.parity_errors);
+    let blocks = on.predecode_stats();
+    assert!(blocks.block_hits > 0 && blocks.segment_instrs > 0, "{blocks:?}");
+}
+
+/// Fits a fine-grain MPU region with `perms` over the 32-byte granule
+/// at the middle of the high-end core's segment loop after 1500 cycles,
+/// and runs to the end on the engine and the reference.
+fn high_end_mpu_region_mid_run(perms: Perms, what: &str) -> (RunResult, Machine) {
+    let src = segment_loop_src(IsaMode::T2);
+    let out = Assembler::new(IsaMode::T2).assemble(&src).unwrap();
+    let (start, end) = (0x100 + out.symbols["loop"], 0x100 + out.bytes.len() as u32);
+    let base = ((start + end) / 2) & !31;
+    assert!(start < base && base < end, "{what}: the region must cut the loop");
+    let build = || segment_machine(&MachineConfig::high_end_like(), 200);
+    fit_between_runs(
+        &build,
+        1500,
+        &|m| {
+            m.mpu.as_mut().unwrap().add_region(base, 32, perms).unwrap();
+        },
+        what,
+    )
+}
+
+#[test]
+fn high_end_mpu_denying_part_of_the_hot_loop_faults_alike() {
+    let (r, on) = high_end_mpu_region_mid_run(Perms::RW, "no-execute region");
+    assert!(
+        matches!(r.reason, StopReason::Fault(MemFault::MpuViolation { write: false, .. })),
+        "the first fetch in the region must fault: {:?}",
+        r.reason
+    );
+    assert_eq!(on.mpu.as_ref().unwrap().violations(), 1);
+}
+
+#[test]
+fn high_end_mpu_region_covering_part_of_the_loop_runs_alike() {
+    // Execute is allowed everywhere, but the region covers only part of
+    // each block's code range: the range check cannot prove the block
+    // and hands it to the per-step path, with the same results.
+    let (r, on) = high_end_mpu_region_mid_run(Perms::RX, "partial execute region");
+    assert_eq!(r.reason, StopReason::Bkpt(0));
+    assert_eq!(on.mpu.as_ref().unwrap().violations(), 0);
 }
