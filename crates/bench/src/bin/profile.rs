@@ -4,8 +4,8 @@
 //! Runs the AutoIndy-6 suite on the M3-class (T2) preset and prints,
 //! per kernel: the occupancy of the two tiers (what fraction of retired
 //! guest instructions ran as threaded blocks, t3, and on the per-step
-//! path, t1), the fusion and fetch-plan mix of the threaded code, the
-//! share of instructions retired in whole segments (register-only runs
+//! path, t1), the fetch-plan mix of the threaded code, the share of
+//! instructions retired in whole segments (register-only runs
 //! whose fetch timing is charged once per run), and the hottest
 //! resident blocks with each one's share of the
 //! instructions estimated to have retired in blocks (a weight from
@@ -58,12 +58,9 @@ fn main() {
         );
         let plans = p.plans_free + p.plans_window + p.plans_slow;
         println!(
-            "         {} installed, {} fused pairs ({:.2} per block), \
-             fetch plans: {:.1}% Free / {:.1}% Window / {:.1}% Slow, \
+            "         {} installed, fetch plans: {:.1}% Free / {:.1}% Window / {:.1}% Slow, \
              {:.1}% of instrs in whole segments",
             p.blocks_promoted,
-            p.fused_pairs,
-            if p.blocks_promoted == 0 { 0.0 } else { p.fused_pairs as f64 / p.blocks_promoted as f64 },
             pct(p.plans_free, plans),
             pct(p.plans_window, plans),
             pct(p.plans_slow, plans),
@@ -72,12 +69,11 @@ fn main() {
         let block_est: u64 = blocks.iter().map(|b| b.est_instructions).sum();
         for b in blocks.iter().take(TOP_BLOCKS) {
             println!(
-                "         {:#010x} {:>3} insts  {:>8} dispatches  {:>2} fused  \
+                "         {:#010x} {:>3} insts  {:>8} dispatches  \
                  {:>5.1}% of est. block instrs",
                 b.start,
                 b.insts,
                 b.dispatches,
-                b.fused,
                 pct(b.est_instructions, block_est),
             );
         }
@@ -87,7 +83,7 @@ fn main() {
     let t1_pct = (100.0 - t3_pct).max(0.0);
     println!(
         "\nsuite aggregate: t3 {t3_pct:.1}% / t1 {t1_pct:.1}% occupancy, \
-         {} fused pairs over {} installed blocks",
-        agg.fused_pairs, agg.blocks_promoted,
+         {} installed blocks",
+        agg.blocks_promoted,
     );
 }

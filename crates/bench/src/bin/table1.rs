@@ -20,14 +20,14 @@ fn main() {
             let p = &k.predecode;
             println!(
                 "  {:<6} {:<8} {:>9} cycles {:>6} bytes  \
-                 blocks {}/{} hits ({} fused), {} chained, {} splits, {} demoted",
+                 blocks {}/{} hits ({} instrs in whole segments), {} chained, {} splits, {} demoted",
                 r.mode,
                 k.kernel,
                 k.cycles,
                 k.code_size,
                 p.blocks_promoted,
                 p.block_hits,
-                p.fused_pairs,
+                p.segment_instrs,
                 p.chain_follows,
                 p.budget_splits,
                 p.demotions,
@@ -39,10 +39,10 @@ fn main() {
         agg.merge(&k.predecode);
     }
     println!(
-        "block engine over the suite: {} blocks installed ({} pairs fused), {} dispatched \
+        "block engine over the suite: {} blocks installed ({} instrs in whole segments), {} dispatched \
          ({} chained from the previous block), {} budget splits, {} demotions",
         agg.blocks_promoted,
-        agg.fused_pairs,
+        agg.segment_instrs,
         agg.block_hits,
         agg.chain_follows,
         agg.budget_splits,

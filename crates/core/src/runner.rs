@@ -246,8 +246,6 @@ pub struct BlockProfileRow {
     /// Passes through the block's threaded code (entries, chained
     /// entries and self-loop rounds).
     pub dispatches: u64,
-    /// Superinstruction pairs fused into its threaded body.
-    pub fused: u32,
     /// Estimated instructions retired inside the block
     /// (`dispatches × insts` — an attribution weight, not an exact
     /// count: early block exits retire fewer). No host time is
@@ -276,11 +274,10 @@ pub fn profile_kernel(
     let rows = m
         .block_profile()
         .into_iter()
-        .map(|(start, insts, dispatches, fused)| BlockProfileRow {
+        .map(|(start, insts, dispatches)| BlockProfileRow {
             start,
             insts,
             dispatches,
-            fused,
             est_instructions: dispatches * u64::from(insts),
         })
         .collect();

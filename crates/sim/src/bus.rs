@@ -27,8 +27,9 @@
 //!   and the IRQ being serviced, and nothing else: a register read
 //!   changes no device state, raises no signal and cannot move
 //!   [`Device::next_event`]. So the bus refreshes its cached next event
-//!   only after a write, a tick or a scheduler-side notification, and
-//!   the block engine runs a load as a pure op.
+//!   only after a write that moves the written device's next event, a
+//!   tick or a scheduler-side notification, and the block engine runs a
+//!   load as a pure op.
 //! * **Ticking** — the machine calls [`Device::tick`] whenever the cycle
 //!   counter reaches [`Device::next_event`]. A device with no timed
 //!   behaviour returns `None` and is only touched by loads and stores.
@@ -204,7 +205,9 @@ pub trait Device: Any + fmt::Debug + DeviceClone + Send + Sync {
     }
 
     /// The next cycle at which the device needs a [`Device::tick`],
-    /// or `None` for purely reactive devices.
+    /// or `None` for purely reactive devices. It must read only the
+    /// device's own state: the bus rescans the cached minimum only when
+    /// the device just written or ticked reports a different value.
     fn next_event(&self) -> Option<u64> {
         None
     }
@@ -489,25 +492,35 @@ impl Bus {
     }
 
     /// Performs a device store at `addr`: every width writes `value` to
-    /// the register word holding `addr`.
+    /// the register word holding `addr`. A write changes only its own
+    /// device, so the cached next-event cycle is rescanned only when
+    /// that device's next event moved.
     pub fn device_write(&mut self, idx: u8, addr: u32, value: u32, now: u64) {
         let d = &mut self.devices[idx as usize];
         let off = (addr - d.base) & !3;
+        let before = d.dev.next_event();
         let mut ctx = DeviceCtx { now, signals: &mut self.signals };
         d.dev.write32(off, value, &mut ctx);
-        self.refresh_next_event();
+        if d.dev.next_event() != before {
+            self.refresh_next_event();
+        }
     }
 
     /// Ticks every device whose [`Device::next_event`] is due at `now`
-    /// and refreshes the cached next-event cycle.
+    /// and recomputes the cached next-event cycle in the same pass (a
+    /// tick changes only its own device).
     pub fn tick_devices(&mut self, now: u64) {
+        let mut next = u64::MAX;
         for d in &mut self.devices {
-            if d.dev.next_event().is_some_and(|at| at <= now) {
+            let mut at = d.dev.next_event();
+            if at.is_some_and(|t| t <= now) {
                 let mut ctx = DeviceCtx { now, signals: &mut self.signals };
                 d.dev.tick(&mut ctx);
+                at = d.dev.next_event();
             }
+            next = at.map_or(next, |t| next.min(t));
         }
-        self.refresh_next_event();
+        self.next_event = next;
     }
 }
 
@@ -600,6 +613,37 @@ mod tests {
         let mut bus = Bus::new(1 << 20, 1 << 20, None, false);
         bus.attach(MMIO_BASE, 0x1000, Box::new(Mmio::new()));
         bus.attach(MMIO_BASE + 0x800, 0x1000, Box::new(Mmio::new()));
+    }
+
+    #[test]
+    fn cached_next_event_is_the_minimum_after_every_write_and_tick() {
+        use crate::devices::{Timer, TimerConfig, Watchdog, WatchdogConfig};
+        let mut bus = Bus::new(1 << 20, 1 << 20, None, false);
+        let timer = TimerConfig { base: TIMER_BASE, irq: 1, compare: 100 };
+        let t = bus.attach(TIMER_BASE, 0x100, Box::new(Timer::new(timer)));
+        let wdog = WatchdogConfig { base: WATCHDOG_BASE, irq: 2, timeout: 1000 };
+        let w = bus.attach(WATCHDOG_BASE, 0x100, Box::new(Watchdog::new(wdog)));
+        let check = |bus: &Bus, what: &str, want: u64| {
+            let brute = bus.devices().iter().filter_map(|d| d.dev.next_event()).min();
+            assert_eq!(bus.next_event(), brute.unwrap_or(u64::MAX), "{what}: stale cache");
+            assert_eq!(bus.next_event(), want, "{what}");
+        };
+        bus.device_write(w, WATCHDOG_BASE, 1, 0);
+        check(&bus, "arm the watchdog", 1000);
+        bus.device_write(t, TIMER_BASE, 3, 10);
+        check(&bus, "arm the timer, periodic", 110);
+        bus.device_write(t, TIMER_BASE + 4, 50, 20);
+        check(&bus, "COMPARE leaves the armed fire", 110);
+        bus.device_write(t, TIMER_BASE, 0, 30);
+        check(&bus, "disarm the timer holding the minimum", 1000);
+        bus.device_write(t, TIMER_BASE, 3, 40);
+        check(&bus, "re-arm the timer", 90);
+        bus.device_write(w, WATCHDOG_BASE + 8, 0, 60);
+        check(&bus, "kick the watchdog", 90);
+        bus.tick_devices(100);
+        check(&bus, "tick past a periodic fire", 140);
+        bus.tick_devices(1100);
+        check(&bus, "tick past the bite", 1140);
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //!
 //! * **Threaded blocks** ([`predecode`], the one code cache):
 //!   straight-line runs the per-step path records are lowered to
-//!   threaded code (pre-resolved handlers, fused instruction pairs,
-//!   planned fetch timing) when installed, and [`Machine::run`]
+//!   threaded code (one pre-resolved handler per instruction, planned
+//!   fetch timing) when installed, and [`Machine::run`]
 //!   dispatches them whole and, at each exit, probes for the successor
 //!   block and dispatches it in turn. Hot code never
 //!   re-reads instruction bytes or re-runs the table decoder; only the
@@ -61,9 +61,9 @@
 //!   is replayed, by plans precomputed per fetch, and the MPU's execute
 //!   check runs once per dispatch over the block's code range. Runs of
 //!   register-only instructions whose fetches are static after the
-//!   first are charged their fetch timing once per run, not once per
-//!   fetch, whenever the run's worst case fits under the cycle budget
-//!   (whole-segment dispatch). IT blocks lower too: covered instructions keep
+//!   first run in one dispatch, their fetch timing charged once per
+//!   run, not once per fetch, whenever the run's worst case fits under
+//!   the cycle budget (whole-segment dispatch). IT blocks lower too: covered instructions keep
 //!   the per-step issue sequence, and a block only runs with an empty
 //!   IT queue. The cache invalidates on flash loads, flash-patch
 //!   programming, host-side RAM mutation and self-modifying stores

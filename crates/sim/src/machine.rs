@@ -484,18 +484,18 @@ impl Machine {
     }
 
     /// The block engine's counters: installs, dispatches, chain
-    /// follows, budget splits, fused pairs, fetch-plan mix, demotions
-    /// and instructions retired threaded.
+    /// follows, budget splits, fetch-plan mix, demotions and
+    /// instructions retired threaded (and in whole segments).
     #[must_use]
     pub fn predecode_stats(&self) -> PredecodeStats {
         self.blocks.stats
     }
 
     /// Per-block execution profile: one entry per occupied block-cache
-    /// slot as `(start pc, instruction count, dispatches, fused pairs)`,
-    /// sorted by dispatch count descending.
+    /// slot as `(start pc, instruction count, dispatches)`, sorted by
+    /// dispatch count descending.
     #[must_use]
-    pub fn block_profile(&self) -> Vec<(u32, u32, u64, u32)> {
+    pub fn block_profile(&self) -> Vec<(u32, u32, u64)> {
         let mut v = self.blocks.profile();
         v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         v
@@ -515,7 +515,6 @@ impl Machine {
         reg.counter(&format!("{prefix}blocks.chain_follows"), s.chain_follows);
         reg.counter(&format!("{prefix}blocks.budget_splits"), s.budget_splits);
         reg.counter(&format!("{prefix}blocks.promoted"), s.blocks_promoted);
-        reg.counter(&format!("{prefix}blocks.fused_pairs"), s.fused_pairs);
         reg.counter(&format!("{prefix}blocks.demotions"), s.demotions);
         reg.counter(&format!("{prefix}tier.threaded_instrs"), s.threaded_instrs);
         reg.counter(&format!("{prefix}plans.free"), s.plans_free);

@@ -103,16 +103,15 @@ pub struct PredecodeStats {
     /// Recorded blocks installed in the block cache, each lowered to
     /// threaded code on install (see `crates/sim/src/threaded.rs`).
     pub blocks_promoted: u64,
-    /// Superinstruction pairs fused across all installed blocks.
-    pub fused_pairs: u64,
     /// Installed blocks dropped again (invalidation or eviction).
     pub demotions: u64,
     /// Instructions retired inside block dispatches (the occupancy
     /// numerator; everything else retired on the per-step path).
     pub threaded_instrs: u64,
     /// The part of `threaded_instrs` retired in whole-segment
-    /// dispatches: runs of register-only ops whose fetch timing is
-    /// charged once per run (see `crates/sim/src/threaded.rs`).
+    /// dispatches: runs of register-only ops executed in one dispatch,
+    /// their fetch timing charged once per run (see
+    /// `crates/sim/src/threaded.rs`).
     pub segment_instrs: u64,
     /// Always 0: the entry-at-a-time block tier this counted is gone.
     /// Kept so reports that print a middle tier read an empty one.
@@ -141,7 +140,6 @@ impl PredecodeStats {
             chain_follows,
             budget_splits,
             blocks_promoted,
-            fused_pairs,
             demotions,
             threaded_instrs,
             segment_instrs,
@@ -154,7 +152,6 @@ impl PredecodeStats {
         self.chain_follows += chain_follows;
         self.budget_splits += budget_splits;
         self.blocks_promoted += blocks_promoted;
-        self.fused_pairs += fused_pairs;
         self.demotions += demotions;
         self.threaded_instrs += threaded_instrs;
         self.segment_instrs += segment_instrs;
@@ -175,11 +172,8 @@ const BLOCK_SLOTS: usize = 512;
 
 /// Longest recorded block, in instructions. Blocks need not end in a
 /// branch: a run that reaches this cap is installed as-is and chains to
-/// its fall-through successor. The lowering tracks IT coverage in one
-/// `u64` bit per instruction, hence the bound.
+/// its fall-through successor.
 pub(crate) const MAX_BLOCK_LEN: usize = 64;
-
-const _: () = assert!(MAX_BLOCK_LEN <= 64);
 
 /// A cached block handed to the dispatcher: its slot (for profile
 /// counts) and its threaded code.
@@ -282,7 +276,6 @@ impl BlockCache {
         self.hi = self.hi.max(end);
         let stats = &mut self.stats;
         stats.blocks_promoted += 1;
-        stats.fused_pairs += u64::from(code.fused);
         stats.plans_free += u64::from(code.plans_free);
         stats.plans_window += u64::from(code.plans_window);
         stats.plans_slow += u64::from(code.plans_slow);
@@ -313,13 +306,13 @@ impl BlockCache {
     }
 
     /// Per-block profile of every occupied slot:
-    /// `(start, instruction count, dispatches, fused pairs)`. Unsorted —
-    /// callers rank by whatever axis they report.
-    pub(crate) fn profile(&self) -> Vec<(u32, u32, u64, u32)> {
+    /// `(start, instruction count, dispatches)`. Unsorted — callers
+    /// rank by whatever axis they report.
+    pub(crate) fn profile(&self) -> Vec<(u32, u32, u64)> {
         self.blocks
             .iter()
             .flatten()
-            .map(|b| (b.start, b.code.instrs(), b.dispatches, b.code.fused))
+            .map(|b| (b.start, b.code.ops.len() as u32, b.dispatches))
             .collect()
     }
 }
@@ -353,7 +346,7 @@ mod tests {
         let mut b = block_cache(5);
         assert!(install(&mut b, 5, &[(0x100, 2), (0x102, 4)]));
         let (_, code) = b.lookup(0x100, 5).expect("block cached");
-        assert_eq!(code.instrs(), 2);
+        assert_eq!(code.ops.len(), 2);
         assert_eq!(b.stats.blocks_promoted, 1);
     }
 

@@ -1,14 +1,14 @@
 //! The block engine's threaded code: every recorded block is lowered
 //! here when `Machine::finish_record` installs it.
 //!
-//! Each [`Op`] is a pre-resolved handler function pointer plus decoded
-//! operands (registers, immediates, access lengths, a memory-class
-//! fetch plan), dispatched by a tight loop with no re-decode and no
-//! generic match. The per-step interpreter is the only other execution
-//! path: it fills blocks, takes interrupts, runs `wfi`/`bkpt` and
-//! resumes after splits.
+//! Each [`Op`] lowers exactly one instruction: a pre-resolved handler
+//! function pointer plus decoded operands (registers, immediates,
+//! access lengths, a memory-class fetch plan), dispatched by a tight
+//! loop with no re-decode and no generic match. The per-step
+//! interpreter is the only other execution path: it fills blocks,
+//! takes interrupts, runs `wfi`/`bkpt` and resumes after splits.
 //!
-//! Four mechanisms carry the speed:
+//! Three mechanisms carry the speed:
 //!
 //! * **Handler specialization** — the dominant single instructions get
 //!   dedicated handlers that touch exactly the state the instruction
@@ -19,23 +19,11 @@
 //!   unsigned `ldr`/`str` (word, byte, halfword) with an immediate or
 //!   a register offset (`[rn, #imm]`, `[rn, rm, lsl #k]`), and the
 //!   word literal-pool load, whose address is fixed at lowering.
-//!   Register-only ops other than ALU and `mov` share one handler that
-//!   matches on their [`RegOp`]; loads and stores match on their
-//!   [`Ea`] addressing form. Everything else falls back to a generic
-//!   handler that reuses [`Machine::issue`], so the lowering never has
-//!   to be complete to be correct.
-//! * **Superinstruction fusion** — the dominant dynamic pairs
-//!   (`cmp`+branch, `alu`+`cmp`, `alu`+branch loop backedges,
-//!   `ldr`+`alu` with any addressing form, and any two adjacent
-//!   register-only ops — shift chains, shift+ALU, `mov`+`mul`...) are
-//!   fused into single handlers, halving dispatch count on loop-shaped
-//!   code. Both halves of every pair are pure, so a fused handler
-//!   compares the cycle budget *between* its two halves, and interrupts
-//!   and `run_until` bounds land on exactly the instruction boundary
-//!   the per-step path puts them on.
-//!   The register-pair handler runs both halves through one `match`
-//!   on [`RegOp`]; one instantiation per pair of kinds measured
-//!   slower (more code for the same dispatches).
+//!   Register-only ops other than ALU, `mov` and `cmp` share one
+//!   handler that matches on their [`RegOp`]; loads and stores match on
+//!   their [`Ea`] addressing form. Everything else falls back to a
+//!   generic handler that reuses [`Machine::issue`], so the lowering
+//!   never has to be complete to be correct.
 //! * **Fetch-timing replay by plan** — in flash every fetch of a block
 //!   gets a [`FetchPlan`] that replaces `Machine::fetch_timing`.
 //!   Without an I-cache the plans replay the streaming-buffer walk: a
@@ -66,20 +54,21 @@
 //!   head's first is static. When a segment's worst case fits under
 //!   the cycle budget, [`dispatch`] runs it as one piece: the head's
 //!   first fetch live, a precomputed summary of every other fetch once,
-//!   then the ops' register halves. Otherwise the ops run one at a
-//!   time, so a budget split still lands on the exact instruction.
+//!   then the ops' register halves — one dispatch for the whole run.
+//!   Otherwise the ops run one at a time, comparing the budget after
+//!   each, so a budget split still lands on the exact instruction.
 //!
 //! # IT blocks
 //!
 //! An `it` header joins its block like any other instruction. The
 //! entries it covers are lowered onto the generic handler and never
-//! fused: `Machine::issue` pops the IT queue for them exactly as the
-//! per-step path does. The specialized handlers ignore the queue, which
-//! is sound because of the one **dispatch gate** in [`dispatch`]: a
-//! block runs — entered, chained or self-looping — only with an empty
-//! IT queue and no latched exit code, so the queue can only fill inside
-//! a dispatch by running one of the block's own `it` ops. Otherwise the
-//! per-step path takes the next instruction.
+//! join a segment: `Machine::issue` pops the IT queue for them exactly
+//! as the per-step path does. The specialized handlers ignore the
+//! queue, which is sound because of the one **dispatch gate** in
+//! [`dispatch`]: a block runs — entered, chained or self-looping — only
+//! with an empty IT queue and no latched exit code, so the queue can
+//! only fill inside a dispatch by running one of the block's own `it`
+//! ops. Otherwise the per-step path takes the next instruction.
 //!
 //! # Bit-identity contract
 //!
@@ -110,9 +99,8 @@ use crate::machine::{width_mask, Machine, StopReason};
 use crate::mem::{Access, FLASH_BASE};
 use crate::predecode::{Entry, MAX_BLOCK_LEN};
 
-/// A handler: executes one [`Op`] (one instruction or one fused pair)
-/// against the machine and reports how the dispatch loop should
-/// proceed.
+/// A handler: executes one [`Op`] against the machine and reports how
+/// the dispatch loop should proceed.
 pub(crate) type Handler = fn(&mut Machine, &Op, &ExecCtx) -> Ctl;
 
 /// Handler outcome, consumed by [`dispatch`].
@@ -123,9 +111,6 @@ pub(crate) enum Ctl {
     /// Control transfer (or conditional fall-through past a terminal
     /// branch): leave the block and chain at the current PC.
     Exit,
-    /// The cycle budget tripped between the halves of a fused pair:
-    /// split, counting a budget split.
-    SplitBudget,
     /// Execution stopped (fault, breakpoint, MMIO exit...).
     Stop(StopReason),
 }
@@ -149,13 +134,10 @@ pub(crate) enum BlockExit {
     Stop(StopReason),
 }
 
-/// Per-dispatch context: the dispatch loop updates it, the handlers
-/// only read it.
+/// The block's fetch geometry, which the handlers read to replay
+/// their fetch plans.
 #[derive(Debug)]
 pub(crate) struct ExecCtx {
-    /// `min(cycle_limit, sched_due, bus.next_event())`, recomputed
-    /// after every impure op — the single compare pure ops make.
-    pub(crate) bound: u64,
     /// Flash streaming-window size (bytes) for [`FetchPlan::Window`].
     pub(crate) window: u32,
     /// First fetch length: `mode.min_instr_size()`.
@@ -192,8 +174,8 @@ pub(crate) enum FetchPlan {
     Slow,
 }
 
-/// ALU micro-operation kind shared by specialized and fused handlers.
-/// Only the two-operand forms without carry-in participate; `adc`,
+/// ALU micro-operation kind of [`RegOp::Alu`] halves. Only the
+/// two-operand forms without carry-in participate; `adc`,
 /// `sbc` and `rsb` stay on the generic handler.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum AluKind {
@@ -246,8 +228,9 @@ pub(crate) enum Ea {
     Abs,
 }
 
-/// Pre-resolved operands for one instruction (or one half of a fused
-/// pair). Fields are only meaningful for the handler that reads them.
+/// Pre-resolved operands for one instruction: what its handler, or a
+/// whole segment through [`reg_half`], executes. Fields are only
+/// meaningful for the handler that reads them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Half {
     /// Register-only operation (register handlers).
@@ -280,7 +263,7 @@ pub(crate) struct Half {
 }
 
 impl Half {
-    /// Placeholder for unused halves.
+    /// Placeholder for ops whose handler reads no operands.
     pub(crate) const NONE: Half = Half {
         op: RegOp::Alu,
         ea: Ea::Imm,
@@ -296,47 +279,34 @@ impl Half {
     };
 }
 
-/// One threaded-code entry: a handler pointer plus everything it needs
-/// pre-resolved. Covers one instruction, or two when fused.
+/// One threaded-code entry: the lowering of one instruction, a handler
+/// pointer plus everything it needs pre-resolved.
 #[derive(Debug, Clone)]
 pub(crate) struct Op {
     /// The handler.
     pub(crate) run: Handler,
-    /// The first (or only) instruction's recorded entry — the generic
-    /// handler issues it; every handler charges its patch accounting.
+    /// The instruction's recorded entry — the generic handler issues
+    /// it; every handler charges its patch accounting and steps the PC
+    /// by its size.
     pub(crate) entry: Entry,
-    /// Whether the whole op (both halves when fused) is pure: cannot
-    /// pend an interrupt, raise a device signal, move the code-write
-    /// generation, change `next_event`, or set the exit code. Pure ops get a
-    /// single budget compare after execution instead of the full
-    /// boundary check sequence.
+    /// Whether the op is pure: cannot pend an interrupt, raise a device
+    /// signal, move the code-write generation, change `next_event`, or
+    /// set the exit code. Pure ops get a single budget compare after
+    /// execution instead of the full boundary check sequence.
     pub(crate) pure: bool,
-    /// Total byte size (both halves when fused).
-    pub(crate) size: u32,
-    /// First-half byte size (== `size` when not fused).
-    pub(crate) size1: u32,
-    /// Fetch plans: first instruction's first call and (wide Thumb)
+    /// Fetch plans: the first call and (wide Thumb) the
     /// second-halfword call.
     pub(crate) f1: FetchPlan,
-    /// Second fetch call of the first instruction ([`FetchPlan::None`]
-    /// when narrow or A32).
+    /// Second fetch call ([`FetchPlan::None`] when narrow or A32).
     pub(crate) f1b: FetchPlan,
-    /// Fetch plans of the fused second instruction.
-    pub(crate) f2: FetchPlan,
-    /// Second fetch call of the fused second instruction.
-    pub(crate) f2b: FetchPlan,
-    /// First-instruction operands.
+    /// Operands.
     pub(crate) a: Half,
-    /// Fused-second-instruction operands.
-    pub(crate) b: Half,
-    /// Branch condition (terminal branch handlers, fused or not).
-    pub(crate) cond2: Cond,
+    /// Branch condition (the `b` handler).
+    pub(crate) cond: Cond,
     /// Precomputed absolute branch target (`& !1` applied at build).
     pub(crate) target: u32,
     /// `cbz`/`cbnz` polarity.
     pub(crate) nonzero: bool,
-    /// Flash-patch hit count of the fused second instruction.
-    pub(crate) patch2: u8,
     /// Index in [`ThreadedBlock::segs`] of the segment this op heads
     /// ([`NO_SEGMENT`] for every other op).
     seg: u8,
@@ -344,6 +314,10 @@ pub(crate) struct Op {
 
 /// [`Op::seg`] of an op that heads no segment.
 const NO_SEGMENT: u8 = u8::MAX;
+
+// A block has at most `MAX_BLOCK_LEN / 2` segments, each indexed by a
+// `u8` below `NO_SEGMENT`.
+const _: () = assert!(MAX_BLOCK_LEN / 2 < NO_SEGMENT as usize);
 
 /// How a [`Segment`] ends, and (as `Option<Tail>` at build time) how an
 /// op may join one: `Fall` for register-only ops.
@@ -353,9 +327,6 @@ enum Tail {
     Fall,
     /// The block's terminal `b`.
     B,
-    /// The block's terminal fused `cmp`/ALU + `b`: a register half,
-    /// then the branch.
-    RegB,
     /// The block's terminal `cbz`/`cbnz`.
     Cbz,
 }
@@ -380,8 +351,6 @@ struct Segment {
     /// Fetch-overlap charge (`fc.saturating_sub(1)`) of every other
     /// instruction.
     fetch: u32,
-    /// Instructions retired (a fused op counts two).
-    instrs: u32,
     /// Flash-patch hits of all of them.
     patch_hits: u32,
     /// [`FetchPlan::Seq`] refills after the head's first fetch.
@@ -421,8 +390,6 @@ pub(crate) struct ThreadedBlock {
     pub(crate) window: u32,
     /// First-fetch length (`mode.min_instr_size()`).
     pub(crate) flen: u32,
-    /// Fused pairs selected at build time (stat reporting).
-    pub(crate) fused: u32,
     /// [`FetchPlan::Free`] plans across the block's ops (fetch-plan
     /// mix reporting; the `loop_head` alternate entry is not counted).
     pub(crate) plans_free: u32,
@@ -430,13 +397,6 @@ pub(crate) struct ThreadedBlock {
     pub(crate) plans_window: u32,
     /// [`FetchPlan::Slow`] plans across the block's ops.
     pub(crate) plans_slow: u32,
-}
-
-impl ThreadedBlock {
-    /// Instructions the block covers (a fused op covers two).
-    pub(crate) fn instrs(&self) -> u32 {
-        self.ops.len() as u32 + self.fused
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -461,7 +421,7 @@ macro_rules! try_ctl {
 /// op is pure and branches back to the block's own start, the loop
 /// restarts internally instead of returning `Chain` — skipping the
 /// per-dispatch chain machinery (slot probe, context rebuild) the
-/// caller would redo only to land back here. The retained `ctx.bound`
+/// caller would redo only to land back here. The retained `bound`
 /// equals the rebuild (pure ops cannot move `Bus::next_event`, and the
 /// limits are chain-constant). Every round, the first included, starts
 /// at the dispatch gate, so a closed gate returns [`BlockExit::Gate`]
@@ -469,7 +429,7 @@ macro_rules! try_ctl {
 /// one chain follow per restart, matching the unrolled accounting. The
 /// third value counts the instructions retired in whole segments.
 ///
-/// At a segment head whose worst case stays under `ctx.bound`, the
+/// At a segment head whose worst case stays under `bound`, the
 /// whole segment runs as one piece ([`run_segment`]): none of the
 /// budget compares inside it could trip, so splits and interrupt
 /// latencies land where the per-op path puts them. Otherwise its ops
@@ -481,11 +441,10 @@ pub(crate) fn dispatch(
     sched_due: u64,
     cwg: u64,
 ) -> (BlockExit, u64, u64) {
-    let mut ctx = ExecCtx {
-        bound: cycle_limit.min(sched_due).min(m.bus.next_event()),
-        window: tb.window,
-        flen: tb.flen,
-    };
+    let ctx = ExecCtx { window: tb.window, flen: tb.flen };
+    // `min(cycle_limit, sched_due, bus.next_event())`, recomputed after
+    // every impure op: the single compare pure ops make.
+    let mut bound = cycle_limit.min(sched_due).min(m.bus.next_event());
     // One execute check over the whole code range replaces the per-fetch
     // MPU checks the plans skip. When it cannot prove every fetch
     // allowed, the per-step path takes the next instruction, faulting
@@ -513,18 +472,18 @@ pub(crate) fn dispatch(
             let op = if rounds > 1 && idx == 0 { &tb.loop_head } else { block_op };
             if op.seg != NO_SEGMENT {
                 let seg = &tb.segs[usize::from(op.seg)];
-                if m.cycles + seg.worst < ctx.bound {
+                if m.cycles + seg.worst < bound {
                     // Every op is pure and the budget cannot trip, so the
                     // boundary checks reduce to the self-loop test.
                     match run_segment(m, &tb.ops[idx..seg.end], op.f1, seg, &ctx) {
                         Ctl::Next => {
-                            seg_instrs += u64::from(seg.instrs);
+                            seg_instrs += (seg.end - idx) as u64;
                             // Resume after the segment's last op.
                             ops.nth(seg.end - idx - 2);
                             continue;
                         }
                         Ctl::Exit => {
-                            seg_instrs += u64::from(seg.instrs);
+                            seg_instrs += (seg.end - idx) as u64;
                             // A branch closes a segment only as the
                             // block's last op.
                             if m.cpu.pc == tb.start {
@@ -532,7 +491,6 @@ pub(crate) fn dispatch(
                             }
                             return (BlockExit::Chain, rounds, seg_instrs);
                         }
-                        Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds, seg_instrs),
                         Ctl::Stop(r) => return (BlockExit::Stop(r), rounds, seg_instrs),
                     }
                 }
@@ -540,15 +498,15 @@ pub(crate) fn dispatch(
             match (op.run)(m, op, &ctx) {
                 Ctl::Next => {
                     if op.pure {
-                        if m.cycles >= ctx.bound {
+                        if m.cycles >= bound {
                             return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                     } else {
                         if !m.threaded_safety_ok(cwg) {
                             return (BlockExit::Split, rounds, seg_instrs);
                         }
-                        ctx.bound = cycle_limit.min(sched_due).min(m.bus.next_event());
-                        if m.cycles >= ctx.bound {
+                        bound = cycle_limit.min(sched_due).min(m.bus.next_event());
+                        if m.cycles >= bound {
                             return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                     }
@@ -556,7 +514,7 @@ pub(crate) fn dispatch(
                 Ctl::Exit => {
                     // Same boundary checks as Next, then chain.
                     if op.pure {
-                        if m.cycles >= ctx.bound {
+                        if m.cycles >= bound {
                             return (BlockExit::SplitBudget, rounds, seg_instrs);
                         }
                         // Self-loop fast path (see the function docs).
@@ -573,7 +531,6 @@ pub(crate) fn dispatch(
                     }
                     return (BlockExit::Chain, rounds, seg_instrs);
                 }
-                Ctl::SplitBudget => return (BlockExit::SplitBudget, rounds, seg_instrs),
                 Ctl::Stop(r) => return (BlockExit::Stop(r), rounds, seg_instrs),
             }
         }
@@ -590,7 +547,7 @@ fn run_segment(m: &mut Machine, ops: &[Op], f1: FetchPlan, seg: &Segment, ctx: &
     let pc = m.cpu.pc;
     let c = try_ctl!(plan_cycles(m, f1, pc, ctx.flen, ctx.window));
     m.cycles += u64::from((c + seg.head_b).saturating_sub(1) + seg.fetch);
-    m.instret += u64::from(seg.instrs);
+    m.instret += ops.len() as u64;
     m.patch.hits += u64::from(seg.patch_hits);
     if seg.seq > 0 {
         debug_assert_eq!(m.fetch_window, Some(seg.last_window - seg.seq * ctx.window));
@@ -605,17 +562,10 @@ fn run_segment(m: &mut Machine, ops: &[Op], f1: FetchPlan, seg: &Segment, ctx: &
     let (body, tail) = ops.split_at(ops.len() - usize::from(seg.tail != Tail::Fall));
     for op in body {
         reg_half(m, &op.a);
-        if op.size != op.size1 {
-            reg_half(m, &op.b);
-        }
     }
     let next = pc.wrapping_add(seg.bytes);
     match (seg.tail, tail.first()) {
         (Tail::B, Some(op)) => branch_half(m, op, next),
-        (Tail::RegB, Some(op)) => {
-            reg_half(m, &op.a);
-            branch_half(m, op, next);
-        }
         (Tail::Cbz, Some(op)) => cbz_half(m, op, next),
         _ => {
             m.cpu.pc = next;
@@ -702,7 +652,7 @@ fn fetch_instr(
     Ok(c)
 }
 
-/// Fetches + retires one instruction half: charges the fetch-overlap
+/// Fetches + retires one instruction: charges the fetch-overlap
 /// cycles and the instruction count, exactly as `Machine::issue` does
 /// before predication.
 #[inline(always)]
@@ -721,7 +671,7 @@ fn retire_fetch(
 }
 
 // ---------------------------------------------------------------------
-// Semantic halves (shared by single and fused handlers)
+// Semantic halves (shared by the handlers and whole segments)
 // ---------------------------------------------------------------------
 
 /// One ALU data-processing step: semantics and the 1-cycle issue cost.
@@ -769,19 +719,6 @@ fn mem_ea(m: &Machine, h: &Half) -> u32 {
         Ea::Reg => m.cpu.read_reg(h.rn, 0).wrapping_add(m.cpu.read_reg(h.rm, 0) << h.imm),
         Ea::Abs => h.imm,
     }
-}
-
-/// One unsigned `ldr[b|h]` step (offset addressing, no writeback).
-#[inline(always)]
-fn ldr_half(m: &mut Machine, h: &Half) -> Result<(), StopReason> {
-    let ea = mem_ea(m, h);
-    let (v, c) = match m.data_read(ea, h.len) {
-        Ok(t) => t,
-        Err(f) => return Err(StopReason::Fault(f)),
-    };
-    m.cycles += 1 + u64::from(c) + u64::from(m.config.timing.load_internal);
-    m.cpu.write_reg(h.rd, v);
-    Ok(())
 }
 
 /// One `mov`/`movw` step: N/Z when flag-setting (C is the shifter's
@@ -867,7 +804,7 @@ fn reg_cycles(h: &Half, mul_cycles: u32) -> u64 {
 #[inline(always)]
 fn branch_half(m: &mut Machine, op: &Op, next: u32) {
     m.cycles += 1;
-    if op.cond2.eval(m.cpu.flags) {
+    if op.cond.eval(m.cpu.flags) {
         m.cycles += u64::from(m.config.timing.branch_taken_penalty);
         m.cpu.pc = op.target;
     } else {
@@ -911,7 +848,7 @@ fn h_alu(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     alu_half(m, &op.a);
-    m.cpu.pc = pc.wrapping_add(op.size);
+    m.cpu.pc = pc.wrapping_add(op.entry.size);
     Ctl::Next
 }
 
@@ -920,7 +857,7 @@ fn h_mov(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     mov_half(m, &op.a);
-    m.cpu.pc = pc.wrapping_add(op.size);
+    m.cpu.pc = pc.wrapping_add(op.entry.size);
     Ctl::Next
 }
 
@@ -930,7 +867,7 @@ fn h_reg(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     reg_half(m, &op.a);
-    m.cpu.pc = pc.wrapping_add(op.size);
+    m.cpu.pc = pc.wrapping_add(op.entry.size);
     Ctl::Next
 }
 
@@ -939,7 +876,7 @@ fn h_cmp(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
     cmp_half(m, &op.a);
-    m.cpu.pc = pc.wrapping_add(op.size);
+    m.cpu.pc = pc.wrapping_add(op.entry.size);
     Ctl::Next
 }
 
@@ -948,7 +885,7 @@ fn h_cmp(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
 fn h_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    branch_half(m, op, pc.wrapping_add(op.size));
+    branch_half(m, op, pc.wrapping_add(op.entry.size));
     Ctl::Exit
 }
 
@@ -956,7 +893,7 @@ fn h_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
 fn h_cbz(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    cbz_half(m, op, pc.wrapping_add(op.size));
+    cbz_half(m, op, pc.wrapping_add(op.entry.size));
     Ctl::Exit
 }
 
@@ -967,8 +904,14 @@ fn h_cbz(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
 fn h_ldr(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
     let pc = m.cpu.pc;
     try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    try_ctl!(ldr_half(m, &op.a));
-    m.cpu.pc = pc.wrapping_add(op.size);
+    let ea = mem_ea(m, &op.a);
+    let (v, c) = match m.data_read(ea, op.a.len) {
+        Ok(t) => t,
+        Err(f) => return Ctl::Stop(StopReason::Fault(f)),
+    };
+    m.cycles += 1 + u64::from(c) + u64::from(m.config.timing.load_internal);
+    m.cpu.write_reg(op.a.rd, v);
+    m.cpu.pc = pc.wrapping_add(op.entry.size);
     Ctl::Next
 }
 
@@ -985,94 +928,10 @@ fn h_str(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
         Err(f) => return Ctl::Stop(StopReason::Fault(f)),
     };
     m.cycles += 1 + u64::from(c) + u64::from(m.config.timing.store_internal);
-    m.cpu.pc = pc.wrapping_add(op.size);
+    m.cpu.pc = pc.wrapping_add(op.entry.size);
     if let Some(code) = m.bus.signals.exit_code {
         return Ctl::Stop(StopReason::MmioExit(code));
     }
-    Ctl::Next
-}
-
-/// Fused ALU + `cmp` (the `add`+`cmp` loop-counter idiom). Both halves
-/// pure; the mid-pair boundary needs only the budget compare.
-fn h_fused_alu_cmp(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
-    let pc = m.cpu.pc;
-    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    alu_half(m, &op.a);
-    let pc2 = pc.wrapping_add(op.size1);
-    m.cpu.pc = pc2;
-    if m.cycles >= ctx.bound {
-        return Ctl::SplitBudget;
-    }
-    try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    cmp_half(m, &op.b);
-    m.cpu.pc = pc.wrapping_add(op.size);
-    Ctl::Next
-}
-
-/// Fused `cmp` + conditional branch (the compare-and-loop backedge).
-fn h_fused_cmp_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
-    let pc = m.cpu.pc;
-    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    cmp_half(m, &op.a);
-    let pc2 = pc.wrapping_add(op.size1);
-    m.cpu.pc = pc2;
-    if m.cycles >= ctx.bound {
-        return Ctl::SplitBudget;
-    }
-    try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    branch_half(m, op, pc.wrapping_add(op.size));
-    Ctl::Exit
-}
-
-/// Fused flag-setting ALU + conditional branch (the `subs`+`bne`
-/// countdown backedge).
-fn h_fused_alu_b(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
-    let pc = m.cpu.pc;
-    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    alu_half(m, &op.a);
-    let pc2 = pc.wrapping_add(op.size1);
-    m.cpu.pc = pc2;
-    if m.cycles >= ctx.bound {
-        return Ctl::SplitBudget;
-    }
-    try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    branch_half(m, op, pc.wrapping_add(op.size));
-    Ctl::Exit
-}
-
-/// Fused `ldr` (any [`Ea`] form) + ALU (pointer-chase, table lookup,
-/// constant use, accumulate). Both halves pure; the mid-pair boundary
-/// needs only the budget compare.
-fn h_fused_ldr_alu(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
-    let pc = m.cpu.pc;
-    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    try_ctl!(ldr_half(m, &op.a));
-    let pc2 = pc.wrapping_add(op.size1);
-    m.cpu.pc = pc2;
-    if m.cycles >= ctx.bound {
-        return Ctl::SplitBudget;
-    }
-    try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    alu_half(m, &op.b);
-    m.cpu.pc = pc.wrapping_add(op.size);
-    Ctl::Next
-}
-
-/// Fused pair of register-only ops of any [`RegOp`]s (shift chains,
-/// shift + ALU, ALU + ALU, `mov` + `mul`...). Both halves pure; the
-/// mid-pair boundary needs only the budget compare.
-fn h_fused_reg2(m: &mut Machine, op: &Op, ctx: &ExecCtx) -> Ctl {
-    let pc = m.cpu.pc;
-    try_ctl!(retire_fetch(m, op.f1, op.f1b, pc, op.entry.patch_hits, ctx));
-    reg_half(m, &op.a);
-    let pc2 = pc.wrapping_add(op.size1);
-    m.cpu.pc = pc2;
-    if m.cycles >= ctx.bound {
-        return Ctl::SplitBudget;
-    }
-    try_ctl!(retire_fetch(m, op.f2, op.f2b, pc2, op.patch2, ctx));
-    reg_half(m, &op.b);
-    m.cpu.pc = pc.wrapping_add(op.size);
     Ctl::Next
 }
 
@@ -1166,16 +1025,13 @@ impl FetchSim {
     }
 }
 
-/// The specializer's view of one instruction: a pattern the fusion
-/// and handler selection match on, its operands pre-resolved into a
-/// [`Half`]. `Generic` runs through [`h_generic`] (still threaded —
-/// just not specialized).
+/// The specializer's view of one instruction: what handler selection
+/// matches on, its operands pre-resolved into a [`Half`]. `Generic`
+/// runs through [`h_generic`] (still threaded — just not specialized).
 #[derive(Debug, Clone, Copy)]
 enum Micro {
-    /// A register-only op of any [`RegOp`].
+    /// A register-only op of any [`RegOp`], `cmp` included.
     Reg(Half),
-    /// `cmp` (a flag-setting ALU subtract with no destination).
-    Cmp(Half),
     B { cond: Cond, target: u32 },
     Cbz { nonzero: bool, rn: Reg, target: u32 },
     /// An unsigned load.
@@ -1280,7 +1136,7 @@ fn classify(e: &Entry, pc: u32, bias: u32) -> Micro {
         }
         Instr::Cmp { op: alia_isa::CmpOp::Cmp, rn, op2, .. } if rn != Reg::PC => {
             let h = Half { op: RegOp::Cmp, s: true, rn, ..Half::NONE };
-            with_op2(h, op2).map_or(Micro::Generic, Micro::Cmp)
+            with_op2(h, op2).map_or(Micro::Generic, Micro::Reg)
         }
         Instr::Ldr { size, signed: false, rt, addr, .. } => {
             mem_half(rt, addr, size.bytes()).map_or(Micro::Generic, Micro::Ldr)
@@ -1349,50 +1205,10 @@ fn breaks_stream(instr: &Instr, pc: u32) -> bool {
     !is_pure(instr, pc) || matches!(instr, Instr::Ldr { .. } | Instr::LdrLit { .. })
 }
 
-/// A selected fusion: handler plus the pieces the [`Op`] needs.
-struct Fusion {
-    run: Handler,
-    a: Half,
-    b: Half,
-    cond2: Cond,
-    target: u32,
-    /// How the pair may join a segment.
-    joins: Option<Tail>,
-}
-
-/// Whether a register half is an [`AluKind`] op (the ALU patterns).
-fn is_alu(h: &Half) -> bool {
-    matches!(h.op, RegOp::Alu)
-}
-
-/// Tries to fuse the pair `(m1, m2)`, in pattern priority order:
-/// `cmp`+branch, ALU+branch (the `subs`+`bne` backedge), ALU+`cmp`,
-/// `ldr`+ALU, then any two register-only ops.
-fn fuse(m1: Micro, m2: Micro) -> Option<Fusion> {
-    let fusion = |run, a, b, cond2, target, joins| Some(Fusion { run, a, b, cond2, target, joins });
-    let (fall, reg_b) = (Some(Tail::Fall), Some(Tail::RegB));
-    match (m1, m2) {
-        (Micro::Cmp(a), Micro::B { cond, target }) => {
-            fusion(h_fused_cmp_b, a, Half::NONE, cond, target, reg_b)
-        }
-        (Micro::Reg(a), Micro::B { cond, target }) if is_alu(&a) => {
-            fusion(h_fused_alu_b, a, Half::NONE, cond, target, reg_b)
-        }
-        (Micro::Reg(a), Micro::Cmp(b)) if is_alu(&a) => {
-            fusion(h_fused_alu_cmp, a, b, Cond::Al, 0, fall)
-        }
-        (Micro::Ldr(a), Micro::Reg(b)) if is_alu(&b) => {
-            fusion(h_fused_ldr_alu, a, b, Cond::Al, 0, None)
-        }
-        (Micro::Reg(a), Micro::Reg(b)) => fusion(h_fused_reg2, a, b, Cond::Al, 0, fall),
-        _ => None,
-    }
-}
-
-/// How a single unfused op may join a segment.
+/// How an op may join a segment.
 fn joins(micro: &Micro) -> Option<Tail> {
     match micro {
-        Micro::Reg(_) | Micro::Cmp(_) => Some(Tail::Fall),
+        Micro::Reg(_) => Some(Tail::Fall),
         Micro::B { .. } => Some(Tail::B),
         Micro::Cbz { .. } => Some(Tail::Cbz),
         Micro::Ldr(_) | Micro::Str(_) | Micro::Generic => None,
@@ -1420,8 +1236,7 @@ fn segments(ops: &mut [Op], joins: &[Option<Tail>], m: &Machine, window: u32) ->
     };
     let mut head = None;
     for (k, op) in ops.iter().enumerate() {
-        let member = joins[k].is_some_and(|t| t == Tail::Fall || k == last)
-            && [op.f1b, op.f2, op.f2b].into_iter().all(fixed);
+        let member = joins[k].is_some_and(|t| t == Tail::Fall || k == last) && fixed(op.f1b);
         if member && fixed(op.f1) {
             head = head.or(Some(k));
         } else {
@@ -1457,7 +1272,6 @@ fn segments(ops: &mut [Op], joins: &[Option<Tail>], m: &Machine, window: u32) ->
             bytes: 0,
             head_b: cost(ops[h].f1b),
             fetch: 0,
-            instrs: 0,
             patch_hits: 0,
             seq: 0,
             last_window: 0,
@@ -1466,17 +1280,12 @@ fn segments(ops: &mut [Op], joins: &[Option<Tail>], m: &Machine, window: u32) ->
         };
         let mut issue = 0u64;
         for (k, op) in ops[h..end].iter().enumerate() {
-            let fused = op.size != op.size1;
-            seg.bytes += op.size;
-            seg.instrs += 1 + u32::from(fused);
-            seg.patch_hits += u32::from(op.entry.patch_hits) + u32::from(op.patch2);
+            seg.bytes += op.entry.size;
+            seg.patch_hits += u32::from(op.entry.patch_hits);
             if k > 0 {
                 seg.fetch += (cost(op.f1) + cost(op.f1b)).saturating_sub(1);
             }
-            if fused {
-                seg.fetch += (cost(op.f2) + cost(op.f2b)).saturating_sub(1);
-            }
-            for plan in &[op.f1, op.f1b, op.f2, op.f2b][usize::from(k == 0)..] {
+            for plan in &[op.f1, op.f1b][usize::from(k == 0)..] {
                 match *plan {
                     Seq(w) => {
                         seg.seq += 1;
@@ -1486,12 +1295,9 @@ fn segments(ops: &mut [Op], joins: &[Option<Tail>], m: &Machine, window: u32) ->
                     _ => {}
                 }
             }
-            let half = |h: &Half| reg_cycles(h, timing.mul_cycles);
             seg.tail = joins[h + k].unwrap_or(Tail::Fall);
             issue += match seg.tail {
-                Tail::Fall if fused => half(&op.a) + half(&op.b),
-                Tail::Fall => half(&op.a),
-                Tail::RegB => half(&op.a) + taken,
+                Tail::Fall => reg_cycles(&op.a, timing.mul_cycles),
                 Tail::B | Tail::Cbz => taken,
             };
         }
@@ -1502,19 +1308,19 @@ fn segments(ops: &mut [Op], joins: &[Option<Tail>], m: &Machine, window: u32) ->
     segs
 }
 
-/// Selects the specialized handler (and operand half) for a single
-/// unfused instruction.
+/// Selects the specialized handler (and operand half) for one
+/// instruction.
 fn single(micro: Micro) -> (Handler, Half, Cond, u32, bool) {
     match micro {
         Micro::Reg(h) => {
             let run: Handler = match h.op {
                 RegOp::Alu => h_alu,
                 RegOp::Mov => h_mov,
+                RegOp::Cmp => h_cmp,
                 _ => h_reg,
             };
             (run, h, Cond::Al, 0, false)
         }
-        Micro::Cmp(h) => (h_cmp, h, Cond::Al, 0, false),
         Micro::B { cond, target } => (h_b, Half::NONE, cond, target, false),
         Micro::Cbz { nonzero, rn, target } => {
             (h_cbz, Half { rn, ..Half::NONE }, Cond::Al, target, nonzero)
@@ -1535,8 +1341,7 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     if n == 0 {
         return None;
     }
-    // The recorder caps runs at MAX_BLOCK_LEN (the width of the IT
-    // bitmask below).
+    // The recorder caps runs at MAX_BLOCK_LEN (the size of `tails`).
     debug_assert!(n <= MAX_BLOCK_LEN);
     let mode = m.config.mode;
     let flen = mode.min_instr_size();
@@ -1556,111 +1361,46 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     let seq = flash_cfg.width >= 2;
     let mut sim = FetchSim { window, line_shift, seq, cur: None, plannable };
 
-    // Entries an `it` covers, one bit each. A covered `it` reloads the
-    // queue, so its count replaces whatever the outer one had left.
-    let mut covered = 0u64;
-    let mut left = 0u8;
-    for (k, e) in entries.iter().enumerate() {
-        if left > 0 {
-            covered |= 1 << k;
-            left -= 1;
-        }
-        if let Instr::It { count, .. } = e.instr {
-            left = count.clamp(1, 4);
-        }
-    }
-    // Classifies entry `k` at `pc`: covered entries stay generic, which
-    // also keeps them out of every fusion pattern.
     let bias = mode.pc_bias();
-    let lower = |k: usize, pc: u32| {
-        let e = &entries[k];
-        let micro = if covered >> k & 1 != 0 { Micro::Generic } else { classify(e, pc, bias) };
-        (micro, is_pure(&e.instr, pc))
-    };
-    // Plans one instruction's fetch calls (both for wide Thumb).
-    let plan = |sim: &mut FetchSim, k: usize, pc: u32| {
-        let f = sim.call(pc, flen);
-        let fb = if mode != IsaMode::A32 && entries[k].size == 4 {
+    let mut ops = Vec::with_capacity(n);
+    let mut tails = [None; MAX_BLOCK_LEN];
+    let mut pc = start;
+    // Entries the last `it` still covers. A covered `it` reloads the
+    // queue, so its count replaces whatever the outer one had left.
+    let mut it_left = 0u8;
+    for (k, e) in entries.iter().enumerate() {
+        // IT-covered entries stay generic, which also keeps them out of
+        // every segment.
+        let micro = if it_left > 0 { Micro::Generic } else { classify(e, pc, bias) };
+        it_left = it_left.saturating_sub(1);
+        if let Instr::It { count, .. } = e.instr {
+            it_left = count.clamp(1, 4);
+        }
+        // Plan the fetch calls (both for wide Thumb).
+        let f1 = sim.call(pc, flen);
+        let f1b = if mode != IsaMode::A32 && e.size == 4 {
             sim.call(pc.wrapping_add(2), 2)
         } else {
             FetchPlan::None
         };
-        (f, fb)
-    };
-
-    let mut ops = Vec::with_capacity(n);
-    let mut tails = [None; MAX_BLOCK_LEN];
-    let mut fused = 0u32;
-    let mut pc = start;
-    let mut cur = lower(0, start);
-    let mut i = 0;
-    while i < n {
-        let (micro, pure) = cur;
-        let size1 = entries[i].size;
-        let pc2 = pc.wrapping_add(size1);
-        let next = (i + 1 < n).then(|| lower(i + 1, pc2));
-        let (f1, f1b) = plan(&mut sim, i, pc);
-        if breaks_stream(&entries[i].instr, pc) {
+        if breaks_stream(&e.instr, pc) {
             sim.invalidate();
         }
-        if let Some((fu, pure2)) = next.and_then(|(m2, p2)| Some((fuse(micro, m2)?, p2))) {
-            let (f2, f2b) = plan(&mut sim, i + 1, pc2);
-            if breaks_stream(&entries[i + 1].instr, pc2) {
-                sim.invalidate();
-            }
-            let size2 = entries[i + 1].size;
-            tails[ops.len()] = fu.joins;
-            ops.push(Op {
-                run: fu.run,
-                entry: entries[i],
-                pure: pure && pure2,
-                size: size1 + size2,
-                size1,
-                f1,
-                f1b,
-                f2,
-                f2b,
-                a: fu.a,
-                b: fu.b,
-                cond2: fu.cond2,
-                target: fu.target,
-                nonzero: false,
-                patch2: entries[i + 1].patch_hits,
-                seg: NO_SEGMENT,
-            });
-            fused += 1;
-            i += 2;
-            pc = pc2.wrapping_add(size2);
-            if i < n {
-                cur = lower(i, pc);
-            }
-            continue;
-        }
-        let (run, a, cond2, target, nonzero) = single(micro);
-        tails[ops.len()] = joins(&micro);
+        let (run, a, cond, target, nonzero) = single(micro);
+        tails[k] = joins(&micro);
         ops.push(Op {
             run,
-            entry: entries[i],
-            pure,
-            size: size1,
-            size1,
+            entry: *e,
+            pure: is_pure(&e.instr, pc),
             f1,
             f1b,
-            f2: FetchPlan::None,
-            f2b: FetchPlan::None,
             a,
-            b: Half::NONE,
-            cond2,
+            cond,
             target,
             nonzero,
-            patch2: 0,
             seg: NO_SEGMENT,
         });
-        i += 1;
-        pc = pc2;
-        if let Some(nx) = next {
-            cur = nx;
-        }
+        pc = pc.wrapping_add(e.size);
     }
 
     let segs = segments(&mut ops, &tails[..n], m, window);
@@ -1676,10 +1416,10 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
     let mut loop_head = ops[0].clone();
     loop_head.f1 = FetchSim { cur: sim.cur, ..sim }.call(start, flen);
     // Fetch-plan mix over the block's ops (every planned call: first
-    // and second-halfword fetches of both halves of a fused pair).
+    // and second-halfword fetches).
     let (mut plans_free, mut plans_window, mut plans_slow) = (0u32, 0u32, 0u32);
     for op in &ops {
-        for plan in [op.f1, op.f1b, op.f2, op.f2b] {
+        for plan in [op.f1, op.f1b] {
             match plan {
                 FetchPlan::None => {}
                 FetchPlan::Free | FetchPlan::LineHit => plans_free += 1,
@@ -1696,7 +1436,6 @@ pub(crate) fn build(start: u32, entries: &[Entry], m: &Machine) -> Option<Thread
         loop_head,
         window,
         flen,
-        fused,
         plans_free,
         plans_window,
         plans_slow,

@@ -8,11 +8,12 @@
 //! streaming statistics, flash-patch accounting, I-cache and D-cache
 //! statistics and occupancy, MPU violations and the exact
 //! per-interrupt pend/entry cycle stamps. Scenarios target the engine's
-//! sharp edges specifically: superinstruction fusion patterns, IRQ
-//! storms landing *between* the two halves of fused pairs, IT blocks
-//! carried through the lowering (covered entries, splits and interrupts
-//! landing mid-IT), self-modifying code rewriting the inside of a fused
-//! pair of an installed block, `run_until` bounds splitting blocks
+//! sharp edges specifically: short loop shapes that run as whole
+//! segments, IRQ storms landing between every two instructions of
+//! those loops, IT blocks carried through the lowering (covered
+//! entries, splits and interrupts landing mid-IT), self-modifying code
+//! rewriting a later instruction of an installed block, `run_until`
+//! bounds splitting blocks
 //! mid-flight, flash-patch toggles dropping installed blocks, device
 //! loads and stores inside chained blocks, and cycle-dependent device
 //! loads (pure ops) under a periodic timer. A seeded corpus of
@@ -92,10 +93,11 @@ fn machine_with(config: &MachineConfig, src: &str) -> Machine {
 }
 
 // ---------------------------------------------------------------------
-// Fusion-pattern programs
+// Short loop shapes
 // ---------------------------------------------------------------------
 
-/// `add`+`cmp` fusion (the loop-counter idiom) with a terminal `bne`.
+/// `add`+`cmp` (the loop-counter idiom) with a terminal `bne`: one
+/// three-op segment.
 const ALU_CMP_SRC: &str = "mov r0, #0
      mov r2, #200
      loop: add r0, r0, #1
@@ -103,8 +105,8 @@ const ALU_CMP_SRC: &str = "mov r0, #0
      bne loop
      bkpt #0";
 
-/// `cmp`+branch fusion: a `mov` spacer keeps the compare off the even
-/// pair boundary the greedy fuser would otherwise give to `add`+`cmp`.
+/// `cmp`+branch after a `mov` spacer between the `add` and the
+/// compare.
 const CMP_B_SRC: &str = "mov r0, #0
      mov r2, #200
      loop: add r0, r0, #1
@@ -113,8 +115,9 @@ const CMP_B_SRC: &str = "mov r0, #0
      bne loop
      bkpt #0";
 
-/// ALU+branch fusion: the loop body ends `add` + unconditional `b`
-/// backedge, with the exit test fused `cmp`+`beq` at the head.
+/// ALU+branch: the loop body ends `add` + unconditional `b` backedge,
+/// with the exit test `cmp`+`beq` at the head — two blocks of two ops,
+/// each the shortest segment there is.
 const ALU_B_SRC: &str = "mov r0, #0
      mov r2, #200
      head: cmp r0, r2
@@ -123,8 +126,9 @@ const ALU_B_SRC: &str = "mov r0, #0
      b head
      done: bkpt #0";
 
-/// `ldr`+ALU fusion (load-accumulate). Needs `movw`/`movt`, so it only
-/// runs on the T2 presets.
+/// `ldr`+ALU (load-accumulate): the load runs on its own handler, the
+/// register-only rest of the loop as one segment. Needs `movw`/`movt`,
+/// so it only runs on the T2 presets.
 fn ldr_alu_src() -> String {
     let template = |addr: u32| {
         format!(
@@ -153,7 +157,7 @@ fn ldr_alu_src() -> String {
 }
 
 #[test]
-fn matrix_fusion_loops_identical_across_presets() {
+fn matrix_segment_loops_identical_across_presets() {
     for (name, config) in presets() {
         for (pat, src) in
             [("alu_cmp", ALU_CMP_SRC), ("cmp_b", CMP_B_SRC), ("alu_b", ALU_B_SRC)]
@@ -163,13 +167,13 @@ fn matrix_fusion_loops_identical_across_presets() {
             assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
             let stats = on.predecode_stats();
             assert!(stats.block_hits > 0, "{what}: block engine never ran");
-            assert!(stats.fused_pairs > 0, "{what}: no pair fused");
+            assert!(stats.segment_instrs > 0, "{what}: no segment ran whole");
         }
     }
 }
 
 #[test]
-fn matrix_ldr_alu_fusion_identical() {
+fn matrix_ldr_alu_loop_identical() {
     let src = ldr_alu_src();
     for (name, config) in presets() {
         if config.mode != IsaMode::T2 {
@@ -180,7 +184,9 @@ fn matrix_ldr_alu_fusion_identical() {
         assert_eq!(r.reason, StopReason::Bkpt(0), "{what}");
         let stats = on.predecode_stats();
         assert!(stats.block_hits > 0, "{what}: block engine never ran");
-        assert!(stats.fused_pairs > 0, "{what}: no pair fused");
+        assert!(stats.segment_instrs > 0, "{what}: no segment ran whole");
+        let share = threaded_share(&on);
+        assert!(share >= 0.95, "{what}: only {:.1}% retired threaded", share * 100.0);
         assert_eq!(on.cpu.regs[6], 150 * 7, "{what}: load-accumulate checksum");
     }
 }
@@ -188,7 +194,7 @@ fn matrix_ldr_alu_fusion_identical() {
 #[test]
 fn matrix_generic_fallback_instructions_identical() {
     // Multiplies, bitfields, shifts and an IT block mixed into a hot
-    // loop: specialized handlers and fused register pairs next to the
+    // loop: specialized handlers and register segments next to the
     // IT-covered entries `h_generic` carries, all bit-identical.
     let src = "mov r0, #0
          mov r2, #120
@@ -209,14 +215,16 @@ fn matrix_generic_fallback_instructions_identical() {
 }
 
 // ---------------------------------------------------------------------
-// IRQ storms landing between fused-pair halves
+// IRQ storms landing inside segments
 // ---------------------------------------------------------------------
 
-/// Schedules a dense sweep of precise-cycle interrupts across a
-/// fusion-pattern loop and asserts the pend/entry stamps are identical
-/// with the engine on and off. The prime strides walk the pend
-/// cycle through every phase of the loop period, so interrupts land
-/// between the two halves of every fused pair.
+/// Schedules a dense sweep of precise-cycle interrupts across a short
+/// loop and asserts the pend/entry stamps are identical with the
+/// engine on and off. The prime strides walk the pend cycle through
+/// every phase of the loop period, so interrupts land between every
+/// two instructions, those inside a segment included (which then runs
+/// op by op). The four storms below are named after the instruction
+/// pairs their loops were written around.
 fn irq_sweep(src: &str, what: &str) {
     for stride in [7u64, 11, 37] {
         let build = || {
@@ -371,18 +379,18 @@ fn it_run_splits_and_irq_storm_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Self-modifying code inside a fused pair of an installed block
+// Self-modifying code inside an installed block
 // ---------------------------------------------------------------------
 
 #[test]
-fn smc_inside_fused_pair_of_promoted_block_identical() {
+fn smc_inside_promoted_block_identical() {
     // Two-phase SRAM program. Phase 1 (the first 12 passes) stores to a
     // scratch word, so the loop block stays valid and dispatches as
     // threaded code. At pass 12 the store target flips
-    // to the `patched` instruction — the *first half of the fused
-    // `add`+`cmp` pair* later in the same block. The armed store runs
-    // inside the threaded block, moves the code-write generation, and
-    // the engine must split before the now-stale fused pair executes;
+    // to the `patched` instruction — the `add r6` later in the same
+    // block. The armed store runs inside the threaded block, moves the
+    // code-write generation, and the engine must split before the
+    // now-stale `add` executes;
     // the stored halfword alternates between `add r6, r6, #1` and
     // `add r6, r6, #5`, so a single stale execution shows in r6.
     let code_base = SRAM_BASE + 0x400;
@@ -437,7 +445,7 @@ fn smc_inside_fused_pair_of_promoted_block_identical() {
         m.cpu.set_sp(SRAM_BASE + 0x8000);
         m
     };
-    let (r, on) = run_both(&build, 1_000_000, "smc_fused");
+    let (r, on) = run_both(&build, 1_000_000, "smc in block");
     assert_eq!(r.reason, StopReason::Bkpt(0));
     let stats = on.predecode_stats();
     assert!(stats.block_hits > 0, "block engine never ran");
@@ -457,8 +465,8 @@ fn smc_inside_fused_pair_of_promoted_block_identical() {
 
 #[test]
 fn run_until_splits_and_patch_toggles_mid_threaded_block_identical() {
-    // Bounded runs park execution mid-block (including mid-fused-pair
-    // budget splits); between bounds the host toggles a flash-patch
+    // Bounded runs park execution mid-block (including budget splits
+    // inside a segment); between bounds the host toggles a flash-patch
     // remap over the loop's literal, which moves the generation stamp
     // and drops the installed block. Resuming must refetch under the
     // new generation with cycles identical to the per-step reference.
@@ -802,7 +810,7 @@ fn threaded_stats_report_promotion_and_demotion() {
     assert_eq!(r.reason, StopReason::Bkpt(0));
     let stats = m.predecode_stats();
     assert!(stats.blocks_promoted >= 1, "the loop body must be installed");
-    assert!(stats.fused_pairs >= 1, "add+cmp must fuse at install");
+    assert!(stats.segment_instrs >= 1, "add+cmp+bne must run as a segment");
     assert!(
         stats.block_hits > stats.blocks_promoted,
         "installed blocks must dispatch more than once"
@@ -1066,8 +1074,7 @@ fn matrix_specialized_forms_corpus_identical() {
     // 1, 31, 32, 33 and 255, flag-setting where the mode has the form),
     // `mul`/`muls`, unsigned register-offset loads and stores
     // `[rn, rm, lsl #k]`, literal-pool loads and (T2) `ubfx`/`bfi`,
-    // adjacent in every order the register-pair fusion meets, on every
-    // preset.
+    // adjacent in every order a segment meets, on every preset.
     for (name, config) in presets() {
         for seed in [1u64, 0x5EED, 0xC0FF_EE00_D15E_A5E5] {
             let (src, cov) = corpus_src(config.mode, seed, 48);
@@ -1319,7 +1326,7 @@ fn fitting_deny_all_mpu_between_runs_matches_reference() {
 
 /// A long register-only loop for `mode`, each line the first candidate
 /// the mode encodes (lines no candidate encodes are left out): shifts
-/// by an immediate and by a register (r4), `mul`, a fused ALU + `cmp`,
+/// by an immediate and by a register (r4), `mul`, an ALU op, `cmp`,
 /// and the T2 `ubfx` (label `w0`) and `bfi` (label `w1`), always wide,
 /// at the two halfword alignments. The handler counter r6 feeds the
 /// loop, so an interrupt taken one instruction off shows in the
